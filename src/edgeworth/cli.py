@@ -9,13 +9,13 @@ oracle infeasible, 4 convergence verdict failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -72,6 +72,15 @@ def _json_dumps(obj, indent=0):
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
+@contextlib.contextmanager
+def _reading(name):
+    """Report a config value that does not convert as invalid input."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid {name}: {exc}") from None
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -110,7 +119,8 @@ def build_model(doc):
         for key in ("transition", "observable"):
             if key not in doc:
                 raise ValidationError(f'markov model needs "{key}"')
-        P = np.asarray(doc["transition"], dtype=float)
+        with _reading("model.transition"):
+            P = np.asarray(doc["transition"], dtype=float)
         mu0 = doc.get("mu0")
         if mu0 is None:
             mu0 = np.full(P.shape[0], 1.0 / P.shape[0])
@@ -119,13 +129,17 @@ def build_model(doc):
         if ("pmf" in doc) == ("moments" in doc):
             raise ValidationError('iid model needs exactly one of "pmf" and "moments"')
         if "pmf" in doc:
-            return models.iid_model(pmf=[(v, p) for v, p in doc["pmf"]])
+            with _reading("model.pmf"):
+                pmf = [(v, p) for v, p in doc["pmf"]]
+            return models.iid_model(pmf=pmf)
         return models.iid_model(moments=doc["moments"])
     if kind == "ulam":
+        with _reading("model.cells"):
+            cells = int(doc.get("cells", 1024))
         return models.ulam_model(
             map_kind=doc.get("map", "doubling"),
             g=_g_from_doc(doc.get("g")),
-            cells=int(doc.get("cells", 1024)),
+            cells=cells,
             endpoints=doc.get("endpoints"),
             density=doc.get("density"),
         )
@@ -164,57 +178,35 @@ def _oracle_from(run, args):
             raise ValidationError("Monte Carlo runs require a seed")
         if not isinstance(trials, int) or trials < 1:
             raise ValidationError("trials must be a positive integer")
-    return kind, (0 if seed is None else int(seed)), int(trials)
+    with _reading("run.seed / run.trials"):
+        return kind, (0 if seed is None else int(seed)), int(trials)
 
 
 def _function_from(run):
     doc = run.get("function")
     if doc is None:
         return None
-    return evaluate.TestFunction(
-        kind=doc.get("kind", "gaussian-bump"),
-        center=float(doc.get("center", 0.0)),
-        width=float(doc.get("width", 1.0)),
-        degree=int(doc.get("degree", 0)),
-    )
+    with _reading("run.function"):
+        return evaluate.TestFunction(
+            kind=doc.get("kind", "gaussian-bump"),
+            center=float(doc.get("center", 0.0)),
+            width=float(doc.get("width", 1.0)),
+            degree=int(doc.get("degree", 0)),
+        )
 
 
 def _t_grid_from(run):
     doc = run.get("t_grid")
     if doc is None:
         return np.linspace(0.5, 20.0, 40)
-    if isinstance(doc, dict):
-        return np.linspace(
-            float(doc.get("start", 0.5)),
-            float(doc.get("stop", 20.0)),
-            int(doc.get("count", 40)),
-        )
-    return np.asarray([float(t) for t in doc])
-
-
-def _thread_count():
-    raw = os.environ.get("EDGEWORTH_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError("EDGEWORTH_THREADS must be an integer") from None
-    if n < 1:
-        raise ValidationError("EDGEWORTH_THREADS must be at least 1")
-    return n
-
-
-def _precompute_dists(model, n_list, kind, seed, trials, cache):
-    workers = min(_thread_count(), len(n_list))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(evaluate.exact_distribution, model, n, kind, seed, trials, cache)
-                for n in n_list
-            ]
-            for job in jobs:
-                job.result()
+    with _reading("run.t_grid"):
+        if isinstance(doc, dict):
+            return np.linspace(
+                float(doc.get("start", 0.5)),
+                float(doc.get("stop", 20.0)),
+                int(doc.get("count", 40)),
+            )
+        return np.asarray([float(t) for t in doc])
 
 
 def _artifact_path(out_dir, command, model_doc, stamp, ext):
@@ -272,21 +264,11 @@ def cmd_verify(model, model_doc, run, args):
     kind, seed, trials = _oracle_from(run, args)
     form = run.get("form", "classical")
     f = _function_from(run)
-    cache = {}
-    _precompute_dists(model, n_list, kind, seed, trials, cache)
+    with _reading("run.x"):
+        x = None if run.get("x") is None else float(run["x"])
     exp_set = expansion_for_model(model, r)
     report = evaluate.convergence_study(
-        exp_set,
-        model,
-        kind,
-        r,
-        n_list,
-        form=form,
-        f=f,
-        x=None if run.get("x") is None else float(run["x"]),
-        seed=seed,
-        trials=trials,
-        cache=cache,
+        exp_set, model, kind, r, n_list, form=form, f=f, x=x, seed=seed, trials=trials
     )
     path = _artifact_path(args.out, "verify", model_doc, args.stamp, "csv")
     _write_csv(path, ["N", "raw_error", "scaled_error"], report.rows())
@@ -299,8 +281,13 @@ def cmd_verify(model, model_doc, run, args):
 
 
 def cmd_diagnose(model, model_doc, run, args):
+    if not hasattr(model, "transition"):
+        raise ValidationError("diagnose needs a finite-state chain or map model")
     t_grid = _t_grid_from(run)
-    n_power = int(run.get("N", 2))
+    with _reading("run.N"):
+        n_power = int(run.get("N", 2))
+    if n_power < 1 or t_grid.size == 0:
+        raise ValidationError("run.N must be at least 1 and run.t_grid nonempty")
     fam = spectral.build_operator_family(model, 2)
     flags = []
     try:
@@ -312,26 +299,17 @@ def cmd_diagnose(model, model_doc, run, args):
     except SingularStationarySolve:
         gap = None
         flags.append("stationary-not-unique")
-    rows = spectral.norm_decay_scan(model, t_grid, n_power)
+    t, nrm, rad = np.array(spectral.norm_decay_scan(model, t_grid, n_power)).T
     if model.lattice_span is None:
         scan = models.diophantine_scan(model.observable, t_grid)
         dist = scan.d
         dio = {"K": scan.K, "beta": scan.beta, "residual": scan.residual}
     else:
-        scan = None
         dist = np.zeros(t_grid.size)
         dio = None
-    out_rows = [
-        (float(t), float(d), float(nrm), float(rad))
-        for (t, nrm, rad), d in zip(rows, dist)
-    ]
-    theta = math.inf
-    for t, d, nrm, rad in out_rows:
-        if d > 0:
-            theta = min(theta, (1.0 - nrm) / (d * d))
-    if model.lattice_span is not None and any(
-        rad >= 1.0 - 1e-9 for _, _, _, rad in out_rows
-    ):
+    pos = dist > 0
+    theta = float(np.min((1.0 - nrm[pos]) / (dist[pos] * dist[pos]), initial=math.inf))
+    if model.lattice_span is not None and np.any(rad >= 1.0 - 1e-9):
         # unit radius at the lattice frequencies is expected, not a defect
         flags.append("radius-one-lattice-consistent")
     report = {
@@ -343,7 +321,7 @@ def cmd_diagnose(model, model_doc, run, args):
         "flags": flags,
     }
     csv_path = _artifact_path(args.out, "diagnose", model_doc, args.stamp, "csv")
-    _write_csv(csv_path, ["t", "char_distance", "norm_power", "radius"], out_rows)
+    _write_csv(csv_path, ["t", "char_distance", "norm_power", "radius"], zip(t, dist, nrm, rad))
     json_path = _artifact_path(args.out, "diagnose", model_doc, args.stamp, "json")
     _write_json(json_path, report)
     print(csv_path)
@@ -371,13 +349,10 @@ def cmd_lclt(model, model_doc, run, args):
     if span is None:
         raise OracleUnavailable("the local limit comparison needs a lattice model")
     exp_set = expansion_for_model(model, r)
-    cache = {}
-    _precompute_dists(model, n_list, "dp", 0, 0, cache)
     rows = []
     for n in n_list:
-        dist = evaluate.exact_distribution(model, n, "dp", cache=cache)
-        offs = dist.support - n * exp_set.params.A
-        est = np.array([evaluate.lclt_estimate(exp_set, u, n) for u in offs])
+        dist = evaluate.exact_distribution(model, n, "dp")
+        est = evaluate.lclt_estimate(exp_set, dist.support - n * exp_set.params.A, n)
         err = float(np.max(np.abs(math.sqrt(n) * dist.pmf / span - est)))
         rows.append((n, err))
     path = _artifact_path(args.out, "lclt", model_doc, args.stamp, "csv")
@@ -389,7 +364,8 @@ def cmd_lclt(model, model_doc, run, args):
 def cmd_moddev(model, model_doc, run, args):
     r = _order_from(run, args)
     n_list = _n_list_from(run)
-    c = float(run.get("c", 0.5))
+    with _reading("run.c"):
+        c = float(run.get("c", 0.5))
     exp_set = expansion_for_model(model, r)
     rows = []
     for n in n_list:

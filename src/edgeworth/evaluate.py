@@ -9,6 +9,7 @@ oracles.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -134,7 +135,8 @@ class TestFunction:
         return None
 
     def tail_integral(self, a):
-        """Integral of f over [a, infinity), closed-form where available."""
+        """Integral of f over [a, infinity), closed-form where available; elementwise."""
+        a = np.asarray(a, dtype=float)
         if self.kind == "gaussian-bump":
             w = self.width
             return (
@@ -143,9 +145,10 @@ class TestFunction:
                 * (1.0 - oracle.normal_cdf((a - self.center) / w))
             )
         lo, hi = self.support()
-        if a >= hi:
-            return 0.0
-        return simpson_integral(self, max(a, lo), hi)
+        out = np.array(
+            [0.0 if ai >= hi else simpson_integral(self, max(ai, lo), hi) for ai in a.flat]
+        ).reshape(a.shape)
+        return out if out.ndim else float(out)
 
 
 def _density(exp_set, z):
@@ -169,7 +172,7 @@ def edgeworth_cdf(exp_set, N, z, r=None):
     exp_set : ExpansionSet
     N : int
         Horizon, at least 1.
-    z : float
+    z : float or array_like
         Standardized argument (the law of (S_N - N A) / sqrt(N)).
     r : int, optional
         Truncation order, defaulting to the built order.
@@ -177,12 +180,12 @@ def edgeworth_cdf(exp_set, N, z, r=None):
     if N < 1:
         raise ValidationError("N must be at least 1")
     r = _order(exp_set, r)
-    sigma = exp_set.params.sigma
-    val = oracle.normal_cdf(z, sigma)
-    dens = float(_density(exp_set, z))
+    z = np.asarray(z, dtype=float)
+    val = np.asarray(oracle.normal_cdf(z, exp_set.params.sigma))
+    dens = _density(exp_set, z)
     for p in range(1, r + 1):
-        val += exp_set.P(p)(z) * N ** (-p / 2.0) * dens
-    return float(val)
+        val = val + exp_set.P(p)(z) * N ** (-p / 2.0) * dens
+    return val if val.ndim else float(val)
 
 
 def cdf_callable(exp_set, N, r=None):
@@ -282,12 +285,15 @@ def lclt_estimate(exp_set, u, N):
     """Local-limit density value  (1/sqrt(2 pi sigma2 N)) ... at offset u.
 
     Returns (1/sqrt(2 pi sigma2)) exp(-u^2 / (2 N sigma2)), the local
-    limit prediction for sqrt(N) P(S_N = nearest lattice point to NA+u).
+    limit prediction for sqrt(N) P(S_N = nearest lattice point to NA+u),
+    elementwise in ``u``.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
     s2 = exp_set.params.sigma2
-    return math.exp(-0.5 * u * u / (N * s2)) / math.sqrt(2.0 * math.pi * s2)
+    u = np.asarray(u, dtype=float)
+    out = np.exp(-0.5 * u * u / (N * s2)) / math.sqrt(2.0 * math.pi * s2)
+    return out if out.ndim else float(out)
 
 
 def lclt_window(exp_set, u, N, eps):
@@ -328,15 +334,13 @@ def moddev_ratio(exp_set, model, c, N):
         raise ValidationError("N must be at least 2")
     params = exp_set.params
     x = max(1.0, math.sqrt(c * params.sigma2 * math.log(N)))
-    if getattr(model, "lattice_span", None) is not None:
-        dist = oracle.dp_pmf(model, N)
-    else:
-        try:
-            dist = oracle.enum_distribution(model, N)
-        except TooManyValues as exc:
-            raise OracleUnavailable(
-                f"non-lattice tail at N={N} needs enumeration beyond budget"
-            ) from exc
+    kind = "enum" if getattr(model, "lattice_span", None) is None else "dp"
+    try:
+        dist = exact_distribution(model, N, kind)
+    except TooManyValues as exc:
+        raise OracleUnavailable(
+            f"non-lattice tail at N={N} needs enumeration beyond budget"
+        ) from exc
     threshold = N * params.A + x * math.sqrt(N)
     exact_tail = dist.tail(threshold)
     normal_tail = 1.0 - oracle.normal_cdf(x, params.sigma)
@@ -363,28 +367,29 @@ class ConvergenceReport:
 
 
 def _model_key(model):
-    parts = [model.transition.tobytes(), model.observable.tobytes(), model.mu0.tobytes()]
-    return b"".join(parts)
-
-
-_dist_cache = {}
+    """SHA-256 digest of the chain arrays, fed as buffers without copies."""
+    digest = hashlib.sha256()
+    for arr in (model.transition, model.observable, model.mu0):
+        digest.update(np.ascontiguousarray(arr))
+    return digest.hexdigest()
 
 
 def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None):
-    """Oracle distribution of S_N, memoized per (model, oracle, N)."""
-    store = _dist_cache if cache is None else cache
-    key = (_model_key(model), oracle_kind, N, seed if oracle_kind == "mc" else None,
-           trials if oracle_kind == "mc" else None)
-    if key not in store:
-        if oracle_kind == "dp":
-            store[key] = oracle.dp_pmf(model, N)
-        elif oracle_kind == "enum":
-            store[key] = oracle.enum_distribution(model, N)
-        elif oracle_kind == "mc":
-            store[key] = oracle.mc_sample(model, N, trials, seed)
-        else:
-            raise ValidationError(f"unknown oracle kind {oracle_kind!r}")
-    return store[key]
+    """Oracle distribution of S_N, memoized per (model, oracle, N) in ``cache`` if given."""
+    if oracle_kind not in ("dp", "enum", "mc"):
+        raise ValidationError(f"unknown oracle kind {oracle_kind!r}")
+    if cache is not None:
+        oracle._require_chain(model)  # the key reads the chain arrays
+        mc = oracle_kind == "mc"
+        key = (_model_key(model), oracle_kind, N, seed if mc else None, trials if mc else None)
+        if key not in cache:
+            cache[key] = exact_distribution(model, N, oracle_kind, seed, trials)
+        return cache[key]
+    if oracle_kind == "dp":
+        return oracle.dp_pmf(model, N)
+    if oracle_kind == "enum":
+        return oracle.enum_distribution(model, N)
+    return oracle.mc_sample(model, N, trials, seed)
 
 
 def _standardize(dist, shift, scale):
@@ -439,18 +444,17 @@ def _averaged_error(exp_set, model, dist, N, r, f, x):
     # integral F_N(x + y/rootn) f(y) dy  ==  sum_k pmf_k * tail integral
     # of f over [rootn(kappa_k - x), inf), kappa_k the standardized atom
     kappa = (dist.support - N * params.A) / rootn
-    exact_f = math.fsum(
-        (dist.pmf * np.array([f.tail_integral(rootn * (kk - x)) for kk in kappa])).tolist()
-    )
-    sigma = params.sigma
+    exact_f = math.fsum((dist.pmf * f.tail_integral(rootn * (kappa - x))).tolist())
 
     def gauss_part(y):
-        z = x + y / rootn
-        return np.array([oracle.normal_cdf(zz, sigma) for zz in np.atleast_1d(z)]) * f(y)
+        return oracle.normal_cdf(x + y / rootn, params.sigma) * f(y)
 
     lo, hi = f.support()
     gauss = simpson_integral(gauss_part, lo, hi)
     return abs((exact_f - gauss) - averaged(exp_set, f, N, x, r))
+
+
+_FORMS = ("classical", "lattice", "weak_local", "weak_global", "averaged")
 
 
 def convergence_study(
@@ -492,6 +496,8 @@ def convergence_study(
     N_list = [int(n) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValidationError("N_list must be strictly increasing")
+    if form not in _FORMS:
+        raise ValidationError(f"unknown form {form!r}")
     if form == "averaged" and f is None:
         f = TestFunction("gaussian-bump", 0.0, 1.0)
     if form in ("weak_local", "weak_global") and f is None:
@@ -512,13 +518,11 @@ def convergence_study(
             err = _weak_local_error(exp_set, model, dist, N, r, f)
         elif form == "weak_global":
             err = _weak_global_error(exp_set, model, dist, N, r, f)
-        elif form == "averaged":
+        else:
             err = max(
                 _averaged_error(exp_set, model, dist, N, r, f, xx)
                 for xx in probes_x
             )
-        else:
-            raise ValidationError(f"unknown form {form!r}")
         raw.append(err)
     scaled = [e * n ** (r / 2.0) for e, n in zip(raw, N_list)]
     decreasing = all(b < a for a, b in zip(scaled, scaled[1:]))

@@ -54,17 +54,18 @@ class ExactDistribution:
         total = math.fsum(self.pmf.tolist())
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"pmf sums to {total!r}, off by {abs(total - 1.0):.3e}")
-        self._cum = np.cumsum(self.pmf)
+        # _cum[i] = P(X <= support[i - 1]), with _cum[0] = 0
+        self._cum = np.concatenate(([0.0], np.cumsum(self.pmf)))
 
     def cdf(self, z):
-        """P(X <= z)."""
-        i = np.searchsorted(self.support, z, side="right")
-        return float(self._cum[i - 1]) if i > 0 else 0.0
+        """P(X <= z); accepts arrays of z."""
+        out = self._cum[np.searchsorted(self.support, z, side="right")]
+        return out if np.ndim(out) else float(out)
 
     def cdf_left(self, z):
-        """P(X < z)."""
-        i = np.searchsorted(self.support, z, side="left")
-        return float(self._cum[i - 1]) if i > 0 else 0.0
+        """P(X < z); accepts arrays of z."""
+        out = self._cum[np.searchsorted(self.support, z, side="left")]
+        return out if np.ndim(out) else float(out)
 
     def mean(self):
         return math.fsum((self.support * self.pmf).tolist())
@@ -74,14 +75,14 @@ class ExactDistribution:
         return math.fsum(((self.support - center) ** k * self.pmf).tolist())
 
     def tail(self, z):
-        """P(X >= z)."""
+        """P(X >= z); accepts arrays of z."""
         return 1.0 - self.cdf_left(z)
 
     def to_csv(self, fileobj):
         """Write rows (value, pmf, cdf) in RFC-4180 form."""
         w = csv.writer(fileobj, lineterminator="\n")
         w.writerow(["value", "pmf", "cdf"])
-        for v, p, c in zip(self.support, self.pmf, self._cum):
+        for v, p, c in zip(self.support, self.pmf, self._cum[1:]):
             w.writerow([format(v, ".17g"), format(p, ".17g"), format(c, ".17g")])
 
 
@@ -379,7 +380,7 @@ def mc_sample(model, N, trials, seed):
 
 
 class FunctionCdf:
-    """Adapter giving a smooth CDF callable the two-sided query interface."""
+    """Adapter giving a smooth, array-capable CDF the two-sided query interface."""
 
     __slots__ = ("fn",)
 
@@ -387,7 +388,7 @@ class FunctionCdf:
         self.fn = fn
 
     def cdf(self, z):
-        return float(self.fn(z))
+        return self.fn(z)
 
     cdf_left = cdf
 
@@ -400,23 +401,23 @@ def kolmogorov_distance(a, b, probes):
 
     Parameters
     ----------
-    a, b : objects with ``cdf`` and ``cdf_left`` methods
+    a, b : objects with ``cdf`` and ``cdf_left`` methods taking arrays
     probes : array_like
         Probe points; should cover both supports and the tails.
     """
-    worst = 0.0
-    for z in np.asarray(probes, dtype=float):
-        worst = max(
-            worst,
-            abs(a.cdf(z) - b.cdf(z)),
-            abs(a.cdf_left(z) - b.cdf_left(z)),
-        )
-    return worst
+    z = np.asarray(probes, dtype=float)
+    fb = b.cdf(z)
+    # a continuous comparator is evaluated once for both one-sided limits
+    fb_left = fb if isinstance(b, FunctionCdf) else b.cdf_left(z)
+    right = np.max(np.abs(a.cdf(z) - fb), initial=0.0)
+    left = np.max(np.abs(a.cdf_left(z) - fb_left), initial=0.0)
+    return float(max(right, left))
 
 
 # Rational approximations for the complementary error function
 # (Cody-style three-regime scheme, |relative error| < 1e-15), pinned
-# in-repo so results do not depend on platform libm differences.
+# in-repo so results do not depend on platform libm differences.  The
+# functions below take arrays and return a float for scalar input.
 
 _ERF_A = (
     3.16112374387056560e00,
@@ -470,6 +471,18 @@ _ERF_Q = (
 _SQRPI = 5.6418958354775628695e-1
 
 
+def _erf_small(x):
+    # |x| <= 0.46875
+    y = np.abs(x)
+    z = np.where(y > 1e-300, y * y, 0.0)
+    xnum = _ERF_A[4] * z
+    xden = z
+    for i in range(3):
+        xnum = (xnum + _ERF_A[i]) * z
+        xden = (xden + _ERF_B[i]) * z
+    return x * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
+
+
 def _erfc_mid(y):
     xnum = _ERF_C[8] * y
     xden = y
@@ -477,9 +490,9 @@ def _erfc_mid(y):
         xnum = (xnum + _ERF_C[i]) * y
         xden = (xden + _ERF_D[i]) * y
     result = (xnum + _ERF_C[7]) / (xden + _ERF_D[7])
-    ysq = math.floor(y * 16.0) / 16.0
+    ysq = np.floor(y * 16.0) / 16.0
     delta = (y - ysq) * (y + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-delta) * result
+    return np.exp(-ysq * ysq) * np.exp(-delta) * result
 
 
 def _erfc_far(y):
@@ -491,44 +504,47 @@ def _erfc_far(y):
         xden = (xden + _ERF_Q[i]) * z
     result = z * (xnum + _ERF_P[4]) / (xden + _ERF_Q[4])
     result = (_SQRPI - result) / y
-    ysq = math.floor(y * 16.0) / 16.0
+    ysq = np.floor(y * 16.0) / 16.0
     delta = (y - ysq) * (y + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-delta) * result
+    return np.exp(-ysq * ysq) * np.exp(-delta) * result
+
+
+def _erfc_positive(y):
+    # erfc(y) for y > 0.46875: mid regime up to 4, far up to 26.5, then 0
+    out = np.zeros_like(y)
+    mid = y <= 4.0
+    far = ~(mid | (y > 26.5))  # NaN propagates, as in the far branch
+    out[mid] = _erfc_mid(y[mid])
+    out[far] = _erfc_far(y[far])
+    return out
 
 
 def erf(x):
-    """Error function by rational approximation (three regimes)."""
-    y = abs(x)
-    if y <= 0.46875:
-        z = y * y if y > 1e-300 else 0.0
-        xnum = _ERF_A[4] * z
-        xden = z
-        for i in range(3):
-            xnum = (xnum + _ERF_A[i]) * z
-            xden = (xden + _ERF_B[i]) * z
-        return x * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
-    return math.copysign(1.0 - erfc(y), x)
+    """Error function by rational approximation (three regimes), elementwise."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(xs)
+    small = np.abs(xs) <= 0.46875
+    out[small] = _erf_small(xs[small])
+    big = xs[~small]
+    out[~small] = np.copysign(1.0 - _erfc_positive(np.abs(big)), big)
+    return out if np.ndim(x) else float(out[0])
 
 
 def erfc(x):
-    """Complementary error function by rational approximation."""
-    y = abs(x)
-    if y <= 0.46875:
-        return 1.0 - erf(x)
-    if y > 26.5:
-        result = 0.0
-    elif y <= 4.0:
-        result = _erfc_mid(y)
-    else:
-        result = _erfc_far(y)
-    if x < 0.0:
-        result = 2.0 - result
-    return result
+    """Complementary error function by rational approximation, elementwise."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(xs)
+    small = np.abs(xs) <= 0.46875
+    out[small] = 1.0 - _erf_small(xs[small])
+    big = xs[~small]
+    result = _erfc_positive(np.abs(big))
+    out[~small] = np.where(big < 0.0, 2.0 - result, result)
+    return out if np.ndim(x) else float(out[0])
 
 
 def normal_cdf(z, sigma=1.0):
-    """CDF of the centered normal with standard deviation sigma."""
-    return 0.5 * erfc(-z / (sigma * math.sqrt(2.0)))
+    """CDF of the centered normal with standard deviation sigma, elementwise."""
+    return 0.5 * erfc(-np.asarray(z, dtype=float) / (sigma * math.sqrt(2.0)))
 
 
 def normal_density(z, sigma=1.0):

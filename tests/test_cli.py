@@ -143,18 +143,6 @@ def test_verify_csv_uses_lf_line_endings(tmp_path, capsys):
     assert blob.endswith(b"\n")
 
 
-def test_verify_deterministic_across_thread_counts(tmp_path, capsys, monkeypatch):
-    cfg = verify_config(tmp_path, order=1, N_list=[64, 256], form="classical")
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    code, out1, _ = run_cli(capsys, "verify", cfg, "--out", str(out_a), "--stamp", "x")
-    assert code == 0
-    monkeypatch.setenv("EDGEWORTH_THREADS", "2")
-    code, out2, _ = run_cli(capsys, "verify", cfg, "--out", str(out_b), "--stamp", "x")
-    assert code == 0
-    assert open(out1.strip(), "rb").read() == open(out2.strip(), "rb").read()
-
-
 def test_verify_verdict_failure_still_writes_csv(tmp_path, capsys):
     # symmetric Bernoulli summands: the first correction vanishes, so the
     # scaled classical error stalls at the lattice floor and the verdict
@@ -245,12 +233,56 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
     assert code == 2
 
 
-def test_invalid_thread_env_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EDGEWORTH_THREADS", "many")
-    cfg = verify_config(tmp_path, order=1, N_list=[16, 32])
-    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (
+            "verify",
+            {
+                "model": {"bundled": "two_state"},
+                "run": {
+                    "order": 1,
+                    "N_list": [16, 32],
+                    "form": "averaged",
+                    "function": {"kind": "gaussian-bump", "width": "wide"},
+                },
+            },
+        ),
+        ("diagnose", {"model": {"bundled": "two_state"}, "run": {"t_grid": {"count": -3}}}),
+        ("diagnose", {"model": {"bundled": "two_state"}, "run": {"t_grid": {"count": 0}}}),
+        ("diagnose", {"model": {"bundled": "two_state"}, "run": {"N": "many"}}),
+        ("diagnose", {"model": {"bundled": "two_state"}, "run": {"N": 0}}),
+        (
+            "expand",
+            {
+                "model": {
+                    "type": "markov",
+                    "transition": [[0.5, 0.5], [1.0]],
+                    "observable": [[0.0, 1.0], [1.0, 0.0]],
+                },
+                "run": {},
+            },
+        ),
+        ("expand", {"model": {"type": "ulam", "cells": "many"}, "run": {}}),
+        ("expand", {"model": {"type": "iid", "pmf": [[0.0, 0.5, 1.0]]}, "run": {}}),
+    ],
+)
+def test_non_numeric_config_values_exit_two(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, command, cfg, "--out", str(tmp_path), "--stamp", "s")
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_verify_dp_on_jet_only_model_exits_three(tmp_path, capsys):
+    doc = {
+        "model": {"bundled": "iid_moments"},
+        "run": {"order": 1, "N_list": [16, 32], "oracle": "dp"},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 3
+    assert json.loads(err)["error"] == "OracleUnavailable"
 
 
 # ------------------------------------------------------------------ diagnose
@@ -310,6 +342,13 @@ def test_diagnose_reducible_chain_completes_with_flag(tmp_path, capsys):
     report = json.loads(open(out.strip().splitlines()[1]).read())
     assert report["gap"] is None
     assert "stationary-not-unique" in report["flags"]
+
+
+def test_diagnose_jet_only_model_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"bundled": "iid_moments"}, "run": {}})
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
 
 
 def test_diagnose_nonlattice_fits_frequency_lower_bound(tmp_path, capsys):

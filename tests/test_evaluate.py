@@ -159,6 +159,21 @@ def test_cdf_validation(two_state):
         edgeworth_cdf(exp_set, 16, 0.0, r=-1)
 
 
+def test_array_forms_match_scalar_loops(two_state):
+    model, exp_set = two_state
+    z = np.linspace(-4.0, 4.0, 41)
+    got = edgeworth_cdf(exp_set, 256, z)
+    assert np.array_equal(got, [edgeworth_cdf(exp_set, 256, float(v)) for v in z])
+    got = lclt_estimate(exp_set, 3.0 * z, 256)
+    assert np.array_equal(got, [lclt_estimate(exp_set, 3.0 * float(v), 256) for v in z])
+    for f in (TestFunction("gaussian-bump", 0.5, 2.0), TestFunction("compact-bump", 0.0, 1.5)):
+        got = f.tail_integral(z)
+        assert got.shape == z.shape
+        assert np.array_equal(got, [f.tail_integral(float(v)) for v in z])
+    assert isinstance(edgeworth_cdf(exp_set, 256, 0.3), float)
+    assert isinstance(lclt_estimate(exp_set, 0.3, 256), float)
+
+
 def test_cdf_callable_left_limit_equals_value(two_state):
     model, exp_set = two_state
     fn = cdf_callable(exp_set, 256)
@@ -396,10 +411,13 @@ def test_study_validation(two_state):
         convergence_study(exp_set, model, "dp", 1, [64, 64])
     with pytest.raises(ValidationError):
         convergence_study(exp_set, model, "dp", 1, [256, 64])
+    # unknown forms and oracles are refused before any oracle runs
+    cache = {}
     with pytest.raises(ValidationError):
-        convergence_study(exp_set, model, "dp", 1, [64, 256], form="modal")
+        convergence_study(exp_set, model, "dp", 1, [64, 256], form="modal", cache=cache)
     with pytest.raises(ValidationError):
-        convergence_study(exp_set, model, "spectral", 1, [64, 256])
+        convergence_study(exp_set, model, "spectral", 1, [64, 256], cache=cache)
+    assert cache == {}
 
 
 def test_exact_distribution_cache_reuse(two_state):
@@ -412,3 +430,10 @@ def test_exact_distribution_cache_reuse(two_state):
     a = exact_distribution(model, 16, "mc", seed=1, trials=2000, cache=cache)
     b = exact_distribution(model, 16, "mc", seed=2, trials=2000, cache=cache)
     assert a is not b
+    # without a cache nothing is memoized
+    assert exact_distribution(model, 64, "dp") is not first
+    # a model without a chain is refused before its key is built
+    size = len(cache)
+    with pytest.raises(OracleUnavailable):
+        exact_distribution(bundled_model("iid_moments"), 16, "dp", cache=cache)
+    assert len(cache) == size

@@ -195,11 +195,48 @@ def test_kolmogorov_distance_continuous_comparator():
     # just left of the second atom the step holds 0.4 while the ramp is
     # already at 1, so the sup is 0.6 and needs the left limit to see it
     d = ExactDistribution("lattice", [0.0, 2.0], [0.4, 0.6], 1)
-    ramp = FunctionCdf(lambda z: min(max(z / 2.0, 0.0), 1.0))
+    ramp = FunctionCdf(lambda z: np.clip(z / 2.0, 0.0, 1.0))
     probes = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     assert abs(kolmogorov_distance(d, ramp, probes) - 0.6) <= 1e-15
     # without the atom probe the distance would be underestimated
     assert kolmogorov_distance(d, ramp, np.array([1.0])) <= 0.5
+
+
+def _kolmogorov_distance_loop(a, b, probes):
+    # the scalar loop the array version replaced, kept as the reference
+    worst = 0.0
+    for z in np.asarray(probes, dtype=float):
+        worst = max(
+            worst,
+            abs(a.cdf(z) - b.cdf(z)),
+            abs(a.cdf_left(z) - b.cdf_left(z)),
+        )
+    return worst
+
+
+def test_kolmogorov_distance_matches_scalar_loop():
+    # two_state at N = 1024 with the probe grid of the classical ladder
+    model = bundled_model("two_state")
+    N = 1024
+    dist = dp_pmf(model, N)
+    A = drift(model)
+    std = ExactDistribution(
+        "lattice", (dist.support - N * A) / math.sqrt(N), dist.pmf, N
+    )
+    sigma = math.sqrt(102.0 / 175.0)
+    probes = np.union1d(std.support, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
+    normal = FunctionCdf(lambda z: normal_cdf(z, sigma))
+    want = _kolmogorov_distance_loop(std, normal, probes)
+    assert want > 0.0
+    assert kolmogorov_distance(std, normal, probes) == want
+    # a step comparator takes its own left limits
+    other = dp_pmf(model, N - 1)
+    shifted = ExactDistribution(
+        "lattice", (other.support - N * A) / math.sqrt(N), other.pmf, N
+    )
+    assert kolmogorov_distance(std, shifted, probes) == _kolmogorov_distance_loop(
+        std, shifted, probes
+    )
 
 
 def test_erf_erfc_against_mpmath():
@@ -211,11 +248,20 @@ def test_erf_erfc_against_mpmath():
             np.linspace(3.9, 4.1, 41),
         ]
     )
+    want_erf = []
+    want_erfc = []
     for x in xs:
         te = float(mpmath.erf(mpmath.mpf(float(x))))
         tc = float(mpmath.erfc(mpmath.mpf(float(x))))
         assert abs(erf(float(x)) - te) <= 1e-15 * max(1e-300, abs(te))
         assert abs(erfc(float(x)) - tc) <= 1e-15 * max(1e-300, abs(tc))
+        want_erf.append(te)
+        want_erfc.append(tc)
+    # the whole array at once, at the same relative bound
+    te = np.array(want_erf)
+    tc = np.array(want_erfc)
+    assert np.all(np.abs(erf(xs) - te) <= 1e-15 * np.maximum(1e-300, np.abs(te)))
+    assert np.all(np.abs(erfc(xs) - tc) <= 1e-15 * np.maximum(1e-300, np.abs(tc)))
 
 
 def test_erfc_underflow_cutoff():
