@@ -116,6 +116,8 @@ def markov_model(P, h, mu0):
         If the shapes disagree.
     NonStochasticModel
         If P rows or mu0 fail to be probability vectors within 1e-12.
+    ValidationError
+        If any entry of P, h or mu0 is NaN or infinite.
     """
     P = np.asarray(P, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -130,6 +132,9 @@ def markov_model(P, h, mu0):
         raise InconsistentDimensions(
             f"initial distribution length {mu0.shape} does not match dimension {P.shape[0]}"
         )
+    for name, values in (("transition", P), ("observable", h), ("initial distribution", mu0)):
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{name} holds NaN or infinite entries")
     if np.any(P < 0) or np.any(mu0 < 0):
         raise NonStochasticModel("negative probabilities")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
+import os
 
 import numpy as np
 
@@ -175,10 +177,13 @@ def enum_distribution(model, N, merge_tol=1e-9):
     P = model.transition
     h = model.observable
     d = P.shape[0]
-    estimate = float(N + 1) ** (d * d - 1)
-    if estimate > _ENUM_CAP:
+    exponent = d * d - 1
+    # exact integer test; the estimate is at least 2**exponent, so a large
+    # exponent refuses without forming the number
+    if exponent > _ENUM_CAP.bit_length() or (N + 1) ** exponent > _ENUM_CAP:
         raise TooManyValues(
-            f"estimated {estimate:.3g} distinct sums exceed the 10**6 budget"
+            f"estimated 10**{exponent * math.log10(N + 1):.1f} distinct sums"
+            " exceed the 10**6 budget"
         )
 
     def merge(values, probs):
@@ -307,19 +312,32 @@ def _simulate_chain(model, N, trials, rng):
 
 _DOUBLING_BITS = 52
 _DOUBLING_MASK = np.uint64((1 << _DOUBLING_BITS) - 1)
+_DOUBLING_BLOCK = 64  # steps per draw of fresh bits; even, so blocks use whole draws
 
 
 def _simulate_doubling(g, N, trials, rng):
     # exact bit-shift dynamics: float iteration of 2x mod 1 loses one
-    # mantissa bit per step, so fresh uniform bits enter at the bottom
+    # mantissa bit per step, so fresh uniform bits enter at the bottom.
+    # The fresh bit of each step and trial is bit 31 of the next 32-bit
+    # half of the PCG64 output, low half first: the stream that one
+    # integers(0, 2) call per step gives, drawn here a block at a time.
     k = rng.integers(0, 1 << _DOUBLING_BITS, size=trials, dtype=np.uint64)
     scale = 0.5 ** _DOUBLING_BITS
     sums = np.zeros(trials)
+    x = np.empty(trials)
+    fresh = np.empty(trials, dtype=np.uint64)
     one = np.uint64(1)
-    for _ in range(N):
-        sums += g(k.astype(np.float64) * scale)
-        fresh = rng.integers(0, 2, size=trials, dtype=np.uint64)
-        k = ((k << one) & _DOUBLING_MASK) | fresh
+    for first in range(0, N, _DOUBLING_BLOCK):
+        steps = min(_DOUBLING_BLOCK, N - first)
+        raw = rng.bit_generator.random_raw((steps * trials + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        for s in range(steps):
+            np.multiply(k, scale, out=x)
+            sums += g(x)
+            np.right_shift(halves[s * trials:(s + 1) * trials], 31, out=fresh)
+            np.left_shift(k, one, out=k)
+            np.bitwise_and(k, _DOUBLING_MASK, out=k)
+            np.bitwise_or(k, fresh, out=k)
     return sums
 
 
@@ -339,13 +357,69 @@ def _simulate_map(model, N, trials, rng):
 
 _MC_CHUNK = 1 << 17
 
+# the chunk job of a forked Monte Carlo worker; set only in the worker
+_worker_chunk = None
+
+
+def _init_worker(chunk):
+    global _worker_chunk
+    _worker_chunk = chunk
+
+
+def _run_worker_chunk(idx):
+    _worker_chunk(idx)
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(chunk, count):
+    """Call ``chunk(idx)`` for every idx in range(count).
+
+    With at least 2 chunks, at least 2 usable CPUs and the "fork" start
+    method, the calls run in forked worker processes, one per usable CPU
+    (at most one per chunk); otherwise in a plain loop.  ``chunk`` reaches
+    the workers by inheritance, so it need not pickle.  A worker's
+    exception re-raises here with its own type; a worker that dies
+    raises ``BrokenProcessPool``.
+    """
+    workers = min(count, _usable_cpus())
+    if workers >= 2:
+        import multiprocessing
+
+        # fork, not spawn: a map model's observable may be a lambda, which
+        # spawn would have to pickle; the workers run numpy code only
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(chunk,),
+            ) as pool:
+                # map cancels the chunks not yet started if one raises
+                for _ in pool.map(_run_worker_chunk, range(count)):
+                    pass
+            return
+    for idx in range(count):
+        chunk(idx)
+
 
 def mc_sample(model, N, trials, seed):
     """Empirical distribution of S_N from seeded Monte Carlo.
 
     Trials split into fixed-size chunks, each driven by an independent
-    PRNG stream keyed by (seed, chunk index); results are reproducible
-    and independent of any parallel scheduling.
+    PRNG stream keyed by (seed, chunk index) and writing its own slice
+    of one shared buffer, so the sample does not depend on scheduling.
+    The chunks run in forked worker processes, one per usable CPU; they
+    run serially in this process when there is one chunk, one usable
+    CPU or no "fork" start method.  Either way the result is identical
+    to running the chunks in order; there is no option to choose.
 
     For chains the states are simulated directly.  For map models the
     map itself is iterated: the doubling map via exact bit-shift
@@ -359,23 +433,24 @@ def mc_sample(model, N, trials, seed):
     is_map = getattr(model, "map_kind", None) is not None
     if not is_map:
         _require_chain(model)
-    chunks = []
-    start = 0
-    idx = 0
-    while start < trials:
-        m = min(_MC_CHUNK, trials - start)
+    size = _MC_CHUNK
+    # anonymous shared memory: writes by forked workers reach this process
+    sums = np.frombuffer(mmap.mmap(-1, trials * 8), dtype=np.float64)
+
+    def chunk(idx):
+        lo = idx * size
+        m = min(size, trials - lo)
         rng = np.random.default_rng([int(seed), idx])
         if is_map and model.map_kind == "doubling":
-            chunks.append(_simulate_doubling(model.map_g_vec, N, m, rng))
+            sums[lo:lo + m] = _simulate_doubling(model.map_g_vec, N, m, rng)
         elif is_map:
-            chunks.append(_simulate_map(model, N, m, rng))
+            sums[lo:lo + m] = _simulate_map(model, N, m, rng)
         else:
-            chunks.append(_simulate_chain(model, N, m, rng))
-        start += m
-        idx += 1
-    sums = np.concatenate(chunks)
+            sums[lo:lo + m] = _simulate_chain(model, N, m, rng)
+
+    _run_chunks(chunk, -(-trials // size))
     values, counts = np.unique(sums, return_counts=True)
-    meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": _MC_CHUNK}
+    meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size}
     return ExactDistribution("empirical", values, counts / trials, N, meta)
 
 

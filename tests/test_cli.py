@@ -274,6 +274,33 @@ def test_non_numeric_config_values_exit_two(tmp_path, capsys, command, doc):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_observable_exits_two(tmp_path, capsys, bad):
+    doc = {
+        "model": {
+            "type": "markov",
+            "transition": [[0.5, 0.5], [0.5, 0.5]],
+            "observable": [[0.0, bad], [1.0, 0.0]],
+        },
+        "run": {},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "expand", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_verify_enum_on_ulam_exits_three(tmp_path, capsys):
+    doc = {
+        "model": {"bundled": "doubling_ulam"},
+        "run": {"order": 1, "N_list": [4, 8], "oracle": "enum", "form": "classical"},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 3
+    assert json.loads(err)["error"] == "TooManyValues"
+
+
 def test_verify_dp_on_jet_only_model_exits_three(tmp_path, capsys):
     doc = {
         "model": {"bundled": "iid_moments"},

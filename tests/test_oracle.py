@@ -1,6 +1,8 @@
 """Ground-truth oracles: dynamic programs, enumeration, Monte Carlo."""
 
 import math
+import multiprocessing
+import os
 
 import mpmath
 import numpy as np
@@ -12,7 +14,8 @@ from edgeworth.errors import (
     TooManyValues,
     ValidationError,
 )
-from edgeworth.models import bundled_model, iid_model, markov_model
+from edgeworth import oracle
+from edgeworth.models import bundled_model, iid_model, markov_model, ulam_model
 from edgeworth.oracle import (
     ExactDistribution,
     FunctionCdf,
@@ -180,6 +183,124 @@ def test_mc_doubling_deterministic():
     b = mc_sample(m, 8, 4000, 11)
     assert np.array_equal(a.support, b.support)
     assert a.support.size > 3000  # continuous values rarely collide
+
+
+def _simulate_doubling_per_step(g, N, trials, rng):
+    # the one-draw-per-step loop the block draw replaced, kept as the reference
+    k = rng.integers(0, 1 << 52, size=trials, dtype=np.uint64)
+    mask = np.uint64((1 << 52) - 1)
+    sums = np.zeros(trials)
+    one = np.uint64(1)
+    for _ in range(N):
+        sums += g(k.astype(np.float64) * 0.5**52)
+        fresh = rng.integers(0, 2, size=trials, dtype=np.uint64)
+        k = ((k << one) & mask) | fresh
+    return sums
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 131])
+def test_doubling_block_bits_match_per_step_draws(trials):
+    for N in (1, 5, 63, 64, 65, 130):
+        seen = {"block": [], "step": []}
+
+        def recorder(key):
+            def g(x):
+                seen[key].append(x.copy())
+                return x * x
+            return g
+
+        rng = np.random.default_rng([5, N])
+        got = oracle._simulate_doubling(recorder("block"), N, trials, rng)
+        rng = np.random.default_rng([5, N])
+        want = _simulate_doubling_per_step(recorder("step"), N, trials, rng)
+        assert np.array_equal(np.array(seen["block"]), np.array(seen["step"]))
+        assert np.array_equal(got, want)
+
+
+def _mc_sample_serial(model, N, trials, seed, chunk):
+    # the chunk-by-chunk serial loop, kept as the reference for the dispatch
+    parts = []
+    for idx, lo in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - lo)
+        rng = np.random.default_rng([seed, idx])
+        if getattr(model, "map_kind", None) == "doubling":
+            parts.append(_simulate_doubling_per_step(model.map_g_vec, N, m, rng))
+        elif getattr(model, "map_kind", None) is not None:
+            parts.append(oracle._simulate_map(model, N, m, rng))
+        else:
+            parts.append(oracle._simulate_chain(model, N, m, rng))
+    values, counts = np.unique(np.concatenate(parts), return_counts=True)
+    return values, counts / trials
+
+
+def _mc_models():
+    return {
+        "doubling": bundled_model("doubling_ulam"),
+        "piecewise": ulam_model(
+            "piecewise-linear",
+            g=lambda x: np.sin(3.0 * x),
+            cells=32,
+            endpoints=[0.0, 0.3, 1.0],
+        ),
+        "chain": bundled_model("two_state"),
+    }
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", ["doubling", "piecewise", "chain"])
+def test_mc_sample_matches_serial_chunk_loop(monkeypatch, name, cpus):
+    # cpus=1 takes the plain loop, cpus=3 the forked workers where fork exists
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 1000)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    model = _mc_models()[name]
+    N, trials, seed = 70, 3517, 41
+    dist = mc_sample(model, N, trials, seed)
+    values, pmf = _mc_sample_serial(model, N, trials, seed, 1000)
+    assert np.array_equal(dist.support, values)
+    assert np.array_equal(dist.pmf, pmf)
+    assert dist.meta["chunk"] == 1000
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_mc_worker_error_reraises_in_caller(monkeypatch, cpus):
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 100)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+
+    def g(x):
+        raise ValueError("observable failed")
+
+    model = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=16)
+    model.map_g_vec = g
+    with pytest.raises(ValueError, match="observable failed"):
+        mc_sample(model, 4, 350, 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_mc_dead_worker_raises_broken_pool(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 100)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def g(x):
+        if os.getpid() != parent:
+            os._exit(1)
+        raise AssertionError("chunk ran in the calling process")
+
+    model = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=16)
+    model.map_g_vec = g
+    with pytest.raises(BrokenProcessPool):
+        mc_sample(model, 4, 350, 1)
+    assert multiprocessing.active_children() == []
+
+
+def test_enum_estimate_refuses_large_chain_without_overflow():
+    # (N + 1)**(d*d - 1) at d = 1024 overflows a float
+    with pytest.raises(TooManyValues):
+        enum_distribution(bundled_model("doubling_ulam"), 4)
 
 
 def test_kolmogorov_distance_hand_case():
