@@ -102,7 +102,7 @@ def _g_from_doc(doc):
         return lambda x: np.cos(2.0 * np.pi * x)
     if doc == "identity":
         return lambda x: np.asarray(x, dtype=float)
-    if isinstance(doc, (list, tuple)):
+    if isinstance(doc, (list, tuple)) and doc:
         coeffs = [float(c) for c in doc]
         return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
     raise ValidationError(f"unknown observable spec {doc!r}")
@@ -121,27 +121,44 @@ def build_model(doc):
                 raise ValidationError(f'markov model needs "{key}"')
         with _reading("model.transition"):
             P = np.asarray(doc["transition"], dtype=float)
+        if P.ndim != 2 or P.shape[0] == 0:
+            raise ValidationError("model.transition must be a nonempty matrix")
+        with _reading("model.observable"):
+            h = np.asarray(doc["observable"], dtype=float)
         mu0 = doc.get("mu0")
         if mu0 is None:
             mu0 = np.full(P.shape[0], 1.0 / P.shape[0])
-        return models.markov_model(P, doc["observable"], mu0)
+        with _reading("model.mu0"):
+            mu0 = np.asarray(mu0, dtype=float)
+        return models.markov_model(P, h, mu0)
     if kind == "iid":
         if ("pmf" in doc) == ("moments" in doc):
             raise ValidationError('iid model needs exactly one of "pmf" and "moments"')
         if "pmf" in doc:
             with _reading("model.pmf"):
-                pmf = [(v, p) for v, p in doc["pmf"]]
+                pmf = [(float(v), float(p)) for v, p in doc["pmf"]]
             return models.iid_model(pmf=pmf)
-        return models.iid_model(moments=doc["moments"])
+        with _reading("model.moments"):
+            moments = np.asarray(doc["moments"], dtype=float)
+        return models.iid_model(moments=moments)
     if kind == "ulam":
+        if "density" in doc:
+            raise ValidationError(
+                'ulam model takes no "density"; its initial distribution is uniform'
+            )
         with _reading("model.cells"):
             cells = int(doc.get("cells", 1024))
+        endpoints = doc.get("endpoints")
+        if endpoints is not None:
+            with _reading("model.endpoints"):
+                endpoints = [float(e) for e in endpoints]
+        with _reading("model.g"):
+            g = _g_from_doc(doc.get("g"))
         return models.ulam_model(
             map_kind=doc.get("map", "doubling"),
-            g=_g_from_doc(doc.get("g")),
+            g=g,
             cells=cells,
-            endpoints=doc.get("endpoints"),
-            density=doc.get("density"),
+            endpoints=endpoints,
         )
     raise ValidationError(f"unknown model type {kind!r}")
 

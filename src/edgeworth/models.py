@@ -22,12 +22,15 @@ from .errors import (
     InsufficientMoments,
     NonStochasticModel,
     SlopeBelowOne,
+    TooManyValues,
     ValidationError,
 )
 from . import spectral
 
 _SPAN_TOL = 1e-9
 _SPAN_DENOM_CAP = 10 ** 6
+MAX_ULAM_CELLS = 4096
+_MAX_SCAN_SUMS = 10 ** 7
 
 
 def _lattice_span(h):
@@ -234,6 +237,8 @@ def iid_model(pmf=None, moments=None):
         h = np.tile(values, (d, 1))
         return markov_model(P, h, probs)
     moments = np.asarray(moments, dtype=float)
+    if moments.ndim != 1:
+        raise ValidationError("moments must be a flat list")
     if moments.size < 2:
         raise InsufficientMoments("at least two moments required")
     _hankel_check(moments)
@@ -259,13 +264,14 @@ class UlamModel(MarkovModel):
         self.map_g_vec = g
 
 
-def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None, density=None):
+def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     """Discretized expanding interval map as a finite-state model.
 
     The unit interval splits into ``cells`` equal cells; the transition
     mass is the normalized length of ``cell_j intersect f^{-1}(cell_k)``
     and the observable is ``g`` at the midpoint of that intersection
-    (mass-weighted across branches if several contribute).
+    (mass-weighted across branches if several contribute).  The initial
+    distribution is uniform.
 
     Parameters
     ----------
@@ -275,21 +281,24 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None, density=
     g : callable
         Observable on [0, 1]; must accept numpy arrays.
     cells : int
-        Number of cells, at least 16.
+        Number of cells, from 16 to ``MAX_ULAM_CELLS``.
     endpoints : sequence, optional
         Branch endpoints 0 = e_0 < ... < e_B = 1 for "piecewise-linear".
-    density : callable, optional
-        Unnormalized initial density; uniform when omitted.
 
     Raises
     ------
     SlopeBelowOne
         If any branch has slope at most 1.
+    ValidationError
+        If ``g`` is missing, ``cells`` is out of range or the map is
+        malformed.
     """
     if g is None:
         raise ValidationError("observable g is required")
     if cells < 16:
         raise ValidationError("at least 16 cells required")
+    if cells > MAX_ULAM_CELLS:
+        raise ValidationError(f"at most {MAX_ULAM_CELLS} cells supported, got {cells}")
     if map_kind == "doubling":
         endpoints = [0.0, 0.5, 1.0]
     elif map_kind == "piecewise-linear":
@@ -306,42 +315,35 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None, density=
     if np.any(slopes <= 1.0):
         raise SlopeBelowOne(f"branch slopes {slopes} must exceed 1")
 
-    n = cells
+    n = int(cells)
     edges = np.arange(n + 1) / n
+    k = np.arange(n)
     P = np.zeros((n, n))
     h = np.zeros((n, n))
-    wsum = np.zeros((n, n))
-    for b in range(len(widths)):
-        lo_b, w_b = endpoints[b], widths[b]
-        # branch preimage of cell_k is lo_b + [k, k+1) * w_b / n
-        for k in range(n):
-            plo = lo_b + edges[k] * w_b
-            phi = lo_b + edges[k + 1] * w_b
-            j0 = int(np.floor(plo * n))
-            j1 = min(int(np.ceil(phi * n)), n)
-            for j in range(j0, j1):
-                lo = max(plo, edges[j])
-                hi = min(phi, edges[j + 1])
-                if hi <= lo:
-                    continue
-                mass = (hi - lo) * n
-                P[j, k] += mass
-                gval = g(0.5 * (lo + hi))
-                h[j, k] += mass * gval
-                wsum[j, k] += mass
-    nz = wsum > 0
-    h[nz] /= wsum[nz]
+    for lo_b, w_b in zip(endpoints, widths):
+        # branch preimage of cell_k is lo_b + [k, k+1) * w_b / n; it is
+        # shorter than one cell, so it meets cells j0 and j0 + 1, unless
+        # rounding at a cell edge adds one more candidate
+        plo = lo_b + edges[:-1] * w_b
+        phi = lo_b + edges[1:] * w_b
+        j0 = np.floor(plo * n).astype(np.intp)
+        j1 = np.minimum(np.ceil(phi * n).astype(np.intp), n)
+        for step in range(int(np.max(j1 - j0))):
+            j = j0 + step
+            cell = np.minimum(j, n - 1)
+            lo = np.maximum(plo, edges[cell])
+            hi = np.minimum(phi, edges[cell + 1])
+            hit = (j < j1) & (hi > lo)
+            lo, hi, at = lo[hit], hi[hit], (j[hit], k[hit])
+            mass = (hi - lo) * n
+            np.add.at(P, at, mass)
+            np.add.at(h, at, mass * g(0.5 * (lo + hi)))
+    # P still holds the unnormalized masses, the weights of the h average
+    nz = P > 0
+    h[nz] /= P[nz]
     P /= P.sum(axis=1, keepdims=True)
 
-    if density is None:
-        mu0 = np.full(n, 1.0 / n)
-    else:
-        mids = (edges[:-1] + edges[1:]) / 2
-        mu0 = np.array([float(density(x)) for x in mids])
-        if np.any(mu0 < 0):
-            raise ValidationError("density must be nonnegative")
-        mu0 /= mu0.sum()
-    validated = markov_model(P, h, mu0)
+    validated = markov_model(P, h, np.full(n, 1.0 / n))
     return UlamModel(
         validated.transition,
         validated.observable,
@@ -364,6 +366,14 @@ class DiophantineScan:
     residual: float
 
 
+def _distinct_columns(a):
+    """Columns of ``a`` sorted, with a mask marking each first occurrence."""
+    a = np.sort(a, axis=0)
+    first = np.ones(a.shape, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a, first
+
+
 def diophantine_scan(h, s_grid):
     """Quantitative non-resonance scan of an observable matrix.
 
@@ -372,6 +382,11 @@ def diophantine_scan(h, s_grid):
     ``b_{r,j,k} = h_{rj} + h_{jk}``.  The bound ``d(s) >= K |s|**-beta``
     is fitted by least squares on the running record minima of ``d``
     (the lower envelope), since only those constrain the bound.
+
+    For a middle index ``j`` the differences are the sums ``u + v`` of
+    the distinct entries ``u`` of column ``j`` of ``h - h[:, :1]`` and
+    ``v`` of row ``j`` of ``h - h[:1, :]``; the scan takes one pass over
+    ``j`` and holds ``len(s_grid)`` times one such set of sums at a time.
 
     Parameters
     ----------
@@ -383,6 +398,11 @@ def diophantine_scan(h, s_grid):
     Returns
     -------
     DiophantineScan
+
+    Raises
+    ------
+    TooManyValues
+        If the sums over all ``j`` number more than 10**7.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
@@ -390,17 +410,18 @@ def diophantine_scan(h, s_grid):
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0 or np.any(s_grid == 0):
         raise ValidationError("frequency grid must be nonempty and nonzero")
-    d = h.shape[0]
-    diffs = []
-    for r in range(d):
-        for j in range(d):
-            for k in range(d):
-                diffs.append((h[r, j] - h[r, 0]) + (h[j, k] - h[0, k]))
-    diffs = np.unique(np.asarray(diffs))
-
-    dvals = np.empty(s_grid.size)
-    for i, s in enumerate(s_grid):
-        dvals[i] = np.max(np.mod(diffs * s, 1.0))
+    cols, col_first = _distinct_columns(h - h[:, :1])
+    rows, row_first = _distinct_columns((h - h[:1, :]).T)
+    sizes = col_first.sum(axis=0) * row_first.sum(axis=0)
+    if sizes.sum() > _MAX_SCAN_SUMS:
+        raise TooManyValues(
+            f"resonance scan needs {int(sizes.sum())} reward differences, "
+            f"budget {_MAX_SCAN_SUMS}"
+        )
+    dvals = np.zeros(s_grid.size)
+    for j in range(h.shape[0]):
+        diffs = np.add.outer(cols[col_first[:, j], j], rows[row_first[:, j], j]).ravel()
+        np.maximum(dvals, np.mod(np.multiply.outer(s_grid, diffs), 1.0).max(axis=1), out=dvals)
 
     if np.max(dvals) <= 1e-12:
         warnings.warn(
@@ -485,7 +506,7 @@ def bundled_model(name):
     """Construct a bundled example model by name."""
     try:
         builder = BUNDLED_MODELS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(
             f"unknown model {name!r}; available: {sorted(BUNDLED_MODELS)}"
         ) from None

@@ -623,5 +623,7 @@ def normal_cdf(z, sigma=1.0):
 
 
 def normal_density(z, sigma=1.0):
-    """Density of the centered normal with standard deviation sigma."""
-    return math.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    """Density of the centered normal with standard deviation sigma, elementwise."""
+    z = np.asarray(z, dtype=float)
+    out = np.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    return out if out.ndim else float(out)

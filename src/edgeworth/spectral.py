@@ -221,17 +221,14 @@ def power_eigenvalue(M, iters=200, tol=1e-10):
     return lam
 
 
-def eigen_perturbation(fam, base, gauge="pi"):
+def eigen_perturbation(fam, base):
     """Order-by-order perturbation of the Perron eigenpair.
 
     Collecting ``t**m`` coefficients of ``L_t v_t = mu(t) v_t`` gives a
     singular system in ``v^(m)`` with the unknown ``mu^(m)`` multiplying
     the base right vector; both are recovered at once from the bordered
-    system ``[[L0 - I, -right], [g^T, 0]]`` where the gauge row ``g``
-    pins the component of ``v^(m)`` along the kernel.
-
-    gauge = "pi"   : pi . v^(m) = 0 for m >= 1 (default)
-    gauge = "norm" : ||v_t||^2 held constant through the jet
+    system ``[[L0 - I, -right], [pi^T, 0]]`` whose gauge row pins
+    ``pi . v^(m) = 0`` for m >= 1.
 
     The left jet solves the transposed family with the analogous bordered
     system and is normalized so that ``l_t(v_t) = 1`` identically; the
@@ -257,14 +254,7 @@ def eigen_perturbation(fam, base, gauge="pi"):
             raise BorderedSolveSingular("bordered inverse not finite")
         return Binv
 
-    if gauge == "pi":
-        gauge_row = base.left.astype(complex)
-    elif gauge == "norm":
-        gauge_row = base.right.astype(complex)
-    else:
-        raise ValueError(f"unknown gauge {gauge!r}")
-
-    Binv = bordered_inverse(L0 - eye, base.right.astype(complex), gauge_row)
+    Binv = bordered_inverse(L0 - eye, base.right.astype(complex), base.left.astype(complex))
 
     v = np.zeros((s + 1, d), dtype=complex)
     mu = np.zeros(s + 1, dtype=complex)
@@ -276,14 +266,7 @@ def eigen_perturbation(fam, base, gauge="pi"):
             rhs += mu[j] * v[m - j]
         for j in range(1, m + 1):
             rhs -= fam.matrix_coeff(j) @ v[m - j]
-        if gauge == "norm":
-            g_m = 0.0
-            for a in range(1, m):
-                g_m += np.dot(v[a], np.conj(v[m - a]))
-            g_val = -0.5 * g_m.real
-        else:
-            g_val = 0.0
-        sol = Binv @ np.concatenate([rhs, [g_val]])
+        sol = Binv @ np.concatenate([rhs, [0.0]])
         v[m] = sol[:d]
         mu[m] = sol[d]
 

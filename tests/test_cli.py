@@ -196,6 +196,56 @@ def test_verify_degenerate_variance_exits_two(tmp_path, capsys):
         {"model": {"bundled": "five_state"}, "run": {}},
         {"model": {"type": "trellis"}, "run": {}},
         {"model": {"type": "iid"}, "run": {}},
+        {"model": {"bundled": ["two_state"]}, "run": {}},
+        {"model": {"type": "ulam", "cells": 16, "density": [1, 2]}, "run": {}},
+        {"model": {"type": "ulam", "cells": 16, "density": "uniform"}, "run": {}},
+        {"model": {"type": "ulam", "cells": 10**9}, "run": {}},
+        {"model": {"type": "ulam", "cells": 16, "g": [1, "z"]}, "run": {}},
+        {"model": {"type": "ulam", "cells": 16, "g": []}, "run": {}},
+        {
+            "model": {
+                "type": "ulam",
+                "cells": 16,
+                "map": "piecewise-linear",
+                "endpoints": ["a", "b"],
+            },
+            "run": {},
+        },
+        {
+            "model": {
+                "type": "ulam",
+                "cells": 16,
+                "map": "piecewise-linear",
+                "endpoints": [0, 0.3, "x", 1],
+            },
+            "run": {},
+        },
+        {
+            "model": {"type": "ulam", "cells": 16, "map": "piecewise-linear", "endpoints": 5},
+            "run": {},
+        },
+        {
+            "model": {
+                "type": "markov",
+                "transition": [[0.5, 0.5], [0.5, 0.5]],
+                "observable": [[1, "a"], [0, 1]],
+            },
+            "run": {},
+        },
+        {
+            "model": {
+                "type": "markov",
+                "transition": [[0.5, 0.5], [0.5, 0.5]],
+                "observable": [[1, 0], [0, 1]],
+                "mu0": ["a", 1],
+            },
+            "run": {},
+        },
+        {"model": {"type": "markov", "transition": 5, "observable": 5}, "run": {}},
+        {"model": {"type": "markov", "transition": [], "observable": []}, "run": {}},
+        {"model": {"type": "iid", "moments": [1, "x"]}, "run": {}},
+        {"model": {"type": "iid", "moments": [[1, 2], [3, 4]]}, "run": {}},
+        {"model": {"type": "iid", "pmf": [["a", 0.5], [1, 0.5]]}, "run": {}},
     ],
 )
 def test_invalid_model_documents_exit_two(tmp_path, capsys, doc):

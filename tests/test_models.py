@@ -11,10 +11,13 @@ from edgeworth.errors import (
     InsufficientMoments,
     NonStochasticModel,
     SlopeBelowOne,
+    TooManyValues,
     ValidationError,
 )
 from edgeworth.models import (
     BUNDLED_MODELS,
+    MAX_ULAM_CELLS,
+    DiophantineScan,
     bundled_model,
     diophantine_scan,
     iid_model,
@@ -129,6 +132,154 @@ def test_ulam_rejects_slope_below_one():
             cells=16,
             endpoints=[0.0, 1.0],
         )
+
+
+def test_ulam_cell_cap_refuses_before_allocating():
+    # 10**9 cells would need 8 EB per matrix; the cap refuses at once
+    with pytest.raises(ValidationError, match="at most"):
+        ulam_model(g=np.cos, cells=10**9)
+    with pytest.raises(ValidationError):
+        ulam_model(g=np.cos, cells=MAX_ULAM_CELLS + 1)
+
+
+def _ulam_reference(endpoints, g, n):
+    # cell-by-cell loop the array build must reproduce bit for bit
+    endpoints = [float(e) for e in endpoints]
+    widths = np.diff(endpoints)
+    edges = np.arange(n + 1) / n
+    P = np.zeros((n, n))
+    h = np.zeros((n, n))
+    wsum = np.zeros((n, n))
+    for b in range(len(widths)):
+        lo_b, w_b = endpoints[b], widths[b]
+        for k in range(n):
+            plo = lo_b + edges[k] * w_b
+            phi = lo_b + edges[k + 1] * w_b
+            j0 = int(np.floor(plo * n))
+            j1 = min(int(np.ceil(phi * n)), n)
+            for j in range(j0, j1):
+                lo = max(plo, edges[j])
+                hi = min(phi, edges[j + 1])
+                if hi <= lo:
+                    continue
+                mass = (hi - lo) * n
+                P[j, k] += mass
+                h[j, k] += mass * g(0.5 * (lo + hi))
+                wsum[j, k] += mass
+    nz = wsum > 0
+    h[nz] /= wsum[nz]
+    P /= P.sum(axis=1, keepdims=True)
+    return markov_model(P, h, np.full(n, 1.0 / n))
+
+
+_MAPS = [
+    ("doubling", [0.0, 0.5, 1.0]),
+    ("piecewise-linear", [0.0, 0.3, 1.0]),
+    ("piecewise-linear", [0.0, 0.2, 0.45, 0.7, 1.0]),
+    ("piecewise-linear", [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),
+]
+
+_OBSERVABLES = [
+    lambda x: np.cos(2.0 * np.pi * x),
+    lambda x: np.asarray(x, dtype=float),
+    lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), [0.5, -2.0, 3.0]),
+]
+
+
+@pytest.mark.parametrize("map_kind, endpoints", _MAPS)
+@pytest.mark.parametrize("cells", [16, 17, 64, 100, 257])
+def test_ulam_build_matches_cell_loop_exactly(map_kind, endpoints, cells):
+    for g in _OBSERVABLES:
+        ref = _ulam_reference(endpoints, g, cells)
+        m = ulam_model(map_kind=map_kind, g=g, cells=cells, endpoints=endpoints)
+        assert np.array_equal(m.transition, ref.transition)
+        assert np.array_equal(m.observable, ref.observable)
+        assert np.array_equal(m.mu0, ref.mu0)
+        assert m.lattice_span == ref.lattice_span
+
+
+def _scan_reference(h, s_grid):
+    # triple loop over (r, j, k) and one pass per frequency
+    h = np.asarray(h, dtype=float)
+    s_grid = np.asarray(s_grid, dtype=float)
+    d = h.shape[0]
+    diffs = []
+    for r in range(d):
+        for j in range(d):
+            for k in range(d):
+                diffs.append((h[r, j] - h[r, 0]) + (h[j, k] - h[0, k]))
+    diffs = np.unique(np.asarray(diffs))
+    dvals = np.empty(s_grid.size)
+    for i, s in enumerate(s_grid):
+        dvals[i] = np.max(np.mod(diffs * s, 1.0))
+    if np.max(dvals) <= 1e-12:
+        return DiophantineScan(s_grid, dvals, 0.0, 0.0, 0.0)
+    order = np.argsort(np.abs(s_grid), kind="stable")
+    rec_s, rec_d = [], []
+    best = np.inf
+    for i in order:
+        if dvals[i] < best and dvals[i] > 0:
+            best = dvals[i]
+            rec_s.append(abs(s_grid[i]))
+            rec_d.append(dvals[i])
+    if len(rec_s) < 2:
+        return DiophantineScan(s_grid, dvals, float(min(rec_d, default=0.0)), 0.0, 0.0)
+    X = np.log(np.asarray(rec_s))
+    Y = np.log(np.asarray(rec_d))
+    slope, intercept = np.polyfit(X, Y, 1)
+    resid = float(np.sqrt(np.mean((slope * X + intercept - Y) ** 2)))
+    return DiophantineScan(s_grid, dvals, float(np.exp(intercept)), float(-slope), resid)
+
+
+def _scan_cases():
+    rng = np.random.default_rng(20261018)
+    grid = np.linspace(0.5, 20.0, 40)
+    signed = np.concatenate([-grid[::3], grid])
+    cases = [
+        (bundled_model(name).observable, grid)
+        for name in ("two_state", "three_state_lattice", "diophantine_two_state", "bernoulli")
+    ]
+    for cells in (16, 64):
+        for g in _OBSERVABLES:
+            cases.append((ulam_model(g=g, cells=cells).observable, grid))
+    pw = ulam_model("piecewise-linear", _OBSERVABLES[0], 17, [0.0, 0.2, 0.45, 0.7, 1.0])
+    cases.append((pw.observable, signed))
+    for d in (2, 5, 9):
+        cases.append((rng.normal(size=(d, d)), signed))
+    # integer rewards with a few repeats, so the distinct-value sets are small
+    cases.append((rng.integers(-3, 4, size=(6, 6)).astype(float), signed))
+    cases.append((np.full((3, 3), 1.3), signed))
+    return cases
+
+
+_SCAN_CASES = _scan_cases()
+
+
+@pytest.mark.parametrize("case", range(len(_SCAN_CASES)))
+def test_diophantine_scan_matches_triple_loop_exactly(case):
+    h, grid = _SCAN_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = _scan_reference(h, grid)
+        got = diophantine_scan(h, grid)
+    assert np.array_equal(got.s, ref.s)
+    assert np.array_equal(got.d, ref.d)
+    assert got.K == ref.K and got.beta == ref.beta and got.residual == ref.residual
+
+
+def test_diophantine_scan_completes_on_bundled_ulam():
+    m = bundled_model("doubling_ulam")
+    grid = np.linspace(0.5, 20.0, 40)
+    scan = diophantine_scan(m.observable, grid)
+    assert scan.d.shape == grid.shape
+    assert np.all((scan.d >= 0.0) & (scan.d < 1.0))
+
+
+def test_diophantine_scan_size_guard():
+    # a dense generic 250-state observable has 250**3 > 10**7 differences
+    h = np.random.default_rng(5).normal(size=(250, 250))
+    with pytest.raises(TooManyValues):
+        diophantine_scan(h, [1.0, 2.0])
 
 
 def test_diophantine_scan_golden():

@@ -402,6 +402,13 @@ def test_normal_cdf_density():
     assert normal_cdf(-12 * sigma, sigma) <= 1e-12
     assert normal_cdf(12 * sigma, sigma) >= 1.0 - 1e-12
     assert abs(normal_density(0.0, 2.0) - 1.0 / (2.0 * math.sqrt(2 * math.pi))) <= 1e-16
+    assert isinstance(normal_density(0.5), float)
+    z = np.array([-3.0, -0.5, 0.0, 1.25, 40.0])
+    dens = normal_density(z, sigma)
+    assert dens.shape == z.shape
+    for zi, di in zip(z, dens):
+        expect = math.exp(-0.5 * (zi / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        assert abs(di - expect) <= 1e-15 * expect
 
 
 def test_to_csv_round_trip(tmp_path):

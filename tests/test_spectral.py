@@ -20,11 +20,11 @@ from edgeworth.spectral import (
 )
 
 
-def _two_state_jets(order=6, gauge="pi"):
+def _two_state_jets(order=6):
     m = bundled_model("two_state")
     fam = m.operator_family(order)
     base = perron_base(fam.base_matrix())
-    return fam, base, eigen_perturbation(fam, base, gauge=gauge)
+    return fam, base, eigen_perturbation(fam, base)
 
 
 def test_entry_jets_match_exponential():
@@ -100,27 +100,20 @@ def test_eigen_jets_match_finite_differences():
 
 
 def test_eigen_jets_solve_the_perturbation_equations():
-    # residual of L_t v_t = mu_t v_t order by order, both gauges
-    for gauge in ("pi", "norm"):
-        fam, base, jets = _two_state_jets(order=8, gauge=gauge)
-        s = jets.mu.order
-        d = fam.dim
-        for m in range(1, s + 1):
-            res = np.zeros(d, dtype=complex)
-            for j in range(0, m + 1):
-                Lj = fam.matrix_coeff(j)
-                vmj = np.array([jets.right_jet[k][m - j] for k in range(d)])
-                res += Lj @ vmj
-            for j in range(0, m + 1):
-                vmj = np.array([jets.right_jet[k][m - j] for k in range(d)])
-                res -= jets.mu[j] * vmj
-            assert np.abs(res).max() <= 1e-11
-
-
-def test_gauges_agree_on_eigenvalue():
-    _, _, jp = _two_state_jets(order=8, gauge="pi")
-    _, _, jn = _two_state_jets(order=8, gauge="norm")
-    assert np.abs(jp.mu.coeffs - jn.mu.coeffs).max() <= 1e-11
+    # residual of L_t v_t = mu_t v_t order by order
+    fam, base, jets = _two_state_jets(order=8)
+    s = jets.mu.order
+    d = fam.dim
+    for m in range(1, s + 1):
+        res = np.zeros(d, dtype=complex)
+        for j in range(0, m + 1):
+            Lj = fam.matrix_coeff(j)
+            vmj = np.array([jets.right_jet[k][m - j] for k in range(d)])
+            res += Lj @ vmj
+        for j in range(0, m + 1):
+            vmj = np.array([jets.right_jet[k][m - j] for k in range(d)])
+            res -= jets.mu[j] * vmj
+        assert np.abs(res).max() <= 1e-11
 
 
 def test_left_right_normalization():
