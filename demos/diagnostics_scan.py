@@ -9,7 +9,6 @@ diagnostics for a lattice chain and the Diophantine chain side by side.
 import numpy as np
 
 from edgeworth import (
-    build_operator_family,
     bundled_model,
     diophantine_scan,
     norm_decay_scan,
@@ -18,8 +17,7 @@ from edgeworth import (
 
 
 def show(model, name, grid):
-    fam = build_operator_family(model, 2)
-    base = perron_base(fam.base_matrix())
+    base = perron_base(model.transition)
     print(f"{name}")
     print(f"  spectral gap at t = 0: {base.gap:.6f}")
     print(f"  lattice span: {model.lattice_span}")

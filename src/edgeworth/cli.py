@@ -305,10 +305,9 @@ def cmd_diagnose(model, model_doc, run, args):
         n_power = int(run.get("N", 2))
     if n_power < 1 or t_grid.size == 0:
         raise ValidationError("run.N must be at least 1 and run.t_grid nonempty")
-    fam = spectral.build_operator_family(model, 2)
     flags = []
     try:
-        gap = spectral.perron_base(fam.base_matrix()).gap
+        gap = spectral.perron_base(model.transition).gap
     except GapBelowTolerance:
         # diagnostics always complete; a vanishing gap is a finding
         gap = None

@@ -470,6 +470,6 @@ def expansion_for_model(model, r):
     from .spectral import eigen_perturbation, perron_base
 
     fam = model.operator_family(max(r + 2, 2))
-    base = perron_base(fam.base_matrix())
+    base = perron_base(fam.coeffs[0])
     jets = eigen_perturbation(fam, base)
     return build_expansion(jets, r)

@@ -182,12 +182,13 @@ class IidMomentModel:
             raise InsufficientMoments(
                 f"order {order} requested but only {self.moments.size} moments stored"
             )
-        coeffs = np.zeros((1, 1, order + 1), dtype=complex)
+        coeffs = np.zeros((order + 1, 1, 1))
         coeffs[0, 0, 0] = 1.0
         fact = 1.0
         for k in range(1, order + 1):
             fact *= k
-            coeffs[0, 0, k] = self.moments[k - 1] * (1j ** k) / fact
+            # times 1/k!, as build_operator_family scales (see there)
+            coeffs[k, 0, 0] = self.moments[k - 1] * (1.0 / fact)
         return spectral.OperatorFamilyJet(coeffs, self.mu0)
 
 
@@ -378,8 +379,11 @@ def diophantine_scan(h, s_grid):
     """Quantitative non-resonance scan of an observable matrix.
 
     For each grid frequency ``s`` the statistic is
-    ``d(s) = max over (r, j, k) of frac((b_{r,j,k} - b_{r,1,k}) s)`` with
-    ``b_{r,j,k} = h_{rj} + h_{jk}``.  The bound ``d(s) >= K |s|**-beta``
+    ``d(s) = max over (r, j, k) of ||(b_{r,j,k} - b_{r,1,k}) s||`` with
+    ``b_{r,j,k} = h_{rj} + h_{jk}`` and ``||x|| = |x - rint(x)|`` the
+    distance to the nearest integer, so ``d(s)`` lies in ``[0, 1/2]`` and
+    a rounding residue in a difference reads as about 0, not about 1.
+    The bound ``d(s) >= K |s|**-beta``
     is fitted by least squares on the running record minima of ``d``
     (the lower envelope), since only those constrain the bound.
 
@@ -421,7 +425,8 @@ def diophantine_scan(h, s_grid):
     dvals = np.zeros(s_grid.size)
     for j in range(h.shape[0]):
         diffs = np.add.outer(cols[col_first[:, j], j], rows[row_first[:, j], j]).ravel()
-        np.maximum(dvals, np.mod(np.multiply.outer(s_grid, diffs), 1.0).max(axis=1), out=dvals)
+        x = np.multiply.outer(s_grid, diffs)
+        np.maximum(dvals, np.abs(x - np.rint(x)).max(axis=1), out=dvals)
 
     if np.max(dvals) <= 1e-12:
         warnings.warn(

@@ -95,12 +95,17 @@ def _require_chain(model):
         )
 
 
-def _kahan_add(acc, comp, idx, term):
-    """One compensated accumulation step acc[idx] += term."""
-    y = term - comp[idx]
-    t = acc[idx] + y
-    comp[idx] = (t - acc[idx]) - y
-    acc[idx] = t
+def _kahan_add(acc, comp, term, scratch):
+    """One compensated accumulation step ``acc += term``, in place.
+
+    ``term`` and ``scratch`` are overwritten, so the step allocates no
+    temporaries.
+    """
+    term -= comp  # y
+    np.add(acc, term, out=scratch)  # t = acc + y
+    np.subtract(scratch, acc, out=comp)
+    comp -= term  # (t - acc) - y
+    acc[...] = scratch
 
 
 def dp_pmf(model, N):
@@ -134,15 +139,25 @@ def dp_pmf(model, N):
     if width > _DP_CELL_CAP:
         raise TableTooLarge(f"{width} cells exceed the 10**7 budget")
 
-    # index i holds the sum value (i + lo_total) * span
+    # index i holds the sum value (i + lo_total) * span.  Every buffer is
+    # allocated once.  The active windows only grow, so a buffer is clean
+    # outside the window it is about to receive; each step clears just
+    # that window.  A step's compensation terms are not read by the next,
+    # so one buffer serves.
     mass = np.zeros((d, width))
+    new = np.zeros((d, width))
     comp = np.zeros((d, width))
+    term_buf = np.empty(width)
+    scratch_buf = np.empty(width)
     start = -lo_total
     mass[:, start] = model.mu0
     cur_lo, cur_hi = start, start + 1  # active index window [lo, hi)
     for _ in range(N):
-        new = np.zeros((d, width))
-        ncomp = np.zeros((d, width))
+        nxt_lo, nxt_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
+        new[:, nxt_lo:nxt_hi] = 0.0
+        comp[:, nxt_lo:nxt_hi] = 0.0
+        n = cur_hi - cur_lo
+        term, scratch = term_buf[:n], scratch_buf[:n]
         for j in range(d):
             seg = mass[j, cur_lo:cur_hi]
             for k in range(d):
@@ -150,9 +165,10 @@ def dp_pmf(model, N):
                 if p == 0.0:
                     continue
                 lo = cur_lo + v[j, k]
-                _kahan_add(new[k], ncomp[k], slice(lo, lo + seg.size), p * seg)
-        mass, comp = new, ncomp
-        cur_lo, cur_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
+                np.multiply(p, seg, out=term)
+                _kahan_add(new[k, lo:lo + n], comp[k, lo:lo + n], term, scratch)
+        mass, new = new, mass
+        cur_lo, cur_hi = nxt_lo, nxt_hi
     pmf_full = mass.sum(axis=0)
     nz = pmf_full > 0.0
     support = (np.arange(width)[nz] + lo_total) * span
@@ -238,7 +254,7 @@ def drift(model):
         pi = _stationary(model.transition)
         return float(np.sum(pi[:, None] * model.transition * model.observable))
     fam = model.operator_family(2)
-    return float(fam.coeffs[0, 0, 1].imag)
+    return float(fam.coeffs[1, 0, 0])
 
 
 def exact_moments(model, N, kmax):
@@ -268,7 +284,8 @@ def exact_moments(model, N, kmax):
         shift = Jet.zero(kmax)
         if kmax >= 1:
             shift.coeffs[1] = -1j * A
-        centered = jet_mul(Jet(fam.coeffs[0, 0, :]), jet_exp(shift))
+        raw = Jet(1j ** np.arange(kmax + 1) * fam.coeffs[:, 0, 0])
+        centered = jet_mul(raw, jet_exp(shift))
         jets = centered.coeffs.reshape(1, 1, kmax + 1)
         mu0 = np.array([1.0])
         d = 1

@@ -29,35 +29,25 @@ _GAP_TOL = 1e-8
 class OperatorFamilyJet:
     """Taylor jets of the twisted family ``L_t``, stored densely.
 
-    ``coeffs[j, k, m]`` is the ``t**m`` coefficient of entry ``(j, k)``,
-    namely ``p_{jk} (i h_{jk})**m / m!``.  The initial distribution of the
-    originating model rides along because the projected factor ``z(t)``
-    needs it.
+    ``coeffs`` is one real C-contiguous ``(order+1, d, d)`` array whose
+    slice ``coeffs[m]`` is ``P * h**m / m!``; the ``t**m`` coefficient of
+    ``L_t`` is ``i**m * coeffs[m]``, with the factor ``i**m`` left
+    implicit.  The initial distribution of the originating model rides
+    along because the projected factor ``z(t)`` needs it.
     """
 
     __slots__ = ("coeffs", "dim", "mu0")
 
     def __init__(self, coeffs, mu0):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[0] != self.coeffs.shape[1]:
-            raise ValueError("expected a (d, d, order+1) coefficient array")
-        self.dim = self.coeffs.shape[0]
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=float)
+        if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
+            raise ValueError("expected an (order+1, d, d) coefficient array")
+        self.dim = self.coeffs.shape[1]
         self.mu0 = np.asarray(mu0, dtype=float)
 
     @property
     def order(self):
-        return self.coeffs.shape[2] - 1
-
-    def matrix_coeff(self, m):
-        """The matrix of ``t**m`` coefficients (``L^{(m)}`` up to m!)."""
-        return self.coeffs[:, :, m]
-
-    def entry_jet(self, j, k):
-        return Jet(self.coeffs[j, k, :])
-
-    def base_matrix(self):
-        """The untwisted stochastic matrix ``L_0``."""
-        return self.coeffs[:, :, 0].real.copy()
+        return self.coeffs.shape[0] - 1
 
 
 class PerronBase:
@@ -74,7 +64,11 @@ class PerronBase:
 
 class SpectralJets:
     """Leading-eigenvalue jet ``mu``, projected factor ``z`` and the
-    eigenvector jets that produced them."""
+    eigenvector jets that produced them.
+
+    ``right_jet`` and ``left_jet`` are complex ``(s+1, d)`` arrays whose
+    row ``m`` is the ``t**m`` coefficient of the eigenvector.
+    """
 
     __slots__ = ("mu", "z", "right_jet", "left_jet", "base")
 
@@ -104,7 +98,8 @@ def build_operator_family(model, order):
     """Taylor jets of ``L_t`` for a finite-state model.
 
     Entry ``(j, k)`` carries the series of ``p_{jk} exp(i t h_{jk})``
-    truncated at ``order``.
+    truncated at ``order``, stored without its factors ``i**m`` (see
+    :class:`OperatorFamilyJet`).
     """
     P = _validate_stochastic(model.transition)
     h = np.asarray(model.observable, dtype=float)
@@ -113,13 +108,16 @@ def build_operator_family(model, order):
     if h.shape != P.shape:
         raise NonStochasticModel("observable matrix shape differs from transition")
     d = P.shape[0]
-    coeffs = np.zeros((d, d, order + 1), dtype=complex)
-    term = np.ones((d, d), dtype=complex)
-    coeffs[:, :, 0] = P
-    ih = 1j * h
+    coeffs = np.empty((order + 1, d, d))
+    term = np.ones((d, d))
+    coeffs[0] = P
     for m in range(1, order + 1):
-        term = term * ih / m
-        coeffs[:, :, m] = P * term
+        # multiplying by 1/m, not dividing by m, makes each slice equal bit
+        # for bit to the modulus of P * (ih)**m / m! computed in complex
+        # arithmetic, where numpy divides by a real through its reciprocal
+        term *= h
+        term *= 1.0 / m
+        np.multiply(P, term, out=coeffs[m])
     return OperatorFamilyJet(coeffs, model.mu0)
 
 
@@ -168,22 +166,19 @@ def perron_base(P):
     return PerronBase(right, pi, gap)
 
 
-def _power_start(d):
-    # deterministic start vector (1, 1/2, 1/3, ...)
-    return 1.0 / np.arange(1.0, d + 1.0)
-
-
 def power_radius(M, iters=200, tol=1e-10):
     """Spectral-radius estimate by power iteration.
 
     With a strictly dominant eigenvalue the norm-growth ratio converges
     and is returned directly.  When two moduli are (nearly) tied the
     ratio keeps oscillating; the telescoped geometric mean over the
-    trailing half of the run averages the beats out.
+    trailing half of the run averages the beats out.  A real matrix is
+    iterated in real arithmetic, a complex one in complex arithmetic.
     """
     M = np.asarray(M)
     d = M.shape[0]
-    x = _power_start(d).astype(complex)
+    # deterministic start vector (1, 1/2, 1/3, ...)
+    x = (1.0 / np.arange(1.0, d + 1.0)).astype(np.result_type(M.dtype, float))
     x /= np.linalg.norm(x)
     ratios = []
     for _ in range(iters):
@@ -199,26 +194,26 @@ def power_radius(M, iters=200, tol=1e-10):
     return float(np.exp(np.mean(np.log(tail))))
 
 
-def power_eigenvalue(M, iters=200, tol=1e-10):
-    """Leading eigenvalue (complex) by power iteration with a Rayleigh
-    quotient; requires a strictly dominant simple eigenvalue."""
-    M = np.asarray(M, dtype=complex)
-    d = M.shape[0]
-    x = _power_start(d).astype(complex)
-    x /= np.linalg.norm(x)
-    lam = 0.0 + 0.0j
-    for _ in range(iters):
-        y = M @ x
-        r = np.linalg.norm(y)
-        if r < 1e-300:
-            return 0.0 + 0.0j
-        y /= r
-        lam_new = np.vdot(y, M @ y) / np.vdot(y, y)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-        x = y
-    return lam
+def _bordered_inverse(P, base):
+    """Inverse of ``B = [[P - I, -right], [pi^T, 0]]``.
+
+    ``D B^T D`` with ``D = diag(1, ..., 1, -1)`` is the bordered matrix
+    ``[[P^T - I, -pi], [right^T, 0]]`` of the left system, so
+    ``D Binv^T D`` inverts it and one inverse serves both sides.
+    """
+    d = P.shape[0]
+    B = np.zeros((d + 1, d + 1))
+    B[:d, :d] = P
+    B[np.arange(d), np.arange(d)] -= 1.0
+    B[:d, d] = -base.right
+    B[d, :d] = base.left
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError as exc:
+        raise BorderedSolveSingular(str(exc)) from exc
+    if not np.all(np.isfinite(Binv)):
+        raise BorderedSolveSingular("bordered inverse not finite")
+    return Binv
 
 
 def eigen_perturbation(fam, base):
@@ -231,89 +226,63 @@ def eigen_perturbation(fam, base):
     ``pi . v^(m) = 0`` for m >= 1.
 
     The left jet solves the transposed family with the analogous bordered
-    system and is normalized so that ``l_t(v_t) = 1`` identically; the
-    projected factor is ``z(t) = (l_t . 1) * (mu0 . v_t)``.
+    system (gauge ``1 . w^(m) = 0``) and is normalized so that
+    ``l_t(v_t) = 1`` identically; the projected factor is
+    ``z(t) = (l_t . 1) * (mu0 . v_t)``.
+
+    The coefficients of ``L_t`` are ``i**m`` times the real ``coeffs[m]``,
+    so every jet is ``i**m`` times a real one: ``v^(m) = i**m a_m``,
+    ``mu^(m) = i**m b_m`` and ``w^(m) = i**m c_m``.  The recursion runs
+    on ``a``, ``b`` and ``c`` in real arithmetic, and the factors
+    ``i**m`` are applied once at the end.
     """
     if base.gap <= _GAP_TOL:
         raise GapBelowTolerance(f"gap {base.gap:.3e} too small for perturbation")
     d = fam.dim
     s = fam.order
-    L0 = fam.matrix_coeff(0)
-    eye = np.eye(d)
+    F = fam.coeffs
+    Binv = _bordered_inverse(F[0], base)
+    # every right-hand side has gauge entry 0, so only the first d columns
+    # act; the left system's inverse D Binv^T D then acts as rhs @ Binv[:d, :d]
+    right_solve = Binv[:, :d]
+    left_solve = Binv[:d, :d]
 
-    def bordered_inverse(A, border_col, gauge_row):
-        B = np.zeros((d + 1, d + 1), dtype=complex)
-        B[:d, :d] = A
-        B[:d, d] = -border_col
-        B[d, :d] = gauge_row
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise BorderedSolveSingular(str(exc)) from exc
-        if not np.all(np.isfinite(Binv)):
-            raise BorderedSolveSingular("bordered inverse not finite")
-        return Binv
-
-    Binv = bordered_inverse(L0 - eye, base.right.astype(complex), base.left.astype(complex))
-
-    v = np.zeros((s + 1, d), dtype=complex)
-    mu = np.zeros(s + 1, dtype=complex)
-    v[0] = base.right
-    mu[0] = 1.0
+    a = np.zeros((s + 1, d))
+    b = np.zeros(s + 1)
+    c = np.zeros((s + 1, d))
+    a[0] = base.right
+    b[0] = 1.0
+    c[0] = base.left
     for m in range(1, s + 1):
-        rhs = np.zeros(d, dtype=complex)
+        rhs_a = np.zeros(d)
+        rhs_c = np.zeros(d)
         for j in range(1, m):
-            rhs += mu[j] * v[m - j]
+            rhs_a += b[j] * a[m - j]
+            rhs_c += b[j] * c[m - j]
         for j in range(1, m + 1):
-            rhs -= fam.matrix_coeff(j) @ v[m - j]
-        sol = Binv @ np.concatenate([rhs, [0.0]])
-        v[m] = sol[:d]
-        mu[m] = sol[d]
+            rhs_a -= F[j] @ a[m - j]
+            rhs_c -= c[m - j] @ F[j]
+        sol = right_solve @ rhs_a
+        a[m] = sol[:d]
+        b[m] = sol[d]
+        c[m] = rhs_c @ left_solve
 
-    # left jet on the transposed family, gauge 1 . w^(m) = 0
-    L0T = L0.T
-    BinvT = bordered_inverse(L0T - eye, base.left.astype(complex), base.right.astype(complex))
-    w = np.zeros((s + 1, d), dtype=complex)
-    w[0] = base.left
-    for m in range(1, s + 1):
-        rhs = np.zeros(d, dtype=complex)
-        for j in range(1, m):
-            rhs += mu[j] * w[m - j]
-        for j in range(1, m + 1):
-            rhs -= fam.matrix_coeff(j).T @ w[m - j]
-        sol = BinvT @ np.concatenate([rhs, [0.0]])
-        w[m] = sol[:d]
-
-    right_jet = [Jet(v[:, j]) for j in range(d)]
-    raw_left = [Jet(w[:, j]) for j in range(d)]
-
-    # normalize l_t(v_t) = 1
-    pairing = Jet.zero(s)
-    for j in range(d):
-        pairing = pairing + jet_mul(raw_left[j], right_jet[j])
-    left_jet = [jet_div(lj, pairing) for lj in raw_left]
+    # normalize l_t(v_t) = 1: the pairing is sum_j c_j . a_{m-j}
+    pairing = Jet([sum(c[j] @ a[m - j] for j in range(m + 1)) for m in range(s + 1)])
+    inv = jet_div(Jet.constant(1.0, s), pairing).coeffs.real
+    left = np.array([sum(inv[j] * c[m - j] for j in range(m + 1)) for m in range(s + 1)])
 
     # z(t) = (l_t . ones) * (mu0 . v_t)
-    ones_part = Jet.zero(s)
-    for j in range(d):
-        ones_part = ones_part + left_jet[j]
-    mu0_part = Jet.zero(s)
-    for j in range(d):
-        mu0_part = mu0_part + fam.mu0[j] * right_jet[j]
-    z = jet_mul(ones_part, mu0_part)
+    z = jet_mul(Jet(left.sum(axis=1)), Jet(a @ fam.mu0)).coeffs.real
 
-    return SpectralJets(Jet(mu), z, right_jet, left_jet, base)
-
-
-def char_fn(model, t, N):
-    """``E exp(i t S_N) = mu0^T L_t^N 1`` by repeated row products."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    Lt = evaluate_family(model, t)
-    row = np.asarray(model.mu0, dtype=complex)
-    for _ in range(N):
-        row = row @ Lt
-    return complex(row.sum())
+    ipow = 1j ** np.arange(s + 1)
+    return SpectralJets(
+        Jet(ipow * b),
+        Jet(ipow * z),
+        ipow[:, None] * a,
+        ipow[:, None] * left,
+        base,
+    )
 
 
 def norm_decay_scan(model, t_grid, N):

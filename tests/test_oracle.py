@@ -15,7 +15,7 @@ from edgeworth.errors import (
     ValidationError,
 )
 from edgeworth import oracle
-from edgeworth.models import bundled_model, iid_model, markov_model, ulam_model
+from edgeworth.models import bundled_model, iid_model, markov_model, pmf_moments, ulam_model
 from edgeworth.oracle import (
     ExactDistribution,
     FunctionCdf,
@@ -107,6 +107,60 @@ def test_dp_table_cap():
         dp_pmf(bundled_model("three_state_lattice"), 10**8)
 
 
+def _kahan_add_fresh(acc, comp, idx, term):
+    y = term - comp[idx]
+    t = acc[idx] + y
+    comp[idx] = (t - acc[idx]) - y
+    acc[idx] = t
+
+
+def _dp_pmf_fresh_buffers(model, N):
+    # the DP with two fresh full-width arrays per step and fresh Kahan
+    # temporaries, as the reference
+    P, span = model.transition, model.lattice_span
+    d = P.shape[0]
+    v = np.rint(model.observable / span).astype(np.int64)
+    mn, mx = int(v.min()), int(v.max())
+    lo_total = N * min(mn, 0)
+    width = N * max(mx, 0) - lo_total + 1
+    mass = np.zeros((d, width))
+    start = -lo_total
+    mass[:, start] = model.mu0
+    cur_lo, cur_hi = start, start + 1
+    for _ in range(N):
+        new = np.zeros((d, width))
+        ncomp = np.zeros((d, width))
+        for j in range(d):
+            seg = mass[j, cur_lo:cur_hi]
+            for k in range(d):
+                p = P[j, k]
+                if p == 0.0:
+                    continue
+                lo = cur_lo + v[j, k]
+                _kahan_add_fresh(new[k], ncomp[k], slice(lo, lo + seg.size), p * seg)
+        mass = new
+        cur_lo, cur_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
+    pmf_full = mass.sum(axis=0)
+    nz = pmf_full > 0.0
+    return (np.arange(width)[nz] + lo_total) * span, pmf_full[nz]
+
+
+def _nonpositive_two_state():
+    # rewards in {-1, 0}: the active window grows only to the left
+    m = bundled_model("two_state")
+    return markov_model(m.transition, -m.observable, m.mu0)
+
+
+@pytest.mark.parametrize("name", ["two_state", "three_state_lattice", "bernoulli", "nonpositive"])
+@pytest.mark.parametrize("N", [1, 2, 7, 64, 1000])
+def test_dp_reused_buffers_match_fresh_buffers(name, N):
+    m = _nonpositive_two_state() if name == "nonpositive" else bundled_model(name)
+    support, pmf = _dp_pmf_fresh_buffers(m, N)
+    got = dp_pmf(m, N)
+    assert np.array_equal(got.support, support)
+    assert np.array_equal(got.pmf, pmf)
+
+
 def test_enum_matches_dp_on_lattice():
     m = bundled_model("two_state")
     N = 12
@@ -154,6 +208,13 @@ def test_exact_moments_iid_jet_route():
     via_jets = exact_moments(jetm, N, 6)
     for k in range(7):
         assert abs(via_chain[k] - via_jets[k]) <= 1e-9 * max(1.0, abs(via_chain[k]))
+
+
+def test_drift_of_moment_model_is_first_moment():
+    pmf = [(-1.0, 0.25), (0.5, 0.5), (3.0, 0.25)]
+    moments = pmf_moments(pmf, 4)
+    assert drift(iid_model(moments=moments)) == moments[0]
+    assert abs(drift(iid_model(pmf=pmf)) - moments[0]) <= 1e-12
 
 
 def test_mc_deterministic_and_close_to_dp():

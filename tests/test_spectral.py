@@ -6,24 +6,182 @@ import numpy as np
 import pytest
 
 from edgeworth.errors import GapBelowTolerance, NonStochasticModel
-from edgeworth.jets import jet_mul
-from edgeworth.models import bundled_model, markov_model
+from edgeworth.jets import Jet, jet_div, jet_mul
+from edgeworth.models import bundled_model, markov_model, ulam_model
 from edgeworth.spectral import (
+    _bordered_inverse,
     build_operator_family,
-    char_fn,
     eigen_perturbation,
     evaluate_family,
     norm_decay_scan,
     perron_base,
-    power_eigenvalue,
     power_radius,
 )
+
+
+def power_eigenvalue(M, iters=200, tol=1e-10):
+    """Leading eigenvalue (complex) by power iteration with a Rayleigh
+    quotient; requires a strictly dominant simple eigenvalue."""
+    M = np.asarray(M, dtype=complex)
+    x = 1.0 / np.arange(1.0, M.shape[0] + 1.0) + 0j
+    x /= np.linalg.norm(x)
+    lam = 0.0 + 0.0j
+    for _ in range(iters):
+        y = M @ x
+        r = np.linalg.norm(y)
+        if r < 1e-300:
+            return 0.0 + 0.0j
+        y /= r
+        lam_new = np.vdot(y, M @ y) / np.vdot(y, y)
+        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+            return lam_new
+        lam = lam_new
+        x = y
+    return lam
+
+
+def char_fn(model, t, N):
+    """``E exp(i t S_N) = mu0^T L_t^N 1`` by repeated row products."""
+    Lt = evaluate_family(model, t)
+    row = np.asarray(model.mu0, dtype=complex)
+    for _ in range(N):
+        row = row @ Lt
+    return complex(row.sum())
+
+
+def _reference_family(model, order):
+    # the complex (d, d, order+1) layout with the factors i**m applied
+    if not hasattr(model, "transition"):
+        coeffs = np.zeros((1, 1, order + 1), dtype=complex)
+        coeffs[0, 0, 0] = 1.0
+        fact = 1.0
+        for k in range(1, order + 1):
+            fact *= k
+            coeffs[0, 0, k] = model.moments[k - 1] * (1j ** k) / fact
+        return coeffs
+    P, h = model.transition, model.observable
+    d = P.shape[0]
+    coeffs = np.zeros((d, d, order + 1), dtype=complex)
+    term = np.ones((d, d), dtype=complex)
+    coeffs[:, :, 0] = P
+    for m in range(1, order + 1):
+        term = term * (1j * h) / m
+        coeffs[:, :, m] = P * term
+    return coeffs
+
+
+def _reference_power_radius(M, dtype=complex, iters=200, tol=1e-10):
+    # power iteration with a start vector of the given dtype
+    M = np.asarray(M)
+    x = (1.0 / np.arange(1.0, M.shape[0] + 1.0)).astype(dtype)
+    x /= np.linalg.norm(x)
+    ratios = []
+    for _ in range(iters):
+        y = M @ x
+        r = np.linalg.norm(y)
+        if r < 1e-300:
+            return 0.0
+        ratios.append(r)
+        x = y / r
+        if len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) <= tol * max(1.0, ratios[-1]):
+            return float(ratios[-1])
+    tail = ratios[len(ratios) // 2 :]
+    return float(np.exp(np.mean(np.log(tail))))
+
+
+def _reference_perturbation(coeffs, mu0, base):
+    """(mu, z) coefficients from two complex bordered inverses and lists
+    of per-component jets."""
+    d = coeffs.shape[0]
+    s = coeffs.shape[2] - 1
+    eye = np.eye(d)
+
+    def bordered_inverse(A, border_col, gauge_row):
+        B = np.zeros((d + 1, d + 1), dtype=complex)
+        B[:d, :d] = A
+        B[:d, d] = -border_col
+        B[d, :d] = gauge_row
+        return np.linalg.inv(B)
+
+    L0 = coeffs[:, :, 0]
+    Binv = bordered_inverse(L0 - eye, base.right.astype(complex), base.left.astype(complex))
+    v = np.zeros((s + 1, d), dtype=complex)
+    mu = np.zeros(s + 1, dtype=complex)
+    v[0] = base.right
+    mu[0] = 1.0
+    for m in range(1, s + 1):
+        rhs = np.zeros(d, dtype=complex)
+        for j in range(1, m):
+            rhs += mu[j] * v[m - j]
+        for j in range(1, m + 1):
+            rhs -= coeffs[:, :, j] @ v[m - j]
+        sol = Binv @ np.concatenate([rhs, [0.0]])
+        v[m] = sol[:d]
+        mu[m] = sol[d]
+    BinvT = bordered_inverse(L0.T - eye, base.left.astype(complex), base.right.astype(complex))
+    w = np.zeros((s + 1, d), dtype=complex)
+    w[0] = base.left
+    for m in range(1, s + 1):
+        rhs = np.zeros(d, dtype=complex)
+        for j in range(1, m):
+            rhs += mu[j] * w[m - j]
+        for j in range(1, m + 1):
+            rhs -= coeffs[:, :, j].T @ w[m - j]
+        sol = BinvT @ np.concatenate([rhs, [0.0]])
+        w[m] = sol[:d]
+    right = [Jet(v[:, j]) for j in range(d)]
+    pairing = Jet.zero(s)
+    for j in range(d):
+        pairing = pairing + jet_mul(Jet(w[:, j]), right[j])
+    left = [jet_div(Jet(w[:, j]), pairing) for j in range(d)]
+    ones_part = Jet.zero(s)
+    mu0_part = Jet.zero(s)
+    for j in range(d):
+        ones_part = ones_part + left[j]
+        mu0_part = mu0_part + mu0[j] * right[j]
+    return mu, jet_mul(ones_part, mu0_part).coeffs
+
+
+def _random_chain(d, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(0.05, 1.0, size=(d, d))
+    P /= P.sum(axis=1, keepdims=True)
+    return markov_model(P, rng.normal(size=(d, d)), rng.dirichlet(np.ones(d)))
+
+
+def _cos2pi(x):
+    return np.cos(2.0 * np.pi * x)
+
+
+def _comparison_models():
+    out = [
+        (name, bundled_model(name))
+        for name in (
+            "two_state",
+            "three_state_lattice",
+            "diophantine_two_state",
+            "bernoulli",
+            "iid_moments",
+            "doubling_ulam",
+        )
+    ]
+    out += [(f"random-{d}", _random_chain(d, 40 + d)) for d in (2, 5, 9)]
+    for cells in (64, 256):
+        out.append((f"doubling-{cells}", ulam_model(g=_cos2pi, cells=cells)))
+        out.append((
+            f"piecewise-{cells}",
+            ulam_model("piecewise-linear", lambda x: x * x - 0.3, cells, [0.0, 0.3, 0.65, 1.0]),
+        ))
+    return out
+
+
+_COMPARISON = _comparison_models()
 
 
 def _two_state_jets(order=6):
     m = bundled_model("two_state")
     fam = m.operator_family(order)
-    base = perron_base(fam.base_matrix())
+    base = perron_base(fam.coeffs[0])
     return fam, base, eigen_perturbation(fam, base)
 
 
@@ -32,11 +190,66 @@ def test_entry_jets_match_exponential():
     fam = m.operator_family(8)
     for t in (1e-2, -3e-2):
         direct = evaluate_family(m, t)
-        from_jets = np.zeros((2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                from_jets[a, b] = fam.entry_jet(a, b).eval(t)
+        from_jets = sum((1j * t) ** k * fam.coeffs[k] for k in range(fam.order + 1))
         assert np.abs(direct - from_jets).max() <= 1e-13
+
+
+def test_family_is_real_and_contiguous():
+    for _, model in _COMPARISON:
+        fam = model.operator_family(4)
+        assert fam.coeffs.dtype == np.float64
+        assert fam.coeffs.flags.c_contiguous
+        assert fam.coeffs.shape == (5, fam.dim, fam.dim)
+        assert np.array_equal(fam.coeffs[0], getattr(model, "transition", np.ones((1, 1))))
+        ref = _reference_family(model, 4)
+        for m in range(5):
+            assert np.array_equal(1j ** m * fam.coeffs[m], ref[:, :, m])
+
+
+@pytest.mark.parametrize("case", range(len(_COMPARISON)), ids=[n for n, _ in _COMPARISON])
+def test_real_perturbation_matches_complex_reference(case):
+    _, model = _COMPARISON[case]
+    order = 4
+    fam = model.operator_family(order)
+    base = perron_base(fam.coeffs[0])
+    jets = eigen_perturbation(fam, base)
+    mu_ref, z_ref = _reference_perturbation(_reference_family(model, order), fam.mu0, base)
+    assert np.abs(jets.mu.coeffs - mu_ref).max() <= 1e-13
+    assert np.abs(jets.z.coeffs - z_ref).max() <= 1e-13
+    # every jet is i**m times a real one, exactly
+    unit = 1j ** -np.arange(order + 1)
+    assert np.all((jets.mu.coeffs * unit).imag == 0.0)
+    assert np.all((jets.z.coeffs * unit).imag == 0.0)
+    assert np.all((jets.right_jet * unit[:, None]).imag == 0.0)
+    assert np.all((jets.left_jet * unit[:, None]).imag == 0.0)
+    assert jets.right_jet.shape == jets.left_jet.shape == (order + 1, fam.dim)
+
+
+def test_left_bordered_inverse_from_the_right_one():
+    # D Binv^T D inverts the bordered matrix of the left system
+    for _, model in _COMPARISON:
+        fam = model.operator_family(2)
+        base = perron_base(fam.coeffs[0])
+        d = fam.dim
+        Binv = _bordered_inverse(fam.coeffs[0], base)
+        B_left = np.zeros((d + 1, d + 1))
+        B_left[:d, :d] = fam.coeffs[0].T - np.eye(d)
+        B_left[:d, d] = -base.left
+        B_left[d, :d] = base.right
+        D = np.ones(d + 1)
+        D[-1] = -1.0
+        left_inv = D[:, None] * Binv.T * D[None, :]
+        assert np.abs(left_inv @ B_left - np.eye(d + 1)).max() <= 1e-12
+
+
+def test_power_radius_keeps_real_arithmetic_for_real_matrices():
+    rng = np.random.default_rng(3)
+    for d in (2, 5, 9):
+        M = rng.normal(size=(d, d))
+        assert power_radius(M) == _reference_power_radius(M, float)
+        assert abs(power_radius(M) - _reference_power_radius(M, complex)) <= 1e-12
+        Mc = M + 1j * rng.normal(size=(d, d))
+        assert power_radius(Mc) == _reference_power_radius(Mc, complex)
 
 
 def test_non_stochastic_rows_rejected():
@@ -89,7 +302,7 @@ def test_power_eigenvalue_stochastic():
 def test_eigen_jets_match_finite_differences():
     m = bundled_model("two_state")
     fam = m.operator_family(6)
-    base = perron_base(fam.base_matrix())
+    base = perron_base(fam.coeffs[0])
     jets = eigen_perturbation(fam, base)
     step = 1e-4
     lam = lambda t: power_eigenvalue(evaluate_family(m, t))
@@ -107,12 +320,9 @@ def test_eigen_jets_solve_the_perturbation_equations():
     for m in range(1, s + 1):
         res = np.zeros(d, dtype=complex)
         for j in range(0, m + 1):
-            Lj = fam.matrix_coeff(j)
-            vmj = np.array([jets.right_jet[k][m - j] for k in range(d)])
-            res += Lj @ vmj
+            res += 1j ** j * fam.coeffs[j] @ jets.right_jet[m - j]
         for j in range(0, m + 1):
-            vmj = np.array([jets.right_jet[k][m - j] for k in range(d)])
-            res -= jets.mu[j] * vmj
+            res -= jets.mu[j] * jets.right_jet[m - j]
         assert np.abs(res).max() <= 1e-11
 
 
@@ -120,7 +330,7 @@ def test_left_right_normalization():
     fam, base, jets = _two_state_jets(order=8)
     pairing = None
     for k in range(fam.dim):
-        term = jet_mul(jets.left_jet[k], jets.right_jet[k])
+        term = jet_mul(Jet(jets.left_jet[:, k]), Jet(jets.right_jet[:, k]))
         pairing = term if pairing is None else pairing + term
     assert abs(pairing[0] - 1.0) <= 1e-12
     assert np.abs(pairing.coeffs[1:]).max() <= 1e-11
