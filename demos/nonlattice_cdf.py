@@ -2,9 +2,9 @@
 
 The bundled Diophantine chain pays the golden ratio in one state, so
 S_N lives on no lattice and the classical (Kolmogorov-distance) form of
-the expansion applies.  Exact laws come from full enumeration, feasible
-for small N; the order-1 error times sqrt(N) should fall along the
-ladder.
+the expansion applies.  Exact laws come from the exact dynamic program
+over reward counts (the "enum" oracle name is an alias of "dp"); the
+order-1 error times sqrt(N) should fall along the ladder.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ def main():
     rep = convergence_study(
         exp_set, model, "enum", 1, [8, 10, 12, 14, 16, 18], form="classical"
     )
-    print("order-1 Kolmogorov error against enumerated exact CDFs")
+    print("order-1 Kolmogorov error against exact CDFs")
     print("     N      raw error      x sqrt(N)")
     for n, raw, scaled in rep.rows():
         print(f"  {n:>6}   {raw:.6e}   {scaled:.6f}")

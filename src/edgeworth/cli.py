@@ -77,7 +77,7 @@ def _reading(name):
     """Report a config value that does not convert as invalid input."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"invalid {name}: {exc}") from None
 
 
@@ -172,8 +172,8 @@ def _order_from(run, args):
 
 def _n_list_from(run):
     raw = run.get("N_list")
-    if not raw:
-        raise ValidationError('"N_list" is required and must be nonempty')
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError('"N_list" is required and must be a nonempty list')
     n_list = []
     for n in raw:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -196,13 +196,18 @@ def _oracle_from(run, args):
         if not isinstance(trials, int) or trials < 1:
             raise ValidationError("trials must be a positive integer")
     with _reading("run.seed / run.trials"):
-        return kind, (0 if seed is None else int(seed)), int(trials)
+        seed, trials = (0 if seed is None else int(seed)), int(trials)
+    if kind == "mc" and seed < 0:
+        raise ValidationError("the Monte Carlo seed must be a nonnegative integer")
+    return kind, seed, trials
 
 
 def _function_from(run):
     doc = run.get("function")
     if doc is None:
         return None
+    if not isinstance(doc, dict):
+        raise ValidationError('"run.function" must be an object')
     with _reading("run.function"):
         return evaluate.TestFunction(
             kind=doc.get("kind", "gaussian-bump"),
@@ -325,9 +330,17 @@ def cmd_diagnose(model, model_doc, run, args):
         dio = None
     pos = dist > 0
     theta = float(np.min((1.0 - nrm[pos]) / (dist[pos] * dist[pos]), initial=math.inf))
-    if model.lattice_span is not None and np.any(rad >= 1.0 - 1e-9):
-        # unit radius at the lattice frequencies is expected, not a defect
+    unit = rad >= 1.0 - 1e-9
+    if model.lattice_span is None:
+        on_lattice = t == 0.0  # every law has unit radius at t = 0
+    else:
+        k = t * model.lattice_span / (2.0 * math.pi)
+        on_lattice = np.abs(k - np.rint(k)) <= 1e-9
+    if model.lattice_span is not None and np.any(unit & on_lattice):
+        # unit radius at multiples of 2 pi / span is expected, not a defect
         flags.append("radius-one-lattice-consistent")
+    if np.any(unit & ~on_lattice):
+        flags.append("radius-one-off-lattice")
     report = {
         "gap": gap,
         "lattice_span": model.lattice_span,
@@ -442,10 +455,13 @@ def main(argv=None):
     if args.stamp is None:
         args.stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     try:
-        model_doc, run = _load_config(args.config)
-        model = build_model(model_doc)
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](model, model_doc, run, args)
+        # stderr carries only the JSON error: numpy stays silent, and a
+        # non-finite result is refused when the artifact is written
+        with np.errstate(all="ignore"):
+            model_doc, run = _load_config(args.config)
+            model = build_model(model_doc)
+            os.makedirs(args.out, exist_ok=True)
+            return _COMMANDS[args.command](model, model_doc, run, args)
     except VerdictFailure as exc:
         _emit_error("VerdictFailure", exc)
         return 4

@@ -90,11 +90,11 @@ class SlopeBelowOne(ValidationError):
 # --- oracle -------------------------------------------------------------
 
 class TableTooLarge(OracleInfeasible):
-    """Lattice dynamic program would exceed its cell budget."""
+    """The exact dynamic program would exceed its 10**7-cell budget."""
 
 
 class TooManyValues(OracleInfeasible):
-    """Enumeration would exceed its distinct-value budget."""
+    """The resonance scan would exceed its distinct-difference budget."""
 
 
 class OracleUnavailable(OracleInfeasible):

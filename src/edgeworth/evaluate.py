@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OracleUnavailable, QuadratureNotConverged, TooManyValues, ValidationError
+from .errors import QuadratureNotConverged, ValidationError
 from . import oracle
 
 _QUAD_TOL = 1e-10
@@ -317,16 +317,19 @@ class ModDevResult:
 def moddev_ratio(exp_set, model, c, N):
     """Exact-vs-normal tail ratio at x = sqrt(c sigma2 ln N).
 
-    The exact tail P((S_N - N A)/sqrt(N) >= x) comes from the lattice
-    dynamic program (or enumeration for non-lattice models); the normal
-    tail is 1 - Phi_sigma(x).  Also reports the closed-form prediction
+    The exact tail P((S_N - N A)/sqrt(N) >= x) comes from the exact
+    dynamic program ``oracle.dp_pmf``, on the span lattice or on the
+    reward-count lattice of a non-lattice chain; the normal tail is
+    1 - Phi_sigma(x).  Also reports the closed-form prediction
     (1/sqrt(2 pi c)) / sqrt(N^c ln N) for the tail itself.  The probe
     x is clamped below at 1, the lower end of the validity window.
 
     Raises
     ------
+    TableTooLarge
+        When the dynamic program would exceed its 10**7-cell budget.
     OracleUnavailable
-        When no exact oracle is feasible (non-lattice with large N).
+        When the model has no explicit chain.
     """
     if not 0.0 < c:
         raise ValidationError("c must be positive")
@@ -334,17 +337,15 @@ def moddev_ratio(exp_set, model, c, N):
         raise ValidationError("N must be at least 2")
     params = exp_set.params
     x = max(1.0, math.sqrt(c * params.sigma2 * math.log(N)))
-    kind = "enum" if getattr(model, "lattice_span", None) is None else "dp"
-    try:
-        dist = exact_distribution(model, N, kind)
-    except TooManyValues as exc:
-        raise OracleUnavailable(
-            f"non-lattice tail at N={N} needs enumeration beyond budget"
-        ) from exc
+    dist = exact_distribution(model, N, "dp")
     threshold = N * params.A + x * math.sqrt(N)
     exact_tail = dist.tail(threshold)
     normal_tail = 1.0 - oracle.normal_cdf(x, params.sigma)
-    corollary = 1.0 / (math.sqrt(2.0 * math.pi * c) * math.sqrt(N ** c * math.log(N)))
+    try:
+        power = N ** c
+    except OverflowError:
+        raise ValidationError(f"c = {c!r} is too large: N**c overflows at N={N}") from None
+    corollary = 1.0 / (math.sqrt(2.0 * math.pi * c) * math.sqrt(power * math.log(N)))
     ratio = exact_tail / normal_tail if normal_tail > 0 else math.inf
     return ModDevResult(x, ratio, exact_tail, normal_tail, corollary)
 
@@ -375,21 +376,24 @@ def _model_key(model):
 
 
 def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None):
-    """Oracle distribution of S_N, memoized per (model, oracle, N) in ``cache`` if given."""
+    """Oracle distribution of S_N, memoized per (model, oracle, N) in ``cache`` if given.
+
+    ``"dp"`` and its alias ``"enum"`` both run the exact dynamic program
+    ``oracle.dp_pmf`` and share cache entries; ``"mc"`` runs the seeded
+    Monte Carlo oracle.
+    """
     if oracle_kind not in ("dp", "enum", "mc"):
         raise ValidationError(f"unknown oracle kind {oracle_kind!r}")
+    mc = oracle_kind == "mc"
     if cache is not None:
         oracle._require_chain(model)  # the key reads the chain arrays
-        mc = oracle_kind == "mc"
-        key = (_model_key(model), oracle_kind, N, seed if mc else None, trials if mc else None)
+        key = (_model_key(model), mc, N, seed if mc else None, trials if mc else None)
         if key not in cache:
             cache[key] = exact_distribution(model, N, oracle_kind, seed, trials)
         return cache[key]
-    if oracle_kind == "dp":
-        return oracle.dp_pmf(model, N)
-    if oracle_kind == "enum":
-        return oracle.enum_distribution(model, N)
-    return oracle.mc_sample(model, N, trials, seed)
+    if mc:
+        return oracle.mc_sample(model, N, trials, seed)
+    return oracle.dp_pmf(model, N)
 
 
 def _standardize(dist, shift, scale):
@@ -479,7 +483,7 @@ def convergence_study(
     model : model object
         Needed for oracle runs and lattice span.
     oracle_kind : str
-        "dp", "enum" or "mc".
+        "dp" (alias "enum") or "mc".
     r : int
         Order whose error is measured.
     N_list : sequence of int
@@ -502,6 +506,8 @@ def convergence_study(
         f = TestFunction("gaussian-bump", 0.0, 1.0)
     if form in ("weak_local", "weak_global") and f is None:
         raise ValidationError(f"form {form!r} needs a test function")
+    if form == "lattice" and getattr(model, "lattice_span", None) is None:
+        raise ValidationError("the lattice form needs a lattice model")
     sigma = exp_set.params.sigma
     if x is None:
         probes_x = [m * sigma for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]

@@ -52,14 +52,6 @@ class Jet:
         c[0] = value
         return cls(c)
 
-    @classmethod
-    def variable(cls, order):
-        """The jet of ``t`` itself."""
-        c = np.zeros(order + 1, dtype=complex)
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
     @property
     def order(self):
         return self.coeffs.size - 1
@@ -312,10 +304,6 @@ class Polynomial:
         while last > 1 and abs(c[last - 1]) <= _TRIM_TOL:
             last -= 1
         self.coeffs = c[:last].copy()
-
-    @classmethod
-    def zero(cls):
-        return cls([0.0])
 
     @property
     def degree(self):

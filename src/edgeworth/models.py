@@ -36,11 +36,20 @@ _MAX_SCAN_SUMS = 10 ** 7
 def _lattice_span(h):
     """Largest span with all observable values integer multiples of it.
 
-    Values are reconstructed as fractions with denominator at most 10**6;
-    any value failing reconstruction within 1e-9 marks the model
-    non-lattice.  Returns ``None`` when non-lattice or all values vanish.
+    When every nonzero value is an integer multiple, within 1e-9, of the
+    smallest nonzero magnitude, that magnitude is the span, so an
+    irrational reward keeps its exact value.  Otherwise values are
+    reconstructed as fractions with denominator at most 10**6; any value
+    failing reconstruction within 1e-9 marks the model non-lattice.
+    Returns ``None`` when non-lattice or all values vanish.
     """
     vals = np.unique(np.asarray(h, dtype=float))
+    nonzero = vals[np.abs(vals) > _SPAN_TOL]
+    if nonzero.size:
+        m = float(np.min(np.abs(nonzero)))
+        ratios = nonzero / m
+        if np.all(np.abs(ratios - np.rint(ratios)) <= _SPAN_TOL):
+            return m
     fracs = []
     for v in vals:
         if abs(v) <= _SPAN_TOL:
@@ -91,10 +100,6 @@ class MarkovModel:
     @property
     def dim(self):
         return self.transition.shape[0]
-
-    @property
-    def is_lattice(self):
-        return self.lattice_span is not None
 
     def operator_family(self, order):
         """Taylor jets of the twisted family up to ``order``."""
@@ -163,10 +168,6 @@ class IidMomentModel:
     @property
     def dim(self):
         return 1
-
-    @property
-    def is_lattice(self):
-        return False
 
     lattice_span = None
 

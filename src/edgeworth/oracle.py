@@ -1,9 +1,9 @@
 """Independent brute-force ground truth for finite-state models.
 
-Everything here is deliberately dumb: exact dynamic programs over
-(state, accumulated sum), exact jet propagation for moments (no
-eigenvalue machinery), seeded Monte Carlo, and sup-distance between
-CDFs.  Acceptance tests compare the expansion machinery against these
+Everything here is deliberately dumb: one exact dynamic program over
+(state, integer coordinates of the accumulated sum), exact jet
+propagation for moments (no eigenvalue machinery), seeded Monte Carlo,
+and sup-distance between CDFs.  Acceptance tests compare the expansion machinery against these
 oracles, so nothing in this module may depend on the spectral or
 expansion modules.
 """
@@ -17,11 +17,10 @@ import os
 
 import numpy as np
 
-from .errors import OracleUnavailable, TableTooLarge, TooManyValues, ValidationError
+from .errors import OracleUnavailable, TableTooLarge, ValidationError
 from .jets import Jet, jet_exp, jet_mul
 
 _DP_CELL_CAP = 10 ** 7
-_ENUM_CAP = 10 ** 6
 
 
 class ExactDistribution:
@@ -30,7 +29,7 @@ class ExactDistribution:
     Parameters
     ----------
     kind : str
-        "lattice", "enumerated" or "empirical".
+        "lattice" (exact, from ``dp_pmf``) or "empirical" (Monte Carlo).
     support : array_like
         Strictly increasing values.
     pmf : array_like
@@ -38,7 +37,7 @@ class ExactDistribution:
     N : int
         Horizon that produced the distribution.
     meta : dict, optional
-        Provenance (PRNG identifier, seed, merge tolerance).
+        Provenance (PRNG identifier, seed, chunk size).
     """
 
     __slots__ = ("kind", "support", "pmf", "N", "meta", "_cum")
@@ -109,29 +108,48 @@ def _kahan_add(acc, comp, term, scratch):
 
 
 def dp_pmf(model, N):
-    """Exact pmf of S_N for a lattice model by dynamic programming.
+    """Exact pmf of S_N for any finite-state chain by dynamic programming.
 
-    The table is indexed by (state, integer sum in span units); additions
-    are compensated so the mass balance survives long horizons.
+    The table is indexed by (state, integer coordinate of the sum).  A
+    lattice model has one coordinate, the sum in span units.  Otherwise
+    each distinct nonzero reward value u_1 < ... < u_q on a transition
+    of positive probability gets its own count n_i in 0..N, flattened as
+    sum_i n_i (N+1)**i, and the sum is sum_i n_i u_i (the rank-q lattice
+    of Bhattacharya & Rao, 1976).  Additions are compensated so the mass
+    balance survives long horizons.  Atoms whose values are equal as
+    floats are pooled; there is no merge tolerance.
 
     Raises
     ------
     TableTooLarge
-        If the sum range exceeds 10**7 cells.
+        If the table would be wider than 10**7 cells, checked before any
+        allocation.
     OracleUnavailable
-        If the model is not lattice or has no explicit chain.
+        If the model has no explicit chain.
     """
     _require_chain(model)
-    span = getattr(model, "lattice_span", None)
-    if span is None:
-        raise OracleUnavailable("dp_pmf requires a lattice model")
     if N < 1:
         raise ValidationError("N must be at least 1")
     P = model.transition
     h = model.observable
     d = P.shape[0]
-    v = np.rint(h / span).astype(np.int64)
-    mn, mx = int(v.min()), int(v.max())
+    span = getattr(model, "lattice_span", None)
+    if span is not None:
+        off = np.rint(h / span).astype(np.int64)
+    else:
+        used = (P > 0.0) & (h != 0.0)
+        u = np.unique(h[used])
+        q = u.size
+        # every count runs over 0..N, so the table is at least 2**(q-1)
+        # cells wide; a large q refuses without forming (N+1)**q
+        if q > _DP_CELL_CAP.bit_length() or N * (N + 1) ** (q - 1) + 1 > _DP_CELL_CAP:
+            raise TableTooLarge(
+                f"{q} distinct rewards at N={N} need a table beyond the 10**7-cell budget"
+            )
+        strides = (N + 1) ** np.arange(q, dtype=np.int64)
+        off = np.zeros((d, d), dtype=np.int64)
+        off[used] = strides[np.searchsorted(u, h[used])]
+    mn, mx = int(off.min()), int(off.max())
     # partial sums start at 0, so the table spans [N*min(mn,0), N*max(mx,0)]
     lo_total = N * min(mn, 0)
     hi_total = N * max(mx, 0)
@@ -139,7 +157,7 @@ def dp_pmf(model, N):
     if width > _DP_CELL_CAP:
         raise TableTooLarge(f"{width} cells exceed the 10**7 budget")
 
-    # index i holds the sum value (i + lo_total) * span.  Every buffer is
+    # index i holds the sum coordinate i + lo_total.  Every buffer is
     # allocated once.  The active windows only grow, so a buffer is clean
     # outside the window it is about to receive; each step clears just
     # that window.  A step's compensation terms are not read by the next,
@@ -164,79 +182,19 @@ def dp_pmf(model, N):
                 p = P[j, k]
                 if p == 0.0:
                     continue
-                lo = cur_lo + v[j, k]
+                lo = cur_lo + off[j, k]
                 np.multiply(p, seg, out=term)
                 _kahan_add(new[k, lo:lo + n], comp[k, lo:lo + n], term, scratch)
         mass, new = new, mass
         cur_lo, cur_hi = nxt_lo, nxt_hi
     pmf_full = mass.sum(axis=0)
-    nz = pmf_full > 0.0
-    support = (np.arange(width)[nz] + lo_total) * span
-    return ExactDistribution("lattice", support, pmf_full[nz], N)
-
-
-def enum_distribution(model, N, merge_tol=1e-9):
-    """Exact distribution of S_N by value enumeration with merging.
-
-    Sums within ``merge_tol`` of each other are pooled (probability-
-    weighted value); the distinct-value count is bounded a priori by the
-    (N+1)**(d*d-1) polynomial estimate and rechecked while running.
-
-    Raises
-    ------
-    TooManyValues
-        If the estimate or the running count exceeds 10**6.
-    """
-    _require_chain(model)
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    P = model.transition
-    h = model.observable
-    d = P.shape[0]
-    exponent = d * d - 1
-    # exact integer test; the estimate is at least 2**exponent, so a large
-    # exponent refuses without forming the number
-    if exponent > _ENUM_CAP.bit_length() or (N + 1) ** exponent > _ENUM_CAP:
-        raise TooManyValues(
-            f"estimated 10**{exponent * math.log10(N + 1):.1f} distinct sums"
-            " exceed the 10**6 budget"
-        )
-
-    def merge(values, probs):
-        order = np.argsort(values, kind="stable")
-        values, probs = values[order], probs[order]
-        starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > merge_tol)))
-        pooled_p = np.add.reduceat(probs, starts)
-        pooled_v = np.add.reduceat(values * probs, starts) / pooled_p
-        return pooled_v, pooled_p
-
-    vals = [np.array([0.0]) if m > 0 else np.empty(0) for m in model.mu0]
-    prbs = [np.array([m]) if m > 0 else np.empty(0) for m in model.mu0]
-    for _ in range(N):
-        nvals = [[] for _ in range(d)]
-        nprbs = [[] for _ in range(d)]
-        for j in range(d):
-            if vals[j].size == 0:
-                continue
-            for k in range(d):
-                if P[j, k] == 0.0:
-                    continue
-                nvals[k].append(vals[j] + h[j, k])
-                nprbs[k].append(prbs[j] * P[j, k])
-        vals, prbs = [], []
-        total = 0
-        for k in range(d):
-            if nvals[k]:
-                v, p = merge(np.concatenate(nvals[k]), np.concatenate(nprbs[k]))
-            else:
-                v, p = np.empty(0), np.empty(0)
-            vals.append(v)
-            prbs.append(p)
-            total += v.size
-        if total > _ENUM_CAP:
-            raise TooManyValues(f"{total} live sums exceed the 10**6 budget")
-    values, probs = merge(np.concatenate(vals), np.concatenate(prbs))
-    return ExactDistribution("enumerated", values, probs, N, {"merge_tol": merge_tol})
+    nz = np.flatnonzero(pmf_full > 0.0)
+    if span is not None:
+        # distinct coordinates times one span: already distinct and sorted
+        return ExactDistribution("lattice", (nz + lo_total) * span, pmf_full[nz], N)
+    coords = (nz[:, None] // strides) % (N + 1)
+    support, inverse = np.unique(coords @ u, return_inverse=True)
+    return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf_full[nz]), N)
 
 
 def _stationary(P):

@@ -337,3 +337,22 @@ def test_criterion_12_ulam_monte_carlo():
     # the value pinned for this seed in bench/reference.json: any drift in
     # the Monte Carlo stream fails here
     assert abs(ks - 6.1959635892594e-4) <= 1e-9
+
+
+def test_criterion_13_classical_convergence_long_ladder():
+    # the non-lattice classical claim out to N = 512 through the exact
+    # reward-count DP; the scaled errors are pinned to their measured values
+    t0 = time.monotonic()
+    model = bundled_model("diophantine_two_state")
+    exp_set = expansion_for_model(model, 1)
+    rep = convergence_study(
+        exp_set, model, "enum", 1, [64, 128, 256, 512], form="classical"
+    )
+    elapsed = time.monotonic() - t0
+    ok = rep.decreasing and elapsed < 30.0
+    scaled = "/".join(f"{s:.5f}" for s in rep.scaled)
+    assert report(
+        13, "classical-long-ladder", ok, f"scaled {scaled}, {elapsed:.1f}s < 30s"
+    )
+    pinned = [0.07565945141106223, 0.05300753666242608, 0.03688406813172129, 0.02578095073354668]
+    assert np.abs(np.array(rep.scaled) - pinned).max() <= 1e-9

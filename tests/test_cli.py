@@ -163,12 +163,27 @@ def test_verify_verdict_failure_still_writes_csv(tmp_path, capsys):
 def test_verify_oracle_budget_exhaustion_exits_three(tmp_path, capsys):
     doc = {
         "model": {"bundled": "diophantine_two_state"},
-        "run": {"order": 1, "N_list": [8, 120], "oracle": "enum"},
+        "run": {"order": 1, "N_list": [8, 3200], "oracle": "enum"},
     }
     cfg = write_config(tmp_path, doc)
     code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
     assert code == 3
-    assert json.loads(err)["error"] == "TooManyValues"
+    assert json.loads(err)["error"] == "TableTooLarge"
+
+
+@pytest.mark.parametrize("oracle", ["dp", "enum", "mc"])
+def test_verify_lattice_form_on_nonlattice_model_exits_two(tmp_path, capsys, oracle):
+    doc = {
+        "model": {"bundled": "diophantine_two_state"},
+        "run": {"order": 1, "N_list": [8, 16], "oracle": oracle, "form": "lattice",
+                "seed": 1, "trials": 1000},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert "lattice model" in payload["message"]
 
 
 def test_verify_degenerate_variance_exits_two(tmp_path, capsys):
@@ -348,7 +363,7 @@ def test_verify_enum_on_ulam_exits_three(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
     assert code == 3
-    assert json.loads(err)["error"] == "TooManyValues"
+    assert json.loads(err)["error"] == "TableTooLarge"
 
 
 def test_verify_dp_on_jet_only_model_exits_three(tmp_path, capsys):
@@ -384,6 +399,28 @@ def test_diagnose_two_state_report(tmp_path, capsys):
     # unit radius at t = 2 pi is the lattice signature, not a defect
     assert float(rows[2][3]) >= 1.0 - 1e-9
     assert "radius-one-lattice-consistent" in report["flags"]
+
+
+def test_diagnose_flags_unit_radius_off_the_lattice_frequencies(tmp_path, capsys):
+    # three_state_lattice has span 1 but a hidden mod-2 periodicity, so its
+    # radius is also 1 at t = pi, which is no multiple of 2 pi / span
+    doc = {
+        "model": {"bundled": "three_state_lattice"},
+        "run": {"t_grid": [0.5, 1.0, math.pi, 2.0 * math.pi]},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0
+    csv_path, json_path = out.strip().splitlines()
+    assert float(read_rows(csv_path)[3][3]) >= 1.0 - 1e-9
+    report = json.loads(open(json_path).read())
+    assert report["flags"] == ["radius-one-lattice-consistent", "radius-one-off-lattice"]
+    # without t = pi only the lattice-consistent flag remains
+    doc["run"]["t_grid"] = [0.5, 1.0, 2.0 * math.pi]
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "t")
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert report["flags"] == ["radius-one-lattice-consistent"]
 
 
 def test_diagnose_identity_like_chain_completes_with_flag(tmp_path, capsys):

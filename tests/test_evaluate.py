@@ -8,6 +8,7 @@ import pytest
 from edgeworth.errors import (
     OracleUnavailable,
     QuadratureNotConverged,
+    TableTooLarge,
     ValidationError,
 )
 from edgeworth.evaluate import (
@@ -377,11 +378,12 @@ def test_moddev_validation(two_state):
 def test_moddev_nonlattice_needs_enumeration():
     model = bundled_model("diophantine_two_state")
     exp_set = expansion_for_model(model, 2)
-    # small N enumerates fine
-    res = moddev_ratio(exp_set, model, 0.5, 16)
-    assert res.exact_tail >= 0.0
-    with pytest.raises(OracleUnavailable):
-        moddev_ratio(exp_set, model, 0.5, 150)
+    # the reward-count DP covers the non-lattice chain up to its cell budget
+    for N in (16, 150):
+        res = moddev_ratio(exp_set, model, 0.5, N)
+        assert 0.0 < res.exact_tail < 1.0
+    with pytest.raises(TableTooLarge):
+        moddev_ratio(exp_set, model, 0.5, 3200)
 
 
 # --------------------------------------------------------- convergence study

@@ -55,6 +55,14 @@ def test_golden_ratio_is_not_lattice():
     assert m.lattice_span is None
 
 
+def test_irrational_reward_keeps_its_exact_span():
+    # a fraction with denominator <= 10**6 would round phi by 6.5e-13
+    m = markov_model([[0.7, 0.3], [0.4, 0.6]], [[0.0, GOLDEN], [0.0, 0.0]], [1.0, 0.0])
+    assert m.lattice_span == GOLDEN
+    m = markov_model([[0.7, 0.3], [0.4, 0.6]], [[0.0, math.pi], [2.0 * math.pi, 0.0]], [1.0, 0.0])
+    assert m.lattice_span == math.pi
+
+
 def test_fibonacci_ratio_is_lattice():
     # 34/21 is close to the golden ratio but still rational
     m = markov_model(

@@ -1,5 +1,6 @@
-"""Ground-truth oracles: dynamic programs, enumeration, Monte Carlo."""
+"""Ground-truth oracles: the exact dynamic program, moments, Monte Carlo."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -9,19 +10,17 @@ import numpy as np
 import pytest
 
 from edgeworth.errors import (
-    OracleUnavailable,
     TableTooLarge,
-    TooManyValues,
     ValidationError,
 )
 from edgeworth import oracle
+from edgeworth.evaluate import exact_distribution
 from edgeworth.models import bundled_model, iid_model, markov_model, pmf_moments, ulam_model
 from edgeworth.oracle import (
     ExactDistribution,
     FunctionCdf,
     dp_pmf,
     drift,
-    enum_distribution,
     erf,
     erfc,
     exact_moments,
@@ -97,9 +96,88 @@ def test_dp_span_half():
     assert np.any(np.abs(steps - 0.5) <= 1e-12)
 
 
-def test_dp_requires_lattice():
-    with pytest.raises(OracleUnavailable):
-        dp_pmf(bundled_model("diophantine_two_state"), 8)
+def _path_enumeration(m, N):
+    # every path from the initial state, its probability and its reward
+    # counts; atoms pool paths with equal counts of each reward value
+    P, h = m.transition, m.observable
+    values = np.unique(h[(P > 0) & (h != 0)])
+    atoms = {}
+    for path in itertools.product(range(2), repeat=N + 1):
+        prob = m.mu0[path[0]]
+        counts = [0] * values.size
+        for j, k in zip(path, path[1:]):
+            prob *= P[j, k]
+            if h[j, k] != 0.0:
+                counts[int(np.searchsorted(values, h[j, k]))] += 1
+        if prob > 0.0:
+            atoms.setdefault(tuple(counts), []).append(prob)
+    support = np.array([sum(c * v for c, v in zip(key, values)) for key in atoms])
+    pmf = np.array([math.fsum(p) for p in atoms.values()])
+    order = np.argsort(support)
+    return support[order], pmf[order]
+
+
+def test_dp_off_lattice_matches_path_enumeration():
+    m = bundled_model("diophantine_two_state")
+    for N in (1, 2, 5, 12):
+        support, pmf = _path_enumeration(m, N)
+        got = dp_pmf(m, N)
+        assert got.kind == "lattice"
+        assert got.support.size == support.size
+        assert np.abs(got.support - support).max() <= 1e-13
+        assert np.abs(got.pmf - pmf).max() <= 1e-15
+
+
+def test_dp_zero_rewards_is_a_point_mass():
+    # no nonzero reward: no count coordinate, one cell
+    m = markov_model([[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0])
+    assert m.lattice_span is None
+    dist = dp_pmf(m, 5)
+    assert dist.support.tolist() == [0.0] and dist.pmf.tolist() == [1.0]
+
+
+def _enum_distribution_merged(model, N, merge_tol=1e-9):
+    # value enumeration that pools sums within merge_tol at their
+    # probability-weighted value, as the reference on non-lattice chains
+    P, h = model.transition, model.observable
+    d = P.shape[0]
+
+    def merge(values, probs):
+        order = np.argsort(values, kind="stable")
+        values, probs = values[order], probs[order]
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(values) > merge_tol)))
+        pooled_p = np.add.reduceat(probs, starts)
+        pooled_v = np.add.reduceat(values * probs, starts) / pooled_p
+        return pooled_v, pooled_p
+
+    vals = [np.array([0.0]) if m > 0 else np.empty(0) for m in model.mu0]
+    prbs = [np.array([m]) if m > 0 else np.empty(0) for m in model.mu0]
+    for _ in range(N):
+        nvals = [[] for _ in range(d)]
+        nprbs = [[] for _ in range(d)]
+        for j in range(d):
+            for k in range(d):
+                if vals[j].size and P[j, k] != 0.0:
+                    nvals[k].append(vals[j] + h[j, k])
+                    nprbs[k].append(prbs[j] * P[j, k])
+        pairs = [
+            merge(np.concatenate(nv), np.concatenate(npb)) if nv else (np.empty(0), np.empty(0))
+            for nv, npb in zip(nvals, nprbs)
+        ]
+        vals = [v for v, _ in pairs]
+        prbs = [p for _, p in pairs]
+    return merge(np.concatenate(vals), np.concatenate(prbs))
+
+
+@pytest.mark.parametrize("N", [8, 16, 18])
+def test_dp_off_lattice_matches_merged_enumeration(N):
+    m = bundled_model("diophantine_two_state")
+    support, pmf = _enum_distribution_merged(m, N)
+    got = dp_pmf(m, N)
+    assert got.support.size == support.size
+    assert np.abs(got.pmf - pmf).max() <= 1e-15
+    # the merged values are probability-weighted means, off by rounding
+    assert np.abs(got.support - support).max() <= 1e-14
 
 
 def test_dp_table_cap():
@@ -162,29 +240,29 @@ def test_dp_reused_buffers_match_fresh_buffers(name, N):
 
 
 def test_enum_matches_dp_on_lattice():
-    m = bundled_model("two_state")
-    N = 12
-    de = enum_distribution(m, N)
-    dd = dp_pmf(m, N)
-    assert de.support.size == dd.support.size
-    # merged enum values are probability-weighted means, so tiny float
-    # noise around the exact lattice points is expected
-    assert np.abs(de.support - dd.support).max() <= 1e-12
-    assert np.abs(de.pmf - dd.pmf).max() <= 1e-13
+    # "enum" is an alias of the one exact DP
+    for name in ("two_state", "three_state_lattice", "bernoulli"):
+        m = bundled_model(name)
+        for N in (1, 12, 64):
+            de = exact_distribution(m, N, "enum")
+            dd = exact_distribution(m, N, "dp")
+            assert np.array_equal(de.support, dd.support)
+            assert np.array_equal(de.pmf, dd.pmf)
 
 
 def test_enum_golden_support_size():
     m = bundled_model("diophantine_two_state")
     N = 10
-    dist = enum_distribution(m, N)
+    dist = dp_pmf(m, N)
     # path sums are a + b*phi with a + b <= N, so at most (N+1)(N+2)/2 atoms
     assert N < dist.support.size <= (N + 1) * (N + 2) // 2
     assert abs(math.fsum(dist.pmf.tolist()) - 1.0) <= 1e-12
 
 
 def test_enum_cap():
-    with pytest.raises(TooManyValues):
-        enum_distribution(bundled_model("diophantine_two_state"), 120)
+    # two reward counts in 0..N: the table is N (N + 1) + 1 > 10**7 cells wide
+    with pytest.raises(TableTooLarge):
+        exact_distribution(bundled_model("diophantine_two_state"), 3200, "enum")
 
 
 def test_exact_moments_match_dp_centered():
@@ -359,9 +437,10 @@ def test_mc_dead_worker_raises_broken_pool(monkeypatch):
 
 
 def test_enum_estimate_refuses_large_chain_without_overflow():
-    # (N + 1)**(d*d - 1) at d = 1024 overflows a float
-    with pytest.raises(TooManyValues):
-        enum_distribution(bundled_model("doubling_ulam"), 4)
+    # an Ulam chain has about 2 * cells distinct rewards, so (N + 1)**q
+    # would not fit in an int64 stride
+    with pytest.raises(TableTooLarge):
+        dp_pmf(bundled_model("doubling_ulam"), 4)
 
 
 def test_kolmogorov_distance_hand_case():
