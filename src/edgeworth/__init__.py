@@ -23,7 +23,7 @@ from .expansion import (
     build_expansion,
     expansion_for_model,
 )
-from .jets import BivariateSeries, Jet, Polynomial
+from .jets import Polynomial
 from .models import (
     BUNDLED_MODELS,
     IidMomentModel,
@@ -79,13 +79,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticParams",
     "BUNDLED_MODELS",
-    "BivariateSeries",
     "ConvergenceReport",
     "EdgeworthError",
     "ExactDistribution",
     "ExpansionSet",
     "IidMomentModel",
-    "Jet",
     "MarkovModel",
     "ModDevResult",
     "OracleInfeasible",

@@ -21,11 +21,11 @@ class OracleInfeasible(EdgeworthError):
 # --- jets ---------------------------------------------------------------
 
 class DivByZeroConstantTerm(ValidationError):
-    """Jet division by a series whose constant term vanishes."""
+    """Series division by a series whose constant term vanishes."""
 
 
 class LogOfZeroConstantTerm(ValidationError):
-    """Jet logarithm of a series whose constant term vanishes."""
+    """Series logarithm of a series whose constant term vanishes."""
 
 
 # --- spectral -----------------------------------------------------------

@@ -85,6 +85,8 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian-bump", "compact-bump", "hermite-damped"):
             raise ValidationError(f"unknown test-function kind {self.kind!r}")
+        if not (math.isfinite(self.center) and math.isfinite(self.width)):
+            raise ValidationError("center and width must be finite")
         if self.width <= 0:
             raise ValidationError("width must be positive")
 
@@ -508,6 +510,8 @@ def convergence_study(
         raise ValidationError(f"form {form!r} needs a test function")
     if form == "lattice" and getattr(model, "lattice_span", None) is None:
         raise ValidationError("the lattice form needs a lattice model")
+    if x is not None and not math.isfinite(x):
+        raise ValidationError("x must be finite")
     sigma = exp_set.params.sigma
     if x is None:
         probes_x = [m * sigma for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]

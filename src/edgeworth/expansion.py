@@ -10,7 +10,9 @@ variance ``sigma2``, the higher-cumulant remainder ``psi``, and builds:
   ``A_p`` against the Gaussian, convention ``E exp(itS)`` with inversion
   kernel ``exp(-itx)``),
 * the distribution-side polynomials ``P_p`` with
-  ``d/dx [dens(x) P_p(x)] = dens(x) R_p(x)``,
+  ``d/dx [dens(x) P_p(x)] = dens(x) R_p(x)``, read off ``A_p`` directly
+  (its ``(it)``-coefficients are the coordinates of ``R_p`` in the scaled
+  Hermite basis, where the antiderivative is an index shift),
 * the weak-local polynomials ``P_{p,l}`` via closed-form Gaussian moment
   integrals,
 * the moment coefficients ``a_{k,j}`` with
@@ -36,7 +38,7 @@ from .errors import (
     NonZeroMean,
     ValidationError,
 )
-from .jets import BivariateSeries, Jet, Polynomial, bi_exp, jet_log
+from .jets import Polynomial, bi_exp, jet_log
 from .spectral import SpectralJets
 
 _DRIFT_TOL = 1e-10
@@ -52,17 +54,17 @@ class AsymptoticParams:
 
     ``psi`` is the jet of ``log mu(t) - iAt + sigma2 t**2 / 2`` (vanishing
     through order two), ``logz`` the jet of ``log z(t)`` (vanishing
-    constant term).
+    constant term); both are complex coefficient arrays, order axis first.
     """
 
     A: float
     sigma2: float
-    psi: Jet
-    logz: Jet
+    psi: np.ndarray
+    logz: np.ndarray
 
     @property
     def order(self):
-        return self.psi.order
+        return len(self.psi) - 1
 
     @property
     def sigma(self):
@@ -89,7 +91,7 @@ def asymptotic_params(s):
         If the variance is at or below 1e-10 (coboundary-like model).
     """
     mu = s.mu
-    if mu.order < 2:
+    if len(mu) < 3:
         raise ValueError("jets of order >= 2 required")
     logmu = jet_log(mu)
 
@@ -102,22 +104,20 @@ def asymptotic_params(s):
     if sigma2 <= _VARIANCE_TOL:
         raise DegenerateVariance(f"variance {sigma2:.3e} not positive")
 
-    psi_c = logmu.coeffs.copy()
-    psi_c[1] -= 1j * A
-    if len(psi_c) > 2:
-        psi_c[2] += 0.5 * sigma2
-    resid = np.max(np.abs(psi_c[: min(3, len(psi_c))]))
+    psi = logmu
+    psi[1] -= 1j * A
+    psi[2] += 0.5 * sigma2
+    resid = np.max(np.abs(psi[:3]))
     if resid > _DRIFT_TOL:
         raise NonRealDrift(f"low-order remainder {resid:.3e} after extraction")
-    psi_c[: min(3, len(psi_c))] = 0.0
+    psi[:3] = 0.0
 
     logz = jet_log(s.z)
-    logz_c = logz.coeffs.copy()
-    if abs(logz_c[0]) > _DRIFT_TOL:
-        raise NonRealDrift(f"projected factor at zero deviates from 1 by {abs(logz_c[0]):.3e}")
-    logz_c[0] = 0.0
+    if abs(logz[0]) > _DRIFT_TOL:
+        raise NonRealDrift(f"projected factor at zero deviates from 1 by {abs(logz[0]):.3e}")
+    logz[0] = 0.0
 
-    return AsymptoticParams(A=A, sigma2=sigma2, psi=Jet(psi_c), logz=Jet(logz_c))
+    return AsymptoticParams(A=A, sigma2=sigma2, psi=psi, logz=logz)
 
 
 def _real_poly(values, tol, what):
@@ -157,22 +157,19 @@ def frequency_polys(params, r):
     if params.order < r + 2:
         raise ValueError(f"jets of order >= {r + 2} required for order-{r} polynomials")
 
-    t_max, u_max = 3 * r, r
-    s = BivariateSeries.zero(t_max, u_max)
-    psi_c = params.psi.coeffs
-    for m in range(3, min(params.order, r + 2) + 1):
-        if m <= t_max:
-            s.set_term(m, m - 2, psi_c[m])
-    logz_c = params.logz.coeffs
-    for m in range(1, min(params.logz.order, r) + 1):
-        s.set_term(m, m, logz_c[m])
+    t_max = 3 * r
+    s = np.zeros((t_max + 1, r + 1), dtype=complex)
+    m = np.arange(3, r + 3)
+    s[m, m - 2] = params.psi[m]
+    m = np.arange(1, r + 1)
+    s[m, m] = params.logz[m]
 
     e = bi_exp(s)
     polys = []
     cycle = np.array([1.0, -1j, -1.0, 1j])  # powers of -i, exact
     signs = cycle[np.arange(t_max + 1) % 4]
     for k in range(r + 1):
-        coeffs = _real_poly(e.u_slice(k) * signs, _REALNESS_TOL, f"A_{k}")
+        coeffs = _real_poly(e[:, k] * signs, _REALNESS_TOL, f"A_{k}")
         # parity guard: only degrees of the same parity as k survive
         off = coeffs[(np.arange(coeffs.size) - k) % 2 == 1]
         worst = float(np.max(np.abs(off))) if off.size else 0.0
@@ -184,25 +181,35 @@ def frequency_polys(params, r):
     return polys
 
 
-def _hermite_table(nmax):
-    """Monomial coefficients of the probabilists' Hermite polynomials."""
-    rows = [np.array([1.0]), np.array([0.0, 1.0])]
-    for m in range(1, nmax):
-        prev, cur = rows[m - 1], rows[m]
-        nxt = np.zeros(m + 2)
-        nxt[1:] = cur
-        nxt[: m] -= m * prev
-        rows.append(nxt)
-    return rows[: nmax + 1]
+def scaled_hermite(deg, sigma2):
+    """Scaled Hermite matrix ``H`` of size ``deg + 1``.
+
+    Column ``m`` holds the monomial coefficients of
+    ``sigma**(-m) He_m(x / sigma)``, the Gaussian inversion of ``(it)**m``
+    (probabilists' Hermite polynomials, ``He_{m+1} = x He_m - m He_{m-1}``).
+    ``H`` is upper triangular with entry ``[j, m]`` nonzero only for
+    ``j <= m`` of the parity of ``m``, so its scale ``sigma**(-m-j)`` is
+    an integer power of ``sigma2`` and needs no square root.
+    """
+    if sigma2 <= 0:
+        raise DegenerateVariance("variance must be positive")
+    he = np.zeros((deg + 1, deg + 1))
+    he[0, 0] = 1.0
+    for m in range(deg):
+        he[1:, m + 1] = he[:-1, m]
+        if m:
+            he[:, m + 1] -= m * he[:, m - 1]
+    j = np.arange(deg + 1)
+    return he * float(sigma2) ** -((j[:, None] + j[None, :]) // 2)
 
 
 def hermite_transform(freq_poly, sigma2):
     """Density-side polynomial ``R_k`` from the frequency polynomial ``A_k``.
 
     Each power ``(it)**m`` inverts against the Gaussian to the scaled
-    Hermite term ``sigma**(-m) He_m(x / sigma)``, so
-    ``R_k(x) = sum_m c_m sigma**(-m) He_m(x / sigma)`` where ``c_m`` are
-    the ``(it)``-coefficients of ``A_k``.
+    Hermite term ``sigma**(-m) He_m(x / sigma)``, so ``R_k = H c`` with
+    ``H`` from :func:`scaled_hermite` and ``c`` the ``(it)``-coefficients
+    of ``A_k``.
 
     Parameters
     ----------
@@ -216,69 +223,31 @@ def hermite_transform(freq_poly, sigma2):
     Polynomial
         ``R_k`` in the variable ``x``.
     """
-    if sigma2 <= 0:
-        raise DegenerateVariance("variance must be positive")
-    sigma = math.sqrt(sigma2)
-    deg = freq_poly.degree
-    he = _hermite_table(deg)
-    out = np.zeros(deg + 1)
-    for m in range(deg + 1):
-        c = freq_poly.coeff(m)
-        if c == 0.0:
-            continue
-        row = he[m]
-        for j in range(m + 1):
-            if row[j] != 0.0:
-                out[j] += c * row[j] * sigma ** (-m - j)
-    return Polynomial(out)
+    c = freq_poly.coeffs
+    return Polynomial(scaled_hermite(len(c) - 1, sigma2) @ c)
 
 
-def _to_hermite_basis(poly, sigma):
-    """Coefficients ``beta_m`` with ``poly = sum beta_m sigma**(-m) He_m(x/sigma)``."""
-    deg = poly.degree
-    he = _hermite_table(deg)
-    mono = poly.padded(deg + 1).astype(float)
-    beta = np.zeros(deg + 1)
-    for m in range(deg, -1, -1):
-        lead = he[m][m] * sigma ** (-2 * m)  # he[m][m] == 1
-        beta[m] = mono[m] / lead
-        for j in range(m + 1):
-            mono[j] -= beta[m] * he[m][j] * sigma ** (-m - j)
-    return beta
+def antiderivative_poly(freq_poly, sigma2):
+    """Distribution-side polynomial ``P_p`` from the frequency polynomial ``A_p``.
 
-
-def antiderivative_poly(dens_poly, sigma2):
-    """Distribution-side polynomial ``P_p`` from the density-side ``R_p``.
-
-    In the scaled Hermite basis, multiplying by the Gaussian and
-    antidifferentiating is the index shift
-    ``sigma**(-m) He_m -> -sigma**(1-m) He_{m-1}``; the result is the
-    unique polynomial whose Gaussian-weighted product vanishes at
-    infinity.
+    The ``(it)``-coefficients ``c_m`` of ``A_p`` are the coordinates of
+    ``R_p`` in the scaled Hermite basis.  There, multiplying by the
+    Gaussian and antidifferentiating is the index shift
+    ``sigma**(-m) He_m -> -sigma**(1-m) He_{m-1}``, so
+    ``P_p = -H[:, :deg] c[1:]``; the result is the unique polynomial whose
+    Gaussian-weighted product vanishes at infinity.
 
     Raises
     ------
     NonZeroMean
-        If ``R_p`` has a nonvanishing Gaussian mean (He_0 component), in
-        which case no such polynomial exists.
+        If ``c_0`` (the Gaussian mean of ``R_p``, its He_0 component) is
+        nonzero, in which case no such polynomial exists.
     """
-    if sigma2 <= 0:
-        raise DegenerateVariance("variance must be positive")
-    sigma = math.sqrt(sigma2)
-    beta = _to_hermite_basis(dens_poly, sigma)
-    if abs(beta[0]) > 1e-10:
-        raise NonZeroMean(f"Gaussian mean {beta[0]:.3e} prevents antidifferentiation")
-    deg = dens_poly.degree
-    he = _hermite_table(max(deg - 1, 0))
-    out = np.zeros(max(deg, 1))
-    for m in range(1, deg + 1):
-        if beta[m] == 0.0:
-            continue
-        row = he[m - 1]
-        for j in range(m):
-            if row[j] != 0.0:
-                out[j] -= beta[m] * row[j] * sigma ** (1 - m - j)
-    return Polynomial(out)
+    c = freq_poly.coeffs
+    if abs(c[0]) > 1e-10:
+        raise NonZeroMean(f"Gaussian mean {c[0]:.3e} prevents antidifferentiation")
+    deg = len(c) - 1
+    return Polynomial(scaled_hermite(deg, sigma2)[:, :deg] @ -c[1:])
 
 
 def _gaussian_moment(n, sigma):
@@ -359,21 +328,16 @@ def moment_coefficients(s, kmax):
     DegreeOverflow
         If a coefficient with ``j > floor(k/2)`` exceeds 1e-10.
     """
-    if s.mu.order < kmax:
+    if len(s.mu) - 1 < kmax:
         raise ValueError(f"jets of order >= {kmax} required")
     params = asymptotic_params(s)
 
-    t_max, u_max = kmax, kmax // 2
-    g = BivariateSeries.zero(t_max, u_max)
+    u_max = kmax // 2
+    g = np.zeros((kmax + 1, u_max + 1), dtype=complex)
     if u_max >= 1:
-        if t_max >= 2:
-            g.set_term(2, 1, -0.5 * params.sigma2)
-        psi_c = params.psi.coeffs
-        for m in range(3, min(params.order, t_max) + 1):
-            g.set_term(m, 1, psi_c[m])
-    logz_c = params.logz.coeffs
-    for m in range(1, min(params.logz.order, t_max) + 1):
-        g.set_term(m, 0, logz_c[m])
+        g[2, 1] = -0.5 * params.sigma2
+        g[3:, 1] = params.psi[3 : kmax + 1]
+    g[1:, 0] = params.logz[1 : kmax + 1]
 
     e = bi_exp(g)
     coeffs = {}
@@ -381,7 +345,7 @@ def moment_coefficients(s, kmax):
         fact = math.factorial(k)
         scale = fact * (-1j) ** k if k % 2 else fact * (-1.0) ** (k // 2)
         for j in range(u_max + 1):
-            val = scale * e.coeffs[k, j]
+            val = scale * e[k, j]
             if j <= k // 2:
                 if abs(val.imag) > _MOMENT_REALNESS_TOL:
                     raise ImaginaryResidue(
@@ -451,9 +415,9 @@ def build_expansion(s, r):
     params = asymptotic_params(s)
     freq = frequency_polys(params, r)
     edge_r = [hermite_transform(a_k, params.sigma2) for a_k in freq]
-    edge_p = [antiderivative_poly(edge_r[p], params.sigma2) for p in range(1, r + 1)]
+    edge_p = [antiderivative_poly(freq[p], params.sigma2) for p in range(1, r + 1)]
     wl = weak_local_polys(freq, params.sigma2, r)
-    moments = moment_coefficients(s, min(s.mu.order, r + 2))
+    moments = moment_coefficients(s, min(len(s.mu) - 1, r + 2))
     return ExpansionSet(
         r=r,
         params=params,

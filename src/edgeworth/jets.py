@@ -1,20 +1,31 @@
-"""Truncated formal power series arithmetic.
+"""Truncated power series as plain arrays, and real polynomials.
 
-Three value types cover every Taylor-expansion need of the package:
+A truncated series is a complex ndarray with the order axis first:
+``c[m]`` is the coefficient of ``t**m`` and the order is ``len(c) - 1``.
+Any trailing axes hold independent series, so a ``(s+1, d)`` array is
+``d`` jets, and the arithmetic below broadcasts over those axes the way
+``*`` does.  A series in two variables ``(t, u)`` is an array with the
+``t`` axis first and the ``u`` axis second; ``c[m, k]`` is the
+coefficient of ``t**m u**k``.  Every jet in the package (the eigenvalue
+``mu``, the projected factor ``z``, the remainders ``psi`` and
+``log z``, the per-entry jets of the moment recursion) uses this one
+layout.
 
-* :class:`Jet`: univariate truncated series with complex coefficients,
-  the carrier for eigenvalue and eigenvector data near ``t = 0``.
-* :class:`BivariateSeries`: series truncated in two variables ``(t, u)``,
-  used to organise expansions graded by powers of ``u = n**-0.5``.
-* :class:`Polynomial`: plain real-coefficient polynomial, the output
-  format for correction polynomials.
+:class:`Polynomial` is the real-coefficient output format for the
+correction polynomials.
 
 All operations are pure and deterministic.  ``jet_mul`` sums its
 convolution terms in an order symmetric under swapping the operands, so
-multiplication commutes exactly in floating point.
+multiplication commutes exactly in floating point.  The univariate
+operations form each product of two coefficients from real products
+(:func:`_cmul`), so a batch of series rounds exactly like the same series
+one at a time.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -23,106 +34,30 @@ from .errors import DivByZeroConstantTerm, LogOfZeroConstantTerm
 _TRIM_TOL = 1e-14
 
 
-class Jet:
-    """Univariate truncated power series ``c0 + c1*t + ... + cs*t**s``.
+def _cmul(x, y):
+    """Complex product from separately rounded real products.
 
-    Parameters
-    ----------
-    coeffs : array_like
-        Complex coefficients ``c0..cs``; the order is ``len(coeffs) - 1``.
+    numpy's vectorized complex multiply may fuse multiply-adds, so the
+    same product can round differently in an array loop than for a
+    scalar; building it from the real parts gives the scalar rounding.
     """
-
-    __slots__ = ("coeffs",)
-
-    # keep numpy scalars from hijacking the reflected operators
-    __array_ufunc__ = None
-
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=complex).copy()
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ValueError("jet needs a non-empty 1-d coefficient array")
-
-    @classmethod
-    def zero(cls, order):
-        return cls(np.zeros(order + 1, dtype=complex))
-
-    @classmethod
-    def constant(cls, value, order):
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
-        return cls(c)
-
-    @property
-    def order(self):
-        return self.coeffs.size - 1
-
-    def __getitem__(self, m):
-        return self.coeffs[m]
-
-    def __len__(self):
-        return self.coeffs.size
-
-    def copy(self):
-        return Jet(self.coeffs)
-
-    def truncate(self, order):
-        """Return a copy truncated (or zero-padded) to the given order."""
-        c = np.zeros(order + 1, dtype=complex)
-        n = min(order, self.order) + 1
-        c[:n] = self.coeffs[:n]
-        return Jet(c)
-
-    def eval(self, t):
-        """Evaluate the truncated series at a concrete point by Horner."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc
-
-    def __add__(self, other):
-        return jet_add(self, _as_jet(other, self.order))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_jet(other, self.order)
-        return Jet(self.coeffs[: min(len(self), len(o))] - o.coeffs[: min(len(self), len(o))])
-
-    def __rsub__(self, other):
-        return _as_jet(other, self.order) - self
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        return Jet(self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return jet_div(self, other)
-        return Jet(self.coeffs / other)
-
-    def __neg__(self):
-        return Jet(-self.coeffs)
-
-    def __repr__(self):
-        return f"Jet({self.coeffs!r})"
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
-def _as_jet(x, order):
-    if isinstance(x, Jet):
-        return x
-    return Jet.constant(x, order)
+def _output(s, *series):
+    shape = np.broadcast_shapes(*(x.shape[1:] for x in series))
+    return np.zeros((s + 1,) + shape, dtype=complex)
 
 
-def _common_order(a, b):
-    return min(a.order, b.order)
-
-
-def jet_add(a, b):
-    s = _common_order(a, b)
-    return Jet(a.coeffs[: s + 1] + b.coeffs[: s + 1])
+@functools.lru_cache(maxsize=None)
+def _pairs(s):
+    """Index pairs ``(j, k = m - j)``, ``j <= k``, of every order ``m <= s``."""
+    m = np.repeat(np.arange(s + 1), np.arange(s + 1) // 2 + 1)
+    j = np.concatenate([np.arange(n // 2 + 1) for n in range(s + 1)])
+    return m, j, m - j
 
 
 def jet_mul(a, b):
@@ -132,159 +67,101 @@ def jet_mul(a, b):
     inward before accumulation, which makes the summation order invariant
     under swapping ``a`` and ``b``, so multiplication commutes exactly.
     """
-    s = _common_order(a, b)
-    ca, cb = a.coeffs, b.coeffs
-    out = np.zeros(s + 1, dtype=complex)
-    for m in range(s + 1):
-        acc = 0.0 + 0.0j
-        for j in range(m // 2 + 1):
-            k = m - j
-            if j == k:
-                acc += ca[j] * cb[j]
-            else:
-                acc += ca[j] * cb[k] + ca[k] * cb[j]
-        out[m] = acc
-    return Jet(out)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    s = min(len(a), len(b)) - 1
+    out = _output(s, a, b)
+    # align the trailing axes, so that a leading pair axis broadcasts
+    a = a.reshape(a.shape[:1] + (1,) * (out.ndim - a.ndim) + a.shape[1:])
+    b = b.reshape(b.shape[:1] + (1,) * (out.ndim - b.ndim) + b.shape[1:])
+    m, j, k = _pairs(s)
+    pair = _cmul(a[j], b[k])
+    two = j != k
+    pair[two] += _cmul(a[k[two]], b[j[two]])
+    # table[m, j] holds pair (j, m - j); sum each order's pairs outside in
+    table = np.zeros((s + 1, s // 2 + 1) + out.shape[1:], dtype=complex)
+    table[m, j] = pair
+    for i in range(s // 2 + 1):
+        out += table[:, i]
+    return out
 
 
 def jet_div(a, b):
     """Recursive division ``a / b`` truncated at the smaller order."""
-    s = _common_order(a, b)
-    if abs(b.coeffs[0]) <= 1e-300:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    s = min(len(a), len(b)) - 1
+    if np.any(np.abs(b[0]) <= 1e-300):
         raise DivByZeroConstantTerm("division by jet with zero constant term")
-    ca, cb = a.coeffs, b.coeffs
-    out = np.zeros(s + 1, dtype=complex)
+    out = _output(s, a, b)
     for m in range(s + 1):
-        acc = ca[m]
+        acc = a[m]
         for j in range(m):
-            acc -= out[j] * cb[m - j]
-        out[m] = acc / cb[0]
-    return Jet(out)
+            acc = acc - _cmul(out[j], b[m - j])
+        out[m] = acc / b[0]
+    return out
 
 
 def jet_exp(a):
     """Series exponential via the recurrence ``(exp a)' = a' * exp a``."""
-    s = a.order
-    ca = a.coeffs
-    out = np.zeros(s + 1, dtype=complex)
-    out[0] = np.exp(ca[0])
-    for m in range(1, s + 1):
-        acc = 0.0 + 0.0j
+    a = np.asarray(a, dtype=complex)
+    out = np.zeros_like(a)
+    out[0] = np.exp(a[0])
+    for m in range(1, len(a)):
         for j in range(1, m + 1):
-            acc += j * ca[j] * out[m - j]
-        out[m] = acc / m
-    return Jet(out)
+            out[m] += _cmul(j * a[j], out[m - j])
+        out[m] /= m
+    return out
 
 
 def jet_log(a):
     """Series logarithm, principal branch anchored at ``log(c0)``."""
-    s = a.order
-    ca = a.coeffs
-    if abs(ca[0]) <= 1e-300:
+    a = np.asarray(a, dtype=complex)
+    if np.any(np.abs(a[0]) <= 1e-300):
         raise LogOfZeroConstantTerm("logarithm of jet with zero constant term")
-    out = np.zeros(s + 1, dtype=complex)
-    out[0] = np.log(ca[0])
-    for m in range(1, s + 1):
-        acc = m * ca[m]
+    out = np.zeros_like(a)
+    out[0] = np.log(a[0])
+    for m in range(1, len(a)):
+        acc = m * a[m]
         for j in range(1, m):
-            acc -= j * out[j] * ca[m - j]
-        out[m] = acc / (m * ca[0])
-    return Jet(out)
-
-
-class BivariateSeries:
-    """Series in ``(t, u)`` truncated at ``t_max`` and ``u_max``.
-
-    Coefficients are held in a dense complex array ``coeffs[m, k]`` for the
-    ``t**m u**k`` term.  Products drop any term beyond either truncation
-    bound.
-    """
-
-    __slots__ = ("coeffs", "t_max", "u_max")
-
-    def __init__(self, t_max, u_max, coeffs=None):
-        self.t_max = int(t_max)
-        self.u_max = int(u_max)
-        if coeffs is None:
-            self.coeffs = np.zeros((self.t_max + 1, self.u_max + 1), dtype=complex)
-        else:
-            self.coeffs = np.asarray(coeffs, dtype=complex).copy()
-            if self.coeffs.shape != (self.t_max + 1, self.u_max + 1):
-                raise ValueError("coefficient array shape does not match truncation")
-
-    @classmethod
-    def zero(cls, t_max, u_max):
-        return cls(t_max, u_max)
-
-    @classmethod
-    def constant(cls, value, t_max, u_max):
-        s = cls(t_max, u_max)
-        s.coeffs[0, 0] = value
-        return s
-
-    def set_term(self, m, k, value):
-        self.coeffs[m, k] = value
-
-    def u_slice(self, k):
-        """Coefficients of ``u**k`` as a complex polynomial in ``t``."""
-        return self.coeffs[:, k].copy()
-
-    def copy(self):
-        return BivariateSeries(self.t_max, self.u_max, self.coeffs)
-
-    def __repr__(self):
-        return f"BivariateSeries(t_max={self.t_max}, u_max={self.u_max})"
-
-
-def bi_add(a, b):
-    if (a.t_max, a.u_max) != (b.t_max, b.u_max):
-        raise ValueError("bivariate truncation bounds differ")
-    return BivariateSeries(a.t_max, a.u_max, a.coeffs + b.coeffs)
+            acc = acc - _cmul(j * out[j], a[m - j])
+        out[m] = acc / (m * a[0])
+    return out
 
 
 def bi_mul(a, b):
-    """Truncated 2-d convolution."""
-    if (a.t_max, a.u_max) != (b.t_max, b.u_max):
-        raise ValueError("bivariate truncation bounds differ")
-    full = np.zeros((a.t_max + 1, a.u_max + 1), dtype=complex)
-    ca, cb = a.coeffs, b.coeffs
-    for m in range(a.t_max + 1):
-        for k in range(a.u_max + 1):
-            if ca[m, k] == 0:
+    """Truncated product of two ``(t, u)`` series of the same shape."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    t_max, u_max = a.shape[0] - 1, a.shape[1] - 1
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for m in range(t_max + 1):
+        for k in range(u_max + 1):
+            if not np.any(a[m, k]):
                 continue
-            full[m:, k:] += ca[m, k] * cb[: a.t_max + 1 - m, : a.u_max + 1 - k]
-    return BivariateSeries(a.t_max, a.u_max, full)
+            out[m:, k:] += a[m, k] * b[: t_max + 1 - m, : u_max + 1 - k]
+    return out
 
 
 def bi_exp(s):
-    """Truncated exponential of a bivariate series.
+    """Truncated exponential of a ``(t, u)`` series.
 
     The ``u**0`` slice is exponentiated as a univariate jet (so the
     invariant ``u0-slice of exp(s) == exp(u0-slice of s)`` holds exactly);
     the remainder has ``u``-order at least one, so its power sum terminates
     after ``u_max`` products.
     """
-    base = Jet(s.u_slice(0))
+    s = np.asarray(s, dtype=complex)
     rest = s.copy()
-    rest.coeffs[:, 0] = 0.0
+    rest[:, 0] = 0.0
 
-    out = BivariateSeries.constant(1.0, s.t_max, s.u_max)
-    term = BivariateSeries.constant(1.0, s.t_max, s.u_max)
-    for m in range(1, s.u_max + 1):
+    out = np.zeros_like(s)
+    out[0, 0] = 1.0
+    term = out.copy()
+    for m in range(1, s.shape[1]):
         term = bi_mul(term, rest)
-        out = bi_add(out, BivariateSeries(s.t_max, s.u_max, term.coeffs / _factorial(m)))
+        out = out + term / math.factorial(m)
 
-    base_exp = jet_exp(base)
-    scale = BivariateSeries(s.t_max, s.u_max)
-    scale.coeffs[:, 0] = base_exp.coeffs
+    scale = np.zeros_like(s)
+    scale[:, 0] = jet_exp(s[:, 0])
     return bi_mul(scale, out)
-
-
-def _factorial(m):
-    out = 1.0
-    for j in range(2, m + 1):
-        out *= j
-    return out
 
 
 class Polynomial:

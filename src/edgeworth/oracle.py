@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .errors import OracleUnavailable, TableTooLarge, ValidationError
-from .jets import Jet, jet_exp, jet_mul
+from .jets import jet_exp, jet_mul
 
 _DP_CELL_CAP = 10 ** 7
 
@@ -221,7 +221,9 @@ def exact_moments(model, N, kmax):
     The per-step observable is shifted by the drift A before building
     entry jets, so the propagation never sees large uncentered values;
     the result is read off the order-kmax jet of the characteristic
-    function.  No eigenvalue decomposition is involved.
+    function.  The entry jets form one ``(kmax+1, d, d)`` array and the
+    row ``mu0^T L_t^n`` one ``(kmax+1, d)`` array, stepped N times with
+    the broadcast ``jet_mul``.  No eigenvalue decomposition is involved.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
@@ -229,35 +231,35 @@ def exact_moments(model, N, kmax):
     if hasattr(model, "transition"):
         P = model.transition
         hc = model.observable - A
-        d = P.shape[0]
-        jets = np.zeros((d, d, kmax + 1), dtype=complex)
-        term = np.ones((d, d), dtype=complex)
-        jets[:, :, 0] = P
+        jets = np.zeros((kmax + 1,) + P.shape, dtype=complex)
+        term = np.ones(P.shape, dtype=complex)
+        jets[0] = P
         for m in range(1, kmax + 1):
             term = term * (1j * hc) / m
-            jets[:, :, m] = P * term
+            jets[m] = P * term
         mu0 = model.mu0
     else:
         fam = model.operator_family(kmax)
-        shift = Jet.zero(kmax)
+        shift = np.zeros(kmax + 1, dtype=complex)
         if kmax >= 1:
-            shift.coeffs[1] = -1j * A
-        raw = Jet(1j ** np.arange(kmax + 1) * fam.coeffs[:, 0, 0])
-        centered = jet_mul(raw, jet_exp(shift))
-        jets = centered.coeffs.reshape(1, 1, kmax + 1)
+            shift[1] = -1j * A
+        raw = 1j ** np.arange(kmax + 1) * fam.coeffs[:, 0, 0]
+        jets = jet_mul(raw, jet_exp(shift)).reshape(kmax + 1, 1, 1)
         mu0 = np.array([1.0])
-        d = 1
 
-    row = [Jet.constant(mu0[j], kmax) for j in range(d)]
+    d = len(mu0)
+    row = np.zeros((kmax + 1, d), dtype=complex)
+    row[0] = mu0
     for _ in range(N):
-        row = [
-            sum(
-                (jet_mul(row[j], Jet(jets[j, k, :])) for j in range(d)),
-                Jet.zero(kmax),
-            )
-            for k in range(d)
-        ]
-    chi = sum(row, Jet.zero(kmax))
+        # terms[:, j, k] is row_j times the (j, k) entry jet; states are
+        # summed one at a time, in index order
+        terms = jet_mul(row[:, :, None], jets)
+        row = np.zeros_like(row)
+        for j in range(d):
+            row += terms[:, j]
+    chi = np.zeros(kmax + 1, dtype=complex)
+    for k in range(d):
+        chi += row[:, k]
     out = []
     fact = 1.0
     for k in range(kmax + 1):

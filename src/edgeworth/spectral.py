@@ -21,7 +21,7 @@ from .errors import (
     NonStochasticModel,
     SingularStationarySolve,
 )
-from .jets import Jet, jet_div, jet_mul
+from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
 
@@ -66,8 +66,9 @@ class SpectralJets:
     """Leading-eigenvalue jet ``mu``, projected factor ``z`` and the
     eigenvector jets that produced them.
 
-    ``right_jet`` and ``left_jet`` are complex ``(s+1, d)`` arrays whose
-    row ``m`` is the ``t**m`` coefficient of the eigenvector.
+    ``mu`` and ``z`` are complex ``(s+1,)`` arrays and ``right_jet`` and
+    ``left_jet`` complex ``(s+1, d)`` arrays; row ``m`` of each is the
+    ``t**m`` coefficient.
     """
 
     __slots__ = ("mu", "z", "right_jet", "left_jet", "base")
@@ -268,17 +269,19 @@ def eigen_perturbation(fam, base):
         c[m] = rhs_c @ left_solve
 
     # normalize l_t(v_t) = 1: the pairing is sum_j c_j . a_{m-j}
-    pairing = Jet([sum(c[j] @ a[m - j] for j in range(m + 1)) for m in range(s + 1)])
-    inv = jet_div(Jet.constant(1.0, s), pairing).coeffs.real
+    pairing = np.array([sum(c[j] @ a[m - j] for j in range(m + 1)) for m in range(s + 1)])
+    one = np.zeros(s + 1)
+    one[0] = 1.0
+    inv = jet_div(one, pairing).real
     left = np.array([sum(inv[j] * c[m - j] for j in range(m + 1)) for m in range(s + 1)])
 
     # z(t) = (l_t . ones) * (mu0 . v_t)
-    z = jet_mul(Jet(left.sum(axis=1)), Jet(a @ fam.mu0)).coeffs.real
+    z = jet_mul(left.sum(axis=1), a @ fam.mu0).real
 
     ipow = 1j ** np.arange(s + 1)
     return SpectralJets(
-        Jet(ipow * b),
-        Jet(ipow * z),
+        ipow * b,
+        ipow * z,
         ipow[:, None] * a,
         ipow[:, None] * left,
         base,

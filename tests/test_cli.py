@@ -79,6 +79,18 @@ def test_expand_symmetric_iid_vanishing_correction(tmp_path, capsys):
     assert all(c == 0.0 for c in report["cdf_polys"][0])
 
 
+def test_expand_order_eight_on_nonlattice_chain(tmp_path, capsys):
+    # every A_p with p >= 1 has a zero constant term, so P_p exists at the
+    # largest order the command accepts
+    cfg = write_config(
+        tmp_path, {"model": {"bundled": "diophantine_two_state"}, "run": {"order": 8}}
+    )
+    code, out, err = run_cli(capsys, "expand", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0 and err == ""
+    report = json.loads(open(out.strip()).read())
+    assert len(report["cdf_polys"]) == 8
+
+
 def test_expand_byte_identical_reruns(tmp_path, capsys):
     cfg = write_config(tmp_path, TWO_STATE)
     out_a = tmp_path / "a"

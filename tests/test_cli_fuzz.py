@@ -124,13 +124,15 @@ def _run(command, doc):
     return code, stderr.getvalue(), [str(w.message) for w in caught]
 
 
-def _check(command, doc):
+def _check(command, doc, error=None):
     code, err, caught = _run(command, doc)
     assert code in (0, 2, 3, 4), (code, err)
     if code:
         assert not caught, caught
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
+    if error is not None:
+        assert code == 2 and payload["error"] == error, (code, err)
 
 
 _SETTINGS = settings(
@@ -178,7 +180,6 @@ def test_fuzz_known_cases():
         ("verify", {"model": two_state,
                     "run": {"N_list": [8, 16], "oracle": "mc", "seed": -1, "trials": 100}}),
         ("verify", {"model": two_state, "run": {"N_list": [8, 16], "seed": math.inf}}),
-        ("verify", {"model": two_state, "run": {"N_list": [8, 16], "x": math.nan, "form": "averaged"}}),
         ("moddev", {"model": two_state, "run": {"N_list": [8, 16], "c": 1e300}}),
         ("moddev", {"model": two_state, "run": {"N_list": [8], "c": math.inf}}),
         ("diagnose", {"model": two_state, "run": {"N": math.inf}}),
@@ -188,3 +189,18 @@ def test_fuzz_known_cases():
     ]
     for command, doc in cases:
         _check(command, doc)
+    # a NaN probe is refused by name, before any quadrature runs
+    run = {"N_list": [8, 16], "x": math.nan, "form": "averaged"}
+    _check("verify", {"model": two_state, "run": run}, error="ValidationError")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x", "function.center", "function.width"])
+def test_nonfinite_probe_inputs_are_refused_by_name(field, value):
+    # refused before any quadrature runs, not after exhausting its budget
+    run = {"N_list": [8, 16], "form": "averaged"}
+    if field == "x":
+        run["x"] = value
+    else:
+        run["function"] = {"kind": "gaussian-bump", field.split(".")[1]: value}
+    _check("verify", {"model": {"bundled": "two_state"}, "run": run}, error="ValidationError")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -88,15 +89,51 @@ def test_frequency_parity_and_degree():
 
 
 def test_density_cdf_identity_all_models():
+    # iid_moments stores eight moments, enough for order 6
     for name in ("two_state", "three_state_lattice", "diophantine_two_state",
                  "bernoulli", "iid_moments", "doubling_ulam"):
-        exp_set = expansion_for_model(bundled_model(name), 3)
+        r = 6 if name == "iid_moments" else 8
+        exp_set = expansion_for_model(bundled_model(name), r)
         s2 = exp_set.params.sigma2
         xs = Polynomial([0.0, 1.0 / s2])
-        for p in range(1, 4):
+        for p in range(1, r + 1):
             lhs = exp_set.R(p)
             rhs = exp_set.P(p).derivative() - xs * exp_set.P(p)
-            assert lhs.max_coeff_diff(rhs) <= 1e-12, (name, p)
+            scale = np.abs(lhs.coeffs).max()
+            assert lhs.max_coeff_diff(rhs) <= 1e-12 * scale, (name, p)
+
+
+def _reference_cdf_poly(freq_coeffs, sigma2):
+    """``P_p`` from the coefficients of ``A_p`` in 50-digit arithmetic.
+
+    ``P_p = -sum_m c_m sigma**(1-m) He_{m-1}(x / sigma)``, with the Hermite
+    coefficients as exact integers.
+    """
+    he = [[1], [0, 1]]
+    for m in range(1, len(freq_coeffs)):
+        nxt = [0] + he[m]
+        for j, v in enumerate(he[m - 1]):
+            nxt[j] -= m * v
+        he.append(nxt)
+    with mpmath.workdps(50):
+        sigma = mpmath.sqrt(mpmath.mpf(sigma2))
+        out = [mpmath.mpf(0)] * len(freq_coeffs)
+        for m in range(1, len(freq_coeffs)):
+            for j, h in enumerate(he[m - 1]):
+                out[j] -= mpmath.mpf(freq_coeffs[m]) * h * sigma ** (1 - m - j)
+        return np.array([float(v) for v in out])
+
+
+def test_cdf_polys_match_high_precision_hermite_map():
+    for name in ("two_state", "three_state_lattice", "diophantine_two_state",
+                 "bernoulli", "iid_moments", "doubling_ulam"):
+        r = 6 if name == "iid_moments" else 8
+        exp_set = expansion_for_model(bundled_model(name), r)
+        for p in range(1, r + 1):
+            want = _reference_cdf_poly(exp_set.A(p).coeffs, exp_set.params.sigma2)
+            got = exp_set.P(p).padded(want.size)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale, (name, p)
 
 
 def test_r0_is_one_and_order0_expansion():

@@ -266,7 +266,9 @@ def test_enum_cap():
 
 
 def test_exact_moments_match_dp_centered():
-    for name in ("two_state", "three_state_lattice"):
+    # diophantine_two_state has a non-lattice reward; the count DP still
+    # gives its exact pmf
+    for name in ("two_state", "three_state_lattice", "diophantine_two_state"):
         m = bundled_model(name)
         N = 30
         A = drift(m)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgeworth.errors import GapBelowTolerance, NonStochasticModel
-from edgeworth.jets import Jet, jet_div, jet_mul
+from edgeworth.jets import jet_div, jet_mul
 from edgeworth.models import bundled_model, markov_model, ulam_model
 from edgeworth.spectral import (
     _bordered_inverse,
@@ -129,17 +129,9 @@ def _reference_perturbation(coeffs, mu0, base):
             rhs -= coeffs[:, :, j].T @ w[m - j]
         sol = BinvT @ np.concatenate([rhs, [0.0]])
         w[m] = sol[:d]
-    right = [Jet(v[:, j]) for j in range(d)]
-    pairing = Jet.zero(s)
-    for j in range(d):
-        pairing = pairing + jet_mul(Jet(w[:, j]), right[j])
-    left = [jet_div(Jet(w[:, j]), pairing) for j in range(d)]
-    ones_part = Jet.zero(s)
-    mu0_part = Jet.zero(s)
-    for j in range(d):
-        ones_part = ones_part + left[j]
-        mu0_part = mu0_part + mu0[j] * right[j]
-    return mu, jet_mul(ones_part, mu0_part).coeffs
+    pairing = jet_mul(w, v).sum(axis=1)
+    left = jet_div(w, pairing[:, None])
+    return mu, jet_mul(left.sum(axis=1), v @ mu0)
 
 
 def _random_chain(d, seed):
@@ -214,12 +206,12 @@ def test_real_perturbation_matches_complex_reference(case):
     base = perron_base(fam.coeffs[0])
     jets = eigen_perturbation(fam, base)
     mu_ref, z_ref = _reference_perturbation(_reference_family(model, order), fam.mu0, base)
-    assert np.abs(jets.mu.coeffs - mu_ref).max() <= 1e-13
-    assert np.abs(jets.z.coeffs - z_ref).max() <= 1e-13
+    assert np.abs(jets.mu - mu_ref).max() <= 1e-13
+    assert np.abs(jets.z - z_ref).max() <= 1e-13
     # every jet is i**m times a real one, exactly
     unit = 1j ** -np.arange(order + 1)
-    assert np.all((jets.mu.coeffs * unit).imag == 0.0)
-    assert np.all((jets.z.coeffs * unit).imag == 0.0)
+    assert np.all((jets.mu * unit).imag == 0.0)
+    assert np.all((jets.z * unit).imag == 0.0)
     assert np.all((jets.right_jet * unit[:, None]).imag == 0.0)
     assert np.all((jets.left_jet * unit[:, None]).imag == 0.0)
     assert jets.right_jet.shape == jets.left_jet.shape == (order + 1, fam.dim)
@@ -315,7 +307,7 @@ def test_eigen_jets_match_finite_differences():
 def test_eigen_jets_solve_the_perturbation_equations():
     # residual of L_t v_t = mu_t v_t order by order
     fam, base, jets = _two_state_jets(order=8)
-    s = jets.mu.order
+    s = len(jets.mu) - 1
     d = fam.dim
     for m in range(1, s + 1):
         res = np.zeros(d, dtype=complex)
@@ -328,12 +320,9 @@ def test_eigen_jets_solve_the_perturbation_equations():
 
 def test_left_right_normalization():
     fam, base, jets = _two_state_jets(order=8)
-    pairing = None
-    for k in range(fam.dim):
-        term = jet_mul(Jet(jets.left_jet[:, k]), Jet(jets.right_jet[:, k]))
-        pairing = term if pairing is None else pairing + term
+    pairing = jet_mul(jets.left_jet, jets.right_jet).sum(axis=1)
     assert abs(pairing[0] - 1.0) <= 1e-12
-    assert np.abs(pairing.coeffs[1:]).max() <= 1e-11
+    assert np.abs(pairing[1:]).max() <= 1e-11
 
 
 def test_char_fn_matches_mu_z_asymptotics():
@@ -343,8 +332,8 @@ def test_char_fn_matches_mu_z_asymptotics():
     N = 64
     for t in (5e-3, -1e-2):
         direct = char_fn(m, t, N)
-        mu_t = jets.mu.eval(t)
-        z_t = jets.z.eval(t)
+        mu_t = np.polyval(jets.mu[::-1], t)
+        z_t = np.polyval(jets.z[::-1], t)
         assert abs(direct - z_t * mu_t**N) <= 1e-10
 
 
