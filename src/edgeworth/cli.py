@@ -256,6 +256,7 @@ def _poly_list(poly):
 
 
 def cmd_expand(model, model_doc, run, args):
+    """Write the correction polynomials and moment coefficients as JSON."""
     r = _order_from(run, args)
     exp_set = expansion_for_model(model, r)
     kmax = max(k for k, _ in exp_set.moment_coeffs) if exp_set.moment_coeffs else 0
@@ -281,6 +282,7 @@ def cmd_expand(model, model_doc, run, args):
 
 
 def cmd_verify(model, model_doc, run, args):
+    """Check the expansion against an oracle over N_list; CSV of errors."""
     r = _order_from(run, args)
     n_list = _n_list_from(run)
     kind, seed, trials = _oracle_from(run, args)
@@ -303,6 +305,7 @@ def cmd_verify(model, model_doc, run, args):
 
 
 def cmd_diagnose(model, model_doc, run, args):
+    """Scan spectral gap, norm decay and resonance distance; CSV and JSON."""
     if not hasattr(model, "transition"):
         raise ValidationError("diagnose needs a finite-state chain or map model")
     t_grid = _t_grid_from(run)
@@ -359,6 +362,7 @@ def cmd_diagnose(model, model_doc, run, args):
 
 
 def cmd_moments(model, model_doc, run, args):
+    """Write the moment coefficients a_{k,j} as CSV."""
     r = _order_from(run, args)
     exp_set = expansion_for_model(model, r)
     rows = [
@@ -372,6 +376,7 @@ def cmd_moments(model, model_doc, run, args):
 
 
 def cmd_lclt(model, model_doc, run, args):
+    """Compare the local limit expansion with exact lattice atoms; CSV."""
     r = _order_from(run, args)
     n_list = _n_list_from(run)
     span = model.lattice_span
@@ -391,6 +396,7 @@ def cmd_lclt(model, model_doc, run, args):
 
 
 def cmd_moddev(model, model_doc, run, args):
+    """Compare moderate-deviation tails with the exact tail; CSV."""
     r = _order_from(run, args)
     n_list = _n_list_from(run)
     with _reading("run.c"):

@@ -16,10 +16,10 @@ correction polynomials.
 
 All operations are pure and deterministic.  ``jet_mul`` sums its
 convolution terms in an order symmetric under swapping the operands, so
-multiplication commutes exactly in floating point.  The univariate
-operations form each product of two coefficients from real products
+multiplication commutes exactly in floating point.  Every
+operation forms each product of two coefficients from real products
 (:func:`_cmul`), so a batch of series rounds exactly like the same series
-one at a time.
+one at a time, whatever SIMD path numpy dispatches.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def bi_mul(a, b):
         for k in range(u_max + 1):
             if not np.any(a[m, k]):
                 continue
-            out[m:, k:] += a[m, k] * b[: t_max + 1 - m, : u_max + 1 - k]
+            out[m:, k:] += _cmul(a[m, k], b[: t_max + 1 - m, : u_max + 1 - k])
     return out
 
 

@@ -115,9 +115,17 @@ def dp_pmf(model, N):
     each distinct nonzero reward value u_1 < ... < u_q on a transition
     of positive probability gets its own count n_i in 0..N, flattened as
     sum_i n_i (N+1)**i, and the sum is sum_i n_i u_i (the rank-q lattice
-    of Bhattacharya & Rao, 1976).  Additions are compensated so the mass
-    balance survives long horizons.  Atoms whose values are equal as
-    floats are pooled; there is no merge tolerance.
+    of Bhattacharya & Rao, 1976).  Additions are compensated (Kahan) so
+    the mass balance survives long horizons.  Atoms whose values are
+    equal as floats are pooled; there is no merge tolerance.
+
+    Each step runs target-major: every target state takes its sources
+    in index order, so each cell gets the same compensated adds in the
+    same order as a source-major sweep and the pmf is bit-identical to
+    it, while the first and last add of a target skip the compensation
+    passes whose results are never read.  At long horizons most of the
+    remaining time goes to subnormal atoms in the far tails, which are
+    kept.
 
     Raises
     ------
@@ -159,32 +167,52 @@ def dp_pmf(model, N):
 
     # index i holds the sum coordinate i + lo_total.  Every buffer is
     # allocated once.  The active windows only grow, so a buffer is clean
-    # outside the window it is about to receive; each step clears just
-    # that window.  A step's compensation terms are not read by the next,
-    # so one buffer serves.
+    # outside the window it is about to receive.  Each target state k
+    # takes its sources j (P[j, k] != 0) in index order, so every cell
+    # gets its compensated adds in the same order as a sweep over j then
+    # k.  Into a cell with acc = comp = 0 the first add is exact: acc =
+    # term, comp = 0.  The last add's compensation is never read, since
+    # comp restarts at the next target.  So only the middle sources need
+    # the full Kahan step, and comp and its scratch row exist only if
+    # some k has three or more sources.
+    sources = [[(j, P[j, k], int(off[j, k])) for j in range(d) if P[j, k] != 0.0]
+               for k in range(d)]
     mass = np.zeros((d, width))
     new = np.zeros((d, width))
-    comp = np.zeros((d, width))
+    comp = scratch_buf = None
+    if max(map(len, sources)) > 2:
+        comp, scratch_buf = np.empty(width), np.empty(width)
     term_buf = np.empty(width)
-    scratch_buf = np.empty(width)
     start = -lo_total
     mass[:, start] = model.mu0
     cur_lo, cur_hi = start, start + 1  # active index window [lo, hi)
     for _ in range(N):
         nxt_lo, nxt_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
-        new[:, nxt_lo:nxt_hi] = 0.0
-        comp[:, nxt_lo:nxt_hi] = 0.0
         n = cur_hi - cur_lo
-        term, scratch = term_buf[:n], scratch_buf[:n]
-        for j in range(d):
-            seg = mass[j, cur_lo:cur_hi]
-            for k in range(d):
-                p = P[j, k]
-                if p == 0.0:
-                    continue
-                lo = cur_lo + off[j, k]
-                np.multiply(p, seg, out=term)
-                _kahan_add(new[k, lo:lo + n], comp[k, lo:lo + n], term, scratch)
+        term = term_buf[:n]
+        for k, src in enumerate(sources):
+            row = new[k]
+            if not src:
+                row[nxt_lo:nxt_hi] = 0.0
+                continue
+            j, p, o = src[0]
+            lo = cur_lo + o
+            np.multiply(p, mass[j, cur_lo:cur_hi], out=row[lo:lo + n])
+            row[nxt_lo:lo] = 0.0
+            row[lo + n:nxt_hi] = 0.0
+            if len(src) > 2:
+                comp[nxt_lo:nxt_hi] = 0.0
+                for j, p, o in src[1:-1]:
+                    lo = cur_lo + o
+                    np.multiply(p, mass[j, cur_lo:cur_hi], out=term)
+                    _kahan_add(row[lo:lo + n], comp[lo:lo + n], term, scratch_buf[:n])
+            if len(src) > 1:
+                j, p, o = src[-1]
+                lo = cur_lo + o
+                np.multiply(p, mass[j, cur_lo:cur_hi], out=term)
+                if len(src) > 2:
+                    term -= comp[lo:lo + n]
+                row[lo:lo + n] += term
         mass, new = new, mass
         cur_lo, cur_hi = nxt_lo, nxt_hi
     pmf_full = mass.sum(axis=0)

@@ -30,6 +30,18 @@ def read_rows(path):
 
 TWO_STATE = {"model": {"bundled": "two_state"}, "run": {}}
 
+def test_top_level_help_describes_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    # argparse wraps long help lines; compare with whitespace collapsed
+    out = " ".join(capsys.readouterr().out.split())
+    for name, fn in cli._COMMANDS.items():
+        doc = (fn.__doc__ or "").strip()
+        assert doc, name
+        assert f"{name} {doc}" in out
+
+
 
 # -------------------------------------------------------------------- expand
 

@@ -148,6 +148,32 @@ def test_bivariate_exp_keeps_unit_constant_slice():
     assert u0[0] == 1.0 and np.all(u0[1:] == 0)
 
 
+def _bi_mul_scalar(a, b):
+    # bi_mul of one (t, u) series pair in Python floats: every real
+    # product and sum rounds on its own, in bi_mul's order of terms
+    t_max, u_max = a.shape[0] - 1, a.shape[1] - 1
+    re = [[0.0] * (u_max + 1) for _ in range(t_max + 1)]
+    im = [[0.0] * (u_max + 1) for _ in range(t_max + 1)]
+    for m in range(t_max + 1):
+        for k in range(u_max + 1):
+            xr, xi = float(a[m, k].real), float(a[m, k].imag)
+            for i in range(t_max + 1 - m):
+                for l in range(u_max + 1 - k):
+                    yr, yi = float(b[i, l].real), float(b[i, l].imag)
+                    re[m + i][k + l] += xr * yr - xi * yi
+                    im[m + i][k + l] += xr * yi + xi * yr
+    return np.array(re) + 1j * np.array(im)
+
+
+def test_bi_mul_batch_rounds_like_scalar_products():
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-1, 1, (6, 4, 50)) + 1j * rng.uniform(-1, 1, (6, 4, 50))
+    b = rng.uniform(-1, 1, (6, 4, 50)) + 1j * rng.uniform(-1, 1, (6, 4, 50))
+    got = bi_mul(a, b)
+    for n in range(a.shape[-1]):
+        assert np.array_equal(got[..., n], _bi_mul_scalar(a[..., n], b[..., n]))
+
+
 def test_polynomial_basics():
     p = Polynomial([1.0, 0.0, -2.0])
     assert p(2.0) == 1.0 - 8.0

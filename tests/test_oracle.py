@@ -192,12 +192,27 @@ def _kahan_add_fresh(acc, comp, idx, term):
     acc[idx] = t
 
 
+def _dp_offsets(model, N):
+    # the (d, d) integer steps of the DP's sum coordinate; for a count
+    # lattice also the reward values and strides that map it back
+    P, h, span = model.transition, model.observable, model.lattice_span
+    if span is not None:
+        return np.rint(h / span).astype(np.int64), None, None
+    used = (P > 0.0) & (h != 0.0)
+    u = np.unique(h[used])
+    strides = (N + 1) ** np.arange(u.size, dtype=np.int64)
+    v = np.zeros(P.shape, dtype=np.int64)
+    v[used] = strides[np.searchsorted(u, h[used])]
+    return v, u, strides
+
+
 def _dp_pmf_fresh_buffers(model, N):
-    # the DP with two fresh full-width arrays per step and fresh Kahan
-    # temporaries, as the reference
+    # the source-major DP (for j: for k: compensated add) with two fresh
+    # full-width arrays per step and fresh Kahan temporaries, as the
+    # reference
     P, span = model.transition, model.lattice_span
     d = P.shape[0]
-    v = np.rint(model.observable / span).astype(np.int64)
+    v, u, strides = _dp_offsets(model, N)
     mn, mx = int(v.min()), int(v.max())
     lo_total = N * min(mn, 0)
     width = N * max(mx, 0) - lo_total + 1
@@ -219,8 +234,12 @@ def _dp_pmf_fresh_buffers(model, N):
         mass = new
         cur_lo, cur_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
     pmf_full = mass.sum(axis=0)
-    nz = pmf_full > 0.0
-    return (np.arange(width)[nz] + lo_total) * span, pmf_full[nz]
+    nz = np.flatnonzero(pmf_full > 0.0)
+    if span is not None:
+        return (nz + lo_total) * span, pmf_full[nz]
+    coords = (nz[:, None] // strides) % (N + 1)
+    support, inverse = np.unique(coords @ u, return_inverse=True)
+    return support, np.bincount(inverse, weights=pmf_full[nz])
 
 
 def _nonpositive_two_state():
@@ -237,6 +256,82 @@ def test_dp_reused_buffers_match_fresh_buffers(name, N):
     got = dp_pmf(m, N)
     assert np.array_equal(got.support, support)
     assert np.array_equal(got.pmf, pmf)
+
+
+def _sparse_chain(d, seed, rewards=(-3, 3)):
+    # random sparse lattice chain: state 0 has initial mass but no
+    # incoming transition, column 1 has one source, column 2 two and
+    # (for d >= 4) column 3 every state as source
+    rng = np.random.default_rng(seed)
+    mask = rng.random((d, d)) < 0.5
+    mask[:, 0] = False
+    mask[:, 1] = d == 2
+    mask[0, 1] = True
+    if d >= 3:
+        mask[:, 2] = False
+        mask[[1, 2], 2] = True
+    if d >= 4:
+        mask[:, 3] = True
+    mask[~mask.any(axis=1), d - 1] = True
+    P = np.where(mask, rng.random((d, d)) + 0.05, 0.0)
+    P /= P.sum(axis=1, keepdims=True)
+    h = rng.integers(rewards[0], rewards[1] + 1, size=(d, d)).astype(float)
+    mu0 = rng.random(d) + 0.05
+    return markov_model(P, h, mu0 / mu0.sum())
+
+
+def _nonlattice_three_rewards():
+    P = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
+    h = np.array([[1.0, math.sqrt(2), 0.0], [-math.pi, 1.0, math.sqrt(2)], [0.0, -math.pi, 1.0]])
+    return markov_model(P, h, np.array([0.5, 0.3, 0.2]))
+
+
+_TARGET_MAJOR_MODELS = {
+    "diophantine_two_state": lambda: bundled_model("diophantine_two_state"),
+    "nonlattice_three_rewards": _nonlattice_three_rewards,
+    **{f"sparse{d}": (lambda d=d: _sparse_chain(d, 100 + d)) for d in range(2, 7)},
+    # one-signed rewards leave stale cells next to the first source's
+    # write, so a short clear of either edge shows
+    "sparse4_nonnegative": lambda: _sparse_chain(4, 204, rewards=(0, 3)),
+    "sparse5_nonpositive": lambda: _sparse_chain(5, 205, rewards=(-3, 0)),
+}
+
+
+def test_sparse_chains_cover_every_source_count():
+    chains = [make() for name, make in _TARGET_MAJOR_MODELS.items() if name.startswith("sparse")]
+    counts = set()
+    for m in chains:
+        assert m.lattice_span is not None
+        counts |= set((m.transition != 0).sum(axis=0).tolist())
+    assert {0, 1, 2} <= counts
+    assert max(counts) >= 4
+    assert any((m.observable < 0).any() and (m.observable > 0).any() for m in chains)
+
+
+# three distinct rewards at N = 400 exceed the 10**7-cell budget
+@pytest.mark.parametrize("name,N", [
+    (name, N)
+    for name in sorted(_TARGET_MAJOR_MODELS)
+    for N in (1, 2, 7, 64, 400)
+    if not (name == "nonlattice_three_rewards" and N > 64)
+])
+def test_dp_target_major_matches_source_major(name, N):
+    m = _TARGET_MAJOR_MODELS[name]()
+    support, pmf = _dp_pmf_fresh_buffers(m, N)
+    got = dp_pmf(m, N)
+    assert np.array_equal(got.support, support)
+    assert np.array_equal(got.pmf, pmf)
+
+
+def test_dp_full_kahan_step_only_for_three_or_more_sources(monkeypatch):
+    calls = []
+    real = oracle._kahan_add
+    monkeypatch.setattr(oracle, "_kahan_add", lambda *a: calls.append(1) or real(*a))
+    for name in ("two_state", "bernoulli", "diophantine_two_state"):
+        dp_pmf(bundled_model(name), 50)
+    assert not calls
+    dp_pmf(bundled_model("three_state_lattice"), 50)
+    assert len(calls) == 50 * 3
 
 
 def test_enum_matches_dp_on_lattice():
