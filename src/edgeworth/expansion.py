@@ -434,6 +434,7 @@ def expansion_for_model(model, r):
     from .spectral import eigen_perturbation, perron_base
 
     fam = model.operator_family(max(r + 2, 2))
-    base = perron_base(fam.coeffs[0])
+    # slice 0 in the family's own layout: a sparse family keeps its path
+    base = perron_base(fam.matrix(0))
     jets = eigen_perturbation(fam, base)
     return build_expansion(jets, r)

@@ -8,6 +8,22 @@ builds the Taylor jets of the family, extracts the leading eigenvalue jet
 perturbation around the Perron eigenpair at ``t = 0``, and provides the
 numeric diagnostics (spectral gap, norm decay, radius scans) that justify
 using the expansion machinery on a given model.
+
+Each chain takes one of two paths, picked by one rule on its transition
+matrix (:func:`_sparse_pattern`): a d x d matrix with at most one nonzero
+entry in eight (``8 * nnz <= d**2``, as in an Ulam chain) takes the
+sparse path, every other one the dense path.
+
+* Dense: the family is one ``(order+1, d, d)`` array, the stationary
+  vector comes from one linear solve, and one inverse of the bordered
+  matrix serves every perturbation order.
+* Sparse: the family is stored on the nonzeros of ``P`` only, and every
+  step uses matrix-vector products alone.  The stationary vector comes
+  from power iteration with ``pi^T P``, the gap from power iteration on
+  the deflated operator ``Q = P - 1 pi^T``, and each bordered system from
+  a Neumann series in ``Q``.  No d x d array is allocated, unless an
+  iteration runs out of its budget of ``_SPARSE_TERMS`` products (a
+  slowly mixing chain); that step is then done the dense way.
 """
 
 from __future__ import annotations
@@ -24,30 +40,109 @@ from .errors import (
 from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
+# a matrix with at most one nonzero entry in this many takes the sparse path
+_SPARSE_DENSITY = 8
+# matrix-vector products one sparse iteration may take before the step is
+# done the dense way
+_SPARSE_TERMS = 1000
+_EPS = np.finfo(float).eps
+
+
+class SparseMatrix:
+    """Real d x d matrix held on its nonzeros, in row-major coordinate form.
+
+    ``M @ x`` and ``x @ M`` are ``np.bincount`` sums over ``values``, in
+    the order of the entries; ``__array_ufunc__ = None`` makes numpy hand
+    ``x @ M`` to :meth:`__rmatmul__`.
+    """
+
+    __slots__ = ("values", "rows", "cols", "dim")
+    __array_ufunc__ = None
+
+    def __init__(self, values, rows, cols, dim):
+        self.values = values
+        self.rows = rows
+        self.cols = cols
+        self.dim = dim
+
+    @property
+    def shape(self):
+        return (self.dim, self.dim)
+
+    def __matmul__(self, x):
+        return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.dim)
+
+    def __rmatmul__(self, x):
+        return np.bincount(self.cols, weights=x[self.rows] * self.values, minlength=self.dim)
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
+def _sparse_pattern(P):
+    """Row and column indices of the nonzeros of ``P`` (row-major), or
+    ``None`` when ``P`` takes the dense path.
+
+    This is the one rule that picks the path of a chain: the sparse path
+    when at most one entry in ``_SPARSE_DENSITY`` (8) is nonzero.  Since
+    every row of a stochastic matrix has a nonzero, only chains with at
+    least 8 states can qualify; every bundled chain other than the Ulam
+    one is dense.
+    """
+    if _SPARSE_DENSITY * np.count_nonzero(P) > P.size:
+        return None
+    return np.nonzero(P)
 
 
 class OperatorFamilyJet:
-    """Taylor jets of the twisted family ``L_t``, stored densely.
+    """Taylor jets of the twisted family ``L_t``.
 
-    ``coeffs`` is one real C-contiguous ``(order+1, d, d)`` array whose
-    slice ``coeffs[m]`` is ``P * h**m / m!``; the ``t**m`` coefficient of
-    ``L_t`` is ``i**m * coeffs[m]``, with the factor ``i**m`` left
-    implicit.  The initial distribution of the originating model rides
-    along because the projected factor ``z(t)`` needs it.
+    Slice ``m`` of ``coeffs`` is ``P * h**m / m!``; the ``t**m``
+    coefficient of ``L_t`` is ``i**m`` times it, with the factor ``i**m``
+    left implicit.  ``coeffs`` is one real C-contiguous array in the
+    layout of the chain's path (see the module docstring):
+
+    * dense (``rows`` and ``cols`` are ``None``): shape ``(order+1, d, d)``;
+    * sparse: shape ``(order+1, nnz)``, the slices on the nonzero pattern
+      of ``P``, whose row and column indices are ``rows`` and ``cols`` in
+      row-major order.  Entries of ``L_t`` off the pattern are zero.
+
+    :meth:`matrix` returns one slice as a matrix in that layout.  The
+    initial distribution of the originating model rides along because the
+    projected factor ``z(t)`` needs it; its length is the dimension.
     """
 
-    __slots__ = ("coeffs", "dim", "mu0")
+    __slots__ = ("coeffs", "dim", "mu0", "rows", "cols")
 
-    def __init__(self, coeffs, mu0):
+    def __init__(self, coeffs, mu0, rows=None, cols=None):
         self.coeffs = np.ascontiguousarray(coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
-            raise ValueError("expected an (order+1, d, d) coefficient array")
-        self.dim = self.coeffs.shape[1]
         self.mu0 = np.asarray(mu0, dtype=float)
+        self.rows = rows
+        self.cols = cols
+        if rows is None:
+            if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
+                raise ValueError("expected an (order+1, d, d) coefficient array")
+            self.dim = self.coeffs.shape[1]
+        else:
+            if self.coeffs.ndim != 2 or not self.coeffs.shape[1] == len(rows) == len(cols):
+                raise ValueError("expected an (order+1, nnz) coefficient array")
+            self.dim = self.mu0.size
 
     @property
     def order(self):
         return self.coeffs.shape[0] - 1
+
+    @property
+    def sparse(self):
+        return self.rows is not None
+
+    def matrix(self, m):
+        """Slice ``m``: a dense ``(d, d)`` view, or a :class:`SparseMatrix`."""
+        if self.rows is None:
+            return self.coeffs[m]
+        return SparseMatrix(self.coeffs[m], self.rows, self.cols, self.dim)
 
 
 class PerronBase:
@@ -68,17 +163,21 @@ class SpectralJets:
 
     ``mu`` and ``z`` are complex ``(s+1,)`` arrays and ``right_jet`` and
     ``left_jet`` complex ``(s+1, d)`` arrays; row ``m`` of each is the
-    ``t**m`` coefficient.
+    ``t**m`` coefficient.  ``neumann_terms`` is the largest number of
+    Neumann terms a bordered solve took on the sparse path, or ``None``
+    when the solves used the dense inverse (the dense path, or a series
+    that ran out of its budget).
     """
 
-    __slots__ = ("mu", "z", "right_jet", "left_jet", "base")
+    __slots__ = ("mu", "z", "right_jet", "left_jet", "base", "neumann_terms")
 
-    def __init__(self, mu, z, right_jet, left_jet, base):
+    def __init__(self, mu, z, right_jet, left_jet, base, neumann_terms=None):
         self.mu = mu
         self.z = z
         self.right_jet = right_jet
         self.left_jet = left_jet
         self.base = base
+        self.neumann_terms = neumann_terms
 
 
 def _validate_stochastic(P, tol_row=1e-10):
@@ -99,7 +198,8 @@ def build_operator_family(model, order):
     """Taylor jets of ``L_t`` for a finite-state model.
 
     Entry ``(j, k)`` carries the series of ``p_{jk} exp(i t h_{jk})``
-    truncated at ``order``, stored without its factors ``i**m`` (see
+    truncated at ``order``, stored without its factors ``i**m``, densely
+    or on the nonzeros of ``P`` as :func:`_sparse_pattern` decides (see
     :class:`OperatorFamilyJet`).
     """
     P = _validate_stochastic(model.transition)
@@ -108,9 +208,11 @@ def build_operator_family(model, order):
         raise ValueError("jet order must be at least 2")
     if h.shape != P.shape:
         raise NonStochasticModel("observable matrix shape differs from transition")
-    d = P.shape[0]
-    coeffs = np.empty((order + 1, d, d))
-    term = np.ones((d, d))
+    pattern = _sparse_pattern(P)
+    if pattern is not None:
+        P, h = P[pattern], h[pattern]
+    coeffs = np.empty((order + 1,) + P.shape)
+    term = np.ones(P.shape)
     coeffs[0] = P
     for m in range(1, order + 1):
         # multiplying by 1/m, not dividing by m, makes each slice equal bit
@@ -119,7 +221,7 @@ def build_operator_family(model, order):
         term *= h
         term *= 1.0 / m
         np.multiply(P, term, out=coeffs[m])
-    return OperatorFamilyJet(coeffs, model.mu0)
+    return OperatorFamilyJet(coeffs, model.mu0, *(pattern or (None, None)))
 
 
 def evaluate_family(model, t):
@@ -129,28 +231,44 @@ def evaluate_family(model, t):
     return P * np.exp(1j * t * h)
 
 
-def perron_base(P):
-    """Stationary data of a stochastic matrix.
+def _power_stationary(P):
+    """Stationary vector of a sparse chain by power iteration with
+    ``pi^T P`` from the uniform vector, or ``None`` when it has not
+    settled to rounding level within ``_SPARSE_TERMS`` products."""
+    pi = np.full(P.dim, 1.0 / P.dim)
+    for _ in range(_SPARSE_TERMS):
+        nxt = pi @ P
+        nxt /= nxt.sum()
+        # 4 ulps: at the fixed point rounding can keep an entry toggling by
+        # an ulp or two (three-branch Ulam maps at 1000-3000 cells do)
+        if np.max(np.abs(nxt - pi)) <= 4.0 * _EPS * np.max(nxt):
+            return nxt
+        pi = nxt
+    return None
 
-    The right Perron vector is the all-ones vector (exact).  The left
-    vector solves ``pi^T (P - I) = 0`` with the normalization row
-    replacing the last equation.  The spectral gap is estimated by power
-    iteration on the deflated operator ``P - 1 (x) pi``.
+
+def _stationary(P):
+    """Stationary distribution of a validated chain, checked and clipped.
+
+    A sparse chain first tries :func:`_power_stationary`.  The dense solve
+    of ``pi^T (P - I) = 0``, with the normalization row replacing the last
+    equation, serves every dense chain and a sparse one whose iteration
+    ran out of budget.
     """
-    P = _validate_stochastic(P)
-    d = P.shape[0]
-    right = np.ones(d)
-
-    M = (P - np.eye(d)).T
-    M[-1, :] = 1.0
-    b = np.zeros(d)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStationarySolve(str(exc)) from exc
-    if not np.all(np.isfinite(pi)):
-        raise SingularStationarySolve("stationary solve produced non-finite entries")
+    pi = _power_stationary(P) if isinstance(P, SparseMatrix) else None
+    if pi is None:
+        dense = P.toarray() if isinstance(P, SparseMatrix) else P
+        d = dense.shape[0]
+        M = (dense - np.eye(d)).T
+        M[-1, :] = 1.0
+        b = np.zeros(d)
+        b[-1] = 1.0
+        try:
+            pi = np.linalg.solve(M, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularStationarySolve(str(exc)) from exc
+        if not np.all(np.isfinite(pi)):
+            raise SingularStationarySolve("stationary solve produced non-finite entries")
     resid = np.max(np.abs(pi @ P - pi))
     if resid > 1e-10 or np.min(pi) < -1e-10:
         raise SingularStationarySolve(
@@ -158,9 +276,31 @@ def perron_base(P):
         )
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
+    return pi
 
-    deflated = P - np.outer(right, pi)
-    rho = power_radius(deflated)
+
+def perron_base(P):
+    """Stationary data of a stochastic matrix.
+
+    ``P`` is a transition matrix, or the :class:`SparseMatrix` slice 0 of
+    a sparse family.  A matrix takes the path that
+    :func:`_sparse_pattern` picks for it.  The right Perron vector is the
+    all-ones vector (exact); the left one comes from :func:`_stationary`.
+    The spectral gap is estimated by power iteration on the deflated
+    operator ``P - 1 (x) pi``, applied as ``Px - 1 (pi . x)`` on the
+    sparse path.
+    """
+    if not isinstance(P, SparseMatrix):
+        P = _validate_stochastic(P)
+        pattern = _sparse_pattern(P)
+        if pattern is not None:
+            P = SparseMatrix(P[pattern], *pattern, P.shape[0])
+    right = np.ones(P.shape[0])
+    pi = _stationary(P)
+    if isinstance(P, SparseMatrix):
+        rho = _power_radius(lambda x: P @ x - pi @ x, P.dim)
+    else:
+        rho = power_radius(P - np.outer(right, pi))
     gap = 1.0 - rho
     if gap < _GAP_TOL:
         raise GapBelowTolerance(f"spectral gap estimate {gap:.3e} below {_GAP_TOL}")
@@ -177,13 +317,17 @@ def power_radius(M, iters=200, tol=1e-10):
     iterated in real arithmetic, a complex one in complex arithmetic.
     """
     M = np.asarray(M)
-    d = M.shape[0]
+    return _power_radius(M.__matmul__, M.shape[0], np.result_type(M.dtype, float), iters, tol)
+
+
+def _power_radius(apply, d, dtype=float, iters=200, tol=1e-10):
+    """:func:`power_radius` of the linear map ``apply`` on ``d``-vectors."""
     # deterministic start vector (1, 1/2, 1/3, ...)
-    x = (1.0 / np.arange(1.0, d + 1.0)).astype(np.result_type(M.dtype, float))
+    x = (1.0 / np.arange(1.0, d + 1.0)).astype(dtype)
     x /= np.linalg.norm(x)
     ratios = []
     for _ in range(iters):
-        y = M @ x
+        y = apply(x)
         r = np.linalg.norm(y)
         if r < 1e-300:
             return 0.0
@@ -217,6 +361,68 @@ def _bordered_inverse(P, base):
     return Binv
 
 
+class _BorderedSolver:
+    """Right and left bordered solves of :func:`eigen_perturbation`.
+
+    A dense ``P`` is inverted once (:func:`_bordered_inverse`); every
+    right-hand side has gauge entry 0, so the right solve is
+    ``Binv[:, :d] @ r`` and the left one ``r @ Binv[:d, :d]``.
+
+    A :class:`SparseMatrix` is solved by Neumann series in the deflated
+    operator ``Q = P - 1 pi^T``.  The right system ``(P - I) v - mu 1 = r``,
+    ``pi . v = 0`` gives ``mu = -pi . r`` and
+    ``v = -sum_j Q^j (r - (pi . r) 1)``; the left system
+    ``w (P - I) - nu pi = r``, ``1 . w = 0`` gives
+    ``w = -sum_j (r - (1 . r) pi) Q^j``.  A series stops at the first term
+    whose largest entry is at rounding level (machine epsilon) relative to
+    its partial sum.  A series that has not stopped after
+    ``_SPARSE_TERMS`` terms is discarded, and that system and every later
+    one are solved with the dense inverse.
+    """
+
+    def __init__(self, P, base):
+        self.P = P
+        self.base = base
+        self.Binv = None if isinstance(P, SparseMatrix) else _bordered_inverse(P, base)
+        self.terms = 0
+
+    def _neumann(self, step, x):
+        total = x.copy()
+        for k in range(1, _SPARSE_TERMS + 1):
+            x = step(x)
+            total += x
+            if np.max(np.abs(x)) <= _EPS * np.max(np.abs(total)):
+                self.terms = max(self.terms, k)
+                return -total
+        return None
+
+    def _dense(self):
+        if self.Binv is None:
+            self.Binv = _bordered_inverse(self.P.toarray(), self.base)
+        return self.Binv
+
+    def right(self, rhs):
+        """``(v, mu)`` of the right system."""
+        P, pi = self.P, self.base.left
+        if self.Binv is None:
+            mu = -(pi @ rhs)
+            v = self._neumann(lambda x: P @ x - pi @ x, rhs + mu)
+            if v is not None:
+                return v, mu
+        sol = self._dense()[:, : P.shape[0]] @ rhs
+        return sol[:-1], sol[-1]
+
+    def left(self, rhs):
+        """``w`` of the left system."""
+        P, pi = self.P, self.base.left
+        if self.Binv is None:
+            w = self._neumann(lambda y: y @ P - y.sum() * pi, rhs - rhs.sum() * pi)
+            if w is not None:
+                return w
+        d = P.shape[0]
+        return rhs @ self._dense()[:d, :d]
+
+
 def eigen_perturbation(fam, base):
     """Order-by-order perturbation of the Perron eigenpair.
 
@@ -229,7 +435,9 @@ def eigen_perturbation(fam, base):
     The left jet solves the transposed family with the analogous bordered
     system (gauge ``1 . w^(m) = 0``) and is normalized so that
     ``l_t(v_t) = 1`` identically; the projected factor is
-    ``z(t) = (l_t . 1) * (mu0 . v_t)``.
+    ``z(t) = (l_t . 1) * (mu0 . v_t)``.  The bordered systems are solved
+    with one dense inverse or, on the sparse path, by Neumann series (see
+    :class:`_BorderedSolver`).
 
     The coefficients of ``L_t`` are ``i**m`` times the real ``coeffs[m]``,
     so every jet is ``i**m`` times a real one: ``v^(m) = i**m a_m``,
@@ -241,12 +449,8 @@ def eigen_perturbation(fam, base):
         raise GapBelowTolerance(f"gap {base.gap:.3e} too small for perturbation")
     d = fam.dim
     s = fam.order
-    F = fam.coeffs
-    Binv = _bordered_inverse(F[0], base)
-    # every right-hand side has gauge entry 0, so only the first d columns
-    # act; the left system's inverse D Binv^T D then acts as rhs @ Binv[:d, :d]
-    right_solve = Binv[:, :d]
-    left_solve = Binv[:d, :d]
+    F = [fam.matrix(m) for m in range(s + 1)]
+    solver = _BorderedSolver(F[0], base)
 
     a = np.zeros((s + 1, d))
     b = np.zeros(s + 1)
@@ -263,10 +467,8 @@ def eigen_perturbation(fam, base):
         for j in range(1, m + 1):
             rhs_a -= F[j] @ a[m - j]
             rhs_c -= c[m - j] @ F[j]
-        sol = right_solve @ rhs_a
-        a[m] = sol[:d]
-        b[m] = sol[d]
-        c[m] = rhs_c @ left_solve
+        a[m], b[m] = solver.right(rhs_a)
+        c[m] = solver.left(rhs_c)
 
     # normalize l_t(v_t) = 1: the pairing is sum_j c_j . a_{m-j}
     pairing = np.array([sum(c[j] @ a[m - j] for j in range(m + 1)) for m in range(s + 1)])
@@ -285,6 +487,7 @@ def eigen_perturbation(fam, base):
         ipow[:, None] * a,
         ipow[:, None] * left,
         base,
+        None if solver.Binv is not None else solver.terms,
     )
 
 

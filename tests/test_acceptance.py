@@ -21,7 +21,7 @@ from edgeworth.evaluate import (
 )
 from edgeworth.expansion import expansion_for_model
 from edgeworth.jets import Polynomial, jet_exp, jet_log, jet_mul
-from edgeworth.models import bundled_model, diophantine_scan, markov_model
+from edgeworth.models import bundled_model, diophantine_scan, markov_model, ulam_model
 from edgeworth.oracle import ExactDistribution, exact_moments, kolmogorov_distance
 from edgeworth.spectral import (
     eigen_perturbation,
@@ -356,3 +356,24 @@ def test_criterion_13_classical_convergence_long_ladder():
     )
     pinned = [0.07565945141106223, 0.05300753666242608, 0.03688406813172129, 0.02578095073354668]
     assert np.abs(np.array(rep.scaled) - pinned).max() <= 1e-9
+
+
+def test_criterion_14_ulam_closed_form_rate():
+    # for g = cos(2 pi x) under x -> 2x mod 1, P_1(z) = 1/4 - z^2/2; Ulam's
+    # method converges at the rate cells**-2 (T.-Y. Li, J. Approx. Theory
+    # 17, 1976), so the error of P_1(0) must shrink 4-fold per doubling
+    t0 = time.monotonic()
+    errors = []
+    for cells in (512, 1024, 2048, 4096):
+        model = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=cells)
+        errors.append(abs(expansion_for_model(model, 1).P(1).coeffs[0] - 0.25))
+        del model
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    elapsed = time.monotonic() - t0
+    ok = all(3.9 <= q <= 4.1 for q in ratios) and elapsed < 30.0
+    errs = "/".join(f"{e:.3g}" for e in errors)
+    ratio_text = "/".join(f"{q:.3f}" for q in ratios)
+    assert report(
+        14, "ulam-closed-form-rate", ok,
+        f"|P1(0) - 1/4| {errs}, ratios {ratio_text} in [3.9, 4.1], {elapsed:.1f}s < 30s",
+    )

@@ -6,6 +6,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from edgeworth import cli
@@ -480,6 +481,45 @@ def test_diagnose_reducible_chain_completes_with_flag(tmp_path, capsys):
     report = json.loads(open(out.strip().splitlines()[1]).read())
     assert report["gap"] is None
     assert "stationary-not-unique" in report["flags"]
+
+
+def test_diagnose_ulam_gap_is_exact(tmp_path, capsys):
+    # the sparse deflated iteration of the doubling chain reaches 0 after
+    # log2(cells) steps; the dense power iteration read rounding noise
+    doc = {"model": {"type": "ulam", "cells": 256}, "run": {"t_grid": [1.0]}}
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert abs(report["gap"] - 1.0) <= 1e-12
+
+
+def _two_doubling_blocks_doc(eps):
+    # 128 states, 3 nonzeros per row (the sparse path): two doubling blocks
+    # joined by jumps of probability eps to the mirror state, gap 2 eps
+    half, d = 64, 128
+    j = np.arange(half)
+    P = np.zeros((d, d))
+    h = np.zeros((d, d))
+    for blk in (0, half):
+        for t in (0, 1):
+            P[blk + j, blk + (2 * j + t) % half] += (1.0 - eps) / 2.0
+            h[blk + j, blk + (2 * j + t) % half] = t + j / half
+        P[blk + j, (blk + half) % d + j] += eps
+    return {"type": "markov", "transition": P.tolist(), "observable": h.tolist()}
+
+
+def test_sparse_nearly_disconnected_chain_is_refused_by_name(tmp_path, capsys):
+    model = _two_doubling_blocks_doc(1e-10)
+    cfg = write_config(tmp_path, {"model": model, "run": {"order": 1}})
+    code, out, err = run_cli(capsys, "expand", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GapBelowTolerance"
+    cfg = write_config(tmp_path, {"model": model, "run": {"t_grid": [1.0]}})
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert report["gap"] is None and "gap-below-tolerance" in report["flags"]
 
 
 def test_diagnose_jet_only_model_exits_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Operator families, Perron data and eigenvalue jets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from edgeworth.errors import GapBelowTolerance, NonStochasticModel
 from edgeworth.jets import jet_div, jet_mul
 from edgeworth.models import bundled_model, markov_model, ulam_model
 from edgeworth.spectral import (
+    SparseMatrix,
     _bordered_inverse,
+    _power_stationary,
     build_operator_family,
     eigen_perturbation,
     evaluate_family,
@@ -186,16 +189,35 @@ def test_entry_jets_match_exponential():
         assert np.abs(direct - from_jets).max() <= 1e-13
 
 
+def _dense(M):
+    return M.toarray() if isinstance(M, SparseMatrix) else M
+
+
 def test_family_is_real_and_contiguous():
-    for _, model in _COMPARISON:
+    # Ulam chains are stored on their nonzeros, every other chain densely
+    for name, model in _COMPARISON:
         fam = model.operator_family(4)
         assert fam.coeffs.dtype == np.float64
         assert fam.coeffs.flags.c_contiguous
-        assert fam.coeffs.shape == (5, fam.dim, fam.dim)
-        assert np.array_equal(fam.coeffs[0], getattr(model, "transition", np.ones((1, 1))))
+        P = getattr(model, "transition", np.ones((1, 1)))
         ref = _reference_family(model, 4)
+        assert fam.sparse == ("doubling" in name or "piecewise" in name)
+        if fam.sparse:
+            assert np.array_equal(fam.rows, np.nonzero(P)[0])
+            assert np.array_equal(fam.cols, np.nonzero(P)[1])
+            assert fam.coeffs.shape == (5, fam.rows.size)
+            assert 8 * fam.rows.size <= fam.dim ** 2
+            off = np.ones(P.shape, dtype=bool)
+            off[fam.rows, fam.cols] = False
+            assert not np.any(ref[off])
+            ref = ref[fam.rows, fam.cols].T
+        else:
+            assert fam.coeffs.shape == (5, fam.dim, fam.dim)
+            ref = np.moveaxis(ref, 2, 0)
+        assert np.array_equal(fam.coeffs[0], P[fam.rows, fam.cols] if fam.sparse else P)
+        assert np.array_equal(_dense(fam.matrix(0)), P)
         for m in range(5):
-            assert np.array_equal(1j ** m * fam.coeffs[m], ref[:, :, m])
+            assert np.array_equal(1j ** m * fam.coeffs[m], ref[m])
 
 
 @pytest.mark.parametrize("case", range(len(_COMPARISON)), ids=[n for n, _ in _COMPARISON])
@@ -203,8 +225,10 @@ def test_real_perturbation_matches_complex_reference(case):
     _, model = _COMPARISON[case]
     order = 4
     fam = model.operator_family(order)
-    base = perron_base(fam.coeffs[0])
+    base = perron_base(fam.matrix(0))
     jets = eigen_perturbation(fam, base)
+    # the sparse (Ulam) chains solve by Neumann series, the rest densely
+    assert (jets.neumann_terms is not None) == fam.sparse
     mu_ref, z_ref = _reference_perturbation(_reference_family(model, order), fam.mu0, base)
     assert np.abs(jets.mu - mu_ref).max() <= 1e-13
     assert np.abs(jets.z - z_ref).max() <= 1e-13
@@ -221,11 +245,12 @@ def test_left_bordered_inverse_from_the_right_one():
     # D Binv^T D inverts the bordered matrix of the left system
     for _, model in _COMPARISON:
         fam = model.operator_family(2)
-        base = perron_base(fam.coeffs[0])
+        base = perron_base(fam.matrix(0))
         d = fam.dim
-        Binv = _bordered_inverse(fam.coeffs[0], base)
+        P = _dense(fam.matrix(0))
+        Binv = _bordered_inverse(P, base)
         B_left = np.zeros((d + 1, d + 1))
-        B_left[:d, :d] = fam.coeffs[0].T - np.eye(d)
+        B_left[:d, :d] = P.T - np.eye(d)
         B_left[:d, d] = -base.left
         B_left[d, :d] = base.right
         D = np.ones(d + 1)
@@ -357,3 +382,138 @@ def test_norm_decay_scan_interior_contraction():
     for t, norm2, radius in rows:
         assert radius < 1.0 - 1e-6
         assert norm2 < 1.0
+
+
+# ---------------------------------------------------------------- sparse path
+
+
+def _lazy_cycle(d):
+    # lazy walk on a cycle: gap (1 - cos(2 pi / d)) / 2, about 1.1e-4 at d = 300
+    k = np.arange(d)
+    P = np.zeros((d, d))
+    h = np.zeros((d, d))
+    P[k, k] = 0.5
+    P[k, (k + 1) % d] = 0.25
+    P[k, (k - 1) % d] = 0.25
+    h[k, k] = 0.3 * np.sin(2.0 * np.pi * k / d)
+    h[k, (k + 1) % d] = 1.0
+    h[k, (k - 1) % d] = -0.5
+    return markov_model(P, h, np.full(d, 1.0 / d))
+
+
+def _birth_death(d):
+    # drift to the right: the stationary law is geometric, far from uniform
+    k = np.arange(d)
+    P = np.zeros((d, d))
+    P[k[:-1], k[:-1] + 1] = 0.3
+    P[k[1:], k[1:] - 1] = 0.2
+    P[k, k] = 1.0 - P.sum(axis=1)
+    h = np.zeros((d, d))
+    h[k, k] = k % 3 - 1.0
+    h[k[:-1], k[:-1] + 1] = 0.5
+    return markov_model(P, h, np.full(d, 1.0 / d))
+
+
+def _two_doubling_blocks(half, eps):
+    # two doubling-map blocks joined by jumps of probability eps to the
+    # mirror state: the slow mode has eigenvalue 1 - 2 eps, and every other
+    # one dies out after log2(half) steps
+    d = 2 * half
+    j = np.arange(half)
+    P = np.zeros((d, d))
+    h = np.zeros((d, d))
+    for blk in (0, half):
+        for t in (0, 1):
+            P[blk + j, blk + (2 * j + t) % half] += (1.0 - eps) / 2.0
+            h[blk + j, blk + (2 * j + t) % half] = np.cos(2.0 * np.pi * j / half) + t
+        P[blk + j, (blk + half) % d + j] += eps
+    return markov_model(P, h, np.full(d, 1.0 / d))
+
+
+def test_sparse_products_match_dense():
+    model = ulam_model("piecewise-linear", _cos2pi, 64, [0.0, 0.3, 0.65, 1.0])
+    fam = model.operator_family(3)
+    x = np.random.default_rng(5).normal(size=fam.dim)
+    for m in range(4):
+        M = fam.matrix(m)
+        assert isinstance(M, SparseMatrix)
+        dense = M.toarray()
+        assert np.abs(M @ x - dense @ x).max() <= 1e-14
+        assert np.abs(x @ M - x @ dense).max() <= 1e-14
+
+
+def test_ulam_gap_is_not_rounding_noise():
+    # the deflated doubling operator averages pairs of cells, so its power
+    # iteration reaches 0 after log2(cells) steps (the dense path read
+    # 0.9951 and 0.98075 here)
+    for cells in (256, 1024):
+        base = perron_base(ulam_model(g=_cos2pi, cells=cells).transition)
+        assert abs(base.gap - 1.0) <= 1e-12
+    model = ulam_model("piecewise-linear", _cos2pi, 256, [0.0, 0.3, 0.65, 1.0])
+    second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
+    assert abs(perron_base(model.transition).gap - (1.0 - second)) <= 1e-9
+
+
+def test_doubling_neumann_series_ends_after_log2_cells_terms():
+    for cells in (64, 256, 1024):
+        fam = ulam_model(g=_cos2pi, cells=cells).operator_family(4)
+        jets = eigen_perturbation(fam, perron_base(fam.matrix(0)))
+        assert jets.neumann_terms <= math.log2(cells) + 1
+
+
+def test_sparse_expansion_allocates_no_dense_matrix():
+    fam = bundled_model("doubling_ulam").operator_family(4)
+    d = fam.dim
+    tracemalloc.start()
+    try:
+        eigen_perturbation(fam, perron_base(fam.matrix(0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 / 16
+
+
+def test_slow_mixing_sparse_chain_falls_back_to_dense_solve():
+    # about 37 / gap = 3.4e5 Neumann terms would be needed: the series runs
+    # out of its budget, and the bordered systems are solved densely
+    model = _lazy_cycle(300)
+    second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
+    assert 1e-4 < 1.0 - second < 1.2e-4
+    fam = model.operator_family(4)
+    assert fam.sparse
+    base = perron_base(fam.matrix(0))
+    jets = eigen_perturbation(fam, base)
+    assert jets.neumann_terms is None
+    mu_ref, z_ref = _reference_perturbation(_reference_family(model, 4), fam.mu0, base)
+    # the coefficients grow like powers of 1/gap (|mu_4| ~ 8e7, |z_4| ~ 2e12)
+    # and mu_3 is a difference of such terms, so relative to each one the
+    # real and complex solves agree to 1e-9 (the dense path: 7.5e-12 on
+    # mu_3, 4e-15 elsewhere); z_1 is 0 up to rounding, as mu0 = pi
+    assert np.all(np.abs(jets.mu - mu_ref) <= 1e-9 * np.abs(mu_ref) + 1e-12)
+    assert np.all(np.abs(jets.z - z_ref) <= 1e-9 * np.abs(z_ref) + 1e-12)
+
+
+def test_sparse_stationary_falls_back_to_dense_solve():
+    model = _birth_death(200)
+    P = model.transition
+    rows, cols = np.nonzero(P)
+    assert _power_stationary(SparseMatrix(P[rows, cols], rows, cols, 200)) is None
+    base = perron_base(P)
+    M = (P - np.eye(200)).T
+    M[-1] = 1.0
+    b = np.zeros(200)
+    b[-1] = 1.0
+    assert np.abs(base.left - np.clip(np.linalg.solve(M, b), 0.0, None)).max() <= 1e-14
+    assert base.left[0] < 1e-15 and base.left[-1] > 0.3
+
+
+def test_sparse_gap_guard_on_nearly_disconnected_chain():
+    model = _two_doubling_blocks(64, 1e-10)
+    with pytest.raises(GapBelowTolerance):
+        perron_base(model.transition)
+    fam = model.operator_family(3)
+    assert fam.sparse
+    with pytest.raises(GapBelowTolerance):
+        perron_base(fam.matrix(0))
+    # a wider link is a slow chain, not a broken one
+    assert abs(perron_base(_two_doubling_blocks(64, 1e-3).transition).gap - 2e-3) <= 1e-12
