@@ -21,6 +21,8 @@ from .errors import OracleUnavailable, TableTooLarge, ValidationError
 from .jets import jet_exp, jet_mul
 
 _DP_CELL_CAP = 10 ** 7
+_DP_CHUNK = 1 << 15  # cells per add of the last source: 256 KiB, in L2
+_TINY = np.finfo(float).tiny  # smallest normal double, 2**-1022
 
 
 class ExactDistribution:
@@ -37,7 +39,9 @@ class ExactDistribution:
     N : int
         Horizon that produced the distribution.
     meta : dict, optional
-        Provenance (PRNG identifier, seed, chunk size).
+        Provenance and precision, never written to an artifact: for
+        Monte Carlo the PRNG identifier, seed, chunk size and 99 % DKW
+        band; for the DP the table width, live width and flushed mass.
     """
 
     __slots__ = ("kind", "support", "pmf", "N", "meta", "_cum")
@@ -107,6 +111,29 @@ def _kahan_add(acc, comp, term, scratch):
     acc[...] = scratch
 
 
+def _dead_cells(band, slab):
+    """Number of leading cells of ``band`` (states x cells) that every
+    state holds below ``_TINY``.
+
+    Most dead runs are one cell long, so the first two cells are tested
+    singly; slabs of cells, from ``slab`` wide and doubling, are scanned
+    only past them.
+    """
+    width = band.shape[1]
+    for n in range(min(2, width)):
+        if max(band[:, n].tolist()) >= _TINY:
+            return n
+    n = 2
+    while n < width:
+        top = band[:, n:n + slab].max(axis=0)
+        i = int((top >= _TINY).argmax())
+        if top[i] >= _TINY:
+            return n + i
+        n += slab
+        slab *= 2
+    return width
+
+
 def dp_pmf(model, N):
     """Exact pmf of S_N for any finite-state chain by dynamic programming.
 
@@ -123,9 +150,19 @@ def dp_pmf(model, N):
     in index order, so each cell gets the same compensated adds in the
     same order as a source-major sweep and the pmf is bit-identical to
     it, while the first and last add of a target skip the compensation
-    passes whose results are never read.  At long horizons most of the
-    remaining time goes to subnormal atoms in the far tails, which are
-    kept.
+    passes whose results are never read.
+
+    After every step, each cell at either end of the live band whose
+    mass is below the smallest normal double (2**-1022) in every state
+    is set to exactly 0, and the band edges move inward to the first
+    cell some state holds at or above it.  Such tail cells are rounding
+    debris (their true probabilities lie mostly below 2**-1074), and
+    sub-normal arithmetic on them costs about twenty times a normal
+    multiply-add.  The arithmetic window is not narrowed: zeros flow
+    through the same compensated adds, so interior atoms keep their
+    rounding.  ``meta`` records the table width per state
+    (``table_width``), the final band width (``live_width``) and the
+    exact sum of the zeroed values (``flushed_mass``).
 
     Raises
     ------
@@ -186,6 +223,12 @@ def dp_pmf(model, N):
     start = -lo_total
     mass[:, start] = model.mu0
     cur_lo, cur_hi = start, start + 1  # active index window [lo, hi)
+    # live band [live_lo, live_hi) inside the window: outside it every
+    # cell is exactly 0, so each step's band lies within the previous
+    # band widened by the step's growth
+    live_lo, live_hi = cur_lo, cur_hi
+    slab = max(max(mx, 0) - min(mn, 0), 1)
+    flushed = [np.zeros(0)]  # zeroed values; exact zeros are dropped in batches
     for _ in range(N):
         nxt_lo, nxt_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
         n = cur_hi - cur_lo
@@ -209,20 +252,40 @@ def dp_pmf(model, N):
             if len(src) > 1:
                 j, p, o = src[-1]
                 lo = cur_lo + o
-                np.multiply(p, mass[j, cur_lo:cur_hi], out=term)
-                if len(src) > 2:
-                    term -= comp[lo:lo + n]
-                row[lo:lo + n] += term
+                # in chunks that stay in cache between the product and the add
+                for c in range(0, n, _DP_CHUNK):
+                    m = min(n - c, _DP_CHUNK)
+                    t = term[:m]
+                    np.multiply(p, mass[j, cur_lo + c:cur_lo + c + m], out=t)
+                    if len(src) > 2:
+                        t -= comp[lo + c:lo + c + m]
+                    row[lo + c:lo + c + m] += t
         mass, new = new, mass
         cur_lo, cur_hi = nxt_lo, nxt_hi
-    pmf_full = mass.sum(axis=0)
-    nz = np.flatnonzero(pmf_full > 0.0)
+        live_lo, live_hi = live_lo + min(mn, 0), live_hi + max(mx, 0)
+        band = mass[:, live_lo:live_hi]
+        a = _dead_cells(band, slab)
+        b = _dead_cells(band[:, a:][:, ::-1], slab)
+        for dead in (band[:, :a], band[:, band.shape[1] - b:]):
+            if dead.size:
+                flushed.append(dead.flatten())
+                if len(flushed) > 256:
+                    gone = np.concatenate(flushed)
+                    flushed = [gone[gone != 0.0]]
+                dead[...] = 0.0
+        live_lo, live_hi = live_lo + a, live_hi - b
+    pmf = mass[:, live_lo:live_hi].sum(axis=0)
+    nz = np.flatnonzero(pmf > 0.0)
+    gone = np.concatenate(flushed)
+    meta = {"table_width": width, "live_width": live_hi - live_lo,
+            "flushed_mass": math.fsum(gone[gone != 0.0].tolist())}
+    idx = nz + (live_lo + lo_total)  # sum coordinates
     if span is not None:
         # distinct coordinates times one span: already distinct and sorted
-        return ExactDistribution("lattice", (nz + lo_total) * span, pmf_full[nz], N)
-    coords = (nz[:, None] // strides) % (N + 1)
+        return ExactDistribution("lattice", idx * span, pmf[nz], N, meta)
+    coords = (idx[:, None] // strides) % (N + 1)
     support, inverse = np.unique(coords @ u, return_inverse=True)
-    return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf_full[nz]), N)
+    return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf[nz]), N, meta)
 
 
 def _stationary(P):
@@ -455,7 +518,9 @@ def mc_sample(model, N, trials, seed):
 
     _run_chunks(chunk, -(-trials // size))
     values, counts = np.unique(sums, return_counts=True)
-    meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size}
+    # Massart's (1990) 99 % band: P(sup |F_n - F| > dkw99) <= 2 exp(-2 n dkw99**2) = 0.01
+    meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size,
+            "dkw99": math.sqrt(math.log(200.0) / (2 * trials))}
     return ExactDistribution("empirical", values, counts / trials, N, meta)
 
 

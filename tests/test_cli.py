@@ -607,3 +607,35 @@ def test_moddev_table(tmp_path, capsys):
     want = 1.0 / math.sqrt(2.0 * math.pi * 0.5) / math.sqrt(256 ** 0.5 * math.log(256))
     assert abs(float(corollary) - want) <= 1e-15
     assert abs(float(ratio) - float(exact) / float(normal)) <= 1e-12
+
+
+# ------------------------------------------------------------ golden outputs
+
+# Artifacts written with ``--stamp golden`` by the parent of the change
+# that flushes sub-normal band edges in ``oracle.dp_pmf`` (commit
+# e49b8a2), so they pin the CLI output from before that change.
+_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+_GOLDEN = {
+    "verify-two_state-lattice.csv": ("verify", {
+        "model": {"bundled": "two_state"},
+        "run": {"order": 2, "form": "lattice", "oracle": "dp", "N_list": [1024, 4096, 16384]},
+    }),
+    "lclt-three_state_lattice.csv": ("lclt", {
+        "model": {"bundled": "three_state_lattice"},
+        "run": {"order": 2, "N_list": [1024, 4096]},
+    }),
+    "moddev-three_state_lattice.csv": ("moddev", {
+        "model": {"bundled": "three_state_lattice"},
+        "run": {"order": 2, "N_list": [1024, 4096]},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_artifact_byte_identical(tmp_path, capsys, name):
+    command, doc = _GOLDEN[name]
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, command, cfg, "--out", str(tmp_path), "--stamp", "golden")
+    assert code == 0 and err == ""
+    with open(out.strip(), "rb") as got, open(os.path.join(_GOLDEN_DIR, name), "rb") as want:
+        assert got.read() == want.read()

@@ -206,10 +206,13 @@ def _dp_offsets(model, N):
     return v, u, strides
 
 
-def _dp_pmf_fresh_buffers(model, N):
+def _dp_pmf_fresh_buffers(model, N, flush=True):
     # the source-major DP (for j: for k: compensated add) with two fresh
     # full-width arrays per step and fresh Kahan temporaries, as the
-    # reference
+    # reference.  With ``flush``, after each step every cell outside the
+    # first and last cell that some state holds at or above 2**-1022 is
+    # set to 0.  Returns support, pmf and the exact sum of the zeroed
+    # values.
     P, span = model.transition, model.lattice_span
     d = P.shape[0]
     v, u, strides = _dp_offsets(model, N)
@@ -220,6 +223,7 @@ def _dp_pmf_fresh_buffers(model, N):
     start = -lo_total
     mass[:, start] = model.mu0
     cur_lo, cur_hi = start, start + 1
+    flushed = []
     for _ in range(N):
         new = np.zeros((d, width))
         ncomp = np.zeros((d, width))
@@ -233,13 +237,23 @@ def _dp_pmf_fresh_buffers(model, N):
                 _kahan_add_fresh(new[k], ncomp[k], slice(lo, lo + seg.size), p * seg)
         mass = new
         cur_lo, cur_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
+        if flush:
+            live = np.flatnonzero((mass >= np.finfo(float).tiny).any(axis=0))
+            for outside in (mass[:, :live[0]], mass[:, live[-1] + 1:]):
+                flushed += outside[outside != 0.0].tolist()
+                outside[...] = 0.0
     pmf_full = mass.sum(axis=0)
     nz = np.flatnonzero(pmf_full > 0.0)
     if span is not None:
-        return (nz + lo_total) * span, pmf_full[nz]
+        return (nz + lo_total) * span, pmf_full[nz], math.fsum(flushed)
     coords = (nz[:, None] // strides) % (N + 1)
     support, inverse = np.unique(coords @ u, return_inverse=True)
-    return support, np.bincount(inverse, weights=pmf_full[nz])
+    return support, np.bincount(inverse, weights=pmf_full[nz]), math.fsum(flushed)
+
+
+def _dp_pmf_unflushed(model, N):
+    # the reference that keeps every sub-normal cell
+    return _dp_pmf_fresh_buffers(model, N, flush=False)
 
 
 def _nonpositive_two_state():
@@ -252,10 +266,46 @@ def _nonpositive_two_state():
 @pytest.mark.parametrize("N", [1, 2, 7, 64, 1000])
 def test_dp_reused_buffers_match_fresh_buffers(name, N):
     m = _nonpositive_two_state() if name == "nonpositive" else bundled_model(name)
-    support, pmf = _dp_pmf_fresh_buffers(m, N)
+    support, pmf, flushed = _dp_pmf_fresh_buffers(m, N)
     got = dp_pmf(m, N)
     assert np.array_equal(got.support, support)
     assert np.array_equal(got.pmf, pmf)
+    assert got.meta["flushed_mass"] == flushed
+
+
+@pytest.mark.parametrize("name,N", [
+    ("two_state", 2048), ("two_state", 4096),
+    ("three_state_lattice", 1024), ("three_state_lattice", 4096),
+])
+def test_dp_flush_drops_only_subnormal_edge_debris(name, N):
+    m = bundled_model(name)
+    support, pmf, _ = _dp_pmf_unflushed(m, N)
+    got = dp_pmf(m, N)
+    tiny = np.finfo(float).tiny
+    kept = np.isin(support, got.support)
+    assert np.array_equal(support[kept], got.support)
+    assert not kept.all()
+    # every atom of at least 1e-280 is kept, bit for bit
+    big = pmf >= 1e-280
+    assert kept[big].all()
+    assert np.array_equal(got.pmf[np.isin(got.support, support[big])], pmf[big])
+    # a dropped atom was below 2**-1022 in each of the d states
+    assert pmf[~kept].max() < m.dim * tiny
+    # no sub-normal atom is left at either end
+    assert got.pmf[0] >= tiny and got.pmf[-1] >= tiny
+
+
+def test_dp_meta_without_subnormal_cells():
+    got = dp_pmf(bundled_model("two_state"), 1024)
+    assert got.pmf.min() >= np.finfo(float).tiny
+    assert got.meta == {"table_width": 1025, "live_width": 1025, "flushed_mass": 0.0}
+
+
+def test_dp_meta_reports_the_flushed_band():
+    got = dp_pmf(bundled_model("two_state"), 4096)
+    assert got.meta["table_width"] == 4097
+    assert got.meta["live_width"] == got.support[-1] - got.support[0] + 1 < 4097
+    assert 0.0 < got.meta["flushed_mass"] < 1e-300
 
 
 def _sparse_chain(d, seed, rewards=(-3, 3)):
@@ -317,8 +367,21 @@ def test_sparse_chains_cover_every_source_count():
 ])
 def test_dp_target_major_matches_source_major(name, N):
     m = _TARGET_MAJOR_MODELS[name]()
-    support, pmf = _dp_pmf_fresh_buffers(m, N)
+    support, pmf, flushed = _dp_pmf_fresh_buffers(m, N)
     got = dp_pmf(m, N)
+    assert np.array_equal(got.support, support)
+    assert np.array_equal(got.pmf, pmf)
+    assert got.meta["flushed_mass"] == flushed
+
+
+@pytest.mark.parametrize("name", ["three_state_lattice", "sparse5", "sparse6", "diophantine_two_state"])
+def test_dp_chunked_last_add_matches_source_major(monkeypatch, name):
+    # chunks of 5 cells split every window past N = 2, with and
+    # without the compensation of middle sources
+    monkeypatch.setattr(oracle, "_DP_CHUNK", 5)
+    m = bundled_model(name) if name == "three_state_lattice" else _TARGET_MAJOR_MODELS[name]()
+    support, pmf, _ = _dp_pmf_fresh_buffers(m, 40)
+    got = dp_pmf(m, 40)
     assert np.array_equal(got.support, support)
     assert np.array_equal(got.pmf, pmf)
 
@@ -400,10 +463,16 @@ def test_mc_deterministic_and_close_to_dp():
     assert np.array_equal(a.support, b.support)
     assert np.array_equal(a.pmf, b.pmf)
     assert a.meta["seed"] == seed and "prng" in a.meta
+    assert a.meta["dkw99"] == math.sqrt(math.log(200.0) / (2 * trials))
     # both are step CDFs on the same integer lattice: compare at atoms
     dd = dp_pmf(m, N)
     worst = max(abs(a.cdf(k) - dd.cdf(k)) for k in dd.support)
     assert worst <= 0.012
+
+
+def test_mc_dkw_band_at_a_million_trials():
+    # Massart's 99 % band for the KS distance of 10**6 trials
+    assert abs(mc_sample(bundled_model("bernoulli"), 1, 10 ** 6, 5).meta["dkw99"] - 1.6276e-3) < 5e-8
 
 
 def test_mc_chunking_boundary():
