@@ -22,8 +22,11 @@ _QUAD_TOL = 1e-10
 _QUAD_MAX_POINTS = 2 ** 20
 
 
-def simpson_integral(fn, a, b, tol=_QUAD_TOL, max_points=_QUAD_MAX_POINTS):
+def simpson_integral(fn, a, b):
     """Composite Simpson integral with interval halving.
+
+    Refinement stops when two successive values agree within 1e-10
+    (absolute), with a budget of 2**20 points.
 
     Parameters
     ----------
@@ -31,10 +34,6 @@ def simpson_integral(fn, a, b, tol=_QUAD_TOL, max_points=_QUAD_MAX_POINTS):
         Vectorized integrand.
     a, b : float
         Integration bounds.
-    tol : float
-        Absolute tolerance on the difference of successive refinements.
-    max_points : int
-        Point budget.
 
     Raises
     ------
@@ -45,19 +44,19 @@ def simpson_integral(fn, a, b, tol=_QUAD_TOL, max_points=_QUAD_MAX_POINTS):
         return 0.0
     n = 8
     prev = None
-    while n <= max_points:
+    while n <= _QUAD_MAX_POINTS:
         x = np.linspace(a, b, n + 1)
         y = np.asarray(fn(x), dtype=float)
         step = (b - a) / n
         val = (step / 3.0) * (
             y[0] + y[-1] + 4.0 * math.fsum(y[1::2].tolist()) + 2.0 * math.fsum(y[2:-1:2].tolist())
         )
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= _QUAD_TOL:
             return val
         prev = val
         n *= 2
     raise QuadratureNotConverged(
-        f"Simpson refinement hit {max_points} points without reaching {tol:.0e}"
+        f"Simpson refinement hit {_QUAD_MAX_POINTS} points without reaching {_QUAD_TOL:.0e}"
     )
 
 

@@ -6,6 +6,10 @@ needs.  Finite-state Markov models additionally expose the raw
 ``transition`` / ``observable`` / ``mu0`` arrays consumed by the exact
 oracles.  The observable lives on transitions: ``X_n = h[x_n, x_{n+1}]``;
 state observables embed as constant rows.
+
+Every finite-state model is a :class:`MarkovModel`, checked once by its
+constructor, which sets the rewards on transitions of probability 0 to 0
+and takes the lattice span from the values that S_N can take.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ _MAX_SCAN_SUMS = 10 ** 7
 
 
 def _lattice_span(h):
-    """Largest span with all observable values integer multiples of it.
+    """Largest span with all reward values ``h`` integer multiples of it.
 
     When every nonzero value is an integer multiple, within 1e-9, of the
     smallest nonzero magnitude, that magnitude is the span, so an
@@ -75,48 +79,28 @@ def _lattice_span(h):
 
 
 class MarkovModel:
-    """Validated finite-state chain with per-transition observable.
+    """Checked finite-state chain with per-transition rewards.
 
-    Attributes
-    ----------
-    transition : ndarray
-        Row-stochastic d x d matrix.
-    observable : ndarray
-        Real d x d matrix of per-transition values.
-    mu0 : ndarray
-        Initial distribution.
-    lattice_span : float or None
-        Span when every observable value is an integer multiple of it.
-    """
-
-    __slots__ = ("transition", "observable", "mu0", "lattice_span")
-
-    def __init__(self, transition, observable, mu0, lattice_span=None):
-        self.transition = np.asarray(transition, dtype=float)
-        self.observable = np.asarray(observable, dtype=float)
-        self.mu0 = np.asarray(mu0, dtype=float)
-        self.lattice_span = lattice_span
-
-    @property
-    def dim(self):
-        return self.transition.shape[0]
-
-    def operator_family(self, order):
-        """Taylor jets of the twisted family up to ``order``."""
-        return spectral.build_operator_family(self, order)
-
-
-def markov_model(P, h, mu0):
-    """Validated finite-state model with lattice span auto-detection.
+    Also public as :func:`markov_model`.  The caller's arrays are not
+    modified: rewards on transitions of probability 0 are zeroed in a
+    copy.
 
     Parameters
     ----------
-    P : array_like
+    transition : array_like
         d x d row-stochastic transition matrix.
-    h : array_like
-        d x d observable values on transitions.
+    observable : array_like
+        d x d rewards on transitions.
     mu0 : array_like
         Initial distribution of length d.
+
+    Attributes
+    ----------
+    transition, observable, mu0 : ndarray
+        The checked arrays; ``observable`` is 0 wherever ``transition`` is.
+    lattice_span : float or None
+        Span when every reward of a transition of positive probability is
+        an integer multiple of it.
 
     Raises
     ------
@@ -127,29 +111,48 @@ def markov_model(P, h, mu0):
     ValidationError
         If any entry of P, h or mu0 is NaN or infinite.
     """
-    P = np.asarray(P, dtype=float)
-    h = np.asarray(h, dtype=float)
-    mu0 = np.asarray(mu0, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise InconsistentDimensions("transition matrix must be square")
-    if h.shape != P.shape:
-        raise InconsistentDimensions(
-            f"observable shape {h.shape} differs from transition {P.shape}"
-        )
-    if mu0.shape != (P.shape[0],):
-        raise InconsistentDimensions(
-            f"initial distribution length {mu0.shape} does not match dimension {P.shape[0]}"
-        )
-    for name, values in (("transition", P), ("observable", h), ("initial distribution", mu0)):
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"{name} holds NaN or infinite entries")
-    if np.any(P < 0) or np.any(mu0 < 0):
-        raise NonStochasticModel("negative probabilities")
-    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-        raise NonStochasticModel("transition rows do not sum to 1 within 1e-12")
-    if abs(mu0.sum() - 1.0) > 1e-12:
-        raise NonStochasticModel("initial distribution does not sum to 1 within 1e-12")
-    return MarkovModel(P, h, mu0, lattice_span=_lattice_span(h))
+
+    __slots__ = ("transition", "observable", "mu0", "lattice_span")
+
+    def __init__(self, transition, observable, mu0):
+        P = np.asarray(transition, dtype=float)
+        h = np.asarray(observable, dtype=float)
+        mu0 = np.asarray(mu0, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise InconsistentDimensions("transition matrix must be square")
+        if h.shape != P.shape:
+            raise InconsistentDimensions(
+                f"observable shape {h.shape} differs from transition {P.shape}"
+            )
+        if mu0.shape != (P.shape[0],):
+            raise InconsistentDimensions(
+                f"initial distribution length {mu0.shape} does not match dimension {P.shape[0]}"
+            )
+        for name, values in (("transition", P), ("observable", h), ("initial distribution", mu0)):
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{name} holds NaN or infinite entries")
+        if np.any(P < 0) or np.any(mu0 < 0):
+            raise NonStochasticModel("negative probabilities")
+        if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+            raise NonStochasticModel("transition rows do not sum to 1 within 1e-12")
+        if abs(mu0.sum() - 1.0) > 1e-12:
+            raise NonStochasticModel("initial distribution does not sum to 1 within 1e-12")
+        possible = P > 0
+        self.transition = P
+        self.observable = np.where(possible, h, 0.0)
+        self.mu0 = mu0
+        self.lattice_span = _lattice_span(h[possible])
+
+    @property
+    def dim(self):
+        return self.transition.shape[0]
+
+    def operator_family(self, order):
+        """Taylor jets of the twisted family up to ``order``."""
+        return spectral.build_operator_family(self, order)
+
+
+markov_model = MarkovModel
 
 
 class IidMomentModel:
@@ -259,8 +262,8 @@ class UlamModel(MarkovModel):
 
     __slots__ = ("map_kind", "map_endpoints", "map_g_vec")
 
-    def __init__(self, transition, observable, mu0, lattice_span, map_kind, map_endpoints, g):
-        super().__init__(transition, observable, mu0, lattice_span)
+    def __init__(self, transition, observable, mu0, map_kind, map_endpoints, g):
+        super().__init__(transition, observable, mu0)
         self.map_kind = map_kind
         self.map_endpoints = np.asarray(map_endpoints, dtype=float)
         self.map_g_vec = g
@@ -345,16 +348,7 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     h[nz] /= P[nz]
     P /= P.sum(axis=1, keepdims=True)
 
-    validated = markov_model(P, h, np.full(n, 1.0 / n))
-    return UlamModel(
-        validated.transition,
-        validated.observable,
-        validated.mu0,
-        validated.lattice_span,
-        map_kind,
-        endpoints,
-        g,
-    )
+    return UlamModel(P, h, np.full(n, 1.0 / n), map_kind, endpoints, g)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ import os
 
 import numpy as np
 
-from .errors import OracleUnavailable, TableTooLarge, ValidationError
+from .errors import InsufficientMoments, OracleUnavailable, TableTooLarge, ValidationError
 from .jets import jet_exp, jet_mul
 
 _DP_CELL_CAP = 10 ** 7
-_DP_CHUNK = 1 << 15  # cells per add of the last source: 256 KiB, in L2
 _TINY = np.finfo(float).tiny  # smallest normal double, 2**-1022
 
 
@@ -139,12 +138,14 @@ def dp_pmf(model, N):
 
     The table is indexed by (state, integer coordinate of the sum).  A
     lattice model has one coordinate, the sum in span units.  Otherwise
-    each distinct nonzero reward value u_1 < ... < u_q on a transition
-    of positive probability gets its own count n_i in 0..N, flattened as
-    sum_i n_i (N+1)**i, and the sum is sum_i n_i u_i (the rank-q lattice
-    of Bhattacharya & Rao, 1976).  Additions are compensated (Kahan) so
-    the mass balance survives long horizons.  Atoms whose values are
-    equal as floats are pooled; there is no merge tolerance.
+    each distinct nonzero reward value u_1 < ... < u_q gets its own count
+    n_i in 0..N, flattened as sum_i n_i (N+1)**i, and the sum is
+    sum_i n_i u_i (the rank-q lattice of Bhattacharya & Rao, 1976).  A
+    model's rewards are 0 on transitions of probability 0, so only the
+    values that S_N can take set the coordinates.  Additions are
+    compensated (Kahan) so the mass balance survives long horizons.
+    Atoms whose values are equal as floats are pooled; there is no merge
+    tolerance.
 
     Each step runs target-major: every target state takes its sources
     in index order, so each cell gets the same compensated adds in the
@@ -175,14 +176,12 @@ def dp_pmf(model, N):
     _require_chain(model)
     if N < 1:
         raise ValidationError("N must be at least 1")
-    P = model.transition
-    h = model.observable
+    P, h, span = model.transition, model.observable, model.lattice_span
     d = P.shape[0]
-    span = getattr(model, "lattice_span", None)
     if span is not None:
         off = np.rint(h / span).astype(np.int64)
     else:
-        used = (P > 0.0) & (h != 0.0)
+        used = h != 0.0
         u = np.unique(h[used])
         q = u.size
         # every count runs over 0..N, so the table is at least 2**(q-1)
@@ -252,14 +251,10 @@ def dp_pmf(model, N):
             if len(src) > 1:
                 j, p, o = src[-1]
                 lo = cur_lo + o
-                # in chunks that stay in cache between the product and the add
-                for c in range(0, n, _DP_CHUNK):
-                    m = min(n - c, _DP_CHUNK)
-                    t = term[:m]
-                    np.multiply(p, mass[j, cur_lo + c:cur_lo + c + m], out=t)
-                    if len(src) > 2:
-                        t -= comp[lo + c:lo + c + m]
-                    row[lo + c:lo + c + m] += t
+                np.multiply(p, mass[j, cur_lo:cur_hi], out=term)
+                if len(src) > 2:
+                    term -= comp[lo:lo + n]
+                row[lo:lo + n] += term
         mass, new = new, mass
         cur_lo, cur_hi = nxt_lo, nxt_hi
         live_lo, live_hi = live_lo + min(mn, 0), live_hi + max(mx, 0)
@@ -298,12 +293,12 @@ def _stationary(P):
 
 
 def drift(model):
-    """Asymptotic mean per step, from the stationary distribution alone."""
+    """Asymptotic mean per step: from the stationary distribution alone
+    for a chain, the first stored moment for a moment model."""
     if hasattr(model, "transition"):
         pi = _stationary(model.transition)
         return float(np.sum(pi[:, None] * model.transition * model.observable))
-    fam = model.operator_family(2)
-    return float(fam.coeffs[1, 0, 0])
+    return float(model.moments[0])
 
 
 def exact_moments(model, N, kmax):
@@ -315,6 +310,8 @@ def exact_moments(model, N, kmax):
     function.  The entry jets form one ``(kmax+1, d, d)`` array and the
     row ``mu0^T L_t^n`` one ``(kmax+1, d)`` array, stepped N times with
     the broadcast ``jet_mul``.  No eigenvalue decomposition is involved.
+    A moment model's one entry jet is ``sum_k m_k (it)**k / k!`` from its
+    stored moments, built here, not read from its operator family.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
@@ -330,11 +327,15 @@ def exact_moments(model, N, kmax):
             jets[m] = P * term
         mu0 = model.mu0
     else:
-        fam = model.operator_family(kmax)
+        m = model.moments
+        if kmax > m.size:
+            raise InsufficientMoments(f"order {kmax} requested but only {m.size} moments stored")
+        # m_k times 1/k!, as IidMomentModel.operator_family scales
+        fact = np.cumprod(np.arange(1.0, kmax + 1.0))
+        raw = 1j ** np.arange(kmax + 1) * np.concatenate(([1.0], m[:kmax] * (1.0 / fact)))
         shift = np.zeros(kmax + 1, dtype=complex)
         if kmax >= 1:
             shift[1] = -1j * A
-        raw = 1j ** np.arange(kmax + 1) * fam.coeffs[:, 0, 0]
         jets = jet_mul(raw, jet_exp(shift)).reshape(kmax + 1, 1, 1)
         mu0 = np.array([1.0])
 

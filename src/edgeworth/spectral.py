@@ -148,10 +148,9 @@ class OperatorFamilyJet:
 class PerronBase:
     """Perron eigendata of the untwisted matrix: right = 1, left = pi."""
 
-    __slots__ = ("mu0_eig", "right", "left", "gap")
+    __slots__ = ("right", "left", "gap")
 
     def __init__(self, right, left, gap):
-        self.mu0_eig = 1.0 + 0.0j
         self.right = np.asarray(right, dtype=float)
         self.left = np.asarray(left, dtype=float)
         self.gap = float(gap)
@@ -180,14 +179,15 @@ class SpectralJets:
         self.neumann_terms = neumann_terms
 
 
-def _validate_stochastic(P, tol_row=1e-10):
+def _validate_stochastic(P):
+    """Check a raw transition matrix given to :func:`perron_base`."""
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise NonStochasticModel("transition matrix must be square")
     if np.any(P < -1e-12):
         raise NegativeProbability("negative transition probability")
     rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > tol_row:
+    if np.max(np.abs(rows - 1.0)) > 1e-10:
         raise NonStochasticModel(
             f"row sums deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}"
         )
@@ -200,14 +200,12 @@ def build_operator_family(model, order):
     Entry ``(j, k)`` carries the series of ``p_{jk} exp(i t h_{jk})``
     truncated at ``order``, stored without its factors ``i**m``, densely
     or on the nonzeros of ``P`` as :func:`_sparse_pattern` decides (see
-    :class:`OperatorFamilyJet`).
+    :class:`OperatorFamilyJet`).  The model is a
+    :class:`~edgeworth.models.MarkovModel`, checked when it was built.
     """
-    P = _validate_stochastic(model.transition)
-    h = np.asarray(model.observable, dtype=float)
+    P, h = model.transition, model.observable
     if order < 2:
         raise ValueError("jet order must be at least 2")
-    if h.shape != P.shape:
-        raise NonStochasticModel("observable matrix shape differs from transition")
     pattern = _sparse_pattern(P)
     if pattern is not None:
         P, h = P[pattern], h[pattern]
@@ -226,9 +224,7 @@ def build_operator_family(model, order):
 
 def evaluate_family(model, t):
     """The concrete complex matrix ``L_t`` (exact, no truncation)."""
-    P = np.asarray(model.transition, dtype=float)
-    h = np.asarray(model.observable, dtype=float)
-    return P * np.exp(1j * t * h)
+    return model.transition * np.exp(1j * t * model.observable)
 
 
 def _power_stationary(P):
@@ -307,33 +303,35 @@ def perron_base(P):
     return PerronBase(right, pi, gap)
 
 
-def power_radius(M, iters=200, tol=1e-10):
+def power_radius(M):
     """Spectral-radius estimate by power iteration.
 
     With a strictly dominant eigenvalue the norm-growth ratio converges
     and is returned directly.  When two moduli are (nearly) tied the
     ratio keeps oscillating; the telescoped geometric mean over the
-    trailing half of the run averages the beats out.  A real matrix is
-    iterated in real arithmetic, a complex one in complex arithmetic.
+    trailing half of the run averages the beats out.  The run stops after
+    200 steps, or once two successive ratios agree within 1e-10
+    (relative).  A real matrix is iterated in real arithmetic, a complex
+    one in complex arithmetic.
     """
     M = np.asarray(M)
-    return _power_radius(M.__matmul__, M.shape[0], np.result_type(M.dtype, float), iters, tol)
+    return _power_radius(M.__matmul__, M.shape[0], np.result_type(M.dtype, float))
 
 
-def _power_radius(apply, d, dtype=float, iters=200, tol=1e-10):
+def _power_radius(apply, d, dtype=float):
     """:func:`power_radius` of the linear map ``apply`` on ``d``-vectors."""
     # deterministic start vector (1, 1/2, 1/3, ...)
     x = (1.0 / np.arange(1.0, d + 1.0)).astype(dtype)
     x /= np.linalg.norm(x)
     ratios = []
-    for _ in range(iters):
+    for _ in range(200):
         y = apply(x)
         r = np.linalg.norm(y)
         if r < 1e-300:
             return 0.0
         ratios.append(r)
         x = y / r
-        if len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) <= tol * max(1.0, ratios[-1]):
+        if len(ratios) >= 2 and abs(ratios[-1] - ratios[-2]) <= 1e-10 * max(1.0, ratios[-1]):
             return float(ratios[-1])
     tail = ratios[len(ratios) // 2 :]
     return float(np.exp(np.mean(np.log(tail))))

@@ -18,6 +18,7 @@ from edgeworth.models import (
     BUNDLED_MODELS,
     MAX_ULAM_CELLS,
     DiophantineScan,
+    MarkovModel,
     bundled_model,
     diophantine_scan,
     iid_model,
@@ -81,6 +82,43 @@ def test_markov_model_validation():
         markov_model([[0.5, 0.4], [0.5, 0.5]], [[1, 0], [0, 1]], [1, 0])
     with pytest.raises(NonStochasticModel):
         markov_model([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 1]], [0.5, 0.6])
+
+
+_INVALID_CHAINS = [
+    (([[1.0]], [[0.0, 1.0]], [1.0]), InconsistentDimensions, "observable shape"),
+    (([[1.0, 0.0]], [[0.0, 1.0]], [1.0]), InconsistentDimensions, "must be square"),
+    (([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]], [1.0]),
+     InconsistentDimensions, "initial distribution length"),
+    (([[0.5, 0.5], [0.5, 0.5]], [[1.0, math.nan], [0.0, 1.0]], [1.0, 0.0]),
+     ValidationError, "observable holds NaN"),
+    (([[1.5, -0.5], [0.5, 0.5]], [[1, 0], [0, 1]], [1, 0]), NonStochasticModel, "negative"),
+    (([[0.5, 0.4], [0.5, 0.5]], [[1, 0], [0, 1]], [1, 0]), NonStochasticModel, "rows"),
+    (([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 1]], [0.5, 0.6]),
+     NonStochasticModel, "initial distribution does not sum"),
+]
+
+
+@pytest.mark.parametrize("args,error,message", _INVALID_CHAINS)
+def test_markov_model_constructor_checks_the_chain(args, error, message):
+    # markov_model is the constructor itself, not a second path
+    assert markov_model is MarkovModel
+    with pytest.raises(error, match=message):
+        MarkovModel(*args)
+
+
+def test_rewards_on_impossible_transitions_are_dropped():
+    # S_N is integer-valued: the reward 0.5 sits on a transition of
+    # probability 0
+    h = np.array([[1.0, 0.0], [0.0, 0.5]])
+    m = markov_model([[0.5, 0.5], [1.0, 0.0]], h, [1.0, 0.0])
+    assert m.lattice_span == 1.0
+    assert m.observable.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert h[1, 1] == 0.5  # the caller's array is not modified
+    # an irrational reward there does not make the chain non-lattice
+    h[1, 1] = math.pi
+    assert markov_model([[0.5, 0.5], [1.0, 0.0]], h, [1.0, 0.0]).lattice_span == 1.0
+    # nor does a value of probability 0 in an i.i.d. pmf
+    assert iid_model(pmf=[(0.0, 0.5), (1.0, 0.5), (0.3, 0.0)]).lattice_span == 1.0
 
 
 def test_iid_pmf_embedding_matches_moment_family():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from edgeworth.errors import (
+    InsufficientMoments,
     TableTooLarge,
     ValidationError,
 )
@@ -183,6 +184,21 @@ def test_dp_off_lattice_matches_merged_enumeration(N):
 def test_dp_table_cap():
     with pytest.raises(TableTooLarge):
         dp_pmf(bundled_model("three_state_lattice"), 10**8)
+
+
+def test_dp_table_ignores_rewards_on_impossible_transitions():
+    # the reward 1000 sits on a transition of probability 0, so it sets
+    # neither the span nor the table width
+    P, mu0 = [[0.5, 0.5], [1.0, 0.0]], [1.0, 0.0]
+    m = markov_model(P, [[1.0, 0.0], [0.0, 1000.0]], mu0)
+    ref = markov_model(P, [[1.0, 0.0], [0.0, 0.0]], mu0)
+    got = dp_pmf(m, 64)
+    assert got.meta["table_width"] == 65
+    want = dp_pmf(ref, 64)
+    assert np.array_equal(got.support, want.support)
+    assert np.array_equal(got.pmf, want.pmf)
+    # 10002 cells are within the budget
+    assert dp_pmf(m, 10001).meta["table_width"] == 10002
 
 
 def _kahan_add_fresh(acc, comp, idx, term):
@@ -374,18 +390,6 @@ def test_dp_target_major_matches_source_major(name, N):
     assert got.meta["flushed_mass"] == flushed
 
 
-@pytest.mark.parametrize("name", ["three_state_lattice", "sparse5", "sparse6", "diophantine_two_state"])
-def test_dp_chunked_last_add_matches_source_major(monkeypatch, name):
-    # chunks of 5 cells split every window past N = 2, with and
-    # without the compensation of middle sources
-    monkeypatch.setattr(oracle, "_DP_CHUNK", 5)
-    m = bundled_model(name) if name == "three_state_lattice" else _TARGET_MAJOR_MODELS[name]()
-    support, pmf, _ = _dp_pmf_fresh_buffers(m, 40)
-    got = dp_pmf(m, 40)
-    assert np.array_equal(got.support, support)
-    assert np.array_equal(got.pmf, pmf)
-
-
 def test_dp_full_kahan_step_only_for_three_or_more_sources(monkeypatch):
     calls = []
     real = oracle._kahan_add
@@ -453,6 +457,22 @@ def test_drift_of_moment_model_is_first_moment():
     moments = pmf_moments(pmf, 4)
     assert drift(iid_model(moments=moments)) == moments[0]
     assert abs(drift(iid_model(pmf=pmf)) - moments[0]) <= 1e-12
+
+
+def test_moment_model_oracles_read_the_moments_not_the_family(monkeypatch):
+    # the oracles stay independent of spectral's family layout
+    m = bundled_model("iid_moments")
+    want_drift, want_moments = drift(m), exact_moments(m, 16, 6)
+    assert want_drift == m.operator_family(2).coeffs[1, 0, 0]
+
+    def refuse(self, order):
+        raise AssertionError("operator family read by an oracle")
+
+    monkeypatch.setattr(type(m), "operator_family", refuse)
+    assert drift(m) == want_drift
+    assert exact_moments(m, 16, 6) == want_moments
+    with pytest.raises(InsufficientMoments):
+        exact_moments(m, 16, 9)
 
 
 def test_mc_deterministic_and_close_to_dp():

@@ -8,6 +8,7 @@ import pytest
 
 from edgeworth.errors import GapBelowTolerance, NonStochasticModel
 from edgeworth.jets import jet_div, jet_mul
+from edgeworth import spectral
 from edgeworth.models import bundled_model, markov_model, ulam_model
 from edgeworth.spectral import (
     SparseMatrix,
@@ -274,6 +275,16 @@ def test_non_stochastic_rows_rejected():
         markov_model([[0.7, 0.2], [0.4, 0.6]], [[1, 0], [0, 0]], [1, 0])
     with pytest.raises(NonStochasticModel):
         markov_model([[1.1, -0.1], [0.4, 0.6]], [[1, 0], [0, 0]], [1, 0])
+
+
+def test_operator_family_trusts_the_checked_model(monkeypatch):
+    # the model was checked when built; the family does not check again
+    def refuse(P):
+        raise AssertionError("transition re-validated")
+
+    monkeypatch.setattr(spectral, "_validate_stochastic", refuse)
+    fam = build_operator_family(bundled_model("two_state"), 2)
+    assert fam.coeffs.shape == (3, 2, 2)
 
 
 def test_perron_base_two_state():
