@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -325,7 +326,10 @@ def cmd_diagnose(model, model_doc, run, args):
         flags.append("stationary-not-unique")
     t, nrm, rad = np.array(spectral.norm_decay_scan(model, t_grid, n_power)).T
     if model.lattice_span is None:
-        scan = models.diophantine_scan(model.observable, t_grid)
+        # the resonance warning becomes a flag of the report (see main)
+        scan = models.diophantine_scan(model.matrices()[1], t_grid)
+        if scan.resonant:
+            flags.append("resonant-observable")
         dist = scan.d
         dio = {"K": scan.K, "beta": scan.beta, "residual": scan.residual}
     else:
@@ -461,9 +465,11 @@ def main(argv=None):
     if args.stamp is None:
         args.stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     try:
-        # stderr carries only the JSON error: numpy stays silent, and a
-        # non-finite result is refused when the artifact is written
-        with np.errstate(all="ignore"):
+        # stderr carries only the JSON error: numpy and warnings stay
+        # silent, a non-finite result is refused when the artifact is
+        # written, and diagnose reports a resonance as a flag
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             model_doc, run = _load_config(args.config)
             model = build_model(model_doc)
             os.makedirs(args.out, exist_ok=True)

@@ -369,9 +369,10 @@ class ConvergenceReport:
 
 
 def _model_key(model):
-    """SHA-256 digest of the chain arrays, fed as buffers without copies."""
-    digest = hashlib.sha256()
-    for arr in (model.transition, model.observable, model.mu0):
+    """SHA-256 digest of the chain: its dimension, the pattern and values
+    of ``model.entries()`` and ``mu0``, fed as buffers without copies."""
+    digest = hashlib.sha256(str(model.dim).encode())
+    for arr in (*model.entries(), model.mu0):
         digest.update(np.ascontiguousarray(arr))
     return digest.hexdigest()
 

@@ -2,14 +2,17 @@
 
 Every model exposes ``operator_family(order)`` returning the Taylor jets
 of its twisted operator family, which is all the expansion machinery
-needs.  Finite-state Markov models additionally expose the raw
-``transition`` / ``observable`` / ``mu0`` arrays consumed by the exact
-oracles.  The observable lives on transitions: ``X_n = h[x_n, x_{n+1}]``;
-state observables embed as constant rows.
+needs.  Finite-state Markov models additionally expose the chain
+(``transition``, ``observable``, ``mu0``) consumed by the exact oracles.
+The observable lives on transitions: ``X_n = h[x_n, x_{n+1}]``; state
+observables embed as constant rows.
 
 Every finite-state model is a :class:`MarkovModel`, checked once by its
 constructor, which sets the rewards on transitions of probability 0 to 0
-and takes the lattice span from the values that S_N can take.
+and takes the lattice span from the values that S_N can take.  A chain
+is held densely or, as :func:`ulam_model` builds it, on its nonzeros;
+consumers read it through :meth:`MarkovModel.matrices` or
+:meth:`MarkovModel.entries`, whatever the layout.
 """
 
 from __future__ import annotations
@@ -81,23 +84,38 @@ def _lattice_span(h):
 class MarkovModel:
     """Checked finite-state chain with per-transition rewards.
 
-    Also public as :func:`markov_model`.  The caller's arrays are not
+    Also public as :func:`markov_model`.  A chain is held in one of two
+    layouts, fixed when it is built:
+
+    * dense: ``transition`` and ``observable`` are d x d arrays;
+    * on its nonzeros: both are :class:`~edgeworth.spectral.SparseMatrix`
+      objects on one row-major pattern, which lists only the transitions
+      of positive probability.  :func:`ulam_model` builds this layout, so
+      an Ulam chain never holds a d x d array.
+
+    Every check runs on the stored values.  The caller's arrays are not
     modified: rewards on transitions of probability 0 are zeroed in a
-    copy.
+    copy (dense), or the entries of probability 0 are left out of the
+    pattern (on the nonzeros).  A consumer that needs matrices reads them
+    from :meth:`matrices`, one that needs the entries from :meth:`entries`,
+    whatever the layout.
 
     Parameters
     ----------
-    transition : array_like
+    transition : array_like or SparseMatrix
         d x d row-stochastic transition matrix.
-    observable : array_like
-        d x d rewards on transitions.
+    observable : array_like or SparseMatrix
+        d x d rewards on transitions; a SparseMatrix on the same pattern
+        as ``transition``.
     mu0 : array_like
         Initial distribution of length d.
 
     Attributes
     ----------
-    transition, observable, mu0 : ndarray
-        The checked arrays; ``observable`` is 0 wherever ``transition`` is.
+    transition, observable : ndarray or SparseMatrix
+        The checked chain in its layout; ``observable`` is 0 wherever
+        ``transition`` is.
+    mu0 : ndarray
     lattice_span : float or None
         Span when every reward of a transition of positive probability is
         an integer multiple of it.
@@ -105,7 +123,7 @@ class MarkovModel:
     Raises
     ------
     InconsistentDimensions
-        If the shapes disagree.
+        If the shapes or patterns disagree.
     NonStochasticModel
         If P rows or mu0 fail to be probability vectors within 1e-12.
     ValidationError
@@ -115,37 +133,79 @@ class MarkovModel:
     __slots__ = ("transition", "observable", "mu0", "lattice_span")
 
     def __init__(self, transition, observable, mu0):
-        P = np.asarray(transition, dtype=float)
-        h = np.asarray(observable, dtype=float)
         mu0 = np.asarray(mu0, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise InconsistentDimensions("transition matrix must be square")
-        if h.shape != P.shape:
+        sparse = isinstance(transition, spectral.SparseMatrix)
+        if sparse:
+            rows, cols, d = transition.rows, transition.cols, transition.dim
+            if not (isinstance(observable, spectral.SparseMatrix) and observable.dim == d
+                    and np.array_equal(observable.rows, rows)
+                    and np.array_equal(observable.cols, cols)):
+                raise InconsistentDimensions("observable must share the transition's pattern")
+            P, h = transition.values, observable.values
+            inside = np.all((rows >= 0) & (rows < d) & (cols >= 0) & (cols < d))
+            if not (P.shape == h.shape == rows.shape and inside
+                    and np.all(np.diff(rows * d + cols) > 0)):
+                raise InconsistentDimensions(
+                    "the pattern must list distinct entries of a d x d matrix in row-major order"
+                )
+            row_sums = np.bincount(rows, weights=P, minlength=d)
+        else:
+            P = np.asarray(transition, dtype=float)
+            h = np.asarray(observable, dtype=float)
+            if P.ndim != 2 or P.shape[0] != P.shape[1]:
+                raise InconsistentDimensions("transition matrix must be square")
+            if h.shape != P.shape:
+                raise InconsistentDimensions(
+                    f"observable shape {h.shape} differs from transition {P.shape}"
+                )
+            d = P.shape[0]
+            row_sums = P.sum(axis=1)
+        if mu0.shape != (d,):
             raise InconsistentDimensions(
-                f"observable shape {h.shape} differs from transition {P.shape}"
-            )
-        if mu0.shape != (P.shape[0],):
-            raise InconsistentDimensions(
-                f"initial distribution length {mu0.shape} does not match dimension {P.shape[0]}"
+                f"initial distribution length {mu0.shape} does not match dimension {d}"
             )
         for name, values in (("transition", P), ("observable", h), ("initial distribution", mu0)):
             if not np.all(np.isfinite(values)):
                 raise ValidationError(f"{name} holds NaN or infinite entries")
         if np.any(P < 0) or np.any(mu0 < 0):
             raise NonStochasticModel("negative probabilities")
-        if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+        if np.max(np.abs(row_sums - 1.0)) > 1e-12:
             raise NonStochasticModel("transition rows do not sum to 1 within 1e-12")
         if abs(mu0.sum() - 1.0) > 1e-12:
             raise NonStochasticModel("initial distribution does not sum to 1 within 1e-12")
         possible = P > 0
-        self.transition = P
-        self.observable = np.where(possible, h, 0.0)
+        if sparse:
+            rows, cols = rows[possible], cols[possible]
+            self.transition = spectral.SparseMatrix(P[possible], rows, cols, d)
+            self.observable = spectral.SparseMatrix(h[possible], rows, cols, d)
+        else:
+            self.transition = P
+            self.observable = np.where(possible, h, 0.0)
         self.mu0 = mu0
         self.lattice_span = _lattice_span(h[possible])
 
     @property
     def dim(self):
-        return self.transition.shape[0]
+        return self.mu0.size
+
+    def matrices(self):
+        """``(P, h)`` as d x d arrays, in either layout.
+
+        A dense chain returns its stored arrays; a chain held on its
+        nonzeros forms both arrays anew on every call.
+        """
+        if isinstance(self.transition, spectral.SparseMatrix):
+            return self.transition.toarray(), self.observable.toarray()
+        return self.transition, self.observable
+
+    def entries(self):
+        """``(rows, cols, p, h)`` of the transitions of positive
+        probability, in row-major order, in either layout."""
+        if isinstance(self.transition, spectral.SparseMatrix):
+            P, h = self.transition, self.observable
+            return P.rows, P.cols, P.values, h.values
+        rows, cols = np.nonzero(self.transition)
+        return rows, cols, self.transition[rows, cols], self.observable[rows, cols]
 
     def operator_family(self, order):
         """Taylor jets of the twisted family up to ``order``."""
@@ -258,7 +318,8 @@ def pmf_moments(pmf, kmax):
 
 
 class UlamModel(MarkovModel):
-    """Discretized interval map; keeps the map itself for Monte Carlo."""
+    """Discretized interval map, held on its nonzeros; keeps the map
+    itself for Monte Carlo."""
 
     __slots__ = ("map_kind", "map_endpoints", "map_g_vec")
 
@@ -269,6 +330,36 @@ class UlamModel(MarkovModel):
         self.map_g_vec = g
 
 
+# rows of the dense matrix that _row_sums rebuilds at a time
+_ROW_BLOCK = 64
+
+
+def _row_sums(rows, cols, values, n):
+    """``P.sum(axis=1)`` of the n x n matrix with these row-major entries,
+    equal to it bit for bit, without forming it.
+
+    A row of at most two entries sums to the one rounding of their sum in
+    any order, zeros being exact, so ``np.bincount`` serves it.  Rows with
+    more entries are written into a block of ``_ROW_BLOCK`` zero rows and
+    summed there by numpy, whose pairwise summation then groups them by
+    column exactly as in the full matrix.
+    """
+    sums = np.bincount(rows, weights=values, minlength=n)
+    counts = np.bincount(rows, minlength=n)
+    busy = np.flatnonzero(counts > 2)
+    sel = counts[rows] > 2
+    at, cols, values = np.searchsorted(busy, rows[sel]), cols[sel], values[sel]
+    block = np.zeros((min(_ROW_BLOCK, busy.size), n))
+    for first in range(0, busy.size, _ROW_BLOCK):
+        part = busy[first:first + _ROW_BLOCK]
+        lo, hi = np.searchsorted(at, [first, first + part.size])
+        cell = (at[lo:hi] - first, cols[lo:hi])
+        block[cell] = values[lo:hi]
+        sums[part] = block[:part.size].sum(axis=1)
+        block[cell] = 0.0
+    return sums
+
+
 def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     """Discretized expanding interval map as a finite-state model.
 
@@ -277,6 +368,13 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     and the observable is ``g`` at the midpoint of that intersection
     (mass-weighted across branches if several contribute).  The initial
     distribution is uniform.
+
+    The chain is built straight on its nonzeros, about (slope + 1) per
+    row, and held that way (see :class:`MarkovModel`): no d x d array or
+    temporary is formed.  The values equal those of the dense build bit
+    for bit: the hits of an entry are added in branch and step order,
+    starting from 0, and the row sums are those of ``P.sum(axis=1)`` (see
+    :func:`_row_sums`).
 
     Parameters
     ----------
@@ -323,8 +421,8 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     n = int(cells)
     edges = np.arange(n + 1) / n
     k = np.arange(n)
-    P = np.zeros((n, n))
-    h = np.zeros((n, n))
+    # every hit: its flat index j * n + k, its mass and mass times g
+    at, mass, gmass = [], [], []
     for lo_b, w_b in zip(endpoints, widths):
         # branch preimage of cell_k is lo_b + [k, k+1) * w_b / n; it is
         # shorter than one cell, so it meets cells j0 and j0 + 1, unless
@@ -339,16 +437,35 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
             lo = np.maximum(plo, edges[cell])
             hi = np.minimum(phi, edges[cell + 1])
             hit = (j < j1) & (hi > lo)
-            lo, hi, at = lo[hit], hi[hit], (j[hit], k[hit])
-            mass = (hi - lo) * n
-            np.add.at(P, at, mass)
-            np.add.at(h, at, mass * g(0.5 * (lo + hi)))
-    # P still holds the unnormalized masses, the weights of the h average
-    nz = P > 0
-    h[nz] /= P[nz]
-    P /= P.sum(axis=1, keepdims=True)
+            lo, hi = lo[hit], hi[hit]
+            at.append(j[hit] * n + k[hit])
+            mass.append((hi - lo) * n)
+            gmass.append(mass[-1] * g(0.5 * (lo + hi)))
+    # a stable sort puts the hits in row-major order and keeps the hits of
+    # one entry in branch and step order; bincount adds them in that order
+    at = np.concatenate(at)
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    first = np.ones(at.size, dtype=bool)
+    first[1:] = at[1:] != at[:-1]
+    entry = np.cumsum(first) - 1
+    w = np.bincount(entry, weights=np.concatenate(mass)[order])
+    # w holds the unnormalized masses, the weights of the h average
+    h = np.bincount(entry, weights=np.concatenate(gmass)[order]) / w
+    rows, cols = np.divmod(at[first], n)
+    P = w / _row_sums(rows, cols, w, n)[rows]
 
-    return UlamModel(P, h, np.full(n, 1.0 / n), map_kind, endpoints, g)
+    return UlamModel(
+        spectral.SparseMatrix(P, rows, cols, n),
+        spectral.SparseMatrix(h, rows, cols, n),
+        np.full(n, 1.0 / n),
+        map_kind,
+        endpoints,
+        g,
+    )
+
+
+_RESONANT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -360,6 +477,11 @@ class DiophantineScan:
     K: float
     beta: float
     residual: float
+
+    @property
+    def resonant(self):
+        """Whether d(s) vanishes on the whole grid (within 1e-12)."""
+        return bool(np.max(self.d) <= _RESONANT_TOL)
 
 
 def _distinct_columns(a):
@@ -423,7 +545,7 @@ def diophantine_scan(h, s_grid):
         x = np.multiply.outer(s_grid, diffs)
         np.maximum(dvals, np.abs(x - np.rint(x)).max(axis=1), out=dvals)
 
-    if np.max(dvals) <= 1e-12:
+    if np.max(dvals) <= _RESONANT_TOL:
         warnings.warn(
             "observable is resonant: d(s) vanishes identically, "
             "expansion orders beyond the CLT are unreliable",

@@ -165,6 +165,11 @@ def dp_pmf(model, N):
     (``table_width``), the final band width (``live_width``) and the
     exact sum of the zeroed values (``flushed_mass``).
 
+    The chain is read through ``model.entries()``, the transitions of
+    positive probability, so a chain held on its nonzeros is never
+    densified: an Ulam chain, with about two distinct rewards per cell,
+    is refused from its stored rewards before any allocation.
+
     Raises
     ------
     TableTooLarge
@@ -176,8 +181,8 @@ def dp_pmf(model, N):
     _require_chain(model)
     if N < 1:
         raise ValidationError("N must be at least 1")
-    P, h, span = model.transition, model.observable, model.lattice_span
-    d = P.shape[0]
+    rows, cols, p, h = model.entries()
+    d, span = model.dim, model.lattice_span
     if span is not None:
         off = np.rint(h / span).astype(np.int64)
     else:
@@ -191,7 +196,7 @@ def dp_pmf(model, N):
                 f"{q} distinct rewards at N={N} need a table beyond the 10**7-cell budget"
             )
         strides = (N + 1) ** np.arange(q, dtype=np.int64)
-        off = np.zeros((d, d), dtype=np.int64)
+        off = np.zeros(h.size, dtype=np.int64)
         off[used] = strides[np.searchsorted(u, h[used])]
     mn, mx = int(off.min()), int(off.max())
     # partial sums start at 0, so the table spans [N*min(mn,0), N*max(mx,0)]
@@ -210,9 +215,11 @@ def dp_pmf(model, N):
     # term, comp = 0.  The last add's compensation is never read, since
     # comp restarts at the next target.  So only the middle sources need
     # the full Kahan step, and comp and its scratch row exist only if
-    # some k has three or more sources.
-    sources = [[(j, P[j, k], int(off[j, k])) for j in range(d) if P[j, k] != 0.0]
-               for k in range(d)]
+    # some k has three or more sources.  The entries are row-major, so
+    # each target collects its sources in index order.
+    sources = [[] for _ in range(d)]
+    for j, k, pjk, o in zip(rows.tolist(), cols.tolist(), p.tolist(), off.tolist()):
+        sources[k].append((j, pjk, o))
     mass = np.zeros((d, width))
     new = np.zeros((d, width))
     comp = scratch_buf = None
@@ -296,8 +303,9 @@ def drift(model):
     """Asymptotic mean per step: from the stationary distribution alone
     for a chain, the first stored moment for a moment model."""
     if hasattr(model, "transition"):
-        pi = _stationary(model.transition)
-        return float(np.sum(pi[:, None] * model.transition * model.observable))
+        P, h = model.matrices()
+        pi = _stationary(P)
+        return float(np.sum(pi[:, None] * P * h))
     return float(model.moments[0])
 
 
@@ -317,8 +325,8 @@ def exact_moments(model, N, kmax):
         raise ValidationError("N must be at least 1")
     A = drift(model)
     if hasattr(model, "transition"):
-        P = model.transition
-        hc = model.observable - A
+        P, h = model.matrices()
+        hc = h - A
         jets = np.zeros((kmax + 1,) + P.shape, dtype=complex)
         term = np.ones(P.shape, dtype=complex)
         jets[0] = P
@@ -362,18 +370,37 @@ def exact_moments(model, N, kmax):
     return out
 
 
+def _count_below(cum_rows, states, u):
+    """Count of the entries of row ``states[i]`` of ``cum_rows`` below
+    ``u[i]``, for every i, by bisection.
+
+    A cumulative row never decreases, so its entries below u form a
+    prefix; each probe, from the largest power of two up to d down to 1,
+    lengthens the prefix when the entry it would end at is below u.  No
+    step forms a trials x d array.
+    """
+    d = cum_rows.shape[1]
+    flat = cum_rows.ravel()
+    last = states * d - 1  # flat index of the entry before each row
+    count = np.zeros(states.size, dtype=np.intp)
+    for jump in (1 << b for b in reversed(range(d.bit_length()))):
+        probe = count + jump
+        below = (probe <= d) & (flat[last + np.minimum(probe, d)] < u)
+        count = np.where(below, probe, count)
+    return count
+
+
 def _simulate_chain(model, N, trials, rng):
-    P = model.transition
-    h = model.observable
+    P, h = model.matrices()
+    d = P.shape[0]
     cum_rows = np.cumsum(P, axis=1)
     cum_mu0 = np.cumsum(model.mu0)
     states = np.searchsorted(cum_mu0, rng.random(trials), side="right")
-    states = np.minimum(states, P.shape[0] - 1)
+    states = np.minimum(states, d - 1)
     sums = np.zeros(trials)
     for _ in range(N):
-        u = rng.random(trials)
-        nxt = (u[:, None] > cum_rows[states]).sum(axis=1)
-        nxt = np.minimum(nxt, P.shape[0] - 1)
+        nxt = _count_below(cum_rows, states, rng.random(trials))
+        nxt = np.minimum(nxt, d - 1)
         sums += h[states, nxt]
         states = nxt
     return sums
@@ -381,7 +408,11 @@ def _simulate_chain(model, N, trials, rng):
 
 _DOUBLING_BITS = 52
 _DOUBLING_MASK = np.uint64((1 << _DOUBLING_BITS) - 1)
-_DOUBLING_BLOCK = 64  # steps per draw of fresh bits; even, so blocks use whole draws
+# steps per draw of fresh bits (8 MiB per 2**17 trials); even, so blocks use whole draws
+_DOUBLING_BLOCK = 16
+# trials per tile: g's temporaries of 32 KiB stay below glibc's 128 KiB
+# mmap threshold whatever earlier frees did to it
+_DOUBLING_TILE = 4096
 
 
 def _simulate_doubling(g, N, trials, rng):
@@ -390,23 +421,29 @@ def _simulate_doubling(g, N, trials, rng):
     # The fresh bit of each step and trial is bit 31 of the next 32-bit
     # half of the PCG64 output, low half first: the stream that one
     # integers(0, 2) call per step gives, drawn here a block at a time.
+    # Each block runs tile by tile over the trials, all its steps per
+    # tile; every trial gets the same operations in the same order as in
+    # a step-by-step sweep over all trials.
     k = rng.integers(0, 1 << _DOUBLING_BITS, size=trials, dtype=np.uint64)
     scale = 0.5 ** _DOUBLING_BITS
     sums = np.zeros(trials)
-    x = np.empty(trials)
-    fresh = np.empty(trials, dtype=np.uint64)
+    x = np.empty(min(trials, _DOUBLING_TILE))
+    fresh = np.empty(x.size, dtype=np.uint64)
     one = np.uint64(1)
     for first in range(0, N, _DOUBLING_BLOCK):
         steps = min(_DOUBLING_BLOCK, N - first)
         raw = rng.bit_generator.random_raw((steps * trials + 1) // 2)
         halves = raw.astype("<u8", copy=False).view("<u4")
-        for s in range(steps):
-            np.multiply(k, scale, out=x)
-            sums += g(x)
-            np.right_shift(halves[s * trials:(s + 1) * trials], 31, out=fresh)
-            np.left_shift(k, one, out=k)
-            np.bitwise_and(k, _DOUBLING_MASK, out=k)
-            np.bitwise_or(k, fresh, out=k)
+        for lo in range(0, trials, _DOUBLING_TILE):
+            hi = min(lo + _DOUBLING_TILE, trials)
+            kt, st, xt, ft = k[lo:hi], sums[lo:hi], x[:hi - lo], fresh[:hi - lo]
+            for s in range(steps):
+                np.multiply(kt, scale, out=xt)
+                st += g(xt)
+                np.right_shift(halves[s * trials + lo:s * trials + hi], 31, out=ft)
+                np.left_shift(kt, one, out=kt)
+                np.bitwise_and(kt, _DOUBLING_MASK, out=kt)
+                np.bitwise_or(kt, ft, out=kt)
     return sums
 
 

@@ -9,10 +9,12 @@ perturbation around the Perron eigenpair at ``t = 0``, and provides the
 numeric diagnostics (spectral gap, norm decay, radius scans) that justify
 using the expansion machinery on a given model.
 
-Each chain takes one of two paths, picked by one rule on its transition
-matrix (:func:`_sparse_pattern`): a d x d matrix with at most one nonzero
-entry in eight (``8 * nnz <= d**2``, as in an Ulam chain) takes the
-sparse path, every other one the dense path.
+Each chain takes one of two paths.  A chain held on its nonzeros (an
+Ulam chain; see :class:`~edgeworth.models.MarkovModel`) takes the sparse
+path on the pattern it was built with.  A chain held densely is sorted by
+one rule on its transition matrix (:func:`_sparse_pattern`): a d x d
+matrix with at most one nonzero entry in eight (``8 * nnz <= d**2``)
+takes the sparse path, every other one the dense path.
 
 * Dense: the family is one ``(order+1, d, d)`` array, the stationary
   vector comes from one linear solve, and one inverse of the bordered
@@ -51,9 +53,11 @@ _EPS = np.finfo(float).eps
 class SparseMatrix:
     """Real d x d matrix held on its nonzeros, in row-major coordinate form.
 
-    ``M @ x`` and ``x @ M`` are ``np.bincount`` sums over ``values``, in
-    the order of the entries; ``__array_ufunc__ = None`` makes numpy hand
-    ``x @ M`` to :meth:`__rmatmul__`.
+    ``rows`` and ``cols`` list distinct entries in row-major order, and
+    ``values`` their values.  ``M @ x`` and ``x @ M`` are ``np.bincount``
+    sums over ``values``, in the order of the entries;
+    ``__array_ufunc__ = None`` makes numpy hand ``x @ M`` to
+    :meth:`__rmatmul__`, and refuses every other numpy operation on it.
     """
 
     __slots__ = ("values", "rows", "cols", "dim")
@@ -85,11 +89,11 @@ def _sparse_pattern(P):
     """Row and column indices of the nonzeros of ``P`` (row-major), or
     ``None`` when ``P`` takes the dense path.
 
-    This is the one rule that picks the path of a chain: the sparse path
-    when at most one entry in ``_SPARSE_DENSITY`` (8) is nonzero.  Since
-    every row of a stochastic matrix has a nonzero, only chains with at
-    least 8 states can qualify; every bundled chain other than the Ulam
-    one is dense.
+    This is the one rule that picks the path of a chain held densely: the
+    sparse path when at most one entry in ``_SPARSE_DENSITY`` (8) is
+    nonzero.  Since every row of a stochastic matrix has a nonzero, only
+    chains with at least 8 states can qualify; every bundled chain other
+    than the Ulam one, which is held on its nonzeros, is dense.
     """
     if _SPARSE_DENSITY * np.count_nonzero(P) > P.size:
         return None
@@ -198,17 +202,23 @@ def build_operator_family(model, order):
     """Taylor jets of ``L_t`` for a finite-state model.
 
     Entry ``(j, k)`` carries the series of ``p_{jk} exp(i t h_{jk})``
-    truncated at ``order``, stored without its factors ``i**m``, densely
-    or on the nonzeros of ``P`` as :func:`_sparse_pattern` decides (see
+    truncated at ``order``, stored without its factors ``i**m`` (see
     :class:`OperatorFamilyJet`).  The model is a
-    :class:`~edgeworth.models.MarkovModel`, checked when it was built.
+    :class:`~edgeworth.models.MarkovModel`, checked when it was built.  A
+    model held on its nonzeros gives the family its pattern as it stands;
+    a dense one is stored densely or on the nonzeros of ``P`` as
+    :func:`_sparse_pattern` decides.
     """
     P, h = model.transition, model.observable
     if order < 2:
         raise ValueError("jet order must be at least 2")
-    pattern = _sparse_pattern(P)
-    if pattern is not None:
-        P, h = P[pattern], h[pattern]
+    if isinstance(P, SparseMatrix):
+        pattern = P.rows, P.cols
+        P, h = P.values, h.values
+    else:
+        pattern = _sparse_pattern(P)
+        if pattern is not None:
+            P, h = P[pattern], h[pattern]
     coeffs = np.empty((order + 1,) + P.shape)
     term = np.ones(P.shape)
     coeffs[0] = P
@@ -223,8 +233,9 @@ def build_operator_family(model, order):
 
 
 def evaluate_family(model, t):
-    """The concrete complex matrix ``L_t`` (exact, no truncation)."""
-    return model.transition * np.exp(1j * t * model.observable)
+    """The concrete complex d x d matrix ``L_t`` (exact, no truncation)."""
+    P, h = model.matrices()
+    return P * np.exp(1j * t * h)
 
 
 def _power_stationary(P):
@@ -278,9 +289,10 @@ def _stationary(P):
 def perron_base(P):
     """Stationary data of a stochastic matrix.
 
-    ``P`` is a transition matrix, or the :class:`SparseMatrix` slice 0 of
-    a sparse family.  A matrix takes the path that
-    :func:`_sparse_pattern` picks for it.  The right Perron vector is the
+    ``P`` is a transition matrix, or a :class:`SparseMatrix`: the
+    transition of a chain held on its nonzeros, or slice 0 of a sparse
+    family, trusted as checked.  A matrix is checked and takes the path
+    that :func:`_sparse_pattern` picks for it.  The right Perron vector is the
     all-ones vector (exact); the left one comes from :func:`_stationary`.
     The spectral gap is estimated by power iteration on the deflated
     operator ``P - 1 (x) pi``, applied as ``Px - 1 (pi . x)`` on the

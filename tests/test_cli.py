@@ -483,6 +483,33 @@ def test_diagnose_reducible_chain_completes_with_flag(tmp_path, capsys):
     assert "stationary-not-unique" in report["flags"]
 
 
+def test_diagnose_records_a_resonant_observable_in_the_report(tmp_path, capsys):
+    # S_N = 0 on this chain: d(s) vanishes, which the report flags, and
+    # stderr, kept for JSON errors, stays empty on the successful run
+    doc = {
+        "model": {
+            "type": "markov",
+            "transition": [[1.0, 0.0], [0.0, 1.0]],
+            "observable": [[0.0, 1.0], [1.0, 0.0]],
+        },
+        "run": {"t_grid": [1.0, 2.5]},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0
+    assert err == ""
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert "resonant-observable" in report["flags"]
+    assert report["diophantine"] == {"K": 0.0, "beta": 0.0, "residual": 0.0}
+    # a non-resonant chain carries no such flag
+    code, out, err = run_cli(capsys, "diagnose", write_config(tmp_path, {
+        "model": {"bundled": "diophantine_two_state"}, "run": {"t_grid": [1.0, 2.5]}}),
+        "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0 and err == ""
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert "resonant-observable" not in report["flags"]
+
+
 def test_diagnose_ulam_gap_is_exact(tmp_path, capsys):
     # the sparse deflated iteration of the doubling chain reaches 0 after
     # log2(cells) steps; the dense power iteration read rounding noise

@@ -1,6 +1,7 @@
 """Model constructors: validation, lattice detection, discretization."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,8 @@ from edgeworth.models import (
     pmf_moments,
     ulam_model,
 )
-from edgeworth.spectral import perron_base
+from edgeworth.expansion import expansion_for_model
+from edgeworth.spectral import SparseMatrix, perron_base
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -152,7 +154,8 @@ def test_pmf_moments_exact():
 def test_ulam_doubling_rows_stochastic():
     m = bundled_model("doubling_ulam")
     assert m.dim == 1024
-    assert np.abs(m.transition.sum(axis=1) - 1.0).max() <= 1e-12
+    P, _ = m.matrices()
+    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
     assert m.lattice_span is None
     # Lebesgue measure is invariant for the doubling map
     base = perron_base(m.transition)
@@ -238,10 +241,150 @@ def test_ulam_build_matches_cell_loop_exactly(map_kind, endpoints, cells):
     for g in _OBSERVABLES:
         ref = _ulam_reference(endpoints, g, cells)
         m = ulam_model(map_kind=map_kind, g=g, cells=cells, endpoints=endpoints)
-        assert np.array_equal(m.transition, ref.transition)
-        assert np.array_equal(m.observable, ref.observable)
+        P, h = m.matrices()
+        assert np.array_equal(P, ref.transition)
+        assert np.array_equal(h, ref.observable)
         assert np.array_equal(m.mu0, ref.mu0)
         assert m.lattice_span == ref.lattice_span
+
+
+def _ulam_entries_reference(endpoints, g, n):
+    # per-cell intersections |cell_j intersect f_b^{-1}(cell_k)| in a dict
+    # keyed by (j, k): nothing of size n x n, so it reaches 4096 cells
+    widths = np.diff(endpoints)
+    edges = np.arange(n + 1) / n
+    mass, gmass = {}, {}
+    for lo_b, w_b in zip(endpoints, widths):
+        for k in range(n):
+            plo = lo_b + edges[k] * w_b
+            phi = lo_b + edges[k + 1] * w_b
+            for j in range(int(np.floor(plo * n)), min(int(np.ceil(phi * n)), n)):
+                lo, hi = max(plo, edges[j]), min(phi, edges[j + 1])
+                if hi > lo:
+                    m = (hi - lo) * n
+                    mass[j, k] = mass.get((j, k), 0.0) + m
+                    gmass[j, k] = gmass.get((j, k), 0.0) + m * float(g(0.5 * (lo + hi)))
+    keys = sorted(mass)
+    row_sum = {}
+    for j, k in keys:  # in column order
+        row_sum[j] = row_sum.get(j, 0.0) + mass[j, k]
+    rows = np.array([j for j, _ in keys])
+    cols = np.array([k for _, k in keys])
+    P = np.array([mass[key] / row_sum[key[0]] for key in keys])
+    h = np.array([gmass[key] / mass[key] for key in keys])
+    return rows, cols, P, h
+
+
+_PW4 = [0.0, 0.2, 0.45, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("map_kind, endpoints, cells", [
+    ("doubling", [0.0, 0.5, 1.0], 16),
+    ("doubling", [0.0, 0.5, 1.0], 64),
+    ("doubling", [0.0, 0.5, 1.0], 1024),
+    ("doubling", [0.0, 0.5, 1.0], 2048),
+    ("doubling", [0.0, 0.5, 1.0], 4096),
+    ("piecewise-linear", _PW4, 16),
+    ("piecewise-linear", _PW4, 64),
+])
+def test_ulam_chain_is_held_on_per_cell_intersections(map_kind, endpoints, cells):
+    # the pattern lists exactly the cells the map connects, row-major, with
+    # the values of the per-cell reference bit for bit
+    g = lambda x: np.cos(2.0 * np.pi * x)
+    rows, cols, P, h = _ulam_entries_reference(endpoints, g, cells)
+    m = ulam_model(map_kind=map_kind, g=g, cells=cells, endpoints=endpoints)
+    assert isinstance(m.transition, SparseMatrix) and isinstance(m.observable, SparseMatrix)
+    assert m.transition.rows is m.observable.rows and m.transition.cols is m.observable.cols
+    assert np.array_equal(m.transition.rows, rows) and np.array_equal(m.transition.cols, cols)
+    assert np.array_equal(m.transition.values, P)
+    assert np.array_equal(m.observable.values, h)
+    got_rows, got_cols, got_p, got_h = m.entries()
+    assert got_p is m.transition.values and got_h is m.observable.values
+    if cells <= 64:
+        dense_P, dense_h = np.zeros((cells, cells)), np.zeros((cells, cells))
+        dense_P[rows, cols], dense_h[rows, cols] = P, h
+        densified = m.matrices()
+        assert np.array_equal(densified[0], dense_P)
+        assert np.array_equal(densified[1], dense_h)
+
+
+@pytest.mark.parametrize("n", [16, 65, 130, 300])
+def test_row_sums_equal_dense_sums_bit_for_bit(n):
+    # rows of 1 to 9 entries, so the rows summed densely fill whole and
+    # partial blocks of 64
+    from edgeworth.models import _row_sums
+
+    rng = np.random.default_rng(n)
+    P = np.zeros((n, n))
+    for j in range(n):
+        P[j, rng.choice(n, size=rng.integers(1, 10), replace=False)] = rng.random()
+        P[j] *= rng.random(n) * 10.0 ** rng.integers(-3, 4)
+    rows, cols = np.nonzero(P)
+    assert np.array_equal(_row_sums(rows, cols, P[rows, cols], n), P.sum(axis=1))
+
+
+def test_ulam_expansion_at_the_cell_cap_allocates_no_dense_matrix():
+    # the dense build peaked at 418 MiB here: three 128 MiB d x d arrays
+    tracemalloc.start()
+    try:
+        model = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=4096)
+        exp_set = expansion_for_model(model, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert abs(exp_set.params.sigma2 - 0.5) <= 1e-6
+
+
+def _sparse_chain(P, h, rows=None, cols=None):
+    P, h = np.asarray(P, dtype=float), np.asarray(h, dtype=float)
+    if rows is None:
+        rows, cols = np.nonzero(P)
+    d = P.shape[0]
+    return SparseMatrix(P[rows, cols], rows, cols, d), SparseMatrix(h[rows, cols], rows, cols, d)
+
+
+def test_markov_model_on_its_nonzeros_matches_the_dense_model():
+    P = [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [1.0, 0.0, 0.0]]
+    h = [[1.0, 0.5, 7.0], [0.0, 2.0, 1.5], [-1.0, 0.0, 0.0]]
+    dense = markov_model(P, h, [1.0, 0.0, 0.0])
+    sparse = markov_model(*_sparse_chain(P, h), [1.0, 0.0, 0.0])
+    assert sparse.dim == 3 and sparse.lattice_span == dense.lattice_span == 0.5
+    for got, want in zip(sparse.matrices(), dense.matrices()):
+        assert np.array_equal(got, want)
+    for got, want in zip(sparse.entries(), dense.entries()):
+        assert np.array_equal(got, want)
+    # a stored entry of probability 0 leaves the pattern, with its reward
+    rows, cols = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 0])
+    held = markov_model(*_sparse_chain(P, h, rows, cols), [1.0, 0.0, 0.0])
+    assert np.array_equal(held.transition.cols, dense.transition.nonzero()[1])
+    assert held.lattice_span == 0.5
+
+
+_INVALID_SPARSE_CHAINS = [
+    (lambda P, h: (P, np.asarray(h.toarray())), InconsistentDimensions, "pattern"),
+    (lambda P, h: (P, SparseMatrix(h.values, h.rows[::-1].copy(), h.cols, 2)),
+     InconsistentDimensions, "pattern"),
+    (lambda P, h: (SparseMatrix(P.values, P.rows[::-1].copy(), P.cols[::-1].copy(), 2),
+                   SparseMatrix(h.values, h.rows[::-1].copy(), h.cols[::-1].copy(), 2)),
+     InconsistentDimensions, "row-major"),
+    (lambda P, h: (SparseMatrix(P.values, P.rows, P.cols + 1, 2),
+                   SparseMatrix(h.values, h.rows, h.cols + 1, 2)),
+     InconsistentDimensions, "row-major"),
+    (lambda P, h: (SparseMatrix(P.values * [1, 1, 1.5], P.rows, P.cols, 2), h),
+     NonStochasticModel, "rows"),
+    (lambda P, h: (SparseMatrix(P.values * [1, 1, -1], P.rows, P.cols, 2), h),
+     NonStochasticModel, "negative"),
+    (lambda P, h: (P, SparseMatrix(h.values * [1, math.nan, 1], h.rows, h.cols, 2)),
+     ValidationError, "observable holds NaN"),
+]
+
+
+@pytest.mark.parametrize("mangle,error,message", _INVALID_SPARSE_CHAINS)
+def test_markov_model_checks_a_chain_on_its_nonzeros(mangle, error, message):
+    P, h = _sparse_chain([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(error, match=message):
+        MarkovModel(*mangle(P, h), [1.0, 0.0])
 
 
 def _scan_reference(h, s_grid):
@@ -288,9 +431,9 @@ def _scan_cases():
     ]
     for cells in (16, 64):
         for g in _OBSERVABLES:
-            cases.append((ulam_model(g=g, cells=cells).observable, grid))
+            cases.append((ulam_model(g=g, cells=cells).matrices()[1], grid))
     pw = ulam_model("piecewise-linear", _OBSERVABLES[0], 17, [0.0, 0.2, 0.45, 0.7, 1.0])
-    cases.append((pw.observable, signed))
+    cases.append((pw.matrices()[1], signed))
     for d in (2, 5, 9):
         cases.append((rng.normal(size=(d, d)), signed))
     # integer rewards with a few repeats, so the distinct-value sets are small
@@ -317,7 +460,7 @@ def test_diophantine_scan_matches_triple_loop_exactly(case):
 def test_diophantine_scan_completes_on_bundled_ulam():
     m = bundled_model("doubling_ulam")
     grid = np.linspace(0.5, 20.0, 40)
-    scan = diophantine_scan(m.observable, grid)
+    scan = diophantine_scan(m.matrices()[1], grid)
     assert scan.d.shape == grid.shape
     assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
 
@@ -354,7 +497,7 @@ def test_diophantine_scan_integer_sawtooth():
 def test_diophantine_scan_ignores_rounding_residues():
     # the 64-cell doubling observable holds differences like -3.3e-16;
     # as distances to the nearest integer they read about 0, not about 1
-    h = ulam_model(g=lambda x: np.cos(2 * np.pi * x), cells=64).observable
+    h = ulam_model(g=lambda x: np.cos(2 * np.pi * x), cells=64).matrices()[1]
     scan = diophantine_scan(h, np.linspace(0.5, 20.0, 40))
     assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
 

@@ -15,8 +15,9 @@ from edgeworth.errors import (
     ValidationError,
 )
 from edgeworth import oracle
-from edgeworth.evaluate import exact_distribution
+from edgeworth.evaluate import _model_key, exact_distribution
 from edgeworth.models import bundled_model, iid_model, markov_model, pmf_moments, ulam_model
+from edgeworth.spectral import SparseMatrix
 from edgeworth.oracle import (
     ExactDistribution,
     FunctionCdf,
@@ -542,6 +543,94 @@ def test_doubling_block_bits_match_per_step_draws(trials):
         assert np.array_equal(got, want)
 
 
+def _simulate_doubling_step_major(g, N, trials, rng):
+    # the block draw swept step by step over all trials, kept as the
+    # reference for the tiled sweep
+    k = rng.integers(0, 1 << 52, size=trials, dtype=np.uint64)
+    mask = np.uint64((1 << 52) - 1)
+    sums = np.zeros(trials)
+    one = np.uint64(1)
+    for first in range(0, N, 64):
+        steps = min(64, N - first)
+        raw = rng.bit_generator.random_raw((steps * trials + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        for s in range(steps):
+            sums += g(k * 0.5**52)
+            fresh = halves[s * trials:(s + 1) * trials] >> 31
+            k = ((k << one) & mask) | fresh
+    return sums
+
+
+@pytest.mark.parametrize("N", [1, 17, 77])
+def test_doubling_tiles_match_step_major_sweep(N):
+    # 2.2 tiles of trials, and blocks of the odd N that end mid-draw
+    trials = 2 * oracle._DOUBLING_TILE + 1001
+    g = lambda x: np.cos(2.0 * np.pi * x)
+    got = oracle._simulate_doubling(g, N, trials, np.random.default_rng([9, N]))
+    want = _simulate_doubling_step_major(g, N, trials, np.random.default_rng([9, N]))
+    assert np.array_equal(got, want)
+
+
+def test_doubling_tiles_keep_the_observable_temporaries_small():
+    sizes = []
+
+    def g(x):
+        sizes.append(x.nbytes)
+        return np.cos(2.0 * np.pi * x)
+
+    oracle._simulate_doubling(g, 3, 3 * oracle._DOUBLING_TILE, np.random.default_rng(1))
+    assert max(sizes) <= 64 * 1024 and len(sizes) == 9
+
+
+def _next_state_by_comparison(cum_rows, states, u):
+    # the trials x d comparison that bisection replaced
+    return (u[:, None] > cum_rows[states]).sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 50])
+def test_count_below_matches_comparison_count_at_ties(d):
+    # rows with plateaus (entries of probability 0), probed at every
+    # entry's exact value, just below and above it, and at 0 and 1
+    rng = np.random.default_rng(d)
+    P = rng.random((d, d)) * (rng.random((d, d)) < 0.5)
+    P[:, -1] += 0.01
+    cum_rows = np.cumsum(P / P.sum(axis=1, keepdims=True), axis=1)
+    states = np.repeat(np.arange(d), 3 * d + 2)
+    u = np.concatenate([np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0),
+                                        [0.0, 1.0]]) for row in cum_rows])
+    assert np.array_equal(oracle._count_below(cum_rows, states, u),
+                          _next_state_by_comparison(cum_rows, states, u))
+
+
+def _simulate_chain_by_comparison(model, N, trials, rng):
+    P, h = model.matrices()
+    cum_rows = np.cumsum(P, axis=1)
+    states = np.searchsorted(np.cumsum(model.mu0), rng.random(trials), side="right")
+    states = np.minimum(states, P.shape[0] - 1)
+    sums = np.zeros(trials)
+    for _ in range(N):
+        nxt = _next_state_by_comparison(cum_rows, states, rng.random(trials))
+        nxt = np.minimum(nxt, P.shape[0] - 1)
+        sums += h[states, nxt]
+        states = nxt
+    return sums
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 50, 200])
+def test_chain_bisection_matches_comparison_count(d):
+    rng = np.random.default_rng(d)
+    P = rng.random((d, d)) * (rng.random((d, d)) < 0.4)  # many zero entries
+    P[:, d // 2] += 0.01  # and every row some mass
+    P[0] = 0.0
+    P[0, -1] = 1.0  # a row whose only entry is the last one
+    P /= P.sum(axis=1, keepdims=True)
+    h = rng.normal(size=(d, d))
+    model = markov_model(P, h, np.full(d, 1.0 / d))
+    got = oracle._simulate_chain(model, 40, 3001, np.random.default_rng(7))
+    want = _simulate_chain_by_comparison(model, 40, 3001, np.random.default_rng(7))
+    assert np.array_equal(got, want)
+
+
 def _mc_sample_serial(model, N, trials, seed, chunk):
     # the chunk-by-chunk serial loop, kept as the reference for the dispatch
     parts = []
@@ -627,6 +716,36 @@ def test_enum_estimate_refuses_large_chain_without_overflow():
     # would not fit in an int64 stride
     with pytest.raises(TableTooLarge):
         dp_pmf(bundled_model("doubling_ulam"), 4)
+
+
+def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the chain was densified")
+
+    monkeypatch.setattr(SparseMatrix, "toarray", refuse)
+    with pytest.raises(TableTooLarge):
+        dp_pmf(bundled_model("doubling_ulam"), 4)
+    # an integer-valued g makes the chain lattice: the DP runs on the
+    # pattern and gives the pmf of the same chain held densely
+    g = lambda x: np.floor(4.0 * np.asarray(x))
+    sparse = ulam_model("doubling", g=g, cells=32)
+    assert sparse.lattice_span == 1.0
+    monkeypatch.undo()
+    dense = markov_model(*sparse.matrices(), sparse.mu0)
+    for N in (1, 5, 12):
+        got, want = dp_pmf(sparse, N), dp_pmf(dense, N)
+        assert np.array_equal(got.support, want.support)
+        assert np.array_equal(got.pmf, want.pmf)
+
+
+def test_model_key_reads_the_chain_not_its_layout():
+    sparse = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=64)
+    dense = markov_model(*sparse.matrices(), sparse.mu0)
+    assert _model_key(sparse) == _model_key(dense)
+    other = ulam_model("doubling", g=lambda x: np.sin(2.0 * np.pi * x), cells=64)
+    assert _model_key(other) != _model_key(sparse)
+    assert _model_key(bundled_model("two_state")) != _model_key(
+        markov_model([[0.7, 0.3], [0.4, 0.6]], [[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0]))
 
 
 def test_kolmogorov_distance_hand_case():

@@ -63,7 +63,7 @@ def _reference_family(model, order):
             fact *= k
             coeffs[0, 0, k] = model.moments[k - 1] * (1j ** k) / fact
         return coeffs
-    P, h = model.transition, model.observable
+    P, h = model.matrices()
     d = P.shape[0]
     coeffs = np.zeros((d, d, order + 1), dtype=complex)
     term = np.ones((d, d), dtype=complex)
@@ -200,7 +200,7 @@ def test_family_is_real_and_contiguous():
         fam = model.operator_family(4)
         assert fam.coeffs.dtype == np.float64
         assert fam.coeffs.flags.c_contiguous
-        P = getattr(model, "transition", np.ones((1, 1)))
+        P = model.matrices()[0] if hasattr(model, "transition") else np.ones((1, 1))
         ref = _reference_family(model, 4)
         assert fam.sparse == ("doubling" in name or "piecewise" in name)
         if fam.sparse:
@@ -285,6 +285,20 @@ def test_operator_family_trusts_the_checked_model(monkeypatch):
     monkeypatch.setattr(spectral, "_validate_stochastic", refuse)
     fam = build_operator_family(bundled_model("two_state"), 2)
     assert fam.coeffs.shape == (3, 2, 2)
+
+
+def test_family_of_an_ulam_chain_keeps_its_pattern(monkeypatch):
+    # the layout was fixed when the model was built: no density rule, no scan
+    def refuse(P):
+        raise AssertionError("pattern searched again")
+
+    monkeypatch.setattr(spectral, "_sparse_pattern", refuse)
+    model = ulam_model("piecewise-linear", _cos2pi, 64, [0.0, 0.3, 0.65, 1.0])
+    fam = build_operator_family(model, 3)
+    assert fam.rows is model.transition.rows and fam.cols is model.transition.cols
+    assert np.array_equal(fam.coeffs[0], model.transition.values)
+    base = perron_base(model.transition)
+    assert base.gap == perron_base(fam.matrix(0)).gap
 
 
 def test_perron_base_two_state():
@@ -461,7 +475,7 @@ def test_ulam_gap_is_not_rounding_noise():
         base = perron_base(ulam_model(g=_cos2pi, cells=cells).transition)
         assert abs(base.gap - 1.0) <= 1e-12
     model = ulam_model("piecewise-linear", _cos2pi, 256, [0.0, 0.3, 0.65, 1.0])
-    second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
+    second = np.sort(np.abs(np.linalg.eigvals(model.matrices()[0])))[-2]
     assert abs(perron_base(model.transition).gap - (1.0 - second)) <= 1e-9
 
 
