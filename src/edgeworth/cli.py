@@ -307,7 +307,7 @@ def cmd_verify(model, model_doc, run, args):
 
 def cmd_diagnose(model, model_doc, run, args):
     """Scan spectral gap, norm decay and resonance distance; CSV and JSON."""
-    if not hasattr(model, "transition"):
+    if not isinstance(model, models.MarkovModel):
         raise ValidationError("diagnose needs a finite-state chain or map model")
     t_grid = _t_grid_from(run)
     with _reading("run.N"):
@@ -327,7 +327,7 @@ def cmd_diagnose(model, model_doc, run, args):
     t, nrm, rad = np.array(spectral.norm_decay_scan(model, t_grid, n_power)).T
     if model.lattice_span is None:
         # the resonance warning becomes a flag of the report (see main)
-        scan = models.diophantine_scan(model.matrices()[1], t_grid)
+        scan = models.diophantine_scan(model.observable, t_grid)
         if scan.resonant:
             flags.append("resonant-observable")
         dist = scan.d

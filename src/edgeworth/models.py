@@ -3,16 +3,17 @@
 Every model exposes ``operator_family(order)`` returning the Taylor jets
 of its twisted operator family, which is all the expansion machinery
 needs.  Finite-state Markov models additionally expose the chain
-(``transition``, ``observable``, ``mu0``) consumed by the exact oracles.
-The observable lives on transitions: ``X_n = h[x_n, x_{n+1}]``; state
-observables embed as constant rows.
+(``entries()``, ``mu0``) consumed by the exact oracles.  The observable
+lives on transitions: ``X_n = h[x_n, x_{n+1}]``; state observables embed
+as constant rows.
 
 Every finite-state model is a :class:`MarkovModel`, checked once by its
-constructor, which sets the rewards on transitions of probability 0 to 0
-and takes the lattice span from the values that S_N can take.  A chain
-is held densely or, as :func:`ulam_model` builds it, on its nonzeros;
-consumers read it through :meth:`MarkovModel.matrices` or
-:meth:`MarkovModel.entries`, whatever the layout.
+constructor, which drops the transitions of probability 0 with their
+rewards and takes the lattice span from the values that S_N can take.
+Every chain is stored one way, on its transitions of positive
+probability (:meth:`MarkovModel.entries`); ``transition`` and
+``observable`` form d x d arrays from them for the consumers that need
+matrices.
 """
 
 from __future__ import annotations
@@ -84,21 +85,14 @@ def _lattice_span(h):
 class MarkovModel:
     """Checked finite-state chain with per-transition rewards.
 
-    Also public as :func:`markov_model`.  A chain is held in one of two
-    layouts, fixed when it is built:
-
-    * dense: ``transition`` and ``observable`` are d x d arrays;
-    * on its nonzeros: both are :class:`~edgeworth.spectral.SparseMatrix`
-      objects on one row-major pattern, which lists only the transitions
-      of positive probability.  :func:`ulam_model` builds this layout, so
-      an Ulam chain never holds a d x d array.
-
-    Every check runs on the stored values.  The caller's arrays are not
-    modified: rewards on transitions of probability 0 are zeroed in a
-    copy (dense), or the entries of probability 0 are left out of the
-    pattern (on the nonzeros).  A consumer that needs matrices reads them
-    from :meth:`matrices`, one that needs the entries from :meth:`entries`,
-    whatever the layout.
+    Also public as :func:`markov_model`.  The chain is given as d x d
+    arrays, or as a :class:`~edgeworth.spectral.SparseMatrix` pair on one
+    row-major pattern (as :func:`ulam_model` gives it), and is stored one
+    way: the row-major coordinates ``rows``, ``cols`` of its transitions
+    of positive probability with the values ``p`` and ``h`` on them, read
+    through :meth:`entries`.  Every check runs on the given values; the
+    caller's arrays are not modified, and entries of probability 0 leave
+    the stored pattern with their rewards.
 
     Parameters
     ----------
@@ -112,9 +106,9 @@ class MarkovModel:
 
     Attributes
     ----------
-    transition, observable : ndarray or SparseMatrix
-        The checked chain in its layout; ``observable`` is 0 wherever
-        ``transition`` is.
+    transition, observable : ndarray
+        The checked chain as d x d arrays, formed anew on each access;
+        ``observable`` is 0 wherever ``transition`` is.
     mu0 : ndarray
     lattice_span : float or None
         Span when every reward of a transition of positive probability is
@@ -130,12 +124,11 @@ class MarkovModel:
         If any entry of P, h or mu0 is NaN or infinite.
     """
 
-    __slots__ = ("transition", "observable", "mu0", "lattice_span")
+    __slots__ = ("_entries", "mu0", "lattice_span")
 
     def __init__(self, transition, observable, mu0):
         mu0 = np.asarray(mu0, dtype=float)
-        sparse = isinstance(transition, spectral.SparseMatrix)
-        if sparse:
+        if isinstance(transition, spectral.SparseMatrix):
             rows, cols, d = transition.rows, transition.cols, transition.dim
             if not (isinstance(observable, spectral.SparseMatrix) and observable.dim == d
                     and np.array_equal(observable.rows, rows)
@@ -160,6 +153,9 @@ class MarkovModel:
                 )
             d = P.shape[0]
             row_sums = P.sum(axis=1)
+            # every entry, in row-major order
+            rows, cols = np.divmod(np.arange(P.size), d)
+            P, h = P.ravel(), h.ravel()
         if mu0.shape != (d,):
             raise InconsistentDimensions(
                 f"initial distribution length {mu0.shape} does not match dimension {d}"
@@ -174,38 +170,30 @@ class MarkovModel:
         if abs(mu0.sum() - 1.0) > 1e-12:
             raise NonStochasticModel("initial distribution does not sum to 1 within 1e-12")
         possible = P > 0
-        if sparse:
-            rows, cols = rows[possible], cols[possible]
-            self.transition = spectral.SparseMatrix(P[possible], rows, cols, d)
-            self.observable = spectral.SparseMatrix(h[possible], rows, cols, d)
-        else:
-            self.transition = P
-            self.observable = np.where(possible, h, 0.0)
+        self._entries = rows[possible], cols[possible], P[possible], h[possible]
         self.mu0 = mu0
-        self.lattice_span = _lattice_span(h[possible])
+        self.lattice_span = _lattice_span(self._entries[3])
 
     @property
     def dim(self):
         return self.mu0.size
 
-    def matrices(self):
-        """``(P, h)`` as d x d arrays, in either layout.
-
-        A dense chain returns its stored arrays; a chain held on its
-        nonzeros forms both arrays anew on every call.
-        """
-        if isinstance(self.transition, spectral.SparseMatrix):
-            return self.transition.toarray(), self.observable.toarray()
-        return self.transition, self.observable
-
     def entries(self):
         """``(rows, cols, p, h)`` of the transitions of positive
-        probability, in row-major order, in either layout."""
-        if isinstance(self.transition, spectral.SparseMatrix):
-            P, h = self.transition, self.observable
-            return P.rows, P.cols, P.values, h.values
-        rows, cols = np.nonzero(self.transition)
-        return rows, cols, self.transition[rows, cols], self.observable[rows, cols]
+        probability, in row-major order: the chain as it is stored."""
+        return self._entries
+
+    def _matrix(self, values):
+        rows, cols = self._entries[:2]
+        return spectral.SparseMatrix(values, rows, cols, self.dim).toarray()
+
+    @property
+    def transition(self):
+        return self._matrix(self._entries[2])
+
+    @property
+    def observable(self):
+        return self._matrix(self._entries[3])
 
     def operator_family(self, order):
         """Taylor jets of the twisted family up to ``order``."""
@@ -235,7 +223,7 @@ class IidMomentModel:
     lattice_span = None
 
     def operator_family(self, order):
-        """1 x 1 jet family from the stored moments.
+        """Jet family of the one entry ``(0, 0)`` from the stored moments.
 
         Raises
         ------
@@ -246,14 +234,16 @@ class IidMomentModel:
             raise InsufficientMoments(
                 f"order {order} requested but only {self.moments.size} moments stored"
             )
-        coeffs = np.zeros((order + 1, 1, 1))
-        coeffs[0, 0, 0] = 1.0
+        coeffs = np.zeros((order + 1, 1))
+        coeffs[0, 0] = 1.0
         fact = 1.0
         for k in range(1, order + 1):
             fact *= k
             # times 1/k!, as build_operator_family scales (see there)
-            coeffs[k, 0, 0] = self.moments[k - 1] * (1.0 / fact)
-        return spectral.OperatorFamilyJet(coeffs, self.mu0)
+            coeffs[k, 0] = self.moments[k - 1] * (1.0 / fact)
+        # one entry, (0, 0)
+        at = np.zeros(1, dtype=np.intp)
+        return spectral.OperatorFamilyJet(coeffs, self.mu0, at, at)
 
 
 def _hankel_check(moments):
@@ -318,8 +308,7 @@ def pmf_moments(pmf, kmax):
 
 
 class UlamModel(MarkovModel):
-    """Discretized interval map, held on its nonzeros; keeps the map
-    itself for Monte Carlo."""
+    """Discretized interval map; keeps the map itself for Monte Carlo."""
 
     __slots__ = ("map_kind", "map_endpoints", "map_g_vec")
 
@@ -370,11 +359,11 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     distribution is uniform.
 
     The chain is built straight on its nonzeros, about (slope + 1) per
-    row, and held that way (see :class:`MarkovModel`): no d x d array or
-    temporary is formed.  The values equal those of the dense build bit
-    for bit: the hits of an entry are added in branch and step order,
-    starting from 0, and the row sums are those of ``P.sum(axis=1)`` (see
-    :func:`_row_sums`).
+    row, and handed to :class:`MarkovModel` as a ``SparseMatrix`` pair:
+    no d x d array or temporary is formed.  The values equal those of the
+    dense build bit for bit: the hits of an entry are added in branch and
+    step order, starting from 0, and the row sums are those of
+    ``P.sum(axis=1)`` (see :func:`_row_sums`).
 
     Parameters
     ----------

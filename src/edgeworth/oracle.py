@@ -90,8 +90,14 @@ class ExactDistribution:
             w.writerow([format(v, ".17g"), format(p, ".17g"), format(c, ".17g")])
 
 
+def _is_chain(model):
+    """Whether ``model`` holds a finite-state chain, asked of its entries
+    so that no d x d array is formed."""
+    return hasattr(model, "entries")
+
+
 def _require_chain(model):
-    if not hasattr(model, "transition"):
+    if not _is_chain(model):
         raise OracleUnavailable(
             "path-level oracle requires an explicit finite-state chain"
         )
@@ -166,9 +172,9 @@ def dp_pmf(model, N):
     exact sum of the zeroed values (``flushed_mass``).
 
     The chain is read through ``model.entries()``, the transitions of
-    positive probability, so a chain held on its nonzeros is never
-    densified: an Ulam chain, with about two distinct rewards per cell,
-    is refused from its stored rewards before any allocation.
+    positive probability, so it is never densified: an Ulam chain, with
+    about two distinct rewards per cell, is refused from its stored
+    rewards before any allocation.
 
     Raises
     ------
@@ -302,8 +308,8 @@ def _stationary(P):
 def drift(model):
     """Asymptotic mean per step: from the stationary distribution alone
     for a chain, the first stored moment for a moment model."""
-    if hasattr(model, "transition"):
-        P, h = model.matrices()
+    if _is_chain(model):
+        P, h = model.transition, model.observable
         pi = _stationary(P)
         return float(np.sum(pi[:, None] * P * h))
     return float(model.moments[0])
@@ -324,8 +330,8 @@ def exact_moments(model, N, kmax):
     if N < 1:
         raise ValidationError("N must be at least 1")
     A = drift(model)
-    if hasattr(model, "transition"):
-        P, h = model.matrices()
+    if _is_chain(model):
+        P, h = model.transition, model.observable
         hc = h - A
         jets = np.zeros((kmax + 1,) + P.shape, dtype=complex)
         term = np.ones(P.shape, dtype=complex)
@@ -391,16 +397,19 @@ def _count_below(cum_rows, states, u):
 
 
 def _simulate_chain(model, N, trials, rng):
-    P, h = model.matrices()
+    P, h = model.transition, model.observable
     d = P.shape[0]
     cum_rows = np.cumsum(P, axis=1)
+    # a draw above the rounded total of a row (or of mu0) takes its last
+    # entry of positive probability, not state d - 1
+    last = d - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
     cum_mu0 = np.cumsum(model.mu0)
     states = np.searchsorted(cum_mu0, rng.random(trials), side="right")
-    states = np.minimum(states, d - 1)
+    states = np.minimum(states, d - 1 - np.argmax(model.mu0[::-1] > 0))
     sums = np.zeros(trials)
     for _ in range(N):
         nxt = _count_below(cum_rows, states, rng.random(trials))
-        nxt = np.minimum(nxt, d - 1)
+        nxt = np.minimum(nxt, last[states])
         sums += h[states, nxt]
         states = nxt
     return sums

@@ -9,23 +9,23 @@ perturbation around the Perron eigenpair at ``t = 0``, and provides the
 numeric diagnostics (spectral gap, norm decay, radius scans) that justify
 using the expansion machinery on a given model.
 
-Each chain takes one of two paths.  A chain held on its nonzeros (an
-Ulam chain; see :class:`~edgeworth.models.MarkovModel`) takes the sparse
-path on the pattern it was built with.  A chain held densely is sorted by
-one rule on its transition matrix (:func:`_sparse_pattern`): a d x d
-matrix with at most one nonzero entry in eight (``8 * nnz <= d**2``)
-takes the sparse path, every other one the dense path.
+The family of every chain is stored on the chain's transitions of
+positive probability (see :class:`~edgeworth.models.MarkovModel`).  One
+rule, :func:`_sparse_path`, sorts a d x d chain with nnz such entries
+onto one of two paths: at most one nonzero entry in eight
+(``8 * nnz <= d**2``) takes the sparse path, every other chain the
+dense path.
 
-* Dense: the family is one ``(order+1, d, d)`` array, the stationary
-  vector comes from one linear solve, and one inverse of the bordered
-  matrix serves every perturbation order.
-* Sparse: the family is stored on the nonzeros of ``P`` only, and every
-  step uses matrix-vector products alone.  The stationary vector comes
-  from power iteration with ``pi^T P``, the gap from power iteration on
-  the deflated operator ``Q = P - 1 pi^T``, and each bordered system from
-  a Neumann series in ``Q``.  No d x d array is allocated, unless an
-  iteration runs out of its budget of ``_SPARSE_TERMS`` products (a
-  slowly mixing chain); that step is then done the dense way.
+* Dense: each slice of the family is formed as a d x d array, the
+  stationary vector comes from one linear solve, and one inverse of the
+  bordered matrix serves every perturbation order.
+* Sparse: every step uses matrix-vector products on the nonzeros alone.
+  The stationary vector comes from power iteration with ``pi^T P``, the
+  gap from power iteration on the deflated operator ``Q = P - 1 pi^T``,
+  and each bordered system from a Neumann series in ``Q``.  No d x d
+  array is allocated, unless an iteration runs out of its budget of
+  ``_SPARSE_TERMS`` products (a slowly mixing chain); that step is then
+  done the dense way.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .errors import (
 from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
-# a matrix with at most one nonzero entry in this many takes the sparse path
-_SPARSE_DENSITY = 8
 # matrix-vector products one sparse iteration may take before the step is
 # done the dense way
 _SPARSE_TERMS = 1000
@@ -85,54 +83,43 @@ class SparseMatrix:
         return out
 
 
-def _sparse_pattern(P):
-    """Row and column indices of the nonzeros of ``P`` (row-major), or
-    ``None`` when ``P`` takes the dense path.
+def _sparse_path(nnz, d):
+    """Whether a d x d chain with ``nnz`` nonzero entries takes the sparse
+    path: at most one entry in eight is nonzero.
 
-    This is the one rule that picks the path of a chain held densely: the
-    sparse path when at most one entry in ``_SPARSE_DENSITY`` (8) is
-    nonzero.  Since every row of a stochastic matrix has a nonzero, only
-    chains with at least 8 states can qualify; every bundled chain other
-    than the Ulam one, which is held on its nonzeros, is dense.
+    This is the one rule that picks a chain's path.  Since every row of a
+    stochastic matrix has a nonzero, only chains with at least 8 states
+    can qualify; every bundled chain but the Ulam one is dense.
     """
-    if _SPARSE_DENSITY * np.count_nonzero(P) > P.size:
-        return None
-    return np.nonzero(P)
+    return 8 * nnz <= d * d
 
 
 class OperatorFamilyJet:
-    """Taylor jets of the twisted family ``L_t``.
+    """Taylor jets of the twisted family ``L_t``, on the chain's nonzeros.
 
-    Slice ``m`` of ``coeffs`` is ``P * h**m / m!``; the ``t**m``
-    coefficient of ``L_t`` is ``i**m`` times it, with the factor ``i**m``
-    left implicit.  ``coeffs`` is one real C-contiguous array in the
-    layout of the chain's path (see the module docstring):
+    ``coeffs`` is one real C-contiguous ``(order+1, nnz)`` array: slice
+    ``m`` is ``P * h**m / m!`` on the transitions of positive probability,
+    whose row and column indices are ``rows`` and ``cols`` in row-major
+    order.  The ``t**m`` coefficient of ``L_t`` is ``i**m`` times it, with
+    the factor ``i**m`` left implicit, and entries of ``L_t`` off the
+    pattern are zero.
 
-    * dense (``rows`` and ``cols`` are ``None``): shape ``(order+1, d, d)``;
-    * sparse: shape ``(order+1, nnz)``, the slices on the nonzero pattern
-      of ``P``, whose row and column indices are ``rows`` and ``cols`` in
-      row-major order.  Entries of ``L_t`` off the pattern are zero.
-
-    :meth:`matrix` returns one slice as a matrix in that layout.  The
-    initial distribution of the originating model rides along because the
-    projected factor ``z(t)`` needs it; its length is the dimension.
+    :meth:`matrix` returns one slice as a matrix of the chain's path (see
+    the module docstring).  The initial distribution of the originating
+    model rides along because the projected factor ``z(t)`` needs it; its
+    length is the dimension.
     """
 
     __slots__ = ("coeffs", "dim", "mu0", "rows", "cols")
 
-    def __init__(self, coeffs, mu0, rows=None, cols=None):
+    def __init__(self, coeffs, mu0, rows, cols):
         self.coeffs = np.ascontiguousarray(coeffs, dtype=float)
         self.mu0 = np.asarray(mu0, dtype=float)
         self.rows = rows
         self.cols = cols
-        if rows is None:
-            if self.coeffs.ndim != 3 or self.coeffs.shape[1] != self.coeffs.shape[2]:
-                raise ValueError("expected an (order+1, d, d) coefficient array")
-            self.dim = self.coeffs.shape[1]
-        else:
-            if self.coeffs.ndim != 2 or not self.coeffs.shape[1] == len(rows) == len(cols):
-                raise ValueError("expected an (order+1, nnz) coefficient array")
-            self.dim = self.mu0.size
+        if self.coeffs.ndim != 2 or not self.coeffs.shape[1] == len(rows) == len(cols):
+            raise ValueError("expected an (order+1, nnz) coefficient array")
+        self.dim = self.mu0.size
 
     @property
     def order(self):
@@ -140,13 +127,14 @@ class OperatorFamilyJet:
 
     @property
     def sparse(self):
-        return self.rows is not None
+        """Whether the family takes the sparse path (:func:`_sparse_path`)."""
+        return _sparse_path(self.rows.size, self.dim)
 
     def matrix(self, m):
-        """Slice ``m``: a dense ``(d, d)`` view, or a :class:`SparseMatrix`."""
-        if self.rows is None:
-            return self.coeffs[m]
-        return SparseMatrix(self.coeffs[m], self.rows, self.cols, self.dim)
+        """Slice ``m``: a :class:`SparseMatrix` on the sparse path, a dense
+        ``(d, d)`` array formed from the nonzeros on the dense path."""
+        M = SparseMatrix(self.coeffs[m], self.rows, self.cols, self.dim)
+        return M if self.sparse else M.toarray()
 
 
 class PerronBase:
@@ -204,23 +192,14 @@ def build_operator_family(model, order):
     Entry ``(j, k)`` carries the series of ``p_{jk} exp(i t h_{jk})``
     truncated at ``order``, stored without its factors ``i**m`` (see
     :class:`OperatorFamilyJet`).  The model is a
-    :class:`~edgeworth.models.MarkovModel`, checked when it was built.  A
-    model held on its nonzeros gives the family its pattern as it stands;
-    a dense one is stored densely or on the nonzeros of ``P`` as
-    :func:`_sparse_pattern` decides.
+    :class:`~edgeworth.models.MarkovModel`, checked when it was built, and
+    the family takes the pattern of ``model.entries()`` as it stands.
     """
-    P, h = model.transition, model.observable
     if order < 2:
         raise ValueError("jet order must be at least 2")
-    if isinstance(P, SparseMatrix):
-        pattern = P.rows, P.cols
-        P, h = P.values, h.values
-    else:
-        pattern = _sparse_pattern(P)
-        if pattern is not None:
-            P, h = P[pattern], h[pattern]
-    coeffs = np.empty((order + 1,) + P.shape)
-    term = np.ones(P.shape)
+    rows, cols, P, h = model.entries()
+    coeffs = np.empty((order + 1, P.size))
+    term = np.ones(P.size)
     coeffs[0] = P
     for m in range(1, order + 1):
         # multiplying by 1/m, not dividing by m, makes each slice equal bit
@@ -229,13 +208,16 @@ def build_operator_family(model, order):
         term *= h
         term *= 1.0 / m
         np.multiply(P, term, out=coeffs[m])
-    return OperatorFamilyJet(coeffs, model.mu0, *(pattern or (None, None)))
+    return OperatorFamilyJet(coeffs, model.mu0, rows, cols)
 
 
 def evaluate_family(model, t):
-    """The concrete complex d x d matrix ``L_t`` (exact, no truncation)."""
-    P, h = model.matrices()
-    return P * np.exp(1j * t * h)
+    """The concrete complex d x d matrix ``L_t`` (exact, no truncation),
+    with the exponential taken on the nonzeros only."""
+    rows, cols, P, h = model.entries()
+    Lt = np.zeros((model.dim, model.dim), dtype=complex)
+    Lt[rows, cols] = P * np.exp(1j * t * h)
+    return Lt
 
 
 def _power_stationary(P):
@@ -289,19 +271,19 @@ def _stationary(P):
 def perron_base(P):
     """Stationary data of a stochastic matrix.
 
-    ``P`` is a transition matrix, or a :class:`SparseMatrix`: the
-    transition of a chain held on its nonzeros, or slice 0 of a sparse
-    family, trusted as checked.  A matrix is checked and takes the path
-    that :func:`_sparse_pattern` picks for it.  The right Perron vector is the
-    all-ones vector (exact); the left one comes from :func:`_stationary`.
+    ``P`` is a transition matrix, or a :class:`SparseMatrix` (slice 0 of
+    a family on the sparse path), trusted as checked.  A matrix is checked
+    and takes the path that :func:`_sparse_path` picks for it.  The right
+    Perron vector is the all-ones vector (exact); the left one comes from
+    :func:`_stationary`.
     The spectral gap is estimated by power iteration on the deflated
     operator ``P - 1 (x) pi``, applied as ``Px - 1 (pi . x)`` on the
     sparse path.
     """
     if not isinstance(P, SparseMatrix):
         P = _validate_stochastic(P)
-        pattern = _sparse_pattern(P)
-        if pattern is not None:
+        if _sparse_path(np.count_nonzero(P), P.shape[0]):
+            pattern = np.nonzero(P)
             P = SparseMatrix(P[pattern], *pattern, P.shape[0])
     right = np.ones(P.shape[0])
     pi = _stationary(P)

@@ -109,7 +109,7 @@ def test_criterion_02_eigen_jets_vs_finite_differences():
         [[0.7, 0.3], [0.4, 0.6]], [[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5]
     )
     fam = model.operator_family(4)
-    base = perron_base(fam.coeffs[0])
+    base = perron_base(fam.matrix(0))
     jets = eigen_perturbation(fam, base)
     d1, d2 = jets.mu[1], 2.0 * jets.mu[2]
     h = 1e-4

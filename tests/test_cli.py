@@ -638,11 +638,24 @@ def test_moddev_table(tmp_path, capsys):
 
 # ------------------------------------------------------------ golden outputs
 
-# Artifacts written with ``--stamp golden`` by the parent of the change
-# that flushes sub-normal band edges in ``oracle.dp_pmf`` (commit
-# e49b8a2), so they pin the CLI output from before that change.
+# Artifacts written with ``--stamp golden``.  The three CSVs come from
+# the parent of the change that flushes sub-normal band edges in
+# ``oracle.dp_pmf`` (commit e49b8a2), so they pin the CLI output from
+# before that change.  The three ``expand`` JSONs come from commit
+# 7fce148, the last one to hold dense chains as d x d arrays and their
+# families in a (order+1, d, d) layout, so they pin the expansion from
+# before every chain and family was stored on its nonzeros.
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 _GOLDEN = {
+    "expand-doubling_ulam.json": ("expand", {
+        "model": {"bundled": "doubling_ulam"}, "run": {"order": 2},
+    }),
+    "expand-diophantine_two_state.json": ("expand", {
+        "model": {"bundled": "diophantine_two_state"}, "run": {"order": 3},
+    }),
+    "expand-iid_moments.json": ("expand", {
+        "model": {"bundled": "iid_moments"}, "run": {"order": 4},
+    }),
     "verify-two_state-lattice.csv": ("verify", {
         "model": {"bundled": "two_state"},
         "run": {"order": 2, "form": "lattice", "oracle": "dp", "N_list": [1024, 4096, 16384]},

@@ -88,8 +88,39 @@ _STOCHASTIC = st.sampled_from(
 
 _BUNDLED = st.sampled_from(["two_state", "bernoulli", "iid_moments", "diophantine_two_state"])
 
+
+def _sparse_chain(d=16):
+    # two nonzeros per row, 8 * 32 <= 16**2: the chain takes the sparse path
+    P = [[0.0] * d for _ in range(d)]
+    h = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        P[j][(j + 1) % d], h[j][(j + 1) % d] = 0.6, 1.0
+        P[j][(7 * j + 2) % d], h[j][(7 * j + 2) % d] = 0.4, 0.25 * (j % 3) - 0.5
+    return P, h
+
+
+_SPARSE_P, _SPARSE_H = _sparse_chain()
+
 _MODEL = st.one_of(
     st.fixed_dictionaries({"bundled": _field(_BUNDLED)}),
+    st.fixed_dictionaries(
+        {"type": st.just("markov"), "transition": _field(st.just(_SPARSE_P))},
+        optional={
+            "observable": _field(st.just(_SPARSE_H)),
+            "mu0": _field(st.sampled_from([[1.0 / 16] * 16, [1.0] + [0.0] * 15])),
+        },
+    ),
+    # 16 cells: the doubling chain takes the sparse path, the three-branch
+    # one (62 nonzeros) the dense path
+    st.fixed_dictionaries(
+        {
+            "type": st.just("ulam"),
+            "cells": _field(st.just(16)),
+            "map": _field(st.sampled_from(["doubling", "piecewise-linear"])),
+            "endpoints": _field(st.just([0.0, 0.3, 0.55, 1.0])),
+        },
+        optional={"g": _field(st.sampled_from(["cos2pi", "identity", [0.1, 1.0, -0.7]]))},
+    ),
     st.fixed_dictionaries(
         {"type": st.just("markov")},
         optional={
@@ -158,7 +189,7 @@ def test_fuzz_run_fields(command, name, run):
 
 
 @pytest.mark.parametrize("command", _COMMANDS)
-@settings(_SETTINGS, max_examples=50)
+@settings(_SETTINGS, max_examples=100)
 @given(model=_MODEL)
 def test_fuzz_model_fields(command, model):
     _check(command, {"model": model, "run": _PLAIN_RUN})

@@ -131,8 +131,8 @@ def test_iid_pmf_embedding_matches_moment_family():
     fam_c = chain.operator_family(6)
     fam_m = jetm.operator_family(6)
     # sum over the first row of the embedding equals the scalar family
-    row_sum = fam_c.coeffs[:, 0, :].sum(axis=1)
-    assert np.abs(row_sum - fam_m.coeffs[:, 0, 0]).max() <= 1e-12
+    row_sum = fam_c.coeffs[:, fam_c.rows == 0].sum(axis=1)
+    assert np.abs(row_sum - fam_m.coeffs[:, 0]).max() <= 1e-12
 
 
 def test_iid_validation():
@@ -154,8 +154,7 @@ def test_pmf_moments_exact():
 def test_ulam_doubling_rows_stochastic():
     m = bundled_model("doubling_ulam")
     assert m.dim == 1024
-    P, _ = m.matrices()
-    assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(m.transition.sum(axis=1) - 1.0).max() <= 1e-12
     assert m.lattice_span is None
     # Lebesgue measure is invariant for the doubling map
     base = perron_base(m.transition)
@@ -241,9 +240,8 @@ def test_ulam_build_matches_cell_loop_exactly(map_kind, endpoints, cells):
     for g in _OBSERVABLES:
         ref = _ulam_reference(endpoints, g, cells)
         m = ulam_model(map_kind=map_kind, g=g, cells=cells, endpoints=endpoints)
-        P, h = m.matrices()
-        assert np.array_equal(P, ref.transition)
-        assert np.array_equal(h, ref.observable)
+        assert np.array_equal(m.transition, ref.transition)
+        assert np.array_equal(m.observable, ref.observable)
         assert np.array_equal(m.mu0, ref.mu0)
         assert m.lattice_span == ref.lattice_span
 
@@ -293,19 +291,13 @@ def test_ulam_chain_is_held_on_per_cell_intersections(map_kind, endpoints, cells
     g = lambda x: np.cos(2.0 * np.pi * x)
     rows, cols, P, h = _ulam_entries_reference(endpoints, g, cells)
     m = ulam_model(map_kind=map_kind, g=g, cells=cells, endpoints=endpoints)
-    assert isinstance(m.transition, SparseMatrix) and isinstance(m.observable, SparseMatrix)
-    assert m.transition.rows is m.observable.rows and m.transition.cols is m.observable.cols
-    assert np.array_equal(m.transition.rows, rows) and np.array_equal(m.transition.cols, cols)
-    assert np.array_equal(m.transition.values, P)
-    assert np.array_equal(m.observable.values, h)
-    got_rows, got_cols, got_p, got_h = m.entries()
-    assert got_p is m.transition.values and got_h is m.observable.values
+    for got, want in zip(m.entries(), (rows, cols, P, h)):
+        assert np.array_equal(got, want)
     if cells <= 64:
         dense_P, dense_h = np.zeros((cells, cells)), np.zeros((cells, cells))
         dense_P[rows, cols], dense_h[rows, cols] = P, h
-        densified = m.matrices()
-        assert np.array_equal(densified[0], dense_P)
-        assert np.array_equal(densified[1], dense_h)
+        assert np.array_equal(m.transition, dense_P)
+        assert np.array_equal(m.observable, dense_h)
 
 
 @pytest.mark.parametrize("n", [16, 65, 130, 300])
@@ -350,14 +342,14 @@ def test_markov_model_on_its_nonzeros_matches_the_dense_model():
     dense = markov_model(P, h, [1.0, 0.0, 0.0])
     sparse = markov_model(*_sparse_chain(P, h), [1.0, 0.0, 0.0])
     assert sparse.dim == 3 and sparse.lattice_span == dense.lattice_span == 0.5
-    for got, want in zip(sparse.matrices(), dense.matrices()):
-        assert np.array_equal(got, want)
+    assert np.array_equal(sparse.transition, dense.transition)
+    assert np.array_equal(sparse.observable, dense.observable)
     for got, want in zip(sparse.entries(), dense.entries()):
         assert np.array_equal(got, want)
     # a stored entry of probability 0 leaves the pattern, with its reward
     rows, cols = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 0])
     held = markov_model(*_sparse_chain(P, h, rows, cols), [1.0, 0.0, 0.0])
-    assert np.array_equal(held.transition.cols, dense.transition.nonzero()[1])
+    assert np.array_equal(held.entries()[1], dense.transition.nonzero()[1])
     assert held.lattice_span == 0.5
 
 
@@ -431,9 +423,9 @@ def _scan_cases():
     ]
     for cells in (16, 64):
         for g in _OBSERVABLES:
-            cases.append((ulam_model(g=g, cells=cells).matrices()[1], grid))
+            cases.append((ulam_model(g=g, cells=cells).observable, grid))
     pw = ulam_model("piecewise-linear", _OBSERVABLES[0], 17, [0.0, 0.2, 0.45, 0.7, 1.0])
-    cases.append((pw.matrices()[1], signed))
+    cases.append((pw.observable, signed))
     for d in (2, 5, 9):
         cases.append((rng.normal(size=(d, d)), signed))
     # integer rewards with a few repeats, so the distinct-value sets are small
@@ -460,7 +452,7 @@ def test_diophantine_scan_matches_triple_loop_exactly(case):
 def test_diophantine_scan_completes_on_bundled_ulam():
     m = bundled_model("doubling_ulam")
     grid = np.linspace(0.5, 20.0, 40)
-    scan = diophantine_scan(m.matrices()[1], grid)
+    scan = diophantine_scan(m.observable, grid)
     assert scan.d.shape == grid.shape
     assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
 
@@ -497,7 +489,7 @@ def test_diophantine_scan_integer_sawtooth():
 def test_diophantine_scan_ignores_rounding_residues():
     # the 64-cell doubling observable holds differences like -3.3e-16;
     # as distances to the nearest integer they read about 0, not about 1
-    h = ulam_model(g=lambda x: np.cos(2 * np.pi * x), cells=64).matrices()[1]
+    h = ulam_model(g=lambda x: np.cos(2 * np.pi * x), cells=64).observable
     scan = diophantine_scan(h, np.linspace(0.5, 20.0, 40))
     assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
 

@@ -16,8 +16,15 @@ from edgeworth.errors import (
 )
 from edgeworth import oracle
 from edgeworth.evaluate import _model_key, exact_distribution
-from edgeworth.models import bundled_model, iid_model, markov_model, pmf_moments, ulam_model
-from edgeworth.spectral import SparseMatrix
+from edgeworth.expansion import expansion_for_model
+from edgeworth.models import (
+    MarkovModel,
+    bundled_model,
+    iid_model,
+    markov_model,
+    pmf_moments,
+    ulam_model,
+)
 from edgeworth.oracle import (
     ExactDistribution,
     FunctionCdf,
@@ -464,7 +471,7 @@ def test_moment_model_oracles_read_the_moments_not_the_family(monkeypatch):
     # the oracles stay independent of spectral's family layout
     m = bundled_model("iid_moments")
     want_drift, want_moments = drift(m), exact_moments(m, 16, 6)
-    assert want_drift == m.operator_family(2).coeffs[1, 0, 0]
+    assert want_drift == m.operator_family(2).coeffs[1, 0]
 
     def refuse(self, order):
         raise AssertionError("operator family read by an oracle")
@@ -603,7 +610,7 @@ def test_count_below_matches_comparison_count_at_ties(d):
 
 
 def _simulate_chain_by_comparison(model, N, trials, rng):
-    P, h = model.matrices()
+    P, h = model.transition, model.observable
     cum_rows = np.cumsum(P, axis=1)
     states = np.searchsorted(np.cumsum(model.mu0), rng.random(trials), side="right")
     states = np.minimum(states, P.shape[0] - 1)
@@ -629,6 +636,33 @@ def test_chain_bisection_matches_comparison_count(d):
     got = oracle._simulate_chain(model, 40, 3001, np.random.default_rng(7))
     want = _simulate_chain_by_comparison(model, 40, 3001, np.random.default_rng(7))
     assert np.array_equal(got, want)
+
+
+class _Draws:
+    """Generator stub: each ``random(n)`` returns the next queued draws."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(u, dtype=float) for u in draws]
+
+    def random(self, n):
+        u = self.draws.pop(0)
+        assert u.size == n
+        return u
+
+
+def test_chain_draw_above_a_row_total_takes_the_last_possible_state():
+    # row 0 and mu0 sum to 1 - 1e-13, so a draw of 1 - 2**-44 lies above
+    # their rounded totals; it used to take state d - 1 = 2, of probability 0
+    P = [[0.5, 0.5 - 1e-13, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+    h = [[0.0, 2.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    top = 1.0 - 2.0 ** -44
+    model = markov_model(P, h, [1.0, 0.0, 0.0])
+    sums = oracle._simulate_chain(model, 2, 2, _Draws([0.3, 0.3], [top, 0.7], [0.7, 0.7]))
+    # 0 -> 1 -> 1 and 0 -> 1 -> 1, not 0 -> 2 -> 2 (S_2 = 3)
+    assert sums.tolist() == [4.0, 4.0]
+    model = markov_model(P, h, P[0])
+    sums = oracle._simulate_chain(model, 2, 1, _Draws([top], [0.7], [0.7]))
+    assert sums.tolist() == [4.0]  # starts in 1, not in 2 (S_2 = 6)
 
 
 def _mc_sample_serial(model, N, trials, seed, chunk):
@@ -718,29 +752,48 @@ def test_enum_estimate_refuses_large_chain_without_overflow():
         dp_pmf(bundled_model("doubling_ulam"), 4)
 
 
-def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
+def _refuse_dense_properties(monkeypatch):
     def refuse(self):
         raise AssertionError("the chain was densified")
 
-    monkeypatch.setattr(SparseMatrix, "toarray", refuse)
+    for name in ("transition", "observable"):
+        monkeypatch.setattr(MarkovModel, name, property(refuse))
+
+
+def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
+    _refuse_dense_properties(monkeypatch)
     with pytest.raises(TableTooLarge):
         dp_pmf(bundled_model("doubling_ulam"), 4)
     # an integer-valued g makes the chain lattice: the DP runs on the
-    # pattern and gives the pmf of the same chain held densely
+    # pattern and gives the pmf of the same chain given as d x d arrays
     g = lambda x: np.floor(4.0 * np.asarray(x))
     sparse = ulam_model("doubling", g=g, cells=32)
     assert sparse.lattice_span == 1.0
     monkeypatch.undo()
-    dense = markov_model(*sparse.matrices(), sparse.mu0)
+    dense = markov_model(sparse.transition, sparse.observable, sparse.mu0)
     for N in (1, 5, 12):
         got, want = dp_pmf(sparse, N), dp_pmf(dense, N)
         assert np.array_equal(got.support, want.support)
         assert np.array_equal(got.pmf, want.pmf)
 
 
+def test_no_expansion_dp_refusal_or_cache_path_densifies_an_ulam_chain(monkeypatch):
+    # the dense properties raise: every step below reads model.entries()
+    model = bundled_model("doubling_ulam")
+    _refuse_dense_properties(monkeypatch)
+    for r in (1, 2):
+        assert abs(expansion_for_model(model, r).params.sigma2 - 0.5) <= 1e-6
+    cache = {}
+    with pytest.raises(TableTooLarge):
+        exact_distribution(model, 4, "dp", cache=cache)
+    first = exact_distribution(model, 8, "mc", seed=3, trials=200, cache=cache)
+    assert exact_distribution(model, 8, "mc", seed=3, trials=200, cache=cache) is first
+    assert len(cache) == 1
+
+
 def test_model_key_reads_the_chain_not_its_layout():
     sparse = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=64)
-    dense = markov_model(*sparse.matrices(), sparse.mu0)
+    dense = markov_model(sparse.transition, sparse.observable, sparse.mu0)
     assert _model_key(sparse) == _model_key(dense)
     other = ulam_model("doubling", g=lambda x: np.sin(2.0 * np.pi * x), cells=64)
     assert _model_key(other) != _model_key(sparse)

@@ -1,15 +1,16 @@
 """Operator families, Perron data and eigenvalue jets."""
 
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgeworth.errors import GapBelowTolerance, NonStochasticModel
+from edgeworth.errors import GapBelowTolerance, NonStochasticModel, SingularStationarySolve
 from edgeworth.jets import jet_div, jet_mul
 from edgeworth import spectral
-from edgeworth.models import bundled_model, markov_model, ulam_model
+from edgeworth.models import MarkovModel, bundled_model, markov_model, ulam_model
 from edgeworth.spectral import (
     SparseMatrix,
     _bordered_inverse,
@@ -55,7 +56,7 @@ def char_fn(model, t, N):
 
 def _reference_family(model, order):
     # the complex (d, d, order+1) layout with the factors i**m applied
-    if not hasattr(model, "transition"):
+    if not hasattr(model, "entries"):
         coeffs = np.zeros((1, 1, order + 1), dtype=complex)
         coeffs[0, 0, 0] = 1.0
         fact = 1.0
@@ -63,7 +64,7 @@ def _reference_family(model, order):
             fact *= k
             coeffs[0, 0, k] = model.moments[k - 1] * (1j ** k) / fact
         return coeffs
-    P, h = model.matrices()
+    P, h = model.transition, model.observable
     d = P.shape[0]
     coeffs = np.zeros((d, d, order + 1), dtype=complex)
     term = np.ones((d, d), dtype=complex)
@@ -177,7 +178,7 @@ _COMPARISON = _comparison_models()
 def _two_state_jets(order=6):
     m = bundled_model("two_state")
     fam = m.operator_family(order)
-    base = perron_base(fam.coeffs[0])
+    base = perron_base(fam.matrix(0))
     return fam, base, eigen_perturbation(fam, base)
 
 
@@ -186,8 +187,19 @@ def test_entry_jets_match_exponential():
     fam = m.operator_family(8)
     for t in (1e-2, -3e-2):
         direct = evaluate_family(m, t)
-        from_jets = sum((1j * t) ** k * fam.coeffs[k] for k in range(fam.order + 1))
+        from_jets = sum((1j * t) ** k * fam.matrix(k) for k in range(fam.order + 1))
         assert np.abs(direct - from_jets).max() <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.37, -2.5, 40.0])
+def test_family_evaluated_on_the_nonzeros_is_bit_identical(t):
+    # signed zeros included: the exponential of the d x d matrix, formed
+    # from the stored entries, against the one taken on the nonzeros
+    chains = [m for name, m in _COMPARISON if hasattr(m, "entries") and "256" not in name]
+    for model in chains:
+        want = model.transition * np.exp(1j * t * model.observable)
+        got = evaluate_family(model, t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _dense(M):
@@ -195,27 +207,25 @@ def _dense(M):
 
 
 def test_family_is_real_and_contiguous():
-    # Ulam chains are stored on their nonzeros, every other chain densely
+    # every family is stored on the chain's nonzeros; the Ulam chains take
+    # the sparse path, every other chain the dense one
     for name, model in _COMPARISON:
         fam = model.operator_family(4)
         assert fam.coeffs.dtype == np.float64
         assert fam.coeffs.flags.c_contiguous
-        P = model.matrices()[0] if hasattr(model, "transition") else np.ones((1, 1))
+        P = model.transition if hasattr(model, "entries") else np.ones((1, 1))
         ref = _reference_family(model, 4)
         assert fam.sparse == ("doubling" in name or "piecewise" in name)
-        if fam.sparse:
-            assert np.array_equal(fam.rows, np.nonzero(P)[0])
-            assert np.array_equal(fam.cols, np.nonzero(P)[1])
-            assert fam.coeffs.shape == (5, fam.rows.size)
-            assert 8 * fam.rows.size <= fam.dim ** 2
-            off = np.ones(P.shape, dtype=bool)
-            off[fam.rows, fam.cols] = False
-            assert not np.any(ref[off])
-            ref = ref[fam.rows, fam.cols].T
-        else:
-            assert fam.coeffs.shape == (5, fam.dim, fam.dim)
-            ref = np.moveaxis(ref, 2, 0)
-        assert np.array_equal(fam.coeffs[0], P[fam.rows, fam.cols] if fam.sparse else P)
+        assert fam.sparse == (8 * fam.rows.size <= fam.dim ** 2)
+        assert np.array_equal(fam.rows, np.nonzero(P)[0])
+        assert np.array_equal(fam.cols, np.nonzero(P)[1])
+        assert fam.coeffs.shape == (5, fam.rows.size)
+        off = np.ones(P.shape, dtype=bool)
+        off[fam.rows, fam.cols] = False
+        assert not np.any(ref[off])
+        ref = ref[fam.rows, fam.cols].T
+        assert np.array_equal(fam.coeffs[0], P[fam.rows, fam.cols])
+        assert isinstance(fam.matrix(0), SparseMatrix) == fam.sparse
         assert np.array_equal(_dense(fam.matrix(0)), P)
         for m in range(5):
             assert np.array_equal(1j ** m * fam.coeffs[m], ref[m])
@@ -284,21 +294,48 @@ def test_operator_family_trusts_the_checked_model(monkeypatch):
 
     monkeypatch.setattr(spectral, "_validate_stochastic", refuse)
     fam = build_operator_family(bundled_model("two_state"), 2)
-    assert fam.coeffs.shape == (3, 2, 2)
+    assert fam.coeffs.shape == (3, 4)
 
 
 def test_family_of_an_ulam_chain_keeps_its_pattern(monkeypatch):
-    # the layout was fixed when the model was built: no density rule, no scan
-    def refuse(P):
-        raise AssertionError("pattern searched again")
+    # no d x d array and no search for the pattern: the family reads
+    # model.entries()
+    def refuse(self):
+        raise AssertionError("the chain was densified")
 
-    monkeypatch.setattr(spectral, "_sparse_pattern", refuse)
     model = ulam_model("piecewise-linear", _cos2pi, 64, [0.0, 0.3, 0.65, 1.0])
+    rows, cols, P, _ = model.entries()
+    for name in ("transition", "observable"):
+        monkeypatch.setattr(MarkovModel, name, property(refuse))
     fam = build_operator_family(model, 3)
-    assert fam.rows is model.transition.rows and fam.cols is model.transition.cols
-    assert np.array_equal(fam.coeffs[0], model.transition.values)
-    base = perron_base(model.transition)
-    assert base.gap == perron_base(fam.matrix(0)).gap
+    assert fam.rows is rows and fam.cols is cols
+    assert np.array_equal(fam.coeffs[0], P)
+    gap = perron_base(fam.matrix(0)).gap
+    monkeypatch.undo()
+    # the raw matrix takes the same path by the same rule
+    assert perron_base(model.transition).gap == gap
+
+
+@pytest.mark.parametrize("d, nnz", [(1, 1), (7, 7), (8, 8), (16, 32), (16, 33), (64, 512)])
+def test_one_rule_picks_the_path_of_family_and_raw_matrix(monkeypatch, d, nnz):
+    # the sparse path takes at most one nonzero entry in eight
+    rng = np.random.default_rng(d + nnz)
+    P = np.zeros((d, d))
+    P[np.arange(d), rng.permutation(d)] = 1.0  # every row its own entry
+    extra = rng.choice(np.flatnonzero(P.ravel() == 0.0), nnz - d, replace=False)
+    P.ravel()[extra] = 1.0
+    P /= P.sum(axis=1, keepdims=True)
+    fam = markov_model(P, np.ones((d, d)), np.full(d, 1.0 / d)).operator_family(2)
+    assert fam.rows.size == nnz
+    assert fam.sparse == (8 * nnz <= d * d)
+    assert isinstance(fam.matrix(1), SparseMatrix) == fam.sparse
+    seen = []
+    stationary = spectral._stationary
+    monkeypatch.setattr(spectral, "_stationary", lambda M: seen.append(M) or stationary(M))
+    # a permutation chain may be periodic; its path is picked before that shows
+    with contextlib.suppress(GapBelowTolerance, SingularStationarySolve):
+        perron_base(P)
+    assert isinstance(seen[0], SparseMatrix) == fam.sparse
 
 
 def test_perron_base_two_state():
@@ -344,7 +381,7 @@ def test_power_eigenvalue_stochastic():
 def test_eigen_jets_match_finite_differences():
     m = bundled_model("two_state")
     fam = m.operator_family(6)
-    base = perron_base(fam.coeffs[0])
+    base = perron_base(fam.matrix(0))
     jets = eigen_perturbation(fam, base)
     step = 1e-4
     lam = lambda t: power_eigenvalue(evaluate_family(m, t))
@@ -362,7 +399,7 @@ def test_eigen_jets_solve_the_perturbation_equations():
     for m in range(1, s + 1):
         res = np.zeros(d, dtype=complex)
         for j in range(0, m + 1):
-            res += 1j ** j * fam.coeffs[j] @ jets.right_jet[m - j]
+            res += 1j ** j * fam.matrix(j) @ jets.right_jet[m - j]
         for j in range(0, m + 1):
             res -= jets.mu[j] * jets.right_jet[m - j]
         assert np.abs(res).max() <= 1e-11
@@ -475,7 +512,7 @@ def test_ulam_gap_is_not_rounding_noise():
         base = perron_base(ulam_model(g=_cos2pi, cells=cells).transition)
         assert abs(base.gap - 1.0) <= 1e-12
     model = ulam_model("piecewise-linear", _cos2pi, 256, [0.0, 0.3, 0.65, 1.0])
-    second = np.sort(np.abs(np.linalg.eigvals(model.matrices()[0])))[-2]
+    second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
     assert abs(perron_base(model.transition).gap - (1.0 - second)) <= 1e-9
 
 
