@@ -17,7 +17,7 @@ from edgeworth import (
 
 
 def show(model, name, grid):
-    base = perron_base(model.transition)
+    base = perron_base(model.operator_family(2))
     print(f"{name}")
     print(f"  spectral gap at t = 0: {base.gap:.6f}")
     print(f"  lattice span: {model.lattice_span}")

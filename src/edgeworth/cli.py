@@ -316,7 +316,7 @@ def cmd_diagnose(model, model_doc, run, args):
         raise ValidationError("run.N must be at least 1 and run.t_grid nonempty")
     flags = []
     try:
-        gap = spectral.perron_base(model.transition).gap
+        gap = spectral.perron_base(model.operator_family(2)).gap
     except GapBelowTolerance:
         # diagnostics always complete; a vanishing gap is a finding
         gap = None

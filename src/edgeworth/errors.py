@@ -34,10 +34,6 @@ class NonStochasticModel(ValidationError):
     """Transition matrix rows do not sum to one."""
 
 
-class NegativeProbability(ValidationError):
-    """Negative entry in a probability vector or transition matrix."""
-
-
 class SingularStationarySolve(EdgeworthError):
     """The stationary-distribution linear system is singular."""
 

@@ -321,24 +321,33 @@ def exact_moments(model, N, kmax):
     The per-step observable is shifted by the drift A before building
     entry jets, so the propagation never sees large uncentered values;
     the result is read off the order-kmax jet of the characteristic
-    function.  The entry jets form one ``(kmax+1, d, d)`` array and the
-    row ``mu0^T L_t^n`` one ``(kmax+1, d)`` array, stepped N times with
-    the broadcast ``jet_mul``.  No eigenvalue decomposition is involved.
-    A moment model's one entry jet is ``sum_k m_k (it)**k / k!`` from its
-    stored moments, built here, not read from its operator family.
+    function.  No eigenvalue decomposition is involved.
+
+    The entry jets form one ``(kmax+1, nnz)`` array on the transitions of
+    positive probability, read from ``model.entries()``, and the row
+    ``mu0^T L_t^n`` one ``(kmax+1, d)`` array.  Each of the N steps
+    multiplies every entry's jet by the row jet of its source with the
+    broadcast ``jet_mul`` and sums the products per target with
+    ``np.bincount``, the real and imaginary parts apart.  The entries are
+    row-major, so each target adds its sources in index order, starting
+    from 0, exactly as a sum over all d sources would: the sources off
+    the pattern would add only zeros.  No d x d array is formed.
+    A moment model is the single entry ``(0, 0)``, whose jet
+    ``sum_k m_k (it)**k / k!`` comes from its stored moments, built here,
+    not read from its operator family.
     """
     if N < 1:
         raise ValidationError("N must be at least 1")
     A = drift(model)
     if _is_chain(model):
-        P, h = model.transition, model.observable
+        rows, cols, p, h = model.entries()
         hc = h - A
-        jets = np.zeros((kmax + 1,) + P.shape, dtype=complex)
-        term = np.ones(P.shape, dtype=complex)
-        jets[0] = P
+        jets = np.zeros((kmax + 1, p.size), dtype=complex)
+        term = np.ones(p.size, dtype=complex)
+        jets[0] = p
         for m in range(1, kmax + 1):
             term = term * (1j * hc) / m
-            jets[m] = P * term
+            jets[m] = p * term
         mu0 = model.mu0
     else:
         m = model.moments
@@ -350,19 +359,20 @@ def exact_moments(model, N, kmax):
         shift = np.zeros(kmax + 1, dtype=complex)
         if kmax >= 1:
             shift[1] = -1j * A
-        jets = jet_mul(raw, jet_exp(shift)).reshape(kmax + 1, 1, 1)
+        jets = jet_mul(raw, jet_exp(shift)).reshape(kmax + 1, 1)
+        rows = cols = np.zeros(1, dtype=np.intp)
         mu0 = np.array([1.0])
 
     d = len(mu0)
+    # order m of entry (j, k) lands in bin m * d + k of the flattened row
+    bins = (np.arange(kmax + 1)[:, None] * d + cols).ravel()
     row = np.zeros((kmax + 1, d), dtype=complex)
     row[0] = mu0
     for _ in range(N):
-        # terms[:, j, k] is row_j times the (j, k) entry jet; states are
-        # summed one at a time, in index order
-        terms = jet_mul(row[:, :, None], jets)
-        row = np.zeros_like(row)
-        for j in range(d):
-            row += terms[:, j]
+        terms = jet_mul(row[:, rows], jets).ravel()
+        row = np.empty_like(row)
+        row.real = np.bincount(bins, terms.real, row.size).reshape(row.shape)
+        row.imag = np.bincount(bins, terms.imag, row.size).reshape(row.shape)
     chi = np.zeros(kmax + 1, dtype=complex)
     for k in range(d):
         chi += row[:, k]
@@ -401,7 +411,9 @@ def _simulate_chain(model, N, trials, rng):
     d = P.shape[0]
     cum_rows = np.cumsum(P, axis=1)
     # a draw above the rounded total of a row (or of mu0) takes its last
-    # entry of positive probability, not state d - 1
+    # entry of positive probability, not state d - 1; a draw of exactly
+    # 0.0, with no entry below it, takes the first one, not state 0
+    first = np.argmax(P > 0, axis=1)
     last = d - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
     cum_mu0 = np.cumsum(model.mu0)
     states = np.searchsorted(cum_mu0, rng.random(trials), side="right")
@@ -409,7 +421,7 @@ def _simulate_chain(model, N, trials, rng):
     sums = np.zeros(trials)
     for _ in range(N):
         nxt = _count_below(cum_rows, states, rng.random(trials))
-        nxt = np.minimum(nxt, last[states])
+        nxt = np.clip(nxt, first[states], last[states])
         sums += h[states, nxt]
         states = nxt
     return sums

@@ -10,11 +10,12 @@ numeric diagnostics (spectral gap, norm decay, radius scans) that justify
 using the expansion machinery on a given model.
 
 The family of every chain is stored on the chain's transitions of
-positive probability (see :class:`~edgeworth.models.MarkovModel`).  One
-rule, :func:`_sparse_path`, sorts a d x d chain with nnz such entries
-onto one of two paths: at most one nonzero entry in eight
-(``8 * nnz <= d**2``) takes the sparse path, every other chain the
-dense path.
+positive probability (see :class:`~edgeworth.models.MarkovModel`), and
+every consumer here takes the family, never a d x d matrix: the chain
+was checked once, when its model was built.  One rule,
+:attr:`OperatorFamilyJet.sparse`, sorts a d x d chain with nnz such
+entries onto one of two paths: at most one nonzero entry in eight takes
+the sparse path, every other chain the dense path.
 
 * Dense: each slice of the family is formed as a d x d array, the
   stationary vector comes from one linear solve, and one inverse of the
@@ -32,13 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BorderedSolveSingular,
-    GapBelowTolerance,
-    NegativeProbability,
-    NonStochasticModel,
-    SingularStationarySolve,
-)
+from .errors import BorderedSolveSingular, GapBelowTolerance, SingularStationarySolve
 from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
@@ -83,17 +78,6 @@ class SparseMatrix:
         return out
 
 
-def _sparse_path(nnz, d):
-    """Whether a d x d chain with ``nnz`` nonzero entries takes the sparse
-    path: at most one entry in eight is nonzero.
-
-    This is the one rule that picks a chain's path.  Since every row of a
-    stochastic matrix has a nonzero, only chains with at least 8 states
-    can qualify; every bundled chain but the Ulam one is dense.
-    """
-    return 8 * nnz <= d * d
-
-
 class OperatorFamilyJet:
     """Taylor jets of the twisted family ``L_t``, on the chain's nonzeros.
 
@@ -127,8 +111,15 @@ class OperatorFamilyJet:
 
     @property
     def sparse(self):
-        """Whether the family takes the sparse path (:func:`_sparse_path`)."""
-        return _sparse_path(self.rows.size, self.dim)
+        """Whether the family takes the sparse path: at most one entry in
+        eight of its d x d matrices is nonzero.
+
+        This is the one rule that picks a chain's path.  Since every row
+        of a stochastic matrix has a nonzero, only chains with at least 8
+        states can qualify; every bundled chain but the Ulam one is dense.
+        """
+        nnz, d = self.rows.size, self.dim
+        return 8 * nnz <= d * d
 
     def matrix(self, m):
         """Slice ``m``: a :class:`SparseMatrix` on the sparse path, a dense
@@ -169,21 +160,6 @@ class SpectralJets:
         self.left_jet = left_jet
         self.base = base
         self.neumann_terms = neumann_terms
-
-
-def _validate_stochastic(P):
-    """Check a raw transition matrix given to :func:`perron_base`."""
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise NonStochasticModel("transition matrix must be square")
-    if np.any(P < -1e-12):
-        raise NegativeProbability("negative transition probability")
-    rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-10:
-        raise NonStochasticModel(
-            f"row sums deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}"
-        )
-    return P
 
 
 def build_operator_family(model, order):
@@ -268,24 +244,20 @@ def _stationary(P):
     return pi
 
 
-def perron_base(P):
-    """Stationary data of a stochastic matrix.
+def perron_base(fam):
+    """Stationary data of the untwisted matrix of an operator family.
 
-    ``P`` is a transition matrix, or a :class:`SparseMatrix` (slice 0 of
-    a family on the sparse path), trusted as checked.  A matrix is checked
-    and takes the path that :func:`_sparse_path` picks for it.  The right
-    Perron vector is the all-ones vector (exact); the left one comes from
-    :func:`_stationary`.
+    ``fam`` is an :class:`OperatorFamilyJet`, built from a model that was
+    checked when it was built; its slice 0, the transition matrix, is read
+    as :meth:`OperatorFamilyJet.matrix` gives it on the family's path.
+    The right Perron vector is the all-ones vector (exact); the left one
+    comes from :func:`_stationary`.
     The spectral gap is estimated by power iteration on the deflated
     operator ``P - 1 (x) pi``, applied as ``Px - 1 (pi . x)`` on the
     sparse path.
     """
-    if not isinstance(P, SparseMatrix):
-        P = _validate_stochastic(P)
-        if _sparse_path(np.count_nonzero(P), P.shape[0]):
-            pattern = np.nonzero(P)
-            P = SparseMatrix(P[pattern], *pattern, P.shape[0])
-    right = np.ones(P.shape[0])
+    P = fam.matrix(0)
+    right = np.ones(fam.dim)
     pi = _stationary(P)
     if isinstance(P, SparseMatrix):
         rho = _power_radius(lambda x: P @ x - pi @ x, P.dim)

@@ -109,7 +109,7 @@ def test_criterion_02_eigen_jets_vs_finite_differences():
         [[0.7, 0.3], [0.4, 0.6]], [[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5]
     )
     fam = model.operator_family(4)
-    base = perron_base(fam.matrix(0))
+    base = perron_base(fam)
     jets = eigen_perturbation(fam, base)
     d1, d2 = jets.mu[1], 2.0 * jets.mu[2]
     h = 1e-4
@@ -376,4 +376,30 @@ def test_criterion_14_ulam_closed_form_rate():
     assert report(
         14, "ulam-closed-form-rate", ok,
         f"|P1(0) - 1/4| {errs}, ratios {ratio_text} in [3.9, 4.1], {elapsed:.1f}s < 30s",
+    )
+
+
+def test_criterion_15_ulam_moments_vs_coefficients():
+    # the moment oracle on the 1024-cell doubling chain against the
+    # expansion's coefficients: the deflated doubling operator vanishes
+    # after log2(cells) = 10 steps, so from N = 10 on the centered moments
+    # are the polynomials sum_j a_{k,j} N**j up to rounding
+    t0 = time.monotonic()
+    model = bundled_model("doubling_ulam")
+    exp_set = expansion_for_model(model, 4)  # jets through order six
+    errs = []
+    for n in (16, 64):
+        ex = exact_moments(model, n, 6)
+        worst = 0.0
+        for k in range(7):
+            approx = sum(exp_set.a(k, j) * n ** j for j in range(k // 2 + 1))
+            worst = max(worst, abs(ex[k] - approx) / max(1.0, abs(ex[k])))
+        errs.append(worst)
+    elapsed = time.monotonic() - t0
+    ok = max(errs) <= 1e-10 and elapsed < 10.0
+    assert report(
+        15,
+        "ulam-moments",
+        ok,
+        f"rel at n=16/64: {errs[0]:.1e}/{errs[1]:.1e} <= 1e-10, {elapsed:.2f}s < 10s",
     )

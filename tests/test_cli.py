@@ -549,6 +549,35 @@ def test_sparse_nearly_disconnected_chain_is_refused_by_name(tmp_path, capsys):
     assert report["gap"] is None and "gap-below-tolerance" in report["flags"]
 
 
+def _sparse_chain_doc():
+    # 16 states, 2 nonzeros per row, so 8 * nnz = d**2 (the sparse path):
+    # state j steps to 2j and 2j + 1 mod 16, with golden-ratio rewards
+    d = 16
+    P = np.zeros((d, d))
+    h = np.zeros((d, d))
+    for j in range(d):
+        p = 0.25 + j / 32.0
+        P[j, 2 * j % d], P[j, (2 * j + 1) % d] = p, 1.0 - p
+        h[j, 2 * j % d], h[j, (2 * j + 1) % d] = 1.0, (1.0 + math.sqrt(5.0)) / 2.0
+    return {"type": "markov", "transition": P.tolist(), "observable": h.tolist()}
+
+
+@pytest.mark.parametrize("model", [
+    {"type": "ulam", "map": "piecewise-linear", "endpoints": [0.0, 0.3, 0.7, 1.0], "cells": 64},
+    _sparse_chain_doc(),
+])
+def test_diagnose_never_forms_the_transition_matrix(tmp_path, capsys, monkeypatch, model):
+    def refuse(self):
+        raise AssertionError("diagnose formed the d x d transition matrix")
+
+    monkeypatch.setattr(cli.models.MarkovModel, "transition", property(refuse))
+    cfg = write_config(tmp_path, {"model": model, "run": {"t_grid": [1.0, 2.5], "N": 3}})
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0 and err == ""
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert report["gap"] > 0.0
+
+
 def test_diagnose_jet_only_model_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"bundled": "iid_moments"}, "run": {}})
     code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
@@ -644,9 +673,22 @@ def test_moddev_table(tmp_path, capsys):
 # before that change.  The three ``expand`` JSONs come from commit
 # 7fce148, the last one to hold dense chains as d x d arrays and their
 # families in a (order+1, d, d) layout, so they pin the expansion from
-# before every chain and family was stored on its nonzeros.
+# before every chain and family was stored on its nonzeros.  The four
+# ``diagnose`` files come from commit 38d9c28, whose ``perron_base`` still
+# took a d x d transition matrix, so they pin the diagnostics from before
+# it took the operator family.  A command that writes a CSV and a JSON is
+# compared on the file of the golden file's extension.
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
+_DIAGNOSE_DIOPHANTINE = ("diagnose", {"model": {"bundled": "diophantine_two_state"}, "run": {}})
+_DIAGNOSE_SPARSE = ("diagnose", {
+    "model": _sparse_chain_doc(),
+    "run": {"t_grid": {"start": 0.5, "stop": 10.0, "count": 12}, "N": 6},
+})
 _GOLDEN = {
+    "diagnose-diophantine_two_state.csv": _DIAGNOSE_DIOPHANTINE,
+    "diagnose-diophantine_two_state.json": _DIAGNOSE_DIOPHANTINE,
+    "diagnose-sparse_chain.csv": _DIAGNOSE_SPARSE,
+    "diagnose-sparse_chain.json": _DIAGNOSE_SPARSE,
     "expand-doubling_ulam.json": ("expand", {
         "model": {"bundled": "doubling_ulam"}, "run": {"order": 2},
     }),
@@ -677,5 +719,6 @@ def test_golden_artifact_byte_identical(tmp_path, capsys, name):
     cfg = write_config(tmp_path, doc)
     code, out, err = run_cli(capsys, command, cfg, "--out", str(tmp_path), "--stamp", "golden")
     assert code == 0 and err == ""
-    with open(out.strip(), "rb") as got, open(os.path.join(_GOLDEN_DIR, name), "rb") as want:
+    path, = (p for p in out.splitlines() if p.endswith(os.path.splitext(name)[1]))
+    with open(path, "rb") as got, open(os.path.join(_GOLDEN_DIR, name), "rb") as want:
         assert got.read() == want.read()

@@ -188,7 +188,7 @@ def test_moment_coefficient_a21_is_variance():
 def test_negative_order_rejected():
     m = bundled_model("two_state")
     fam = m.operator_family(4)
-    base = perron_base(fam.matrix(0))
+    base = perron_base(fam)
     jets = eigen_perturbation(fam, base)
     with pytest.raises(ValidationError):
         build_expansion(jets, -1)

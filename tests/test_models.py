@@ -157,7 +157,7 @@ def test_ulam_doubling_rows_stochastic():
     assert np.abs(m.transition.sum(axis=1) - 1.0).max() <= 1e-12
     assert m.lattice_span is None
     # Lebesgue measure is invariant for the doubling map
-    base = perron_base(m.transition)
+    base = perron_base(m.operator_family(2))
     assert np.abs(base.left - 1.0 / 1024).max() <= 1e-9
 
 

@@ -15,6 +15,7 @@ from edgeworth.errors import (
     ValidationError,
 )
 from edgeworth import oracle
+from edgeworth.jets import jet_mul
 from edgeworth.evaluate import _model_key, exact_distribution
 from edgeworth.expansion import expansion_for_model
 from edgeworth.models import (
@@ -460,6 +461,46 @@ def test_exact_moments_iid_jet_route():
         assert abs(via_chain[k] - via_jets[k]) <= 1e-9 * max(1.0, abs(via_chain[k]))
 
 
+def _exact_moments_by_dense_sweep(model, N, kmax):
+    # the (kmax+1, d, d) sweep over every source that the stepping on the
+    # nonzeros replaced, kept as the reference
+    A = drift(model)
+    P, h = model.transition, model.observable
+    jets = np.zeros((kmax + 1,) + P.shape, dtype=complex)
+    term = np.ones(P.shape, dtype=complex)
+    jets[0] = P
+    for m in range(1, kmax + 1):
+        term = term * (1j * (h - A)) / m
+        jets[m] = P * term
+    row = np.zeros((kmax + 1, model.dim), dtype=complex)
+    row[0] = model.mu0
+    for _ in range(N):
+        terms = jet_mul(row[:, :, None], jets)
+        row = np.zeros_like(row)
+        for j in range(model.dim):
+            row += terms[:, j]
+    chi = np.zeros(kmax + 1, dtype=complex)
+    for k in range(model.dim):
+        chi += row[:, k]
+    return [float((math.factorial(k) * (-1j) ** k * chi[k]).real) for k in range(kmax + 1)]
+
+
+def test_exact_moments_on_the_nonzeros_equal_the_dense_sweep():
+    rng = np.random.default_rng(17)
+    chains = [bundled_model("three_state_lattice"), bundled_model("bernoulli"),
+              ulam_model("piecewise-linear", lambda x: x * x, 64, [0.0, 0.3, 0.7, 1.0])]
+    for d in (5, 17):
+        P = rng.random((d, d)) * (rng.random((d, d)) < 0.4)  # many zero entries
+        P[np.arange(d), (np.arange(d) + 1) % d] += 0.3
+        P /= P.sum(axis=1, keepdims=True)
+        chains.append(markov_model(P, rng.normal(size=(d, d)), np.full(d, 1.0 / d)))
+    for model in chains:
+        for N, kmax in ((1, 0), (8, 3), (30, 6)):
+            got = [v.hex() for v in exact_moments(model, N, kmax)]
+            want = [v.hex() for v in _exact_moments_by_dense_sweep(model, N, kmax)]
+            assert got == want, (model.dim, N, kmax)
+
+
 def test_drift_of_moment_model_is_first_moment():
     pmf = [(-1.0, 0.25), (0.5, 0.5), (3.0, 0.25)]
     moments = pmf_moments(pmf, 4)
@@ -663,6 +704,18 @@ def test_chain_draw_above_a_row_total_takes_the_last_possible_state():
     model = markov_model(P, h, P[0])
     sums = oracle._simulate_chain(model, 2, 1, _Draws([top], [0.7], [0.7]))
     assert sums.tolist() == [4.0]  # starts in 1, not in 2 (S_2 = 6)
+
+
+def test_chain_draw_of_zero_takes_the_first_possible_state():
+    # row 1 puts probability 0 on state 0, so a draw of exactly 0.0 must
+    # take state 1; it used to take state 0 and add the dropped reward 0
+    model = markov_model([[0.5, 0.5], [0.0, 1.0]], [[1.0, 1.0], [7.0, 1.0]], [0.0, 1.0])
+    sums = oracle._simulate_chain(model, 1, 1, _Draws([0.9], [0.0]))
+    assert sums.tolist() == [1.0]
+    # in row 0 the first entry is possible: 0.0 takes state 0
+    model = markov_model([[0.5, 0.5], [0.0, 1.0]], [[3.0, 1.0], [7.0, 1.0]], [1.0, 0.0])
+    sums = oracle._simulate_chain(model, 2, 1, _Draws([0.0], [0.0], [0.0]))
+    assert sums.tolist() == [6.0]
 
 
 def _mc_sample_serial(model, N, trials, seed, chunk):

@@ -178,7 +178,7 @@ _COMPARISON = _comparison_models()
 def _two_state_jets(order=6):
     m = bundled_model("two_state")
     fam = m.operator_family(order)
-    base = perron_base(fam.matrix(0))
+    base = perron_base(fam)
     return fam, base, eigen_perturbation(fam, base)
 
 
@@ -236,7 +236,7 @@ def test_real_perturbation_matches_complex_reference(case):
     _, model = _COMPARISON[case]
     order = 4
     fam = model.operator_family(order)
-    base = perron_base(fam.matrix(0))
+    base = perron_base(fam)
     jets = eigen_perturbation(fam, base)
     # the sparse (Ulam) chains solve by Neumann series, the rest densely
     assert (jets.neumann_terms is not None) == fam.sparse
@@ -256,7 +256,7 @@ def test_left_bordered_inverse_from_the_right_one():
     # D Binv^T D inverts the bordered matrix of the left system
     for _, model in _COMPARISON:
         fam = model.operator_family(2)
-        base = perron_base(fam.matrix(0))
+        base = perron_base(fam)
         d = fam.dim
         P = _dense(fam.matrix(0))
         Binv = _bordered_inverse(P, base)
@@ -287,16 +287,6 @@ def test_non_stochastic_rows_rejected():
         markov_model([[1.1, -0.1], [0.4, 0.6]], [[1, 0], [0, 0]], [1, 0])
 
 
-def test_operator_family_trusts_the_checked_model(monkeypatch):
-    # the model was checked when built; the family does not check again
-    def refuse(P):
-        raise AssertionError("transition re-validated")
-
-    monkeypatch.setattr(spectral, "_validate_stochastic", refuse)
-    fam = build_operator_family(bundled_model("two_state"), 2)
-    assert fam.coeffs.shape == (3, 4)
-
-
 def test_family_of_an_ulam_chain_keeps_its_pattern(monkeypatch):
     # no d x d array and no search for the pattern: the family reads
     # model.entries()
@@ -310,15 +300,17 @@ def test_family_of_an_ulam_chain_keeps_its_pattern(monkeypatch):
     fam = build_operator_family(model, 3)
     assert fam.rows is rows and fam.cols is cols
     assert np.array_equal(fam.coeffs[0], P)
-    gap = perron_base(fam.matrix(0)).gap
+    gap = perron_base(fam).gap
     monkeypatch.undo()
-    # the raw matrix takes the same path by the same rule
-    assert perron_base(model.transition).gap == gap
+    # the chain given as d x d arrays takes the same path by the same rule
+    dense = markov_model(model.transition, model.observable, model.mu0)
+    assert perron_base(dense.operator_family(2)).gap == gap
 
 
 @pytest.mark.parametrize("d, nnz", [(1, 1), (7, 7), (8, 8), (16, 32), (16, 33), (64, 512)])
 def test_one_rule_picks_the_path_of_family_and_raw_matrix(monkeypatch, d, nnz):
-    # the sparse path takes at most one nonzero entry in eight
+    # the sparse path takes at most one nonzero entry in eight of the raw
+    # matrix; the family and its Perron base both follow that one rule
     rng = np.random.default_rng(d + nnz)
     P = np.zeros((d, d))
     P[np.arange(d), rng.permutation(d)] = 1.0  # every row its own entry
@@ -334,7 +326,7 @@ def test_one_rule_picks_the_path_of_family_and_raw_matrix(monkeypatch, d, nnz):
     monkeypatch.setattr(spectral, "_stationary", lambda M: seen.append(M) or stationary(M))
     # a permutation chain may be periodic; its path is picked before that shows
     with contextlib.suppress(GapBelowTolerance, SingularStationarySolve):
-        perron_base(P)
+        perron_base(fam)
     assert isinstance(seen[0], SparseMatrix) == fam.sparse
 
 
@@ -351,8 +343,9 @@ def test_perron_base_gap_guard():
     # two nearly disconnected components leave almost no spectral gap
     eps = 1e-10
     P = np.array([[1 - eps, eps], [eps, 1 - eps]])
+    fam = markov_model(P, np.zeros((2, 2)), [0.5, 0.5]).operator_family(2)
     with pytest.raises(GapBelowTolerance):
-        perron_base(P)
+        perron_base(fam)
 
 
 def test_power_radius_matches_eigvals():
@@ -381,7 +374,7 @@ def test_power_eigenvalue_stochastic():
 def test_eigen_jets_match_finite_differences():
     m = bundled_model("two_state")
     fam = m.operator_family(6)
-    base = perron_base(fam.matrix(0))
+    base = perron_base(fam)
     jets = eigen_perturbation(fam, base)
     step = 1e-4
     lam = lambda t: power_eigenvalue(evaluate_family(m, t))
@@ -509,17 +502,17 @@ def test_ulam_gap_is_not_rounding_noise():
     # iteration reaches 0 after log2(cells) steps (the dense path read
     # 0.9951 and 0.98075 here)
     for cells in (256, 1024):
-        base = perron_base(ulam_model(g=_cos2pi, cells=cells).transition)
+        base = perron_base(ulam_model(g=_cos2pi, cells=cells).operator_family(2))
         assert abs(base.gap - 1.0) <= 1e-12
     model = ulam_model("piecewise-linear", _cos2pi, 256, [0.0, 0.3, 0.65, 1.0])
     second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
-    assert abs(perron_base(model.transition).gap - (1.0 - second)) <= 1e-9
+    assert abs(perron_base(model.operator_family(2)).gap - (1.0 - second)) <= 1e-9
 
 
 def test_doubling_neumann_series_ends_after_log2_cells_terms():
     for cells in (64, 256, 1024):
         fam = ulam_model(g=_cos2pi, cells=cells).operator_family(4)
-        jets = eigen_perturbation(fam, perron_base(fam.matrix(0)))
+        jets = eigen_perturbation(fam, perron_base(fam))
         assert jets.neumann_terms <= math.log2(cells) + 1
 
 
@@ -528,7 +521,7 @@ def test_sparse_expansion_allocates_no_dense_matrix():
     d = fam.dim
     tracemalloc.start()
     try:
-        eigen_perturbation(fam, perron_base(fam.matrix(0)))
+        eigen_perturbation(fam, perron_base(fam))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -543,7 +536,7 @@ def test_slow_mixing_sparse_chain_falls_back_to_dense_solve():
     assert 1e-4 < 1.0 - second < 1.2e-4
     fam = model.operator_family(4)
     assert fam.sparse
-    base = perron_base(fam.matrix(0))
+    base = perron_base(fam)
     jets = eigen_perturbation(fam, base)
     assert jets.neumann_terms is None
     mu_ref, z_ref = _reference_perturbation(_reference_family(model, 4), fam.mu0, base)
@@ -560,7 +553,7 @@ def test_sparse_stationary_falls_back_to_dense_solve():
     P = model.transition
     rows, cols = np.nonzero(P)
     assert _power_stationary(SparseMatrix(P[rows, cols], rows, cols, 200)) is None
-    base = perron_base(P)
+    base = perron_base(model.operator_family(2))
     M = (P - np.eye(200)).T
     M[-1] = 1.0
     b = np.zeros(200)
@@ -570,12 +563,10 @@ def test_sparse_stationary_falls_back_to_dense_solve():
 
 
 def test_sparse_gap_guard_on_nearly_disconnected_chain():
-    model = _two_doubling_blocks(64, 1e-10)
-    with pytest.raises(GapBelowTolerance):
-        perron_base(model.transition)
-    fam = model.operator_family(3)
+    fam = _two_doubling_blocks(64, 1e-10).operator_family(3)
     assert fam.sparse
     with pytest.raises(GapBelowTolerance):
-        perron_base(fam.matrix(0))
+        perron_base(fam)
     # a wider link is a slow chain, not a broken one
-    assert abs(perron_base(_two_doubling_blocks(64, 1e-3).transition).gap - 2e-3) <= 1e-12
+    fam = _two_doubling_blocks(64, 1e-3).operator_family(2)
+    assert abs(perron_base(fam).gap - 2e-3) <= 1e-12
