@@ -52,7 +52,6 @@ from .spectral import (
     SpectralJets,
     build_operator_family,
     eigen_perturbation,
-    evaluate_family,
     norm_decay_scan,
     perron_base,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "eigen_perturbation",
     "erf",
     "erfc",
-    "evaluate_family",
     "exact_distribution",
     "exact_moments",
     "expansion_for_model",

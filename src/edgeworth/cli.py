@@ -33,6 +33,10 @@ from .errors import (
 from .expansion import expansion_for_model
 
 _MAX_ORDER = 8
+# a norm ||L_t^N|| at or above 1 - this, at a frequency with d(t) > 0, is
+# no contraction: it is 1 up to rounding when every target is reached by
+# one path, and no contraction constant can be fitted to it
+_CONTRACTION_TOL = 1e-12
 
 
 def _fmt_float(x):
@@ -336,7 +340,11 @@ def cmd_diagnose(model, model_doc, run, args):
         dist = np.zeros(t_grid.size)
         dio = None
     pos = dist > 0
-    theta = float(np.min((1.0 - nrm[pos]) / (dist[pos] * dist[pos]), initial=math.inf))
+    if np.any(nrm[pos] >= 1.0 - _CONTRACTION_TOL):
+        theta = math.inf
+        flags.append("norm-not-contracting")
+    else:
+        theta = float(np.min((1.0 - nrm[pos]) / (dist[pos] * dist[pos]), initial=math.inf))
     unit = rad >= 1.0 - 1e-9
     if model.lattice_span is None:
         on_lattice = t == 0.0  # every law has unit radius at t = 0

@@ -11,9 +11,9 @@ Every finite-state model is a :class:`MarkovModel`, checked once by its
 constructor, which drops the transitions of probability 0 with their
 rewards and takes the lattice span from the values that S_N can take.
 Every chain is stored one way, on its transitions of positive
-probability (:meth:`MarkovModel.entries`); ``transition`` and
-``observable`` form d x d arrays from them for the consumers that need
-matrices.
+probability (:meth:`MarkovModel.entries`), and every consumer in the
+package reads it there; ``observable`` forms the rewards as a d x d
+array for the resonance scan, which compares them as a matrix.
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ class MarkovModel:
 
     Attributes
     ----------
-    transition, observable : ndarray
-        The checked chain as d x d arrays, formed anew on each access;
-        ``observable`` is 0 wherever ``transition`` is.
+    observable : ndarray
+        The rewards as a d x d array, formed anew on each access, 0 off
+        the transitions of positive probability; read by
+        :func:`diophantine_scan`.
     mu0 : ndarray
     lattice_span : float or None
         Span when every reward of a transition of positive probability is
@@ -183,17 +184,10 @@ class MarkovModel:
         probability, in row-major order: the chain as it is stored."""
         return self._entries
 
-    def _matrix(self, values):
-        rows, cols = self._entries[:2]
-        return spectral.SparseMatrix(values, rows, cols, self.dim).toarray()
-
-    @property
-    def transition(self):
-        return self._matrix(self._entries[2])
-
     @property
     def observable(self):
-        return self._matrix(self._entries[3])
+        rows, cols, _, h = self._entries
+        return spectral.SparseMatrix(h, rows, cols, self.dim).toarray()
 
     def operator_family(self, order):
         """Taylor jets of the twisted family up to ``order``."""

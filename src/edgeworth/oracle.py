@@ -296,9 +296,15 @@ def dp_pmf(model, N):
     return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf[nz]), N, meta)
 
 
-def _stationary(P):
-    d = P.shape[0]
-    M = (P - np.eye(d)).T
+def _stationary(model):
+    """Stationary distribution of a chain: one dense solve of
+    ``pi^T (P - I) = 0``, the normalization row replacing the last
+    equation, on ``(P - I)^T`` written from ``model.entries()``."""
+    rows, cols, p, _ = model.entries()
+    d = model.dim
+    M = np.zeros((d, d))
+    M[cols, rows] = p
+    M[np.arange(d), np.arange(d)] -= 1.0
     M[-1, :] = 1.0
     b = np.zeros(d)
     b[-1] = 1.0
@@ -306,12 +312,13 @@ def _stationary(P):
 
 
 def drift(model):
-    """Asymptotic mean per step: from the stationary distribution alone
-    for a chain, the first stored moment for a moment model."""
+    """Asymptotic mean per step: ``sum pi_j p_jk h_jk`` over the entries of
+    a chain, from the stationary distribution alone; the first stored
+    moment for a moment model."""
     if _is_chain(model):
-        P, h = model.transition, model.observable
-        pi = _stationary(P)
-        return float(np.sum(pi[:, None] * P * h))
+        rows, _, p, h = model.entries()
+        pi = _stationary(model)
+        return float(np.sum(pi[rows] * p * h))
     return float(model.moments[0])
 
 
@@ -386,44 +393,52 @@ def exact_moments(model, N, kmax):
     return out
 
 
-def _count_below(cum_rows, states, u):
-    """Count of the entries of row ``states[i]`` of ``cum_rows`` below
+def _count_below(cum, first, length, u):
+    """Count of the entries ``cum[first[i]:first[i] + length[i]]`` below
     ``u[i]``, for every i, by bisection.
 
-    A cumulative row never decreases, so its entries below u form a
-    prefix; each probe, from the largest power of two up to d down to 1,
-    lengthens the prefix when the entry it would end at is below u.  No
-    step forms a trials x d array.
+    Each such row is a running sum, so it never decreases and its entries
+    below u form a prefix; each probe, from the largest power of two up to
+    the longest row down to 1, lengthens the prefix when the entry it
+    would end at is below u.  No step forms a trials x d array.
     """
-    d = cum_rows.shape[1]
-    flat = cum_rows.ravel()
-    last = states * d - 1  # flat index of the entry before each row
-    count = np.zeros(states.size, dtype=np.intp)
-    for jump in (1 << b for b in reversed(range(d.bit_length()))):
+    count = np.zeros(u.size, dtype=np.intp)
+    last = first - 1  # index of the entry before each row
+    for jump in (1 << b for b in reversed(range(int(length.max()).bit_length()))):
         probe = count + jump
-        below = (probe <= d) & (flat[last + np.minimum(probe, d)] < u)
+        below = (probe <= length) & (cum[last + np.minimum(probe, length)] < u)
         count = np.where(below, probe, count)
     return count
 
 
 def _simulate_chain(model, N, trials, rng):
-    P, h = model.transition, model.observable
-    d = P.shape[0]
-    cum_rows = np.cumsum(P, axis=1)
-    # a draw above the rounded total of a row (or of mu0) takes its last
-    # entry of positive probability, not state d - 1; a draw of exactly
-    # 0.0, with no entry below it, takes the first one, not state 0
-    first = np.argmax(P > 0, axis=1)
-    last = d - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
+    """Sums of S_N over ``trials`` paths of a chain, drawn on its entries.
+
+    Each row's entries carry their running sums, equal to the dense
+    ``np.cumsum`` of the row at every entry of positive probability, since
+    the entries between add 0.0.  The next state is the first entry whose
+    running sum reaches the draw; a draw above the rounded total of a row
+    (or of mu0) takes its last entry of positive probability, not state
+    d - 1, and a draw of exactly 0.0 the first one.
+    """
+    rows, cols, p, h = model.entries()
+    d = model.dim
+    length = np.bincount(rows, minlength=d)
+    first = np.cumsum(length) - length
+    at = np.arange(p.size) - first[rows]  # place of each entry in its row
+    cum = p.copy()
+    for r in range(1, int(length.max())):
+        e = np.flatnonzero(at == r)
+        cum[e] += cum[e - 1]
     cum_mu0 = np.cumsum(model.mu0)
     states = np.searchsorted(cum_mu0, rng.random(trials), side="right")
     states = np.minimum(states, d - 1 - np.argmax(model.mu0[::-1] > 0))
     sums = np.zeros(trials)
     for _ in range(N):
-        nxt = _count_below(cum_rows, states, rng.random(trials))
-        nxt = np.clip(nxt, first[states], last[states])
-        sums += h[states, nxt]
-        states = nxt
+        lo, n = first[states], length[states]
+        e = lo + np.minimum(_count_below(cum, lo, n, rng.random(trials)), n - 1)
+        sums += h[e]
+        states = cols[e]
     return sums
 
 

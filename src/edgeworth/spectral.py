@@ -11,11 +11,12 @@ using the expansion machinery on a given model.
 
 The family of every chain is stored on the chain's transitions of
 positive probability (see :class:`~edgeworth.models.MarkovModel`), and
-every consumer here takes the family, never a d x d matrix: the chain
-was checked once, when its model was built.  One rule,
-:attr:`OperatorFamilyJet.sparse`, sorts a d x d chain with nnz such
-entries onto one of two paths: at most one nonzero entry in eight takes
-the sparse path, every other chain the dense path.
+:func:`perron_base` and :func:`eigen_perturbation` take the family,
+never a d x d matrix: the chain was checked once, when its model was
+built.  One rule, :attr:`OperatorFamilyJet.sparse`, sorts a d x d chain
+with nnz such entries onto one of two paths for them: at most one
+nonzero entry in eight takes the sparse path, every other chain the
+dense path.
 
 * Dense: each slice of the family is formed as a d x d array, the
   stationary vector comes from one linear solve, and one inverse of the
@@ -27,6 +28,10 @@ the sparse path, every other chain the dense path.
   array is allocated, unless an iteration runs out of its budget of
   ``_SPARSE_TERMS`` products (a slowly mixing chain); that step is then
   done the dense way.
+
+The norm and radius scan :func:`norm_decay_scan` reads the chain's
+entries and takes one path for every chain: it forms ``L_t^N`` on its
+own pattern, and no d x d array.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ _GAP_TOL = 1e-8
 # done the dense way
 _SPARSE_TERMS = 1000
 _EPS = np.finfo(float).eps
+# path products one block of a pattern product holds at once (4 MiB of
+# complex values)
+_PRODUCTS = 1 << 18
 
 
 class SparseMatrix:
@@ -185,15 +193,6 @@ def build_operator_family(model, order):
         term *= 1.0 / m
         np.multiply(P, term, out=coeffs[m])
     return OperatorFamilyJet(coeffs, model.mu0, rows, cols)
-
-
-def evaluate_family(model, t):
-    """The concrete complex d x d matrix ``L_t`` (exact, no truncation),
-    with the exponential taken on the nonzeros only."""
-    rows, cols, P, h = model.entries()
-    Lt = np.zeros((model.dim, model.dim), dtype=complex)
-    Lt[rows, cols] = P * np.exp(1j * t * h)
-    return Lt
 
 
 def _power_stationary(P):
@@ -455,16 +454,71 @@ def eigen_perturbation(fam, base):
     )
 
 
+def _complex_bincount(idx, terms, n):
+    """``np.bincount`` of complex weights: the real and imaginary parts are
+    summed apart, each in the order of the terms."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(idx, terms.real, n)
+    out.imag = np.bincount(idx, terms.imag, n)
+    return out
+
+
+def _pattern_product(a, b, d):
+    """Product of two complex d x d matrices held on their patterns, each
+    as row-major ``(rows, cols, values)``.
+
+    Every entry (i, j) of ``a`` meets each entry (j, k) of ``b``;
+    ``np.unique`` pools the products of equal (i, k) and a complex
+    ``np.bincount`` sums them, each pair adding its middle states j in
+    index order.  The product comes back on its own pattern, row-major.
+    The rows of ``a`` are taken in blocks of at most ``_PRODUCTS``
+    products (or one row), so a dense chain, with d products per entry,
+    never holds d**3 of them at once.
+    """
+    (a_rows, a_cols, a_vals), (b_rows, b_cols, b_vals) = a, b
+    count = np.bincount(b_rows, minlength=d)
+    # the entries of row j of b are first[j] : first[j] + count[j]
+    first = np.cumsum(count) - count
+    step = max(1, _PRODUCTS // int(np.bincount(a_rows, count[a_cols]).max()))
+    bounds = np.searchsorted(a_rows, np.arange(0, d + step, step))
+    parts = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = count[a_cols[lo:hi]]
+        left = np.repeat(np.arange(lo, hi), n)
+        right = np.arange(left.size) + np.repeat(first[a_cols[lo:hi]] - (np.cumsum(n) - n), n)
+        pairs, pair = np.unique(a_rows[left] * d + b_cols[right], return_inverse=True)
+        parts.append((*np.divmod(pairs, d),
+                      _complex_bincount(pair, a_vals[left] * b_vals[right], pairs.size)))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def norm_decay_scan(model, t_grid, N):
-    """Table of (t, ||L_t^N||_inf, spectral-radius estimate) over a grid."""
+    """Table of (t, ||L_t^N||_inf, spectral-radius estimate) over a grid.
+
+    ``L_t`` is ``p * exp(i t h)`` on the entries of ``model.entries()``.
+    ``L_t^N`` lives on the pairs (i, k) joined by a path of N transitions,
+    formed by :func:`_pattern_product` and binary powering, as
+    ``np.linalg.matrix_power`` forms it.  The radius is
+    :func:`power_radius` of ``L_t`` with a complex bincount product.
+    """
     if len(t_grid) == 0:
         raise ValueError("empty t grid")
     if N < 1:
         raise ValueError("N must be at least 1")
-    rows = []
+    rows, cols, P, h = model.entries()
+    d = model.dim
+    out = []
     for t in t_grid:
-        Lt = evaluate_family(model, t)
-        power = np.linalg.matrix_power(Lt, N)
-        inf_norm = float(np.max(np.abs(power).sum(axis=1)))
-        rows.append((float(t), inf_norm, power_radius(Lt)))
-    return rows
+        L = P * np.exp(1j * t * h)
+        # the squares of L_t, multiplied into the power by the bits of N
+        power = square = None
+        n = N
+        while n:
+            square = (rows, cols, L) if square is None else _pattern_product(square, square, d)
+            n, bit = divmod(n, 2)
+            if bit:
+                power = square if power is None else _pattern_product(power, square, d)
+        inf_norm = float(np.max(np.bincount(power[0], np.abs(power[2]), d)))
+        radius = _power_radius(lambda x: _complex_bincount(rows, L * x[cols], d), d, complex)
+        out.append((float(t), inf_norm, radius))
+    return out

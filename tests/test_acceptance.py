@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from chains import dense_family
 from edgeworth.evaluate import (
     TestFunction,
     cdf_callable,
@@ -25,7 +26,6 @@ from edgeworth.models import bundled_model, diophantine_scan, markov_model, ulam
 from edgeworth.oracle import ExactDistribution, exact_moments, kolmogorov_distance
 from edgeworth.spectral import (
     eigen_perturbation,
-    evaluate_family,
     norm_decay_scan,
     perron_base,
 )
@@ -115,8 +115,8 @@ def test_criterion_02_eigen_jets_vs_finite_differences():
     h = 1e-4
     # the second difference divides by h^2 = 1e-8, so the power iteration
     # must run to the machine-precision floor, not its default tolerance
-    mu_p = power_eigenvalue(evaluate_family(model, h), tol=0.0)
-    mu_m = power_eigenvalue(evaluate_family(model, -h), tol=0.0)
+    mu_p = power_eigenvalue(dense_family(model, h), tol=0.0)
+    mu_m = power_eigenvalue(dense_family(model, -h), tol=0.0)
     fd1 = (mu_p - mu_m) / (2.0 * h)
     fd2 = (mu_p - 2.0 + mu_m) / (h * h)
     rel1 = abs(d1 - fd1) / abs(fd1)

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from chains import sparse_chain_doc
 from edgeworth import cli
 
 
@@ -549,33 +550,24 @@ def test_sparse_nearly_disconnected_chain_is_refused_by_name(tmp_path, capsys):
     assert report["gap"] is None and "gap-below-tolerance" in report["flags"]
 
 
-def _sparse_chain_doc():
-    # 16 states, 2 nonzeros per row, so 8 * nnz = d**2 (the sparse path):
-    # state j steps to 2j and 2j + 1 mod 16, with golden-ratio rewards
-    d = 16
-    P = np.zeros((d, d))
-    h = np.zeros((d, d))
-    for j in range(d):
-        p = 0.25 + j / 32.0
-        P[j, 2 * j % d], P[j, (2 * j + 1) % d] = p, 1.0 - p
-        h[j, 2 * j % d], h[j, (2 * j + 1) % d] = 1.0, (1.0 + math.sqrt(5.0)) / 2.0
-    return {"type": "markov", "transition": P.tolist(), "observable": h.tolist()}
-
-
-@pytest.mark.parametrize("model", [
-    {"type": "ulam", "map": "piecewise-linear", "endpoints": [0.0, 0.3, 0.7, 1.0], "cells": 64},
-    _sparse_chain_doc(),
+@pytest.mark.parametrize("doc", [
+    {"model": {"bundled": "doubling_ulam"}, "run": {}},
+    {"model": sparse_chain_doc(), "run": {"N": 2}},
 ])
-def test_diagnose_never_forms_the_transition_matrix(tmp_path, capsys, monkeypatch, model):
-    def refuse(self):
-        raise AssertionError("diagnose formed the d x d transition matrix")
-
-    monkeypatch.setattr(cli.models.MarkovModel, "transition", property(refuse))
-    cfg = write_config(tmp_path, {"model": model, "run": {"t_grid": [1.0, 2.5], "N": 3}})
+def test_diagnose_flags_a_norm_without_contraction(tmp_path, capsys, doc):
+    # every target of L_t^2 is reached by one path, so ||L_t^2|| is 1 up to
+    # rounding where d(t) > 0, and the fitted theta was rounding (-8.9e-16
+    # on doubling_ulam, -4.7e-14 on the 16-state chain)
+    cfg = write_config(tmp_path, doc)
     code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
     assert code == 0 and err == ""
-    report = json.loads(open(out.strip().splitlines()[1]).read())
-    assert report["gap"] > 0.0
+    csv_path, json_path = out.strip().splitlines()
+    rows = [[float(x) for x in r] for r in read_rows(csv_path)[1:]]
+    assert any(dist > 0.0 and norm >= 1.0 - 1e-12 for _, dist, norm, _ in rows)
+    report = json.loads(open(json_path).read())
+    assert report["theta_fit"] is None
+    # (at N = 6 the 16-state chain contracts: see its golden report)
+    assert report["flags"] == ["norm-not-contracting"]
 
 
 def test_diagnose_jet_only_model_exits_two(tmp_path, capsys):
@@ -676,12 +668,16 @@ def test_moddev_table(tmp_path, capsys):
 # before every chain and family was stored on its nonzeros.  The four
 # ``diagnose`` files come from commit 38d9c28, whose ``perron_base`` still
 # took a d x d transition matrix, so they pin the diagnostics from before
-# it took the operator family.  A command that writes a CSV and a JSON is
-# compared on the file of the golden file's extension.
+# it took the operator family; the norm scan then moved from d x d matrix
+# powers onto the chain's pattern, and three of them were rewritten: the
+# diophantine CSV and the sparse-chain CSV in norm_power and radius by at
+# most 2 ulp, the sparse-chain JSON in theta_fit by 6e-14 relative.  A
+# command that writes a CSV and a JSON is compared on the file of the
+# golden file's extension.
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
 _DIAGNOSE_DIOPHANTINE = ("diagnose", {"model": {"bundled": "diophantine_two_state"}, "run": {}})
 _DIAGNOSE_SPARSE = ("diagnose", {
-    "model": _sparse_chain_doc(),
+    "model": sparse_chain_doc(),
     "run": {"t_grid": {"start": 0.5, "stop": 10.0, "count": 12}, "N": 6},
 })
 _GOLDEN = {

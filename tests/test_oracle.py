@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from chains import dense_chain
 from edgeworth.errors import (
     InsufficientMoments,
     TableTooLarge,
@@ -109,7 +110,7 @@ def test_dp_span_half():
 def _path_enumeration(m, N):
     # every path from the initial state, its probability and its reward
     # counts; atoms pool paths with equal counts of each reward value
-    P, h = m.transition, m.observable
+    P, h = dense_chain(m)
     values = np.unique(h[(P > 0) & (h != 0)])
     atoms = {}
     for path in itertools.product(range(2), repeat=N + 1):
@@ -149,7 +150,7 @@ def test_dp_zero_rewards_is_a_point_mass():
 def _enum_distribution_merged(model, N, merge_tol=1e-9):
     # value enumeration that pools sums within merge_tol at their
     # probability-weighted value, as the reference on non-lattice chains
-    P, h = model.transition, model.observable
+    P, h = dense_chain(model)
     d = P.shape[0]
 
     def merge(values, probs):
@@ -220,7 +221,7 @@ def _kahan_add_fresh(acc, comp, idx, term):
 def _dp_offsets(model, N):
     # the (d, d) integer steps of the DP's sum coordinate; for a count
     # lattice also the reward values and strides that map it back
-    P, h, span = model.transition, model.observable, model.lattice_span
+    (P, h), span = dense_chain(model), model.lattice_span
     if span is not None:
         return np.rint(h / span).astype(np.int64), None, None
     used = (P > 0.0) & (h != 0.0)
@@ -238,7 +239,7 @@ def _dp_pmf_fresh_buffers(model, N, flush=True):
     # first and last cell that some state holds at or above 2**-1022 is
     # set to 0.  Returns support, pmf and the exact sum of the zeroed
     # values.
-    P, span = model.transition, model.lattice_span
+    P, span = dense_chain(model)[0], model.lattice_span
     d = P.shape[0]
     v, u, strides = _dp_offsets(model, N)
     mn, mx = int(v.min()), int(v.max())
@@ -284,7 +285,8 @@ def _dp_pmf_unflushed(model, N):
 def _nonpositive_two_state():
     # rewards in {-1, 0}: the active window grows only to the left
     m = bundled_model("two_state")
-    return markov_model(m.transition, -m.observable, m.mu0)
+    P, h = dense_chain(m)
+    return markov_model(P, -h, m.mu0)
 
 
 @pytest.mark.parametrize("name", ["two_state", "three_state_lattice", "bernoulli", "nonpositive"])
@@ -377,7 +379,7 @@ def test_sparse_chains_cover_every_source_count():
     counts = set()
     for m in chains:
         assert m.lattice_span is not None
-        counts |= set((m.transition != 0).sum(axis=0).tolist())
+        counts |= set((dense_chain(m)[0] != 0).sum(axis=0).tolist())
     assert {0, 1, 2} <= counts
     assert max(counts) >= 4
     assert any((m.observable < 0).any() and (m.observable > 0).any() for m in chains)
@@ -465,7 +467,7 @@ def _exact_moments_by_dense_sweep(model, N, kmax):
     # the (kmax+1, d, d) sweep over every source that the stepping on the
     # nonzeros replaced, kept as the reference
     A = drift(model)
-    P, h = model.transition, model.observable
+    P, h = dense_chain(model)
     jets = np.zeros((kmax + 1,) + P.shape, dtype=complex)
     term = np.ones(P.shape, dtype=complex)
     jets[0] = P
@@ -646,12 +648,21 @@ def test_count_below_matches_comparison_count_at_ties(d):
     states = np.repeat(np.arange(d), 3 * d + 2)
     u = np.concatenate([np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0),
                                         [0.0, 1.0]]) for row in cum_rows])
-    assert np.array_equal(oracle._count_below(cum_rows, states, u),
-                          _next_state_by_comparison(cum_rows, states, u))
+    # the rows whole, d entries each
+    got = oracle._count_below(cum_rows.ravel(), states * d, np.full(states.size, d), u)
+    assert np.array_equal(got, _next_state_by_comparison(cum_rows, states, u))
+    # the rows on their entries of positive probability, of varying length
+    keep = P > 0
+    length = keep.sum(axis=1)
+    first = np.cumsum(length) - length
+    got = oracle._count_below(cum_rows[keep], first[states], length[states], u)
+    want = [(ui > cum_rows[j][keep[j]]).sum() for j, ui in zip(states, u)]
+    assert np.array_equal(got, want)
 
 
 def _simulate_chain_by_comparison(model, N, trials, rng):
-    P, h = model.transition, model.observable
+    # the trials x d comparison on the d x d cumulative rows
+    P, h = dense_chain(model)
     cum_rows = np.cumsum(P, axis=1)
     states = np.searchsorted(np.cumsum(model.mu0), rng.random(trials), side="right")
     states = np.minimum(states, P.shape[0] - 1)
@@ -664,8 +675,36 @@ def _simulate_chain_by_comparison(model, N, trials, rng):
     return sums
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 50, 200])
-def test_chain_bisection_matches_comparison_count(d):
+def _simulate_entries_by_comparison(model, N, trials, rng):
+    # the comparison on each row's entries: their running sums, padded
+    # with inf, and the states and rewards they lead to
+    rows, cols, p, h = model.entries()
+    d = model.dim
+    length = np.bincount(rows, minlength=d)
+    cum = np.full((d, length.max()), np.inf)
+    to = np.zeros(cum.shape, dtype=np.intp)
+    reward = np.zeros(cum.shape)
+    for j in range(d):
+        at = rows == j
+        cum[j, :length[j]] = np.cumsum(p[at])
+        to[j, :length[j]], reward[j, :length[j]] = cols[at], h[at]
+    states = np.searchsorted(np.cumsum(model.mu0), rng.random(trials), side="right")
+    states = np.minimum(states, d - 1)
+    sums = np.zeros(trials)
+    for _ in range(N):
+        e = _next_state_by_comparison(cum, states, rng.random(trials))
+        e = np.minimum(e, length[states] - 1)
+        sums += reward[states, e]
+        states = to[states, e]
+    return sums
+
+
+def _bisection_chain(d):
+    # the Ulam chains have rows of 2 entries (doubling) and of 3 and 4
+    if d == "doubling-64":
+        return ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=64)
+    if d == "piecewise-64":
+        return ulam_model("piecewise-linear", lambda x: x * x - 0.3, 64, [0.0, 0.3, 0.65, 1.0])
     rng = np.random.default_rng(d)
     P = rng.random((d, d)) * (rng.random((d, d)) < 0.4)  # many zero entries
     P[:, d // 2] += 0.01  # and every row some mass
@@ -673,9 +712,16 @@ def test_chain_bisection_matches_comparison_count(d):
     P[0, -1] = 1.0  # a row whose only entry is the last one
     P /= P.sum(axis=1, keepdims=True)
     h = rng.normal(size=(d, d))
-    model = markov_model(P, h, np.full(d, 1.0 / d))
+    return markov_model(P, h, np.full(d, 1.0 / d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 50, 200, "doubling-64", "piecewise-64"])
+def test_chain_bisection_matches_comparison_count(d):
+    model = _bisection_chain(d)
     got = oracle._simulate_chain(model, 40, 3001, np.random.default_rng(7))
     want = _simulate_chain_by_comparison(model, 40, 3001, np.random.default_rng(7))
+    assert np.array_equal(got, want)
+    want = _simulate_entries_by_comparison(model, 40, 3001, np.random.default_rng(7))
     assert np.array_equal(got, want)
 
 
@@ -809,8 +855,7 @@ def _refuse_dense_properties(monkeypatch):
     def refuse(self):
         raise AssertionError("the chain was densified")
 
-    for name in ("transition", "observable"):
-        monkeypatch.setattr(MarkovModel, name, property(refuse))
+    monkeypatch.setattr(MarkovModel, "observable", property(refuse))
 
 
 def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
@@ -823,7 +868,7 @@ def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
     sparse = ulam_model("doubling", g=g, cells=32)
     assert sparse.lattice_span == 1.0
     monkeypatch.undo()
-    dense = markov_model(sparse.transition, sparse.observable, sparse.mu0)
+    dense = markov_model(*dense_chain(sparse), sparse.mu0)
     for N in (1, 5, 12):
         got, want = dp_pmf(sparse, N), dp_pmf(dense, N)
         assert np.array_equal(got.support, want.support)
@@ -846,7 +891,7 @@ def test_no_expansion_dp_refusal_or_cache_path_densifies_an_ulam_chain(monkeypat
 
 def test_model_key_reads_the_chain_not_its_layout():
     sparse = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=64)
-    dense = markov_model(sparse.transition, sparse.observable, sparse.mu0)
+    dense = markov_model(*dense_chain(sparse), sparse.mu0)
     assert _model_key(sparse) == _model_key(dense)
     other = ulam_model("doubling", g=lambda x: np.sin(2.0 * np.pi * x), cells=64)
     assert _model_key(other) != _model_key(sparse)

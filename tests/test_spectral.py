@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chains import dense_chain, dense_family, sparse_chain_doc
 from edgeworth.errors import GapBelowTolerance, NonStochasticModel, SingularStationarySolve
 from edgeworth.jets import jet_div, jet_mul
 from edgeworth import spectral
+from edgeworth.cli import build_model
 from edgeworth.models import MarkovModel, bundled_model, markov_model, ulam_model
 from edgeworth.spectral import (
     SparseMatrix,
@@ -17,7 +19,6 @@ from edgeworth.spectral import (
     _power_stationary,
     build_operator_family,
     eigen_perturbation,
-    evaluate_family,
     norm_decay_scan,
     perron_base,
     power_radius,
@@ -47,7 +48,7 @@ def power_eigenvalue(M, iters=200, tol=1e-10):
 
 def char_fn(model, t, N):
     """``E exp(i t S_N) = mu0^T L_t^N 1`` by repeated row products."""
-    Lt = evaluate_family(model, t)
+    Lt = dense_family(model, t)
     row = np.asarray(model.mu0, dtype=complex)
     for _ in range(N):
         row = row @ Lt
@@ -64,7 +65,7 @@ def _reference_family(model, order):
             fact *= k
             coeffs[0, 0, k] = model.moments[k - 1] * (1j ** k) / fact
         return coeffs
-    P, h = model.transition, model.observable
+    P, h = dense_chain(model)
     d = P.shape[0]
     coeffs = np.zeros((d, d, order + 1), dtype=complex)
     term = np.ones((d, d), dtype=complex)
@@ -186,19 +187,21 @@ def test_entry_jets_match_exponential():
     m = bundled_model("two_state")
     fam = m.operator_family(8)
     for t in (1e-2, -3e-2):
-        direct = evaluate_family(m, t)
+        direct = dense_family(m, t)
         from_jets = sum((1j * t) ** k * fam.matrix(k) for k in range(fam.order + 1))
         assert np.abs(direct - from_jets).max() <= 1e-13
 
 
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.37, -2.5, 40.0])
 def test_family_evaluated_on_the_nonzeros_is_bit_identical(t):
-    # signed zeros included: the exponential of the d x d matrix, formed
-    # from the stored entries, against the one taken on the nonzeros
+    # signed zeros included: the exponential of the d x d arrays against
+    # the test-side L_t of the dense scan reference, whose exponential is
+    # taken on the nonzeros, as norm_decay_scan takes it
     chains = [m for name, m in _COMPARISON if hasattr(m, "entries") and "256" not in name]
     for model in chains:
-        want = model.transition * np.exp(1j * t * model.observable)
-        got = evaluate_family(model, t)
+        P, h = dense_chain(model)
+        want = P * np.exp(1j * t * h)
+        got = dense_family(model, t)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -213,7 +216,7 @@ def test_family_is_real_and_contiguous():
         fam = model.operator_family(4)
         assert fam.coeffs.dtype == np.float64
         assert fam.coeffs.flags.c_contiguous
-        P = model.transition if hasattr(model, "entries") else np.ones((1, 1))
+        P = dense_chain(model)[0] if hasattr(model, "entries") else np.ones((1, 1))
         ref = _reference_family(model, 4)
         assert fam.sparse == ("doubling" in name or "piecewise" in name)
         assert fam.sparse == (8 * fam.rows.size <= fam.dim ** 2)
@@ -295,15 +298,14 @@ def test_family_of_an_ulam_chain_keeps_its_pattern(monkeypatch):
 
     model = ulam_model("piecewise-linear", _cos2pi, 64, [0.0, 0.3, 0.65, 1.0])
     rows, cols, P, _ = model.entries()
-    for name in ("transition", "observable"):
-        monkeypatch.setattr(MarkovModel, name, property(refuse))
+    monkeypatch.setattr(MarkovModel, "observable", property(refuse))
     fam = build_operator_family(model, 3)
     assert fam.rows is rows and fam.cols is cols
     assert np.array_equal(fam.coeffs[0], P)
     gap = perron_base(fam).gap
     monkeypatch.undo()
     # the chain given as d x d arrays takes the same path by the same rule
-    dense = markov_model(model.transition, model.observable, model.mu0)
+    dense = markov_model(*dense_chain(model), model.mu0)
     assert perron_base(dense.operator_family(2)).gap == gap
 
 
@@ -367,7 +369,7 @@ def test_power_radius_zero_matrix():
 
 def test_power_eigenvalue_stochastic():
     m = bundled_model("two_state")
-    lam = power_eigenvalue(np.asarray(m.transition))
+    lam = power_eigenvalue(dense_chain(m)[0])
     assert abs(lam - 1.0) <= 1e-10
 
 
@@ -377,7 +379,7 @@ def test_eigen_jets_match_finite_differences():
     base = perron_base(fam)
     jets = eigen_perturbation(fam, base)
     step = 1e-4
-    lam = lambda t: power_eigenvalue(evaluate_family(m, t))
+    lam = lambda t: power_eigenvalue(dense_family(m, t))
     d1 = (lam(step) - lam(-step)) / (2 * step)
     d2 = (lam(step) - 2 * lam(0.0) + lam(-step)) / step**2
     assert abs(jets.mu[1] - d1) <= 1e-6 * abs(d1)
@@ -497,6 +499,88 @@ def test_sparse_products_match_dense():
         assert np.abs(x @ M - x @ dense).max() <= 1e-14
 
 
+def _zero_entry_chain(d):
+    # about half the entries 0, and every row at least one entry
+    rng = np.random.default_rng(d)
+    P = rng.random((d, d)) * (rng.random((d, d)) < 0.5)
+    P[np.arange(d), rng.integers(0, d, size=d)] += 0.01
+    P /= P.sum(axis=1, keepdims=True)
+    return markov_model(P, rng.normal(size=(d, d)), np.full(d, 1.0 / d))
+
+
+def _scan_models():
+    out = [(name, bundled_model(name)) for name in (
+        "two_state", "three_state_lattice", "diophantine_two_state", "bernoulli", "doubling_ulam")]
+    out.append(("sparse-16", build_model(sparse_chain_doc())))
+    dims = (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16, 17, 20, 24, 25, 31, 32, 33, 40, 45, 49, 50)
+    out += [(f"zeros-{d}", _zero_entry_chain(d)) for d in dims]
+    return out
+
+
+def _dense_norm_decay_scan(model, t_grid, N):
+    # the d x d L_t, its N-th power by matrix_power and power_radius of it
+    out = []
+    for t in t_grid:
+        Lt = dense_family(model, t)
+        power = np.linalg.matrix_power(Lt, N)
+        out.append((float(t), float(np.max(np.abs(power).sum(axis=1))), power_radius(Lt)))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_norm_decay_scan_matches_the_dense_scan(N):
+    # every other point of the diagnose default grid, every eighth for the
+    # 1024-cell chain, whose dense powers are 1024 x 1024 products.  Norms
+    # are compared on the scale ||P^N||_inf = 1, the modulus of L_t^N, which
+    # bounds the rounding of either product: where the norm cancels far
+    # below it (bernoulli at t = 9.5, N = 5: 2.0e-6) the two differ by
+    # 1.3e-20, 7e-15 of the norm.  Radii are compared relative to themselves.
+    grid = np.linspace(0.5, 20.0, 40)
+    for name, model in _scan_models():
+        t_grid = grid[::8] if model.dim > 100 else grid[::2]
+        got = np.array(norm_decay_scan(model, t_grid, N))
+        want = np.array(_dense_norm_decay_scan(model, t_grid, N))
+        assert np.array_equal(got[:, 0], t_grid), name
+        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-15), name
+        assert np.all(np.abs(got[:, 2] - want[:, 2]) <= 1e-15 * want[:, 2]), name
+
+
+def test_norm_decay_scan_allocates_no_dense_matrix():
+    # one complex L_t of the 4096-cell chain as a d x d array is 256 MiB
+    model = ulam_model(g=_cos2pi, cells=4096)
+    tracemalloc.start()
+    try:
+        rows = norm_decay_scan(model, np.linspace(0.5, 20.0, 40), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 40
+    assert peak < 16 * 2 ** 20
+
+
+def test_norm_decay_scan_takes_path_products_in_blocks(monkeypatch):
+    # a dense 160-state chain has 160**3 = 4.1e6 path products at N = 2;
+    # held at once they peaked at 255 MiB, in blocks of rows at 19 MiB
+    d = 160
+    rng = np.random.default_rng(d)
+    P = rng.random((d, d))
+    model = markov_model(P / P.sum(axis=1, keepdims=True), rng.normal(size=(d, d)),
+                         np.full(d, 1.0 / d))
+    tracemalloc.start()
+    try:
+        norm_decay_scan(model, [1.0], 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    # blocks of whole rows pool the same pairs in the same order
+    models = [_zero_entry_chain(9), _zero_entry_chain(33), ulam_model(g=_cos2pi, cells=64)]
+    grid = np.linspace(0.5, 20.0, 7)
+    whole = [norm_decay_scan(m, grid, 5) for m in models]
+    monkeypatch.setattr(spectral, "_PRODUCTS", 7)
+    assert [norm_decay_scan(m, grid, 5) for m in models] == whole
+
+
 def test_ulam_gap_is_not_rounding_noise():
     # the deflated doubling operator averages pairs of cells, so its power
     # iteration reaches 0 after log2(cells) steps (the dense path read
@@ -505,7 +589,7 @@ def test_ulam_gap_is_not_rounding_noise():
         base = perron_base(ulam_model(g=_cos2pi, cells=cells).operator_family(2))
         assert abs(base.gap - 1.0) <= 1e-12
     model = ulam_model("piecewise-linear", _cos2pi, 256, [0.0, 0.3, 0.65, 1.0])
-    second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
+    second = np.sort(np.abs(np.linalg.eigvals(dense_chain(model)[0])))[-2]
     assert abs(perron_base(model.operator_family(2)).gap - (1.0 - second)) <= 1e-9
 
 
@@ -532,7 +616,7 @@ def test_slow_mixing_sparse_chain_falls_back_to_dense_solve():
     # about 37 / gap = 3.4e5 Neumann terms would be needed: the series runs
     # out of its budget, and the bordered systems are solved densely
     model = _lazy_cycle(300)
-    second = np.sort(np.abs(np.linalg.eigvals(model.transition)))[-2]
+    second = np.sort(np.abs(np.linalg.eigvals(dense_chain(model)[0])))[-2]
     assert 1e-4 < 1.0 - second < 1.2e-4
     fam = model.operator_family(4)
     assert fam.sparse
@@ -550,7 +634,7 @@ def test_slow_mixing_sparse_chain_falls_back_to_dense_solve():
 
 def test_sparse_stationary_falls_back_to_dense_solve():
     model = _birth_death(200)
-    P = model.transition
+    P = dense_chain(model)[0]
     rows, cols = np.nonzero(P)
     assert _power_stationary(SparseMatrix(P[rows, cols], rows, cols, 200)) is None
     base = perron_base(model.operator_family(2))
