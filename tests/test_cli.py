@@ -550,6 +550,29 @@ def test_sparse_nearly_disconnected_chain_is_refused_by_name(tmp_path, capsys):
     assert report["gap"] is None and "gap-below-tolerance" in report["flags"]
 
 
+@pytest.mark.parametrize("model", [
+    {"type": "ulam", "map": "piecewise-linear", "endpoints": [0.0, 0.3, 0.7, 1.0], "cells": 64},
+    sparse_chain_doc(),
+])
+def test_diagnose_never_forms_the_transition_matrix(tmp_path, capsys, monkeypatch, model):
+    # the chain is stored on its nonzeros; a d x d array of them with unit
+    # row sums is the transition matrix, which diagnose must not form
+    toarray = cli.spectral.SparseMatrix.toarray
+
+    def refuse_stochastic(self):
+        sums = np.bincount(self.rows, weights=self.values, minlength=self.dim)
+        if np.allclose(sums, 1.0):
+            raise AssertionError("diagnose formed the d x d transition matrix")
+        return toarray(self)
+
+    monkeypatch.setattr(cli.spectral.SparseMatrix, "toarray", refuse_stochastic)
+    cfg = write_config(tmp_path, {"model": model, "run": {"t_grid": [1.0, 2.5], "N": 3}})
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0 and err == ""
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert report["gap"] > 0.0
+
+
 @pytest.mark.parametrize("doc", [
     {"model": {"bundled": "doubling_ulam"}, "run": {}},
     {"model": sparse_chain_doc(), "run": {"N": 2}},
