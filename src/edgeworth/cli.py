@@ -328,9 +328,9 @@ def cmd_diagnose(model, model_doc, run, args):
     except SingularStationarySolve:
         gap = None
         flags.append("stationary-not-unique")
-    t, nrm, rad = np.array(spectral.norm_decay_scan(model, t_grid, n_power)).T
     if model.lattice_span is None:
-        # the resonance warning becomes a flag of the report (see main)
+        # first, so a chain over the resonance scan's budget fails before
+        # the norm scan; the resonance warning becomes a flag (see main)
         scan = models.diophantine_scan(model.observable, t_grid)
         if scan.resonant:
             flags.append("resonant-observable")
@@ -339,6 +339,7 @@ def cmd_diagnose(model, model_doc, run, args):
     else:
         dist = np.zeros(t_grid.size)
         dio = None
+    t, nrm, rad = np.array(spectral.norm_decay_scan(model, t_grid, n_power)).T
     pos = dist > 0
     if np.any(nrm[pos] >= 1.0 - _CONTRACTION_TOL):
         theta = math.inf

@@ -13,7 +13,8 @@ The family of every chain is stored on the chain's transitions of
 positive probability (see :class:`~edgeworth.models.MarkovModel`), and
 :func:`perron_base` and :func:`eigen_perturbation` take the family,
 never a d x d matrix: the chain was checked once, when its model was
-built.  One rule, :attr:`OperatorFamilyJet.sparse`, sorts a d x d chain
+built.  One rule, :func:`_sparse_path` (a family reads it as
+:attr:`OperatorFamilyJet.sparse`), sorts a d x d chain
 with nnz such entries onto one of two paths for them: at most one
 nonzero entry in eight takes the sparse path, every other chain the
 dense path.
@@ -30,8 +31,9 @@ dense path.
   done the dense way.
 
 The norm and radius scan :func:`norm_decay_scan` reads the chain's
-entries and takes one path for every chain: it forms ``L_t^N`` on its
-own pattern, and no d x d array.
+entries and takes the same rule: a dense chain forms ``L_t`` as a d x d
+array, a sparse one forms ``L_t^N`` on its own pattern, up to the first
+product that would take more than d * d path products.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ _EPS = np.finfo(float).eps
 # path products one block of a pattern product holds at once (4 MiB of
 # complex values)
 _PRODUCTS = 1 << 18
+
+
+def _sparse_path(nnz, d):
+    """The path rule: a d x d chain with ``nnz`` nonzero entries takes the
+    sparse path when at most one entry in eight is nonzero."""
+    return 8 * nnz <= d * d
 
 
 class SparseMatrix:
@@ -126,8 +134,7 @@ class OperatorFamilyJet:
         of a stochastic matrix has a nonzero, only chains with at least 8
         states can qualify; every bundled chain but the Ulam one is dense.
         """
-        nnz, d = self.rows.size, self.dim
-        return 8 * nnz <= d * d
+        return _sparse_path(self.rows.size, self.dim)
 
     def matrix(self, m):
         """Slice ``m``: a :class:`SparseMatrix` on the sparse path, a dense
@@ -472,8 +479,8 @@ def _pattern_product(a, b, d):
     ``np.bincount`` sums them, each pair adding its middle states j in
     index order.  The product comes back on its own pattern, row-major.
     The rows of ``a`` are taken in blocks of at most ``_PRODUCTS``
-    products (or one row), so a dense chain, with d products per entry,
-    never holds d**3 of them at once.
+    products (or one row), so the up to d * d products that
+    :func:`_product` allows are never held at once.
     """
     (a_rows, a_cols, a_vals), (b_rows, b_cols, b_vals) = a, b
     count = np.bincount(b_rows, minlength=d)
@@ -492,14 +499,44 @@ def _pattern_product(a, b, d):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
+def _dense(a, d):
+    """A complex matrix held as row-major ``(rows, cols, values)``, formed
+    as a d x d array (0 off the pattern); a d x d array is returned as is."""
+    if isinstance(a, np.ndarray):
+        return a
+    rows, cols, values = a
+    out = np.zeros((d, d), dtype=complex)
+    out[rows, cols] = values
+    return out
+
+
+def _product(a, b, d):
+    """``a @ b`` for factors held on their patterns or as d x d arrays.
+
+    Two patterns are multiplied by :func:`_pattern_product` while that
+    takes at most d * d path products.  A larger product, or one with a
+    d x d factor, is formed by BLAS on d x d arrays, at d**3 multiply-adds
+    however many of them are zero: the powers of an Ulam chain fill their
+    pattern (the doubling map's ``L_t^N`` reaches 2**N cells from each),
+    and their products on the pattern would grow towards d**3 path
+    products in numpy.
+    """
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        if np.bincount(b[0], minlength=d)[a[1]].sum() <= d * d:
+            return _pattern_product(a, b, d)
+    return _dense(a, d) @ _dense(b, d)
+
+
 def norm_decay_scan(model, t_grid, N):
     """Table of (t, ||L_t^N||_inf, spectral-radius estimate) over a grid.
 
-    ``L_t`` is ``p * exp(i t h)`` on the entries of ``model.entries()``.
-    ``L_t^N`` lives on the pairs (i, k) joined by a path of N transitions,
-    formed by :func:`_pattern_product` and binary powering, as
-    ``np.linalg.matrix_power`` forms it.  The radius is
-    :func:`power_radius` of ``L_t`` with a complex bincount product.
+    ``L_t`` is ``p * exp(i t h)`` on the entries of ``model.entries()``,
+    and :func:`_sparse_path` picks how it is powered.  A dense chain forms
+    it as a d x d array, takes ``np.linalg.matrix_power`` and
+    :func:`power_radius` of it.  A sparse chain keeps it on its pattern:
+    ``L_t^N`` is formed by binary powering, as ``np.linalg.matrix_power``
+    forms it, with each product taken by :func:`_product`, and the radius
+    is :func:`power_radius` of ``L_t`` with a complex bincount product.
     """
     if len(t_grid) == 0:
         raise ValueError("empty t grid")
@@ -507,18 +544,27 @@ def norm_decay_scan(model, t_grid, N):
         raise ValueError("N must be at least 1")
     rows, cols, P, h = model.entries()
     d = model.dim
+    sparse = _sparse_path(rows.size, d)
     out = []
     for t in t_grid:
         L = P * np.exp(1j * t * h)
-        # the squares of L_t, multiplied into the power by the bits of N
-        power = square = None
-        n = N
-        while n:
-            square = (rows, cols, L) if square is None else _pattern_product(square, square, d)
-            n, bit = divmod(n, 2)
-            if bit:
-                power = square if power is None else _pattern_product(power, square, d)
-        inf_norm = float(np.max(np.bincount(power[0], np.abs(power[2]), d)))
-        radius = _power_radius(lambda x: _complex_bincount(rows, L * x[cols], d), d, complex)
-        out.append((float(t), inf_norm, radius))
+        if sparse:
+            # the squares of L_t, multiplied into the power by the bits of N
+            power = square = None
+            n = N
+            while n:
+                square = (rows, cols, L) if square is None else _product(square, square, d)
+                n, bit = divmod(n, 2)
+                if bit:
+                    power = square if power is None else _product(power, square, d)
+            radius = _power_radius(lambda x: _complex_bincount(rows, L * x[cols], d), d, complex)
+        else:
+            Lt = _dense((rows, cols, L), d)
+            power = np.linalg.matrix_power(Lt, N)
+            radius = power_radius(Lt)
+        if isinstance(power, tuple):
+            inf_norm = np.max(np.bincount(power[0], np.abs(power[2]), d))
+        else:
+            inf_norm = np.max(np.abs(power).sum(axis=1))
+        out.append((float(t), float(inf_norm), radius))
     return out

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,7 +557,9 @@ def test_sparse_nearly_disconnected_chain_is_refused_by_name(tmp_path, capsys):
 ])
 def test_diagnose_never_forms_the_transition_matrix(tmp_path, capsys, monkeypatch, model):
     # the chain is stored on its nonzeros; a d x d array of them with unit
-    # row sums is the transition matrix, which diagnose must not form
+    # row sums is the transition matrix, which diagnose must not form.  This
+    # sees it only when formed through SparseMatrix.toarray, not by scatter
+    # into a zero array; the next test bounds the memory of all of diagnose
     toarray = cli.spectral.SparseMatrix.toarray
 
     def refuse_stochastic(self):
@@ -571,6 +574,25 @@ def test_diagnose_never_forms_the_transition_matrix(tmp_path, capsys, monkeypatc
     assert code == 0 and err == ""
     report = json.loads(open(out.strip().splitlines()[1]).read())
     assert report["gap"] > 0.0
+
+
+def test_diagnose_of_a_lattice_chain_allocates_no_dense_matrix(tmp_path, capsys):
+    # one d x d array of the 4096-cell chain is 128 MiB; all of diagnose
+    # peaked at 2.1 MiB.  The chain is a lattice one (h = 2 on every entry):
+    # the resonance scan of a non-lattice chain reads the d x d observable
+    # and holds several d x d arrays of its own, so at 64 cells or 16
+    # states a stray d x d transition matrix would not stand out
+    model = {"type": "ulam", "cells": 4096, "g": [2.0]}
+    cfg = write_config(tmp_path, {"model": model, "run": {}})
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert json.loads(open(out.strip().splitlines()[1]).read())["lattice_span"] == 2.0
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("doc", [
@@ -691,10 +713,9 @@ def test_moddev_table(tmp_path, capsys):
 # before every chain and family was stored on its nonzeros.  The four
 # ``diagnose`` files come from commit 38d9c28, whose ``perron_base`` still
 # took a d x d transition matrix, so they pin the diagnostics from before
-# it took the operator family; the norm scan then moved from d x d matrix
-# powers onto the chain's pattern, and three of them were rewritten: the
-# diophantine CSV and the sparse-chain CSV in norm_power and radius by at
-# most 2 ulp, the sparse-chain JSON in theta_fit by 6e-14 relative.  A
+# it took the operator family.  The norm scan of a sparse chain then moved
+# from d x d matrix powers onto the chain's pattern, and the sparse-chain
+# CSV was rewritten, in norm_power and radius by at most 1 ulp.  A
 # command that writes a CSV and a JSON is compared on the file of the
 # golden file's extension.
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")

@@ -195,14 +195,17 @@ def test_entry_jets_match_exponential():
 @pytest.mark.parametrize("t", [0.0, -0.0, 0.37, -2.5, 40.0])
 def test_family_evaluated_on_the_nonzeros_is_bit_identical(t):
     # signed zeros included: the exponential of the d x d arrays against
-    # the test-side L_t of the dense scan reference, whose exponential is
-    # taken on the nonzeros, as norm_decay_scan takes it
+    # the L_t of the test-side dense scan reference, whose exponential is
+    # taken on the nonzeros; and the scan's own ||L_t||_inf, the row sums
+    # of |L_t| at N = 1, on either path, against that reference
     chains = [m for name, m in _COMPARISON if hasattr(m, "entries") and "256" not in name]
     for model in chains:
         P, h = dense_chain(model)
         want = P * np.exp(1j * t * h)
         got = dense_family(model, t)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        (_, norm, _), = norm_decay_scan(model, [t], 1)
+        assert norm == np.max(np.abs(want).sum(axis=1))
 
 
 def _dense(M):
@@ -508,12 +511,25 @@ def _zero_entry_chain(d):
     return markov_model(P, rng.normal(size=(d, d)), np.full(d, 1.0 / d))
 
 
+def _sparse_entry_chain(d):
+    # d // 8 random entries in every row: the sparse path
+    rng = np.random.default_rng(1000 + d)
+    k = max(1, d // 8)
+    P = np.zeros((d, d))
+    for j in range(d):
+        P[j, rng.choice(d, k, replace=False)] = rng.random(k) + 0.01
+    P /= P.sum(axis=1, keepdims=True)
+    return markov_model(P, rng.normal(size=(d, d)), np.full(d, 1.0 / d))
+
+
 def _scan_models():
     out = [(name, bundled_model(name)) for name in (
         "two_state", "three_state_lattice", "diophantine_two_state", "bernoulli", "doubling_ulam")]
     out.append(("sparse-16", build_model(sparse_chain_doc())))
     dims = (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 16, 17, 20, 24, 25, 31, 32, 33, 40, 45, 49, 50)
     out += [(f"zeros-{d}", _zero_entry_chain(d)) for d in dims]
+    out += [(f"sparse-zeros-{d}", _sparse_entry_chain(d)) for d in (8, 9, 16, 24, 31, 40, 50)]
+    out.append(("piecewise-64", ulam_model("piecewise-linear", _cos2pi, 64, [0.0, 0.3, 0.65, 1.0])))
     return out
 
 
@@ -529,7 +545,9 @@ def _dense_norm_decay_scan(model, t_grid, N):
 
 @pytest.mark.parametrize("N", [1, 2, 5])
 def test_norm_decay_scan_matches_the_dense_scan(N):
-    # every other point of the diagnose default grid, every eighth for the
+    # the dense chains take this arithmetic, the sparse ones (the Ulam,
+    # 16-state and sparse-zeros chains) products on the pattern.  Every
+    # other point of the diagnose default grid, every eighth for the
     # 1024-cell chain, whose dense powers are 1024 x 1024 products.  Norms
     # are compared on the scale ||P^N||_inf = 1, the modulus of L_t^N, which
     # bounds the rounding of either product: where the norm cancels far
@@ -545,6 +563,12 @@ def test_norm_decay_scan_matches_the_dense_scan(N):
         assert np.all(np.abs(got[:, 2] - want[:, 2]) <= 1e-15 * want[:, 2]), name
 
 
+def test_scan_models_take_both_paths():
+    sparse = {name for name, m in _scan_models() if m.operator_family(2).sparse}
+    assert sparse == {"doubling_ulam", "sparse-16", "piecewise-64"} | {
+        f"sparse-zeros-{d}" for d in (8, 9, 16, 24, 31, 40, 50)}
+
+
 def test_norm_decay_scan_allocates_no_dense_matrix():
     # one complex L_t of the 4096-cell chain as a d x d array is 256 MiB
     model = ulam_model(g=_cos2pi, cells=4096)
@@ -558,14 +582,23 @@ def test_norm_decay_scan_allocates_no_dense_matrix():
     assert peak < 16 * 2 ** 20
 
 
+def _funnel_chain(d, k):
+    # every state steps to one of the states 0 .. k-1, so each entry of
+    # L_t meets k entries in L_t^2: d * k * k path products, pooled on the
+    # d x k pattern of L_t^2
+    rng = np.random.default_rng(d + k)
+    P = np.zeros((d, d))
+    P[:, :k] = rng.random((d, k)) + 0.01
+    P /= P.sum(axis=1, keepdims=True)
+    return markov_model(P, rng.normal(size=(d, d)), np.full(d, 1.0 / d))
+
+
 def test_norm_decay_scan_takes_path_products_in_blocks(monkeypatch):
-    # a dense 160-state chain has 160**3 = 4.1e6 path products at N = 2;
-    # held at once they peaked at 255 MiB, in blocks of rows at 19 MiB
-    d = 160
-    rng = np.random.default_rng(d)
-    P = rng.random((d, d))
-    model = markov_model(P / P.sum(axis=1, keepdims=True), rng.normal(size=(d, d)),
-                         np.full(d, 1.0 / d))
+    # d * k * k = d * d = 2**20 path products at N = 2, the most one pattern
+    # product takes; held at once they peaked at 66 MiB, in blocks of rows
+    # at 20 MiB.  One complex L_t as a d x d array is 16 MiB
+    model = _funnel_chain(1024, 32)
+    assert model.operator_family(2).sparse
     tracemalloc.start()
     try:
         norm_decay_scan(model, [1.0], 2)
@@ -574,11 +607,33 @@ def test_norm_decay_scan_takes_path_products_in_blocks(monkeypatch):
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
     # blocks of whole rows pool the same pairs in the same order
-    models = [_zero_entry_chain(9), _zero_entry_chain(33), ulam_model(g=_cos2pi, cells=64)]
+    models = [m for name, m in _scan_models() if m.dim < 100 and m.operator_family(2).sparse]
+    models.append(_funnel_chain(64, 8))
     grid = np.linspace(0.5, 20.0, 7)
     whole = [norm_decay_scan(m, grid, 5) for m in models]
     monkeypatch.setattr(spectral, "_PRODUCTS", 7)
     assert [norm_decay_scan(m, grid, 5) for m in models] == whole
+
+
+def test_filled_powers_are_multiplied_densely(monkeypatch):
+    # the pattern of L_t^N on the 256-cell doubling chain fills from N = 8
+    # on: L_t^8 L_t^8 would take 256**3 path products, and is a d x d product
+    model = ulam_model(g=_cos2pi, cells=256)
+    products = []
+    pattern_product = spectral._pattern_product
+
+    def counted(a, b, d):
+        products.append(np.bincount(b[0], minlength=d)[a[1]].sum())
+        return pattern_product(a, b, d)
+
+    monkeypatch.setattr(spectral, "_pattern_product", counted)
+    t_grid = np.linspace(0.5, 20.0, 5)
+    got = np.array(norm_decay_scan(model, t_grid, 16))
+    # L^2, L^4 and L^8 on the pattern, the last at exactly d * d products
+    assert products == [1024, 4096, 65536] * 5
+    want = np.array(_dense_norm_decay_scan(model, t_grid, 16))
+    assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-15)
+    assert np.all(np.abs(got[:, 2] - want[:, 2]) <= 1e-15 * want[:, 2])
 
 
 def test_ulam_gap_is_not_rounding_noise():
