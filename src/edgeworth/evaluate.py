@@ -49,7 +49,7 @@ def simpson_integral(fn, a, b):
         y = np.asarray(fn(x), dtype=float)
         step = (b - a) / n
         val = (step / 3.0) * (
-            y[0] + y[-1] + 4.0 * math.fsum(y[1::2].tolist()) + 2.0 * math.fsum(y[2:-1:2].tolist())
+            y[0] + y[-1] + 4.0 * oracle._fsum(y[1::2]) + 2.0 * oracle._fsum(y[2:-1:2])
         )
         if prev is not None and abs(val - prev) <= _QUAD_TOL:
             return val
@@ -362,6 +362,8 @@ class ConvergenceReport:
     raw: list
     scaled: list = field(default_factory=list)
     decreasing: bool = False
+    # each N's 99 % DKW band of the Monte Carlo sample, None for an exact oracle
+    dkw99: list = field(default_factory=list)
 
     def rows(self):
         """(N, raw_error, scaled_error) rows for CSV emission."""
@@ -398,14 +400,9 @@ def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None
     return oracle.dp_pmf(model, N)
 
 
-def _standardize(dist, shift, scale):
-    support = (dist.support - shift) / scale
-    return oracle.ExactDistribution(dist.kind, support, dist.pmf, dist.N, dist.meta)
-
-
 def _classical_error(exp_set, model, dist, N, r):
     params = exp_set.params
-    std = _standardize(dist, N * params.A, math.sqrt(N))
+    std = dist.affine(N * params.A, math.sqrt(N))
     atoms = std.support
     if atoms.size > 20000:
         atoms = atoms[:: atoms.size // 20000 + 1]
@@ -433,14 +430,14 @@ def _lattice_error(exp_set, model, dist, N, r):
 def _weak_local_error(exp_set, model, dist, N, r, f):
     params = exp_set.params
     offsets = dist.support - N * params.A
-    exact = math.sqrt(N) * math.fsum((f(offsets) * dist.pmf).tolist())
+    exact = math.sqrt(N) * oracle._fsum(f(offsets) * dist.pmf)
     return abs(exact - weak_local(exp_set, f, N, r))
 
 
 def _weak_global_error(exp_set, model, dist, N, r, f):
     params = exp_set.params
     offsets = dist.support - N * params.A
-    exact = math.fsum((f(offsets) * dist.pmf).tolist())
+    exact = oracle._fsum(f(offsets) * dist.pmf)
     return abs(exact - weak_global(exp_set, f, N, r))
 
 
@@ -450,7 +447,7 @@ def _averaged_error(exp_set, model, dist, N, r, f, x):
     # integral F_N(x + y/rootn) f(y) dy  ==  sum_k pmf_k * tail integral
     # of f over [rootn(kappa_k - x), inf), kappa_k the standardized atom
     kappa = (dist.support - N * params.A) / rootn
-    exact_f = math.fsum((dist.pmf * f.tail_integral(rootn * (kappa - x))).tolist())
+    exact_f = oracle._fsum(dist.pmf * f.tail_integral(rootn * (kappa - x)))
 
     def gauss_part(y):
         return oracle.normal_cdf(x + y / rootn, params.sigma) * f(y)
@@ -518,8 +515,10 @@ def convergence_study(
     else:
         probes_x = [float(x)]
     raw = []
+    dkw99 = []
     for N in N_list:
         dist = exact_distribution(model, N, oracle_kind, seed, trials, cache)
+        dkw99.append(dist.meta.get("dkw99"))
         if form == "classical":
             err = _classical_error(exp_set, model, dist, N, r)
         elif form == "lattice":
@@ -536,4 +535,4 @@ def convergence_study(
         raw.append(err)
     scaled = [e * n ** (r / 2.0) for e, n in zip(raw, N_list)]
     decreasing = all(b < a for a, b in zip(scaled, scaled[1:]))
-    return ConvergenceReport(form, oracle_kind, r, N_list, raw, scaled, decreasing)
+    return ConvergenceReport(form, oracle_kind, r, N_list, raw, scaled, decreasing, dkw99)

@@ -11,6 +11,7 @@ expansion modules.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import mmap
 import os
@@ -22,6 +23,18 @@ from .jets import jet_exp, jet_mul
 
 _DP_CELL_CAP = 10 ** 7
 _TINY = np.finfo(float).tiny  # smallest normal double, 2**-1022
+# elements per list that _fsum hands to math.fsum: 128 KiB of Python floats
+_FSUM_BLOCK = 1 << 12
+
+
+def _fsum(a):
+    """``math.fsum`` of a 1-d array, bit-identical to ``math.fsum(a.tolist())``.
+
+    The array is fed block by block through one iterator, so at most
+    ``_FSUM_BLOCK`` Python floats exist at a time, not one per element.
+    """
+    return math.fsum(itertools.chain.from_iterable(
+        a[i:i + _FSUM_BLOCK].tolist() for i in range(0, a.size, _FSUM_BLOCK)))
 
 
 class ExactDistribution:
@@ -32,9 +45,11 @@ class ExactDistribution:
     kind : str
         "lattice" (exact, from ``dp_pmf``) or "empirical" (Monte Carlo).
     support : array_like
-        Strictly increasing values.
+        Strictly increasing finite values.  An image under ``affine`` may
+        hold ties, where distinct atoms round to one value.
     pmf : array_like
-        Matching probabilities, summing to 1 within 1e-10.
+        Matching finite, nonnegative probabilities, summing to 1 within
+        1e-10.
     N : int
         Horizon that produced the distribution.
     meta : dict, optional
@@ -53,13 +68,43 @@ class ExactDistribution:
         self.meta = dict(meta or {})
         if self.support.ndim != 1 or self.support.shape != self.pmf.shape:
             raise ValidationError("support and pmf must be matching 1-d arrays")
-        if np.any(np.diff(self.support) <= 0):
+        if not np.isfinite(self.support).all():
+            raise ValidationError("support must be finite")
+        if (self.support[1:] <= self.support[:-1]).any():
             raise ValidationError("support must be strictly increasing")
-        total = math.fsum(self.pmf.tolist())
+        if not np.isfinite(self.pmf).all() or (self.pmf < 0.0).any():
+            raise ValidationError("pmf must hold finite, nonnegative masses")
+        total = _fsum(self.pmf)
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"pmf sums to {total!r}, off by {abs(total - 1.0):.3e}")
         # _cum[i] = P(X <= support[i - 1]), with _cum[0] = 0
-        self._cum = np.concatenate(([0.0], np.cumsum(self.pmf)))
+        self._cum = np.empty(self.pmf.size + 1)
+        self._cum[0] = 0.0
+        np.cumsum(self.pmf, out=self._cum[1:])
+
+    def affine(self, shift, scale):
+        """The law of (X - shift) / scale, for finite shift and finite scale > 0.
+
+        The image shares ``pmf`` and the cumulative sums with this
+        distribution; only the support is new.  Division rounds
+        monotonically, so the image's support never decreases, but atoms
+        closer than an ulp of the quotient round to one value.  Such ties
+        are kept: ``cdf`` and ``cdf_left`` bisect over the whole run of
+        tied atoms, so both stay exact.
+        """
+        if not math.isfinite(shift):
+            raise ValidationError("shift must be finite")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValidationError("scale must be finite and positive")
+        with np.errstate(over="ignore"):  # refused below, not warned
+            support = self.support - shift
+            support /= scale
+        if not np.isfinite(support).all():
+            raise ValidationError("affine image of the support overflows")
+        image = object.__new__(ExactDistribution)
+        image.kind, image.N, image.meta = self.kind, self.N, dict(self.meta)
+        image.support, image.pmf, image._cum = support, self.pmf, self._cum
+        return image
 
     def cdf(self, z):
         """P(X <= z); accepts arrays of z."""
@@ -72,11 +117,11 @@ class ExactDistribution:
         return out if np.ndim(out) else float(out)
 
     def mean(self):
-        return math.fsum((self.support * self.pmf).tolist())
+        return _fsum(self.support * self.pmf)
 
     def centered_moment(self, center, k):
         """E (X - center)**k accumulated with compensated summation."""
-        return math.fsum(((self.support - center) ** k * self.pmf).tolist())
+        return _fsum((self.support - center) ** k * self.pmf)
 
     def tail(self, z):
         """P(X >= z); accepts arrays of z."""
@@ -286,7 +331,7 @@ def dp_pmf(model, N):
     nz = np.flatnonzero(pmf > 0.0)
     gone = np.concatenate(flushed)
     meta = {"table_width": width, "live_width": live_hi - live_lo,
-            "flushed_mass": math.fsum(gone[gone != 0.0].tolist())}
+            "flushed_mass": _fsum(gone[gone != 0.0])}
     idx = nz + (live_lo + lo_total)  # sum coordinates
     if span is not None:
         # distinct coordinates times one span: already distinct and sorted
@@ -567,6 +612,10 @@ def mc_sample(model, N, trials, seed):
     map itself is iterated: the doubling map via exact bit-shift
     dynamics (float iteration collapses after 52 steps), other
     piecewise-linear maps in float (diagnostic quality).
+
+    The sample is tallied in its own buffer, sorted in place, so the
+    result equals ``np.unique(sums, return_counts=True)`` bit for bit
+    without its copies.
     """
     if trials < 1:
         raise ValidationError("at least one trial required")
@@ -591,11 +640,24 @@ def mc_sample(model, N, trials, seed):
             sums[lo:lo + m] = _simulate_chain(model, N, m, rng)
 
     _run_chunks(chunk, -(-trials // size))
-    values, counts = np.unique(sums, return_counts=True)
+    # each value's count is the gap from its run start to the next one
+    # (or to the end); the index arrays go before the distribution is built
+    sums.sort()
+    change = np.empty(trials, dtype=bool)
+    change[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    del change
+    values = sums[starts]
+    pmf = np.empty(starts.size)
+    np.subtract(starts[1:], starts[:-1], out=pmf[:-1])
+    pmf[-1] = trials - starts[-1]
+    del starts
+    pmf /= trials
     # Massart's (1990) 99 % band: P(sup |F_n - F| > dkw99) <= 2 exp(-2 n dkw99**2) = 0.01
     meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size,
             "dkw99": math.sqrt(math.log(200.0) / (2 * trials))}
-    return ExactDistribution("empirical", values, counts / trials, N, meta)
+    return ExactDistribution("empirical", values, pmf, N, meta)
 
 
 class FunctionCdf:

@@ -23,7 +23,7 @@ from edgeworth.evaluate import (
 from edgeworth.expansion import expansion_for_model
 from edgeworth.jets import Polynomial, jet_exp, jet_log, jet_mul
 from edgeworth.models import bundled_model, diophantine_scan, markov_model, ulam_model
-from edgeworth.oracle import ExactDistribution, exact_moments, kolmogorov_distance
+from edgeworth.oracle import exact_moments, kolmogorov_distance
 from edgeworth.spectral import (
     eigen_perturbation,
     norm_decay_scan,
@@ -321,8 +321,7 @@ def test_criterion_12_ulam_monte_carlo():
     N = 512
     dist = exact_distribution(model, N, "mc", seed=20260814, trials=10 ** 6)
     params = exp_set.params
-    support = (dist.support - N * params.A) / math.sqrt(N)
-    std = ExactDistribution(dist.kind, support, dist.pmf, dist.N, dist.meta)
+    std = dist.affine(N * params.A, math.sqrt(N))
     atoms = std.support
     if atoms.size > 20000:
         atoms = atoms[:: atoms.size // 20000 + 1]

@@ -407,6 +407,16 @@ def test_study_rows_shape(two_state, dp_cache):
     assert abs(rows[0][2] - rows[0][1] * 8.0) <= 1e-15
 
 
+def test_study_reports_monte_carlo_band(two_state, dp_cache):
+    model, exp_set = two_state
+    rep = convergence_study(exp_set, model, "mc", 1, [16, 32], trials=3000, seed=4)
+    band = math.sqrt(math.log(200.0) / (2 * 3000))
+    assert rep.dkw99 == [band, band]
+    assert len(rep.rows()[0]) == 3
+    exact = convergence_study(exp_set, model, "dp", 1, [64, 256], cache=dp_cache)
+    assert exact.dkw99 == [None, None]
+
+
 def test_study_validation(two_state):
     model, exp_set = two_state
     with pytest.raises(ValidationError):

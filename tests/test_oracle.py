@@ -8,8 +8,11 @@ import os
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chains import dense_chain
+from memory import traced_peak
 from edgeworth.errors import (
     InsufficientMoments,
     TableTooLarge,
@@ -49,6 +52,106 @@ def test_exact_distribution_validation():
         ExactDistribution("lattice", [0.0, 1.0], [0.5, 0.6], 1)
     with pytest.raises(ValidationError):
         ExactDistribution("lattice", [[0.0, 1.0]], [[0.5, 0.5]], 1)
+
+
+@pytest.mark.parametrize(
+    "support, pmf",
+    [
+        ([0.0, 1.0], [math.nan, 1.0]),
+        ([0.0, 1.0], [1.5, -0.5]),
+        ([0.0, math.nan, 2.0], [0.25, 0.5, 0.25]),
+        ([0.0, math.inf, math.inf], [0.25, 0.5, 0.25]),
+    ],
+    ids=["nan-mass", "negative-mass", "nan-atom", "infinite-atoms"],
+)
+def test_exact_distribution_refuses_invalid_input(support, pmf):
+    # each was accepted before; a negative mass gave cdf(0.5) = 1.5, and
+    # the infinite atoms warned from np.diff, which pytest makes an error
+    with pytest.raises(ValidationError):
+        ExactDistribution("lattice", support, pmf, 1)
+
+
+def test_affine_image_matches_a_rebuilt_distribution():
+    dist = dp_pmf(bundled_model("two_state"), 64)
+    shift, scale = 64 * drift(bundled_model("two_state")), math.sqrt(64)
+    image = dist.affine(shift, scale)
+    rebuilt = ExactDistribution(dist.kind, (dist.support - shift) / scale, dist.pmf, 64, dist.meta)
+    assert np.array_equal(image.support, rebuilt.support)
+    assert np.array_equal(image._cum, rebuilt._cum)
+    assert image.pmf is dist.pmf and image._cum is dist._cum
+    assert (image.kind, image.N, image.meta) == (dist.kind, 64, dist.meta)
+    assert image.meta is not dist.meta
+    probes = np.linspace(-3.0, 3.0, 97)
+    assert np.array_equal(image.cdf(probes), rebuilt.cdf(probes))
+    assert np.array_equal(image.cdf_left(probes), rebuilt.cdf_left(probes))
+
+
+def test_affine_image_keeps_rounding_ties_exact():
+    # two atoms 1 ulp apart round to one value after division by sqrt(512);
+    # rebuilding the image refused it as not strictly increasing
+    lo = 1.5000000000000004
+    dist = ExactDistribution("empirical", [0.0, lo, np.nextafter(lo, 2.0)], [0.5, 0.25, 0.25], 512)
+    image = dist.affine(0.0, math.sqrt(512))
+    tie = image.support[1]
+    assert image.support[2] == tie
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        ExactDistribution("empirical", image.support, dist.pmf, 512)
+    assert image.cdf(tie) == 1.0
+    assert image.cdf_left(tie) == 0.5
+    assert image.tail(tie) == 0.5
+    assert image.cdf(np.nextafter(tie, 0.0)) == 0.5
+    assert image.cdf_left(np.nextafter(tie, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "shift, scale",
+    [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+     (math.inf, 1.0), (0.0, 1e-300)],
+    ids=["zero-scale", "negative-scale", "nan-scale", "infinite-scale", "nan-shift",
+         "infinite-shift", "overflow"],
+)
+def test_affine_refuses_invalid_maps(shift, scale):
+    dist = ExactDistribution("lattice", [0.0, 1e10], [0.5, 0.5], 1)
+    with pytest.raises(ValidationError):
+        dist.affine(shift, scale)
+
+
+def test_exact_distribution_and_affine_image_memory():
+    # in units of one float64 array of the atom count: the cumulative sums
+    # (one array) and the validation masks (1/8 each, one at a time), and
+    # for the image only its new support
+    n = 10 ** 6
+    support = np.arange(n, dtype=float)
+    pmf = np.full(n, 1.0 / n)
+    dist, peak = traced_peak(ExactDistribution, "empirical", support, pmf, 1)
+    assert peak < 1.5 * 8 * n
+    image, peak = traced_peak(dist.affine, 0.5 * n, 1000.0)
+    assert peak < 1.5 * 8 * n
+    assert image.support[0] == -500.0
+
+
+_FSUM_SIZES = [0, 1, 2, oracle._FSUM_BLOCK - 1, oracle._FSUM_BLOCK,
+               oracle._FSUM_BLOCK + 1, 2 * oracle._FSUM_BLOCK - 1,
+               2 * oracle._FSUM_BLOCK + 1, 3 * oracle._FSUM_BLOCK + 5]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    base=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40),
+    size=st.sampled_from(_FSUM_SIZES),
+    step=st.sampled_from([1, 2, 3, -1, -2]),
+    cancel=st.booleans(),
+)
+def test_fsum_blocks_match_fsum_of_list(base, size, step, cancel):
+    # wide exponents from the strategy, cancellation from negated halves,
+    # strided and reversed views from the step, empty arrays from size 0
+    a = np.resize(np.array(base), size * abs(step))
+    if cancel:
+        half = a.size // 2
+        a[half:2 * half] = -a[:half]
+    view = a[::step]
+    assert view.size == size
+    assert oracle._fsum(view).hex() == math.fsum(view.tolist()).hex()
 
 
 def test_exact_distribution_queries():
@@ -806,6 +909,20 @@ def test_mc_sample_matches_serial_chunk_loop(monkeypatch, name, cpus):
     assert np.array_equal(dist.support, values)
     assert np.array_equal(dist.pmf, pmf)
     assert dist.meta["chunk"] == 1000
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_mc_sample_tally_matches_unique_with_many_ties(monkeypatch, cpus):
+    # a two-state chain takes S_16 on 17 lattice points, so every value is
+    # a long run of ties; the last chunk of 2**17 trials is partial
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    model = bundled_model("two_state")
+    N, trials, seed = 16, 3 * (1 << 17) + 4321, 8
+    dist = mc_sample(model, N, trials, seed)
+    values, pmf = _mc_sample_serial(model, N, trials, seed, 1 << 17)
+    assert values.size <= N + 1
+    assert np.array_equal(dist.support, values)
+    assert np.array_equal(dist.pmf, pmf)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
