@@ -13,10 +13,11 @@ import numpy as np
 
 from edgeworth import (
     bundled_model,
-    exact_distribution,
+    exact_distributions,
     expansion_for_model,
     lclt_estimate,
     moddev_ratio,
+    moddev_ratios,
 )
 
 
@@ -24,11 +25,10 @@ def main():
     model = bundled_model("two_state")
     exp_set = expansion_for_model(model, 2)
     A = exp_set.params.A
-    cache = {}
 
     print("local limit: sup_k |sqrt(N) P(S_N = k) - density estimate|")
-    for N in (64, 256, 1024):
-        dist = exact_distribution(model, N, "dp", cache=cache)
+    horizons = (64, 256, 1024)
+    for N, dist in zip(horizons, exact_distributions(model, horizons, "dp")):
         est = lclt_estimate(exp_set, dist.support - N * A, N)
         sup = float(np.max(np.abs(math.sqrt(N) * dist.pmf - est)))
         print(f"  N = {N:>5}: {sup:.6e}")
@@ -36,8 +36,8 @@ def main():
 
     print("moderate deviations at c = 0.5")
     print("     N       x        exact tail     normal tail    ratio")
-    for N in (256, 1024, 4096):
-        res = moddev_ratio(exp_set, model, 0.5, N)
+    horizons = (256, 1024, 4096)
+    for N, res in zip(horizons, moddev_ratios(exp_set, model, 0.5, horizons)):
         print(
             f"  {N:>6}   {res.x:.4f}   {res.exact_tail:.6e}  "
             f"{res.normal_tail:.6e}  {res.ratio:.4f}"

@@ -397,8 +397,7 @@ def cmd_lclt(model, model_doc, run, args):
         raise OracleUnavailable("the local limit comparison needs a lattice model")
     exp_set = expansion_for_model(model, r)
     rows = []
-    for n in n_list:
-        dist = evaluate.exact_distribution(model, n, "dp")
+    for n, dist in zip(n_list, evaluate.exact_distributions(model, n_list, "dp")):
         est = evaluate.lclt_estimate(exp_set, dist.support - n * exp_set.params.A, n)
         err = float(np.max(np.abs(math.sqrt(n) * dist.pmf / span - est)))
         rows.append((n, err))
@@ -416,8 +415,7 @@ def cmd_moddev(model, model_doc, run, args):
         c = float(run.get("c", 0.5))
     exp_set = expansion_for_model(model, r)
     rows = []
-    for n in n_list:
-        res = evaluate.moddev_ratio(exp_set, model, c, n)
+    for n, res in zip(n_list, evaluate.moddev_ratios(exp_set, model, c, n_list)):
         rows.append((n, res.x, res.exact_tail, res.normal_tail, res.ratio, res.corollary_tail))
     path = _artifact_path(args.out, "moddev", model_doc, args.stamp, "csv")
     _write_csv(

@@ -319,7 +319,7 @@ def moddev_ratio(exp_set, model, c, N):
     """Exact-vs-normal tail ratio at x = sqrt(c sigma2 ln N).
 
     The exact tail P((S_N - N A)/sqrt(N) >= x) comes from the exact
-    dynamic program ``oracle.dp_pmf``, on the span lattice or on the
+    dynamic program ``oracle.dp_ladder``, on the span lattice or on the
     reward-count lattice of a non-lattice chain; the normal tail is
     1 - Phi_sigma(x).  Also reports the closed-form prediction
     (1/sqrt(2 pi c)) / sqrt(N^c ln N) for the tail itself.  The probe
@@ -332,23 +332,35 @@ def moddev_ratio(exp_set, model, c, N):
     OracleUnavailable
         When the model has no explicit chain.
     """
+    return moddev_ratios(exp_set, model, c, [N])[0]
+
+
+def moddev_ratios(exp_set, model, c, N_list):
+    """``moddev_ratio`` at each N of a strictly increasing ``N_list``.
+
+    The exact tails come from one sweep of the dynamic program over the
+    horizons, after every N and ``c`` is validated.
+    """
     if not 0.0 < c:
         raise ValidationError("c must be positive")
-    if N < 2:
+    if any(N < 2 for N in N_list):
         raise ValidationError("N must be at least 2")
+    powers = []
+    for N in N_list:
+        try:
+            powers.append(N ** c)
+        except OverflowError:
+            raise ValidationError(f"c = {c!r} is too large: N**c overflows at N={N}") from None
     params = exp_set.params
-    x = max(1.0, math.sqrt(c * params.sigma2 * math.log(N)))
-    dist = exact_distribution(model, N, "dp")
-    threshold = N * params.A + x * math.sqrt(N)
-    exact_tail = dist.tail(threshold)
-    normal_tail = 1.0 - oracle.normal_cdf(x, params.sigma)
-    try:
-        power = N ** c
-    except OverflowError:
-        raise ValidationError(f"c = {c!r} is too large: N**c overflows at N={N}") from None
-    corollary = 1.0 / (math.sqrt(2.0 * math.pi * c) * math.sqrt(power * math.log(N)))
-    ratio = exact_tail / normal_tail if normal_tail > 0 else math.inf
-    return ModDevResult(x, ratio, exact_tail, normal_tail, corollary)
+    results = []
+    for N, power, dist in zip(N_list, powers, exact_distributions(model, N_list, "dp")):
+        x = max(1.0, math.sqrt(c * params.sigma2 * math.log(N)))
+        exact_tail = dist.tail(N * params.A + x * math.sqrt(N))
+        normal_tail = 1.0 - oracle.normal_cdf(x, params.sigma)
+        corollary = 1.0 / (math.sqrt(2.0 * math.pi * c) * math.sqrt(power * math.log(N)))
+        ratio = exact_tail / normal_tail if normal_tail > 0 else math.inf
+        results.append(ModDevResult(x, ratio, exact_tail, normal_tail, corollary))
+    return results
 
 
 @dataclass(frozen=True)
@@ -383,21 +395,39 @@ def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None
     """Oracle distribution of S_N, memoized per (model, oracle, N) in ``cache`` if given.
 
     ``"dp"`` and its alias ``"enum"`` both run the exact dynamic program
-    ``oracle.dp_pmf`` and share cache entries; ``"mc"`` runs the seeded
-    Monte Carlo oracle.
+    ``oracle.dp_ladder`` and share cache entries; ``"mc"`` runs the
+    seeded Monte Carlo oracle.
+    """
+    return exact_distributions(model, [N], oracle_kind, seed, trials, cache)[0]
+
+
+def exact_distributions(model, N_list, oracle_kind, seed=0, trials=10 ** 5, cache=None):
+    """``exact_distribution`` at each N of a strictly increasing ``N_list``.
+
+    ``"dp"`` and ``"enum"`` run one sweep of ``oracle.dp_ladder`` over
+    the horizons that ``cache`` does not hold yet; ``"mc"`` draws one
+    sample per horizon.  Each result is stored under the key that
+    ``exact_distribution`` reads.
     """
     if oracle_kind not in ("dp", "enum", "mc"):
         raise ValidationError(f"unknown oracle kind {oracle_kind!r}")
     mc = oracle_kind == "mc"
-    if cache is not None:
-        oracle._require_chain(model)  # the key reads the chain arrays
-        key = (_model_key(model), mc, N, seed if mc else None, trials if mc else None)
-        if key not in cache:
-            cache[key] = exact_distribution(model, N, oracle_kind, seed, trials)
-        return cache[key]
-    if mc:
-        return oracle.mc_sample(model, N, trials, seed)
-    return oracle.dp_pmf(model, N)
+
+    def run(horizons):
+        if mc:
+            return [oracle.mc_sample(model, N, trials, seed) for N in horizons]
+        return oracle.dp_ladder(model, horizons)
+
+    if cache is None:
+        return run(N_list)
+    oracle._require_chain(model)  # the key reads the chain arrays
+    chain = _model_key(model)
+    keys = [(chain, mc, N, seed if mc else None, trials if mc else None) for N in N_list]
+    missing = [(N, key) for N, key in zip(N_list, keys) if key not in cache]
+    if missing:
+        horizons, new_keys = zip(*missing)
+        cache.update(zip(new_keys, run(list(horizons))))
+    return [cache[key] for key in keys]
 
 
 def _classical_error(exp_set, model, dist, N, r):
@@ -475,6 +505,9 @@ def convergence_study(
 ):
     """Error ladder e_r(N) with the N^(r/2)-scaled column and verdict.
 
+    The oracle distributions come from one ``exact_distributions`` call,
+    so the exact oracle sweeps the ladder once.
+
     Parameters
     ----------
     exp_set : ExpansionSet
@@ -516,8 +549,8 @@ def convergence_study(
         probes_x = [float(x)]
     raw = []
     dkw99 = []
-    for N in N_list:
-        dist = exact_distribution(model, N, oracle_kind, seed, trials, cache)
+    dists = exact_distributions(model, N_list, oracle_kind, seed, trials, cache)
+    for N, dist in zip(N_list, dists):
         dkw99.append(dist.meta.get("dkw99"))
         if form == "classical":
             err = _classical_error(exp_set, model, dist, N, r)

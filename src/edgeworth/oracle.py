@@ -14,6 +14,7 @@ import csv
 import itertools
 import math
 import mmap
+import operator
 import os
 
 import numpy as np
@@ -161,6 +162,15 @@ def _kahan_add(acc, comp, term, scratch):
     acc[...] = scratch
 
 
+def _clear(row, lo, hi):
+    """Zero ``row[lo:hi]``, a single cell by index, which costs a sixth of
+    a slice assignment."""
+    if hi - lo == 1:
+        row[lo] = 0.0
+    elif hi > lo:
+        row[lo:hi] = 0.0
+
+
 def _dead_cells(band, slab):
     """Number of leading cells of ``band`` (states x cells) that every
     state holds below ``_TINY``.
@@ -184,17 +194,110 @@ def _dead_cells(band, slab):
     return width
 
 
+def _dp_targets(new_rows, mass_rows, sources, win_lo, win_hi, t_lo, t_hi,
+                comp, term_buf, scratch_buf):
+    """One step of the DP: every target row of ``new_rows`` on the band
+    [t_lo, t_hi) from ``mass_rows``, whose active window is [win_lo,
+    win_hi).  ``sources[k]`` lists the (j, P[j, k], offset) of target k.
+
+    Each target k takes its sources j in index order, so every cell gets
+    its compensated adds in the same order as a sweep over j then k.
+    Each source adds over its window range cut to the band.  Into a cell
+    with acc = comp = 0 the first add is exact: acc = term, comp = 0, so
+    it writes the row and clears the rest of the band.  The last add's
+    compensation is never read, since comp restarts at the next target.
+    So only the middle sources take the full Kahan step.
+    """
+    for row, src in zip(new_rows, sources):
+        last = len(src) - 1
+        if last < 0:
+            row[t_lo:t_hi] = 0.0
+            continue
+        if last > 1:
+            comp[t_lo:t_hi] = 0.0
+        for i, (j, p, o) in enumerate(src):
+            a = win_lo + o if win_lo + o > t_lo else t_lo
+            b = win_hi + o if win_hi + o < t_hi else t_hi
+            x = mass_rows[j][a - o:b - o]
+            if i == 0:
+                np.multiply(p, x, out=row[a:b])
+                _clear(row, t_lo, a)
+                _clear(row, b, t_hi)
+                continue
+            term = term_buf[:b - a]
+            np.multiply(p, x, out=term)
+            if i < last:
+                _kahan_add(row[a:b], comp[a:b], term, scratch_buf[:b - a])
+                continue
+            if last > 1:
+                np.subtract(term, comp[a:b], out=term)
+            acc = row[a:b]
+            np.add(acc, term, out=acc)
+
+
+def _tally(reach, lo, hi, base):
+    """Add to ``reach`` the coordinates of the last minus those of the
+    first cell of the band [lo, hi): the sum, or with ``base`` the
+    reward counts flattened in it.  Returns ``reach``."""
+    if base is None:
+        reach[0] += hi - 1 - lo
+        return reach
+    first, last = lo, hi - 1
+    for i in range(len(reach)):
+        first, a = divmod(first, base)
+        last, b = divmod(last, base)
+        reach[i] += b - a
+    return reach
+
+
+def _compact(flushed):
+    """Concatenate the zeroed values of ``flushed`` into one array, in
+    place, without its exact zeros."""
+    gone = np.concatenate(flushed)
+    flushed[:] = [gone[gone != 0.0]]
+
+
+def _flush_ends(mass, t_lo, t_hi, slab, flushed):
+    """Zero the cells at either end of the band ``mass[:, t_lo:t_hi]``
+    that every state holds below ``_TINY``, append their values to
+    ``flushed``, and return the live band that is left."""
+    band = mass[:, t_lo:t_hi]
+    a = _dead_cells(band, slab)
+    b = _dead_cells(band[:, a:][:, ::-1], slab)
+    if a or b:
+        for dead in (band[:, :a], band[:, band.shape[1] - b:]):
+            if dead.size:
+                flushed.append(dead.flatten())
+                if len(flushed) > 256:
+                    _compact(flushed)
+                dead[...] = 0.0
+    return t_lo + a, t_hi - b
+
+
 def dp_pmf(model, N):
     """Exact pmf of S_N for any finite-state chain by dynamic programming.
 
-    The table is indexed by (state, integer coordinate of the sum).  A
-    lattice model has one coordinate, the sum in span units.  Otherwise
-    each distinct nonzero reward value u_1 < ... < u_q gets its own count
-    n_i in 0..N, flattened as sum_i n_i (N+1)**i, and the sum is
-    sum_i n_i u_i (the rank-q lattice of Bhattacharya & Rao, 1976).  A
-    model's rewards are 0 on transitions of probability 0, so only the
-    values that S_N can take set the coordinates.  Additions are
-    compensated (Kahan) so the mass balance survives long horizons.
+    The sweep of :func:`dp_ladder` with the one horizon N, which
+    describes the table, its budget and ``meta``.
+    """
+    return dp_ladder(model, [N])[0]
+
+
+def dp_ladder(model, N_list):
+    """Exact pmfs of S_N at each horizon of ``N_list``, from one sweep.
+
+    One dynamic program runs to the last horizon and keeps the
+    distribution at each horizon it passes.  The table is indexed by
+    (state, integer coordinate of the sum).  A lattice model has one
+    coordinate, the sum in span units.  Otherwise each distinct nonzero
+    reward value u_1 < ... < u_q gets its own count n_i in 0..N,
+    flattened as sum_i n_i (N+1)**i, and the sum is sum_i n_i u_i (the
+    rank-q lattice of Bhattacharya & Rao, 1976).  A ladder flattens the
+    counts in the base of its last horizon; no count exceeds it, and the
+    order of the cells, so each horizon's rounding, is that of its own
+    base.  A model's rewards are 0 on transitions of probability 0, so
+    only the values that S_N can take set the coordinates.  Additions
+    are compensated (Kahan) so the mass balance survives long horizons.
     Atoms whose values are equal as floats are pooled; there is no merge
     tolerance.
 
@@ -210,11 +313,16 @@ def dp_pmf(model, N):
     cell some state holds at or above it.  Such tail cells are rounding
     debris (their true probabilities lie mostly below 2**-1074), and
     sub-normal arithmetic on them costs about twenty times a normal
-    multiply-add.  The arithmetic window is not narrowed: zeros flow
-    through the same compensated adds, so interior atoms keep their
-    rounding.  ``meta`` records the table width per state
-    (``table_width``), the final band width (``live_width``) and the
-    exact sum of the zeroed values (``flushed_mass``).
+    multiply-add.  Every cell outside the live band is exactly 0, so a
+    step computes only the band widened by one step's growth.  Within
+    it each source still adds over its range of the full active window,
+    zero terms included: a compensated add of 0 still moves a sum by its
+    compensation, so interior atoms keep the rounding of the full-window
+    sweep.  ``meta`` records, in the coordinates of the horizon's own
+    table, its width per state (``table_width``), the final band width
+    (``live_width``), the exact sum of the zeroed values
+    (``flushed_mass``) and the cells stepped, the band width times the
+    d states summed over the steps (``swept_cells``).
 
     The chain is read through ``model.entries()``, the transitions of
     positive probability, so it is never densified: an Ulam chain, with
@@ -223,122 +331,116 @@ def dp_pmf(model, N):
 
     Raises
     ------
+    ValidationError
+        Unless ``N_list`` holds strictly increasing horizons of at least 1.
     TableTooLarge
-        If the table would be wider than 10**7 cells, checked before any
-        allocation.
+        If the table at some horizon would be wider than 10**7 cells,
+        checked at each horizon in order before any allocation.
     OracleUnavailable
         If the model has no explicit chain.
     """
     _require_chain(model)
-    if N < 1:
+    N_list = [operator.index(n) for n in N_list]
+    if not N_list or N_list[0] < 1:
         raise ValidationError("N must be at least 1")
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValidationError("N_list must be strictly increasing")
     rows, cols, p, h = model.entries()
-    d, span = model.dim, model.lattice_span
+    d, span, top = model.dim, model.lattice_span, N_list[-1]
     if span is not None:
         off = np.rint(h / span).astype(np.int64)
+        grow = max(int(off.max()), 0) - min(int(off.min()), 0)
+        for N in N_list:
+            if N * grow + 1 > _DP_CELL_CAP:
+                raise TableTooLarge(f"{N * grow + 1} cells exceed the 10**7 budget")
+        u = None
     else:
         used = h != 0.0
         u = np.unique(h[used])
         q = u.size
-        # every count runs over 0..N, so the table is at least 2**(q-1)
-        # cells wide; a large q refuses without forming (N+1)**q
-        if q > _DP_CELL_CAP.bit_length() or N * (N + 1) ** (q - 1) + 1 > _DP_CELL_CAP:
-            raise TableTooLarge(
-                f"{q} distinct rewards at N={N} need a table beyond the 10**7-cell budget"
-            )
-        strides = (N + 1) ** np.arange(q, dtype=np.int64)
+        for N in N_list:
+            # every count runs over 0..N, so the table is at least
+            # 2**(q-1) cells wide; a large q refuses without forming
+            # (N+1)**q
+            if q > _DP_CELL_CAP.bit_length() or N * (N + 1) ** (q - 1) + 1 > _DP_CELL_CAP:
+                raise TableTooLarge(
+                    f"{q} distinct rewards at N={N} need a table beyond the 10**7-cell budget"
+                )
+        strides = (top + 1) ** np.arange(q, dtype=np.int64)
         off = np.zeros(h.size, dtype=np.int64)
         off[used] = strides[np.searchsorted(u, h[used])]
-    mn, mx = int(off.min()), int(off.max())
-    # partial sums start at 0, so the table spans [N*min(mn,0), N*max(mx,0)]
-    lo_total = N * min(mn, 0)
-    hi_total = N * max(mx, 0)
-    width = hi_total - lo_total + 1
-    if width > _DP_CELL_CAP:
-        raise TableTooLarge(f"{width} cells exceed the 10**7 budget")
+    neg, pos = min(int(off.min()), 0), max(int(off.max()), 0)
+    width = top * (pos - neg) + 1
+    start = -top * neg  # the index of sum coordinate 0
+    base = None if u is None else top + 1  # of the flattened counts
 
-    # index i holds the sum coordinate i + lo_total.  Every buffer is
-    # allocated once.  The active windows only grow, so a buffer is clean
-    # outside the window it is about to receive.  Each target state k
-    # takes its sources j (P[j, k] != 0) in index order, so every cell
-    # gets its compensated adds in the same order as a sweep over j then
-    # k.  Into a cell with acc = comp = 0 the first add is exact: acc =
-    # term, comp = 0.  The last add's compensation is never read, since
-    # comp restarts at the next target.  So only the middle sources need
-    # the full Kahan step, and comp and its scratch row exist only if
-    # some k has three or more sources.  The entries are row-major, so
-    # each target collects its sources in index order.
+    def result(N, band, lo, reach, flushed):
+        # the distribution at horizon N from its live band, which starts
+        # at index lo; widths are counted in the table of horizon N
+        if u is None:
+            place, table = [1], N * grow + 1
+        else:
+            place = [(N + 1) ** i for i in range(u.size)]
+            table = N * place[-1] + 1 if u.size else 1
+        ends = _tally([0] * len(reach), lo, lo + band.shape[1], base)
+        meta = {"table_width": table,
+                "live_width": 1 + sum(e * w for e, w in zip(ends, place)),
+                "flushed_mass": _fsum(flushed),
+                "swept_cells": d * (N + sum(r * w for r, w in zip(reach, place)))}
+        pmf = band.sum(axis=0)
+        nz = np.flatnonzero(pmf > 0.0)
+        idx = nz + lo
+        if u is None:
+            # distinct coordinates times one span: already distinct and sorted
+            return ExactDistribution("lattice", (idx - start) * span, pmf[nz], N, meta)
+        counts = (idx[:, None] // strides) % base
+        support, inverse = np.unique(counts @ u, return_inverse=True)
+        return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf[nz]), N, meta)
+
+    # Every buffer is allocated once; comp and its scratch row exist only
+    # if some target has three or more sources.  The entries are
+    # row-major, so each target collects its sources in index order, each
+    # probability as a numpy scalar.
     sources = [[] for _ in range(d)]
-    for j, k, pjk, o in zip(rows.tolist(), cols.tolist(), p.tolist(), off.tolist()):
+    for j, k, pjk, o in zip(rows.tolist(), cols.tolist(), p, off.tolist()):
         sources[k].append((j, pjk, o))
-    mass = np.zeros((d, width))
-    new = np.zeros((d, width))
+    mass, new = np.zeros((d, width)), np.zeros((d, width))
+    mass_rows, new_rows = list(mass), list(new)
     comp = scratch_buf = None
     if max(map(len, sources)) > 2:
         comp, scratch_buf = np.empty(width), np.empty(width)
     term_buf = np.empty(width)
-    start = -lo_total
     mass[:, start] = model.mu0
-    cur_lo, cur_hi = start, start + 1  # active index window [lo, hi)
-    # live band [live_lo, live_hi) inside the window: outside it every
-    # cell is exactly 0, so each step's band lies within the previous
-    # band widened by the step's growth
-    live_lo, live_hi = cur_lo, cur_hi
-    slab = max(max(mx, 0) - min(mn, 0), 1)
+    win_lo, win_hi = start, start + 1  # active window [win_lo, win_hi)
+    # live band [lo, hi) of ``mass``: outside it every cell is exactly 0.
+    # ``new`` is 0 outside [old_lo, old_hi), its band two steps back.
+    lo, hi = win_lo, win_hi
+    old_lo = old_hi = start
+    # per coordinate, the sum over the steps of its last minus its first
+    # value in the band the step reads
+    reach = [0] * (1 if u is None else u.size)
+    slab = max(pos - neg, 1)
     flushed = [np.zeros(0)]  # zeroed values; exact zeros are dropped in batches
-    for _ in range(N):
-        nxt_lo, nxt_hi = cur_lo + min(mn, 0), cur_hi + max(mx, 0)
-        n = cur_hi - cur_lo
-        term = term_buf[:n]
-        for k, src in enumerate(sources):
-            row = new[k]
-            if not src:
-                row[nxt_lo:nxt_hi] = 0.0
-                continue
-            j, p, o = src[0]
-            lo = cur_lo + o
-            np.multiply(p, mass[j, cur_lo:cur_hi], out=row[lo:lo + n])
-            row[nxt_lo:lo] = 0.0
-            row[lo + n:nxt_hi] = 0.0
-            if len(src) > 2:
-                comp[nxt_lo:nxt_hi] = 0.0
-                for j, p, o in src[1:-1]:
-                    lo = cur_lo + o
-                    np.multiply(p, mass[j, cur_lo:cur_hi], out=term)
-                    _kahan_add(row[lo:lo + n], comp[lo:lo + n], term, scratch_buf[:n])
-            if len(src) > 1:
-                j, p, o = src[-1]
-                lo = cur_lo + o
-                np.multiply(p, mass[j, cur_lo:cur_hi], out=term)
-                if len(src) > 2:
-                    term -= comp[lo:lo + n]
-                row[lo:lo + n] += term
+    out = []
+    for step in range(top):
+        _tally(reach, lo, hi, base)
+        t_lo, t_hi = lo + neg, hi + pos  # the band this step writes
+        _dp_targets(new_rows, mass_rows, sources, win_lo, win_hi, t_lo, t_hi,
+                    comp, term_buf, scratch_buf)
+        # cells of the band two steps back that this step did not write
+        if old_lo < t_lo:
+            new[:, old_lo:min(old_hi, t_lo)] = 0.0
+        if old_hi > t_hi:
+            new[:, max(old_lo, t_hi):old_hi] = 0.0
         mass, new = new, mass
-        cur_lo, cur_hi = nxt_lo, nxt_hi
-        live_lo, live_hi = live_lo + min(mn, 0), live_hi + max(mx, 0)
-        band = mass[:, live_lo:live_hi]
-        a = _dead_cells(band, slab)
-        b = _dead_cells(band[:, a:][:, ::-1], slab)
-        for dead in (band[:, :a], band[:, band.shape[1] - b:]):
-            if dead.size:
-                flushed.append(dead.flatten())
-                if len(flushed) > 256:
-                    gone = np.concatenate(flushed)
-                    flushed = [gone[gone != 0.0]]
-                dead[...] = 0.0
-        live_lo, live_hi = live_lo + a, live_hi - b
-    pmf = mass[:, live_lo:live_hi].sum(axis=0)
-    nz = np.flatnonzero(pmf > 0.0)
-    gone = np.concatenate(flushed)
-    meta = {"table_width": width, "live_width": live_hi - live_lo,
-            "flushed_mass": _fsum(gone[gone != 0.0])}
-    idx = nz + (live_lo + lo_total)  # sum coordinates
-    if span is not None:
-        # distinct coordinates times one span: already distinct and sorted
-        return ExactDistribution("lattice", idx * span, pmf[nz], N, meta)
-    coords = (idx[:, None] // strides) % (N + 1)
-    support, inverse = np.unique(coords @ u, return_inverse=True)
-    return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf[nz]), N, meta)
+        mass_rows, new_rows = new_rows, mass_rows
+        old_lo, old_hi = lo, hi
+        win_lo, win_hi = win_lo + neg, win_hi + pos
+        lo, hi = _flush_ends(mass, t_lo, t_hi, slab, flushed)
+        if step + 1 == N_list[len(out)]:
+            _compact(flushed)
+            out.append(result(step + 1, mass[:, lo:hi], lo, reach, flushed[0]))
+    return out
 
 
 def _stationary(model):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chains import sparse_chain_doc
-from edgeworth import cli
+from edgeworth import cli, oracle
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -700,6 +700,21 @@ def test_moddev_table(tmp_path, capsys):
     want = 1.0 / math.sqrt(2.0 * math.pi * 0.5) / math.sqrt(256 ** 0.5 * math.log(256))
     assert abs(float(corollary) - want) <= 1e-15
     assert abs(float(ratio) - float(exact) / float(normal)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["lclt", "moddev", "verify"])
+def test_dp_ladders_run_one_sweep(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    real = oracle.dp_ladder
+    monkeypatch.setattr(oracle, "dp_ladder", lambda m, ns: calls.append(list(ns)) or real(m, ns))
+    cfg = write_config(
+        tmp_path,
+        {"model": {"bundled": "two_state"},
+         "run": {"order": 2, "N_list": [64, 128, 256], "form": "lattice"}},
+    )
+    code, out, _ = run_cli(capsys, command, cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0
+    assert calls == [[64, 128, 256]]
 
 
 # ------------------------------------------------------------ golden outputs

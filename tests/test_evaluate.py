@@ -18,16 +18,19 @@ from edgeworth.evaluate import (
     convergence_study,
     edgeworth_cdf,
     exact_distribution,
+    exact_distributions,
     lattice_pmf,
     lclt_estimate,
     lclt_window,
     moddev_ratio,
+    moddev_ratios,
     simpson_integral,
     weak_global,
     weak_local,
 )
 from edgeworth.expansion import expansion_for_model
 from edgeworth.models import bundled_model, markov_model
+from edgeworth import oracle
 from edgeworth.oracle import ExactDistribution, dp_pmf, normal_cdf
 
 
@@ -375,6 +378,24 @@ def test_moddev_validation(two_state):
         moddev_ratio(exp_set, model, 0.5, 1)
 
 
+def test_moddev_ratios_are_one_sweep_of_moddev_ratio(two_state, monkeypatch):
+    model, exp_set = two_state
+    want = [moddev_ratio(exp_set, model, 0.5, N) for N in (64, 256)]
+    calls = _count_ladders(monkeypatch)
+    assert moddev_ratios(exp_set, model, 0.5, [64, 256]) == want
+    assert calls == [[64, 256]]
+
+
+@pytest.mark.parametrize("c,N_list", [(-0.5, [64, 10 ** 8]), (0.5, [64, 1, 10 ** 8]),
+                                      (1e300, [8, 10 ** 8])])
+def test_moddev_ratios_validate_before_the_sweep(two_state, monkeypatch, c, N_list):
+    model, exp_set = two_state
+    calls = _count_ladders(monkeypatch)
+    with pytest.raises(ValidationError):
+        moddev_ratios(exp_set, model, c, N_list)
+    assert calls == []
+
+
 def test_moddev_nonlattice_needs_enumeration():
     model = bundled_model("diophantine_two_state")
     exp_set = expansion_for_model(model, 2)
@@ -430,6 +451,45 @@ def test_study_validation(two_state):
     with pytest.raises(ValidationError):
         convergence_study(exp_set, model, "spectral", 1, [64, 256], cache=cache)
     assert cache == {}
+
+
+def _count_ladders(monkeypatch):
+    # the horizon lists of every DP sweep from here on
+    calls = []
+    real = oracle.dp_ladder
+    monkeypatch.setattr(oracle, "dp_ladder", lambda m, ns: calls.append(list(ns)) or real(m, ns))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["dp", "enum"])
+def test_study_runs_one_sweep_and_fills_the_cache(two_state, monkeypatch, kind):
+    model, exp_set = two_state
+    alone = [dp_pmf(model, N) for N in (64, 128, 256)]
+    calls = _count_ladders(monkeypatch)
+    cache = {}
+    rep = convergence_study(exp_set, model, kind, 1, [64, 128, 256], cache=cache)
+    assert calls == [[64, 128, 256]]
+    # every horizon is stored under the key a single call reads
+    got = [exact_distribution(model, N, kind, cache=cache) for N in (64, 128, 256)]
+    assert calls == [[64, 128, 256]]
+    assert len(cache) == 3
+    for dist, want in zip(got, alone):
+        assert np.array_equal(dist.pmf, want.pmf) and dist.meta == want.meta
+    # a study without a cache runs one sweep as well, to the same errors
+    assert convergence_study(exp_set, model, kind, 1, [64, 128, 256]).raw == rep.raw
+    assert calls == [[64, 128, 256]] * 2
+
+
+def test_study_sweeps_only_the_horizons_missing_from_the_cache(two_state, monkeypatch):
+    model, exp_set = two_state
+    cache = {}
+    held = exact_distribution(model, 128, "dp", cache=cache)
+    calls = _count_ladders(monkeypatch)
+    dists = exact_distributions(model, [64, 128, 256], "dp", cache=cache)
+    assert calls == [[64, 256]]
+    assert dists[1] is held
+    assert exact_distributions(model, [64, 128, 256], "dp", cache=cache) == dists
+    assert len(calls) == 1
 
 
 def test_exact_distribution_cache_reuse(two_state):

@@ -425,10 +425,20 @@ def test_dp_flush_drops_only_subnormal_edge_debris(name, N):
     assert got.pmf[0] >= tiny and got.pmf[-1] >= tiny
 
 
+def _window_cells(model, N):
+    # the cells of the full active window, which grows by the reward
+    # range per step, summed over the N steps and the d states
+    grow = int(np.ptp(np.append(np.rint(model.observable / model.lattice_span), 0.0)))
+    return model.dim * sum(s * grow + 1 for s in range(N))
+
+
 def test_dp_meta_without_subnormal_cells():
-    got = dp_pmf(bundled_model("two_state"), 1024)
+    m = bundled_model("two_state")
+    got = dp_pmf(m, 1024)
     assert got.pmf.min() >= np.finfo(float).tiny
-    assert got.meta == {"table_width": 1025, "live_width": 1025, "flushed_mass": 0.0}
+    # nothing is flushed, so the live band is the whole window
+    assert got.meta == {"table_width": 1025, "live_width": 1025, "flushed_mass": 0.0,
+                        "swept_cells": _window_cells(m, 1024)}
 
 
 def test_dp_meta_reports_the_flushed_band():
@@ -436,6 +446,58 @@ def test_dp_meta_reports_the_flushed_band():
     assert got.meta["table_width"] == 4097
     assert got.meta["live_width"] == got.support[-1] - got.support[0] + 1 < 4097
     assert 0.0 < got.meta["flushed_mass"] < 1e-300
+
+
+def test_dp_steps_only_the_live_band():
+    m = bundled_model("two_state")
+    got = dp_pmf(m, 16384)
+    assert got.meta["live_width"] == 7161
+    assert got.meta["swept_cells"] < 0.6 * _window_cells(m, 16384)
+
+
+def test_dp_ladder_memory_is_that_of_its_last_horizon():
+    m = bundled_model("two_state")
+    single, single_peak = traced_peak(dp_pmf, m, 16384)
+    ladder, ladder_peak = traced_peak(oracle.dp_ladder, m, [1024, 4096, 16384])
+    assert ladder_peak <= 1.5 * single_peak
+    # the two tables of 2 x 16385 doubles (256 KiB each) dominate; nothing
+    # is kept per step
+    assert single_peak < 3 * 2 * 2 * 16385 * 8
+    assert np.array_equal(ladder[-1].pmf, single.pmf)
+    assert ladder[-1].meta == single.meta
+
+
+def test_dp_pmf_is_the_ladder_of_one_horizon(monkeypatch):
+    calls = []
+    real = oracle.dp_ladder
+    monkeypatch.setattr(oracle, "dp_ladder", lambda m, ns: calls.append(list(ns)) or real(m, ns))
+    dp_pmf(bundled_model("two_state"), 12)
+    assert calls == [[12]]
+
+
+@pytest.mark.parametrize("N_list", [[], [0, 4], [4, 4], [8, 4]])
+def test_dp_ladder_refuses_a_bad_horizon_list(N_list):
+    with pytest.raises(ValidationError):
+        oracle.dp_ladder(bundled_model("two_state"), N_list)
+
+
+@pytest.mark.parametrize("name,N_list,refused", [
+    ("diophantine_two_state", [8, 3200, 4000], 3200),
+    ("three_state_lattice", [10, 10 ** 8], 10 ** 8),
+])
+def test_dp_ladder_refuses_over_budget_before_allocating(name, N_list, refused):
+    m = bundled_model(name)
+    with pytest.raises(TableTooLarge) as single:
+        dp_pmf(m, refused)
+
+    def ladder():
+        with pytest.raises(TableTooLarge) as err:
+            oracle.dp_ladder(m, N_list)
+        return str(err.value)
+
+    message, peak = traced_peak(ladder)
+    assert message == str(single.value)
+    assert peak < 10 ** 5
 
 
 def _sparse_chain(d, seed, rewards=(-3, 3)):
@@ -502,6 +564,33 @@ def test_dp_target_major_matches_source_major(name, N):
     assert np.array_equal(got.support, support)
     assert np.array_equal(got.pmf, pmf)
     assert got.meta["flushed_mass"] == flushed
+
+
+_LADDER_MODELS = {
+    **_TARGET_MAJOR_MODELS,
+    **{name: (lambda name=name: bundled_model(name))
+       for name in ("two_state", "three_state_lattice", "bernoulli")},
+    "nonpositive": _nonpositive_two_state,
+}
+
+
+@pytest.mark.parametrize("name,N_list", [
+    (name, [1, 2, 7, 64] if name == "nonlattice_three_rewards" else [1, 2, 7, 64, 400])
+    for name in sorted(_LADDER_MODELS)
+] + [("two_state", [1024, 2048, 4096])])
+def test_dp_ladder_matches_each_horizon_alone(name, N_list):
+    # the ladder starts at 1 or crosses the first flushed step (past
+    # N = 1500 on two_state); a non-lattice ladder flattens the counts in
+    # the base of its last horizon, yet reports widths in each horizon's
+    # own base
+    m = _LADDER_MODELS[name]()
+    for N, got in zip(N_list, oracle.dp_ladder(m, N_list)):
+        support, pmf, flushed = _dp_pmf_fresh_buffers(m, N)
+        assert got.N == N
+        assert np.array_equal(got.support, support)
+        assert np.array_equal(got.pmf, pmf)
+        assert got.meta["flushed_mass"] == flushed
+        assert got.meta == dp_pmf(m, N).meta
 
 
 def test_dp_full_kahan_step_only_for_three_or_more_sources(monkeypatch):
