@@ -47,7 +47,9 @@ def _fmt_float(x):
 
 
 def _json_dumps(obj, indent=0):
-    """Serialize with sorted keys and shortest-roundtrip floats."""
+    """Serialize with sorted keys and floats written to 17 significant
+    digits (``.17g``): they round-trip, but are not the shortest form
+    (``0.1`` is written ``0.10000000000000001``)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -441,8 +443,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Refuses bad command-line arguments with :class:`ValidationError`
+    (exit 2 with a JSON error), not with argparse's usage text."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="edgeworth",
         description="Edgeworth expansions for Markov-dependent sums.",
     )
@@ -468,10 +478,10 @@ def _emit_error(kind, message):
 
 def main(argv=None):
     """Entry point; returns the process exit code."""
-    args = _parser().parse_args(argv)
-    if args.stamp is None:
-        args.stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     try:
+        args = _parser().parse_args(argv)
+        if args.stamp is None:
+            args.stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
         # stderr carries only the JSON error: numpy and warnings stay
         # silent, a non-finite result is refused when the artifact is
         # written, and diagnose reports a resonance as a flag

@@ -313,36 +313,6 @@ class UlamModel(MarkovModel):
         self.map_g_vec = g
 
 
-# rows of the dense matrix that _row_sums rebuilds at a time
-_ROW_BLOCK = 64
-
-
-def _row_sums(rows, cols, values, n):
-    """``P.sum(axis=1)`` of the n x n matrix with these row-major entries,
-    equal to it bit for bit, without forming it.
-
-    A row of at most two entries sums to the one rounding of their sum in
-    any order, zeros being exact, so ``np.bincount`` serves it.  Rows with
-    more entries are written into a block of ``_ROW_BLOCK`` zero rows and
-    summed there by numpy, whose pairwise summation then groups them by
-    column exactly as in the full matrix.
-    """
-    sums = np.bincount(rows, weights=values, minlength=n)
-    counts = np.bincount(rows, minlength=n)
-    busy = np.flatnonzero(counts > 2)
-    sel = counts[rows] > 2
-    at, cols, values = np.searchsorted(busy, rows[sel]), cols[sel], values[sel]
-    block = np.zeros((min(_ROW_BLOCK, busy.size), n))
-    for first in range(0, busy.size, _ROW_BLOCK):
-        part = busy[first:first + _ROW_BLOCK]
-        lo, hi = np.searchsorted(at, [first, first + part.size])
-        cell = (at[lo:hi] - first, cols[lo:hi])
-        block[cell] = values[lo:hi]
-        sums[part] = block[:part.size].sum(axis=1)
-        block[cell] = 0.0
-    return sums
-
-
 def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     """Discretized expanding interval map as a finite-state model.
 
@@ -354,10 +324,10 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
 
     The chain is built straight on its nonzeros, about (slope + 1) per
     row, and handed to :class:`MarkovModel` as a ``SparseMatrix`` pair:
-    no d x d array or temporary is formed.  The values equal those of the
-    dense build bit for bit: the hits of an entry are added in branch and
-    step order, starting from 0, and the row sums are those of
-    ``P.sum(axis=1)`` (see :func:`_row_sums`).
+    no d x d array or temporary is formed.  The hits of an entry are added
+    in branch and step order, starting from 0, and each row is normalized
+    by the sum of its entries in column order, the ``np.bincount`` sum
+    that :class:`MarkovModel` checks the rows with.
 
     Parameters
     ----------
@@ -436,7 +406,7 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     # w holds the unnormalized masses, the weights of the h average
     h = np.bincount(entry, weights=np.concatenate(gmass)[order]) / w
     rows, cols = np.divmod(at[first], n)
-    P = w / _row_sums(rows, cols, w, n)[rows]
+    P = w / np.bincount(rows, weights=w, minlength=n)[rows]
 
     return UlamModel(
         spectral.SparseMatrix(P, rows, cols, n),

@@ -713,7 +713,11 @@ def mc_sample(model, N, trials, seed):
     For chains the states are simulated directly.  For map models the
     map itself is iterated: the doubling map via exact bit-shift
     dynamics (float iteration collapses after 52 steps), other
-    piecewise-linear maps in float (diagnostic quality).
+    piecewise-linear maps in float (diagnostic quality).  A
+    piecewise-linear map whose branch widths are all powers of two is
+    refused with :class:`OracleUnavailable`: each float step of it is
+    exact and drops mantissa bits, so the orbits collapse onto the fixed
+    point 0 (on the x4 map, by step 27).
 
     The sample is tallied in its own buffer, sorted in place, so the
     result equals ``np.unique(sums, return_counts=True)`` bit for bit
@@ -726,6 +730,12 @@ def mc_sample(model, N, trials, seed):
     is_map = getattr(model, "map_kind", None) is not None
     if not is_map:
         _require_chain(model)
+    elif model.map_kind != "doubling" and np.all(np.frexp(np.diff(model.map_endpoints))[0] == 0.5):
+        raise OracleUnavailable(
+            "Monte Carlo cannot iterate a piecewise-linear map whose branch widths are "
+            "all powers of two: its float orbits collapse onto a fixed point; the "
+            '"doubling" map kind simulates x -> 2x mod 1 exactly'
+        )
     size = _MC_CHUNK
     # anonymous shared memory: writes by forked workers reach this process
     sums = np.frombuffer(mmap.mmap(-1, trials * 8), dtype=np.float64)

@@ -31,9 +31,10 @@ dense path.
   done the dense way.
 
 The norm and radius scan :func:`norm_decay_scan` reads the chain's
-entries and takes the same rule: a dense chain forms ``L_t`` as a d x d
-array, a sparse one forms ``L_t^N`` on its own pattern, up to the first
-product that would take more than d * d path products.
+entries and takes the same rule for how ``L_t`` is held: a dense chain
+as a d x d array, a sparse one as a :class:`SparseMatrix`.  One powering
+loop serves both; on the sparse path ``L_t^N`` stays on its own pattern
+up to the first product that would take more than d * d path products.
 """
 
 from __future__ import annotations
@@ -59,12 +60,26 @@ def _sparse_path(nnz, d):
     return 8 * nnz <= d * d
 
 
+def _entry_sum(idx, terms, n):
+    """``np.bincount(idx, terms, n)`` of real or complex terms: a complex
+    sum is taken as its real and imaginary parts apart, each in the order
+    of the terms."""
+    if not np.iscomplexobj(terms):
+        return np.bincount(idx, terms, n)
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(idx, terms.real, n)
+    out.imag = np.bincount(idx, terms.imag, n)
+    return out
+
+
 class SparseMatrix:
-    """Real d x d matrix held on its nonzeros, in row-major coordinate form.
+    """Real or complex d x d matrix held on its nonzeros, in row-major
+    coordinate form.
 
     ``rows`` and ``cols`` list distinct entries in row-major order, and
     ``values`` their values.  ``M @ x`` and ``x @ M`` are ``np.bincount``
-    sums over ``values``, in the order of the entries;
+    sums over the entries' terms, in the order of the entries; a complex
+    sum is taken as its real and imaginary parts apart.
     ``__array_ufunc__ = None`` makes numpy hand ``x @ M`` to
     :meth:`__rmatmul__`, and refuses every other numpy operation on it.
     """
@@ -83,13 +98,13 @@ class SparseMatrix:
         return (self.dim, self.dim)
 
     def __matmul__(self, x):
-        return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.dim)
+        return _entry_sum(self.rows, self.values * x[self.cols], self.dim)
 
     def __rmatmul__(self, x):
-        return np.bincount(self.cols, weights=x[self.rows] * self.values, minlength=self.dim)
+        return _entry_sum(self.cols, x[self.rows] * self.values, self.dim)
 
     def toarray(self):
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, dtype=self.values.dtype)
         out[self.rows, self.cols] = self.values
         return out
 
@@ -268,30 +283,24 @@ def perron_base(fam):
     if isinstance(P, SparseMatrix):
         rho = _power_radius(lambda x: P @ x - pi @ x, P.dim)
     else:
-        rho = power_radius(P - np.outer(right, pi))
+        rho = _power_radius((P - np.outer(right, pi)).__matmul__, fam.dim)
     gap = 1.0 - rho
     if gap < _GAP_TOL:
         raise GapBelowTolerance(f"spectral gap estimate {gap:.3e} below {_GAP_TOL}")
     return PerronBase(right, pi, gap)
 
 
-def power_radius(M):
-    """Spectral-radius estimate by power iteration.
+def _power_radius(apply, d, dtype=float):
+    """Spectral-radius estimate of the linear map ``apply`` on
+    ``d``-vectors by power iteration, in the arithmetic of ``dtype``.
 
     With a strictly dominant eigenvalue the norm-growth ratio converges
     and is returned directly.  When two moduli are (nearly) tied the
     ratio keeps oscillating; the telescoped geometric mean over the
     trailing half of the run averages the beats out.  The run stops after
     200 steps, or once two successive ratios agree within 1e-10
-    (relative).  A real matrix is iterated in real arithmetic, a complex
-    one in complex arithmetic.
+    (relative).
     """
-    M = np.asarray(M)
-    return _power_radius(M.__matmul__, M.shape[0], np.result_type(M.dtype, float))
-
-
-def _power_radius(apply, d, dtype=float):
-    """:func:`power_radius` of the linear map ``apply`` on ``d``-vectors."""
     # deterministic start vector (1, 1/2, 1/3, ...)
     x = (1.0 / np.arange(1.0, d + 1.0)).astype(dtype)
     x /= np.linalg.norm(x)
@@ -461,82 +470,61 @@ def eigen_perturbation(fam, base):
     )
 
 
-def _complex_bincount(idx, terms, n):
-    """``np.bincount`` of complex weights: the real and imaginary parts are
-    summed apart, each in the order of the terms."""
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(idx, terms.real, n)
-    out.imag = np.bincount(idx, terms.imag, n)
-    return out
-
-
-def _pattern_product(a, b, d):
-    """Product of two complex d x d matrices held on their patterns, each
-    as row-major ``(rows, cols, values)``.
+def _pattern_product(a, b):
+    """Product of two :class:`SparseMatrix` factors, on its own pattern.
 
     Every entry (i, j) of ``a`` meets each entry (j, k) of ``b``;
-    ``np.unique`` pools the products of equal (i, k) and a complex
-    ``np.bincount`` sums them, each pair adding its middle states j in
-    index order.  The product comes back on its own pattern, row-major.
-    The rows of ``a`` are taken in blocks of at most ``_PRODUCTS``
-    products (or one row), so the up to d * d products that
+    ``np.unique`` pools the products of equal (i, k) and
+    :func:`_entry_sum` sums them, each pair adding its middle states j in
+    index order.  The product comes back as a :class:`SparseMatrix`, in
+    row-major order.  The rows of ``a`` are taken in blocks of at most
+    ``_PRODUCTS`` products (or one row), so the up to d * d products that
     :func:`_product` allows are never held at once.
     """
-    (a_rows, a_cols, a_vals), (b_rows, b_cols, b_vals) = a, b
-    count = np.bincount(b_rows, minlength=d)
+    d = a.dim
+    count = np.bincount(b.rows, minlength=d)
     # the entries of row j of b are first[j] : first[j] + count[j]
     first = np.cumsum(count) - count
-    step = max(1, _PRODUCTS // int(np.bincount(a_rows, count[a_cols]).max()))
-    bounds = np.searchsorted(a_rows, np.arange(0, d + step, step))
+    step = max(1, _PRODUCTS // int(np.bincount(a.rows, count[a.cols]).max()))
+    bounds = np.searchsorted(a.rows, np.arange(0, d + step, step))
     parts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        n = count[a_cols[lo:hi]]
+        n = count[a.cols[lo:hi]]
         left = np.repeat(np.arange(lo, hi), n)
-        right = np.arange(left.size) + np.repeat(first[a_cols[lo:hi]] - (np.cumsum(n) - n), n)
-        pairs, pair = np.unique(a_rows[left] * d + b_cols[right], return_inverse=True)
-        parts.append((*np.divmod(pairs, d),
-                      _complex_bincount(pair, a_vals[left] * b_vals[right], pairs.size)))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+        right = np.arange(left.size) + np.repeat(first[a.cols[lo:hi]] - (np.cumsum(n) - n), n)
+        pairs, pair = np.unique(a.rows[left] * d + b.cols[right], return_inverse=True)
+        parts.append((_entry_sum(pair, a.values[left] * b.values[right], pairs.size),
+                      *np.divmod(pairs, d)))
+    return SparseMatrix(*(np.concatenate(part) for part in zip(*parts)), d)
 
 
-def _dense(a, d):
-    """A complex matrix held as row-major ``(rows, cols, values)``, formed
-    as a d x d array (0 off the pattern); a d x d array is returned as is."""
-    if isinstance(a, np.ndarray):
-        return a
-    rows, cols, values = a
-    out = np.zeros((d, d), dtype=complex)
-    out[rows, cols] = values
-    return out
+def _product(a, b):
+    """``a @ b`` for factors held as :class:`SparseMatrix` or d x d arrays.
 
-
-def _product(a, b, d):
-    """``a @ b`` for factors held on their patterns or as d x d arrays.
-
-    Two patterns are multiplied by :func:`_pattern_product` while that
-    takes at most d * d path products.  A larger product, or one with a
-    d x d factor, is formed by BLAS on d x d arrays, at d**3 multiply-adds
-    however many of them are zero: the powers of an Ulam chain fill their
-    pattern (the doubling map's ``L_t^N`` reaches 2**N cells from each),
-    and their products on the pattern would grow towards d**3 path
-    products in numpy.
+    Two :class:`SparseMatrix` factors are multiplied by
+    :func:`_pattern_product` while that takes at most d * d path products.
+    A larger product, or one with a d x d factor, is formed by BLAS on
+    d x d arrays, at d**3 multiply-adds however many of them are zero: the
+    powers of an Ulam chain fill their pattern (the doubling map's
+    ``L_t^N`` reaches 2**N cells from each), and their products on the
+    pattern would grow towards d**3 path products in numpy.
     """
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        if np.bincount(b[0], minlength=d)[a[1]].sum() <= d * d:
-            return _pattern_product(a, b, d)
-    return _dense(a, d) @ _dense(b, d)
+    if isinstance(a, SparseMatrix) and isinstance(b, SparseMatrix):
+        if np.bincount(b.rows, minlength=b.dim)[a.cols].sum() <= b.dim ** 2:
+            return _pattern_product(a, b)
+    a, b = (m.toarray() if isinstance(m, SparseMatrix) else m for m in (a, b))
+    return a @ b
 
 
 def norm_decay_scan(model, t_grid, N):
     """Table of (t, ||L_t^N||_inf, spectral-radius estimate) over a grid.
 
     ``L_t`` is ``p * exp(i t h)`` on the entries of ``model.entries()``,
-    and :func:`_sparse_path` picks how it is powered.  A dense chain forms
-    it as a d x d array, takes ``np.linalg.matrix_power`` and
-    :func:`power_radius` of it.  A sparse chain keeps it on its pattern:
-    ``L_t^N`` is formed by binary powering, as ``np.linalg.matrix_power``
-    forms it, with each product taken by :func:`_product`, and the radius
-    is :func:`power_radius` of ``L_t`` with a complex bincount product.
+    held as a complex :class:`SparseMatrix`.  :func:`_sparse_path` picks
+    only how it is held: a dense chain takes it as a d x d array
+    (:meth:`SparseMatrix.toarray`).  Either way ``L_t^N`` is formed by
+    binary powering, each product taken by :func:`_product`, and the
+    radius is :func:`_power_radius` of ``L_t`` in complex arithmetic.
     """
     if len(t_grid) == 0:
         raise ValueError("empty t grid")
@@ -547,24 +535,21 @@ def norm_decay_scan(model, t_grid, N):
     sparse = _sparse_path(rows.size, d)
     out = []
     for t in t_grid:
-        L = P * np.exp(1j * t * h)
-        if sparse:
-            # the squares of L_t, multiplied into the power by the bits of N
-            power = square = None
-            n = N
-            while n:
-                square = (rows, cols, L) if square is None else _product(square, square, d)
-                n, bit = divmod(n, 2)
-                if bit:
-                    power = square if power is None else _product(power, square, d)
-            radius = _power_radius(lambda x: _complex_bincount(rows, L * x[cols], d), d, complex)
+        L = SparseMatrix(P * np.exp(1j * t * h), rows, cols, d)
+        if not sparse:
+            L = L.toarray()
+        # the squares of L_t, multiplied into the power by the bits of N
+        power = square = None
+        n = N
+        while n:
+            square = L if square is None else _product(square, square)
+            n, bit = divmod(n, 2)
+            if bit:
+                power = square if power is None else _product(power, square)
+        radius = _power_radius(L.__matmul__, d, complex)
+        if isinstance(power, SparseMatrix):
+            row_sums = np.bincount(power.rows, np.abs(power.values), d)
         else:
-            Lt = _dense((rows, cols, L), d)
-            power = np.linalg.matrix_power(Lt, N)
-            radius = power_radius(Lt)
-        if isinstance(power, tuple):
-            inf_norm = np.max(np.bincount(power[0], np.abs(power[2]), d))
-        else:
-            inf_norm = np.max(np.abs(power).sum(axis=1))
-        out.append((float(t), float(inf_norm), radius))
+            row_sums = np.abs(power).sum(axis=1)
+        out.append((float(t), float(np.max(row_sums)), radius))
     return out

@@ -198,6 +198,23 @@ def test_verify_oracle_budget_exhaustion_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "TableTooLarge"
 
 
+def test_verify_mc_on_a_power_of_two_branch_map_exits_three(tmp_path, capsys):
+    # float orbits of the x4 map collapse onto 0; the oracle refuses, where
+    # its sample would have failed the verdict
+    doc = {
+        "model": {"type": "ulam", "cells": 64, "map": "piecewise-linear",
+                  "endpoints": [0.0, 0.25, 0.5, 0.75, 1.0]},
+        "run": {"order": 0, "N_list": [16, 32, 64, 128], "oracle": "mc",
+                "seed": 1, "trials": 20000},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "OracleUnavailable"
+    assert '"doubling" map kind' in payload["message"]
+
+
 @pytest.mark.parametrize("oracle", ["dp", "enum", "mc"])
 def test_verify_lattice_form_on_nonlattice_model_exits_two(tmp_path, capsys, oracle):
     doc = {

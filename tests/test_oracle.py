@@ -15,6 +15,7 @@ from chains import dense_chain
 from memory import traced_peak
 from edgeworth.errors import (
     InsufficientMoments,
+    OracleUnavailable,
     TableTooLarge,
     ValidationError,
 )
@@ -743,6 +744,16 @@ def test_mc_chunking_boundary():
     m = bundled_model("two_state")
     dist = mc_sample(m, 4, (1 << 17) + 17, 3)
     assert abs(math.fsum(dist.pmf.tolist()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("endpoints", [[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0],
+                                       [0.0, 0.25, 0.5, 1.0]])
+def test_mc_refuses_a_map_with_power_of_two_branch_widths(endpoints):
+    # each float step of such a map is exact and drops bits: on the x4 map
+    # every orbit sat at the fixed point 0 by step 27
+    model = ulam_model("piecewise-linear", lambda x: x, 16, endpoints)
+    with pytest.raises(OracleUnavailable, match='"doubling" map kind'):
+        mc_sample(model, 8, 100, 1)
 
 
 def test_mc_doubling_deterministic():

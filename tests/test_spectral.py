@@ -16,12 +16,12 @@ from edgeworth.models import MarkovModel, bundled_model, markov_model, ulam_mode
 from edgeworth.spectral import (
     SparseMatrix,
     _bordered_inverse,
+    _power_radius,
     _power_stationary,
     build_operator_family,
     eigen_perturbation,
     norm_decay_scan,
     perron_base,
-    power_radius,
 )
 
 
@@ -280,10 +280,10 @@ def test_power_radius_keeps_real_arithmetic_for_real_matrices():
     rng = np.random.default_rng(3)
     for d in (2, 5, 9):
         M = rng.normal(size=(d, d))
-        assert power_radius(M) == _reference_power_radius(M, float)
-        assert abs(power_radius(M) - _reference_power_radius(M, complex)) <= 1e-12
+        assert _power_radius(M.__matmul__, d) == _reference_power_radius(M, float)
+        assert abs(_power_radius(M.__matmul__, d) - _reference_power_radius(M, complex)) <= 1e-12
         Mc = M + 1j * rng.normal(size=(d, d))
-        assert power_radius(Mc) == _reference_power_radius(Mc, complex)
+        assert _power_radius(Mc.__matmul__, d, complex) == _reference_power_radius(Mc, complex)
 
 
 def test_non_stochastic_rows_rejected():
@@ -363,11 +363,11 @@ def test_power_radius_matches_eigvals():
         # near-tied moduli stall power iteration, accept a looser match there
         ev = np.sort(np.abs(np.linalg.eigvals(M)))
         tol = 1e-7 if ev[-2] / ev[-1] < 0.9 else 5e-2
-        assert abs(power_radius(M) - true) <= tol * max(1.0, true)
+        assert abs(_power_radius(M.__matmul__, d, complex) - true) <= tol * max(1.0, true)
 
 
 def test_power_radius_zero_matrix():
-    assert power_radius(np.zeros((3, 3))) == 0.0
+    assert _power_radius(np.zeros((3, 3)).__matmul__, 3) == 0.0
 
 
 def test_power_eigenvalue_stochastic():
@@ -491,15 +491,24 @@ def _two_doubling_blocks(half, eps):
 
 
 def test_sparse_products_match_dense():
+    # real and complex matrices, times real and complex vectors on either
+    # side; toarray keeps the values' dtype
     model = ulam_model("piecewise-linear", _cos2pi, 64, [0.0, 0.3, 0.65, 1.0])
     fam = model.operator_family(3)
-    x = np.random.default_rng(5).normal(size=fam.dim)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=fam.dim)
+    z = x + 1j * rng.normal(size=fam.dim)
+    phase = np.exp(1j * rng.normal(size=fam.rows.size))
     for m in range(4):
         M = fam.matrix(m)
         assert isinstance(M, SparseMatrix)
-        dense = M.toarray()
-        assert np.abs(M @ x - dense @ x).max() <= 1e-14
-        assert np.abs(x @ M - x @ dense).max() <= 1e-14
+        Mc = SparseMatrix(M.values * phase, M.rows, M.cols, M.dim)
+        for A in (M, Mc):
+            dense = A.toarray()
+            assert dense.dtype == A.values.dtype
+            for v in (x, z):
+                assert np.abs(A @ v - dense @ v).max() <= 1e-14
+                assert np.abs(v @ A - v @ dense).max() <= 1e-14
 
 
 def _zero_entry_chain(d):
@@ -534,33 +543,52 @@ def _scan_models():
 
 
 def _dense_norm_decay_scan(model, t_grid, N):
-    # the d x d L_t, its N-th power by matrix_power and power_radius of it
+    # the d x d L_t, its N-th power by matrix_power and power iteration on it
     out = []
     for t in t_grid:
         Lt = dense_family(model, t)
         power = np.linalg.matrix_power(Lt, N)
-        out.append((float(t), float(np.max(np.abs(power).sum(axis=1))), power_radius(Lt)))
+        out.append((float(t), float(np.max(np.abs(power).sum(axis=1))),
+                    _reference_power_radius(Lt, complex)))
     return out
 
 
-@pytest.mark.parametrize("N", [1, 2, 5])
-def test_norm_decay_scan_matches_the_dense_scan(N):
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_norm_decay_scan_matches_the_dense_scan(monkeypatch, N):
     # the dense chains take this arithmetic, the sparse ones (the Ulam,
-    # 16-state and sparse-zeros chains) products on the pattern.  Every
-    # other point of the diagnose default grid, every eighth for the
-    # 1024-cell chain, whose dense powers are 1024 x 1024 products.  Norms
-    # are compared on the scale ||P^N||_inf = 1, the modulus of L_t^N, which
-    # bounds the rounding of either product: where the norm cancels far
-    # below it (bernoulli at t = 9.5, N = 5: 2.0e-6) the two differ by
-    # 1.3e-20, 7e-15 of the norm.  Radii are compared relative to themselves.
+    # 16-state and sparse-zeros chains) products on the pattern; then every
+    # chain is scanned again held as a d x d array, and again on its
+    # pattern, whatever its density.  Every other point of the diagnose
+    # default grid, every eighth for the 1024-cell chain, whose dense
+    # powers are 1024 x 1024 products.  Norms are compared on the scale
+    # ||P^N||_inf = 1, the modulus of L_t^N, which bounds the rounding of
+    # either product: where the norm cancels far below it (bernoulli at
+    # t = 9.5, N = 5: 2.0e-6) the two differ by 1.3e-20, 7e-15 of the
+    # norm.  Radii are compared relative to themselves.
     grid = np.linspace(0.5, 20.0, 40)
     for name, model in _scan_models():
         t_grid = grid[::8] if model.dim > 100 else grid[::2]
-        got = np.array(norm_decay_scan(model, t_grid, N))
         want = np.array(_dense_norm_decay_scan(model, t_grid, N))
-        assert np.array_equal(got[:, 0], t_grid), name
-        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-15), name
-        assert np.all(np.abs(got[:, 2] - want[:, 2]) <= 1e-15 * want[:, 2]), name
+        for sparse in (None, False, True):
+            with monkeypatch.context() as patch:
+                if sparse is not None:
+                    patch.setattr(spectral, "_sparse_path", lambda nnz, d: sparse)
+                got = np.array(norm_decay_scan(model, t_grid, N))
+            assert np.array_equal(got[:, 0], t_grid), (name, sparse)
+            assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-15), (name, sparse)
+            assert np.all(np.abs(got[:, 2] - want[:, 2]) <= 1e-15 * want[:, 2]), (name, sparse)
+
+
+def test_dense_scan_powers_by_binary_powering():
+    # N = 3 is L (L L): the first power times the square, where
+    # np.linalg.matrix_power forms (L L) L
+    grid = np.linspace(0.5, 20.0, 7)
+    for name, model in _scan_models():
+        if model.operator_family(2).sparse:
+            continue
+        for t, norm, _ in norm_decay_scan(model, grid, 3):
+            L = dense_family(model, t)
+            assert norm == np.max(np.abs(L @ (L @ L)).sum(axis=1)), name
 
 
 def test_scan_models_take_both_paths():
@@ -622,9 +650,9 @@ def test_filled_powers_are_multiplied_densely(monkeypatch):
     products = []
     pattern_product = spectral._pattern_product
 
-    def counted(a, b, d):
-        products.append(np.bincount(b[0], minlength=d)[a[1]].sum())
-        return pattern_product(a, b, d)
+    def counted(a, b):
+        products.append(np.bincount(b.rows, minlength=b.dim)[a.cols].sum())
+        return pattern_product(a, b)
 
     monkeypatch.setattr(spectral, "_pattern_product", counted)
     t_grid = np.linspace(0.5, 20.0, 5)
