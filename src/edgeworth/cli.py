@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import math
 import os
@@ -197,16 +196,17 @@ def _oracle_from(run, args):
         raise ValidationError(f"unknown oracle kind {kind!r}")
     seed = args.seed if args.seed is not None else run.get("seed")
     trials = args.trials if args.trials is not None else run.get("trials", 10 ** 5)
-    if kind == "mc":
-        if seed is None:
-            raise ValidationError("Monte Carlo runs require a seed")
-        if not isinstance(trials, int) or trials < 1:
-            raise ValidationError("trials must be a positive integer")
-    with _reading("run.seed / run.trials"):
-        seed, trials = (0 if seed is None else int(seed)), int(trials)
+    if kind == "mc" and seed is None:
+        raise ValidationError("Monte Carlo runs require a seed")
+    # a bool is an int to Python; int() would take floats and strings
+    for name, value in (("seed", seed), ("trials", trials)):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ValidationError(f"{name} must be an integer, not {value!r}")
     if kind == "mc" and seed < 0:
         raise ValidationError("the Monte Carlo seed must be a nonnegative integer")
-    return kind, seed, trials
+    if kind == "mc" and trials < 1:
+        raise ValidationError("trials must be a positive integer")
+    return kind, 0 if seed is None else seed, trials
 
 
 def _function_from(run):
@@ -239,6 +239,9 @@ def _t_grid_from(run):
 
 
 def _artifact_path(out_dir, command, model_doc, stamp, ext):
+    # imported here, not at module level: only naming an artifact loads OpenSSL
+    import hashlib
+
     digest = hashlib.sha256(_json_dumps(model_doc).encode("utf-8")).hexdigest()[:12]
     return os.path.join(out_dir, f"{command}-{digest}-{stamp}.{ext}")
 

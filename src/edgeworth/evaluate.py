@@ -9,7 +9,6 @@ oracles.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -383,12 +382,10 @@ class ConvergenceReport:
 
 
 def _model_key(model):
-    """SHA-256 digest of the chain: its dimension, the pattern and values
-    of ``model.entries()`` and ``mu0``, fed as buffers without copies."""
-    digest = hashlib.sha256(str(model.dim).encode())
-    for arr in (*model.entries(), model.mu0):
-        digest.update(np.ascontiguousarray(arr))
-    return digest.hexdigest()
+    """The chain as a cache key: its dimension and the bytes of the
+    pattern and values of ``model.entries()`` and of ``mu0``.  Keys are
+    equal exactly when the chains are, with no digest to collide."""
+    return (model.dim, *(np.ascontiguousarray(a).tobytes() for a in (*model.entries(), model.mu0)))
 
 
 def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None):
@@ -431,11 +428,21 @@ def exact_distributions(model, N_list, oracle_kind, seed=0, trials=10 ** 5, cach
 
 
 def _classical_error(exp_set, model, dist, N, r):
+    """Kolmogorov distance of the standardized law from the classical
+    expansion of order r.
+
+    The sup is read at a probe set, not at every atom: the standardized
+    atoms, every (n // 20000 + 1)-th of the n atoms when n > 20000, joined
+    with a 2001-point grid on [-12 sigma, 12 sigma].  On a Monte Carlo
+    sample of many distinct values it is therefore a lower bound of the
+    distance: 7.2e-7 low at criterion 12 (10**6 atoms, one in 51 read).
+    The standardization is an ``affine`` image, so only the probed atoms
+    are formed.
+    """
     params = exp_set.params
     std = dist.affine(N * params.A, math.sqrt(N))
-    atoms = std.support
-    if atoms.size > 20000:
-        atoms = atoms[:: atoms.size // 20000 + 1]
+    n = std.pmf.size
+    atoms = std.atoms(slice(None, None, n // 20000 + 1 if n > 20000 else 1))
     sigma = params.sigma
     probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
     return oracle.kolmogorov_distance(std, cdf_callable(exp_set, N, r), probes)

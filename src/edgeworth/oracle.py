@@ -59,19 +59,22 @@ class ExactDistribution:
         band; for the DP the table width, live width and flushed mass.
     """
 
-    __slots__ = ("kind", "support", "pmf", "N", "meta", "_cum")
+    # _base holds the atoms; an image under ``affine`` holds its preimages
+    # there and the map (shift, scale) in _map, None for no map
+    __slots__ = ("kind", "pmf", "N", "meta", "_cum", "_base", "_map")
 
     def __init__(self, kind, support, pmf, N, meta=None):
         self.kind = kind
-        self.support = np.asarray(support, dtype=float)
+        self._base = support = np.asarray(support, dtype=float)
+        self._map = None
         self.pmf = np.asarray(pmf, dtype=float)
         self.N = int(N)
         self.meta = dict(meta or {})
-        if self.support.ndim != 1 or self.support.shape != self.pmf.shape:
+        if support.ndim != 1 or support.shape != self.pmf.shape:
             raise ValidationError("support and pmf must be matching 1-d arrays")
-        if not np.isfinite(self.support).all():
+        if not np.isfinite(support).all():
             raise ValidationError("support must be finite")
-        if (self.support[1:] <= self.support[:-1]).any():
+        if (support[1:] <= support[:-1]).any():
             raise ValidationError("support must be strictly increasing")
         if not np.isfinite(self.pmf).all() or (self.pmf < 0.0).any():
             raise ValidationError("pmf must hold finite, nonnegative masses")
@@ -83,38 +86,83 @@ class ExactDistribution:
         self._cum[0] = 0.0
         np.cumsum(self.pmf, out=self._cum[1:])
 
+    @property
+    def support(self):
+        """The atoms in increasing order; an image forms them when read."""
+        return self._base if self._map is None else self.atoms(slice(None))
+
+    def atoms(self, index):
+        """``support[index]``, for an image mapping only the atoms it reads."""
+        x = self._base[index]
+        if self._map is None:
+            return x
+        shift, scale = self._map
+        with np.errstate(over="ignore"):  # refused by affine, not warned
+            return (x - shift) / scale
+
     def affine(self, shift, scale):
         """The law of (X - shift) / scale, for finite shift and finite scale > 0.
 
-        The image shares ``pmf`` and the cumulative sums with this
-        distribution; only the support is new.  Division rounds
-        monotonically, so the image's support never decreases, but atoms
-        closer than an ulp of the quotient round to one value.  Such ties
-        are kept: ``cdf`` and ``cdf_left`` bisect over the whole run of
-        tied atoms, so both stay exact.
+        No array is copied: the image keeps this distribution's atoms as
+        its preimages, with ``pmf``, the cumulative sums and the map.  Its
+        ``support`` is formed only when read, and ``atoms(index)`` maps
+        only the atoms it reads.  Division rounds monotonically, so the
+        image's support never decreases, but atoms closer than an ulp of
+        the quotient round to one value.  ``cdf`` and ``cdf_left`` count
+        at the preimage, by bisection over the atoms with the map applied
+        to each atom probed, so their counts equal those over the formed
+        support, ties included.  The image of an image maps the formed
+        support of the first.
+
+        Raises
+        ------
+        ValidationError
+            If the map is invalid or the image of an end atom, so of some
+            atom, overflows.
         """
         if not math.isfinite(shift):
             raise ValidationError("shift must be finite")
         if not (math.isfinite(scale) and scale > 0.0):
             raise ValidationError("scale must be finite and positive")
-        with np.errstate(over="ignore"):  # refused below, not warned
-            support = self.support - shift
-            support /= scale
-        if not np.isfinite(support).all():
-            raise ValidationError("affine image of the support overflows")
         image = object.__new__(ExactDistribution)
         image.kind, image.N, image.meta = self.kind, self.N, dict(self.meta)
-        image.support, image.pmf, image._cum = support, self.pmf, self._cum
+        image._base, image.pmf, image._cum = self.support, self.pmf, self._cum
+        image._map = (float(shift), float(scale))
+        # the map is monotone, so the end atoms bound every image atom
+        if not np.isfinite(image.atoms([0, -1])).all():
+            raise ValidationError("affine image of the support overflows")
         return image
+
+    def _count(self, z, side):
+        """``np.searchsorted(self.support, z, side)`` without forming the
+        support of an image.
+
+        An image bisects over its atoms: the atoms that ``side`` counts
+        form a prefix, and each probe, from the largest power of two up to
+        the atom count down to 1, lengthens it when the mapped atom it
+        would end at still counts.  The tests ``z < y`` and ``z <= y`` are
+        False at a NaN z, so it counts every atom, as searchsorted does.
+        """
+        if self._map is None:
+            return np.searchsorted(self._base, z, side=side)
+        z = np.asarray(z, dtype=float)
+        n = self._base.size
+        count = np.zeros(z.shape, dtype=np.intp)
+        for jump in (1 << b for b in reversed(range(n.bit_length()))):
+            probe = count + jump
+            y = self.atoms(np.minimum(probe, n) - 1)
+            stop = (z < y) if side == "right" else (z <= y)
+            count = np.where((probe > n) | stop, count, probe)
+        return count
 
     def cdf(self, z):
         """P(X <= z); accepts arrays of z."""
-        out = self._cum[np.searchsorted(self.support, z, side="right")]
+        out = self._cum[self._count(z, "right")]
         return out if np.ndim(out) else float(out)
 
     def cdf_left(self, z):
         """P(X < z); accepts arrays of z."""
-        out = self._cum[np.searchsorted(self.support, z, side="left")]
+        out = self._cum[self._count(z, "left")]
         return out if np.ndim(out) else float(out)
 
     def mean(self):
@@ -443,12 +491,33 @@ def dp_ladder(model, N_list):
     return out
 
 
+# products pi^T P that the stationary iteration of a sparse chain may take
+_STATIONARY_PRODUCTS = 1000
+
+
 def _stationary(model):
-    """Stationary distribution of a chain: one dense solve of
+    """Stationary distribution of a chain, from ``model.entries()``.
+
+    A sparse chain, one with 8 nnz <= d**2 (the sparse path's rule, asked
+    of the entries here), iterates ``pi^T P`` from the uniform vector,
+    summing each product per target with ``np.bincount`` and
+    renormalizing, until two iterates agree to 4 ulps of their largest
+    entry.  Every other chain, and a sparse one that has not settled
+    within ``_STATIONARY_PRODUCTS`` products, gets one dense solve of
     ``pi^T (P - I) = 0``, the normalization row replacing the last
-    equation, on ``(P - I)^T`` written from ``model.entries()``."""
+    equation, on ``(P - I)^T`` written from the entries.
+    """
     rows, cols, p, _ = model.entries()
     d = model.dim
+    if 8 * p.size <= d * d:
+        pi = np.full(d, 1.0 / d)
+        for _ in range(_STATIONARY_PRODUCTS):
+            nxt = np.bincount(cols, weights=pi[rows] * p, minlength=d)
+            nxt /= nxt.sum()
+            # rounding can keep an entry of the fixed point toggling by an ulp or two
+            if np.max(np.abs(nxt - pi)) <= 4.0 * np.finfo(float).eps * np.max(nxt):
+                return nxt
+            pi = nxt
     M = np.zeros((d, d))
     M[cols, rows] = p
     M[np.arange(d), np.arange(d)] -= 1.0
@@ -467,6 +536,12 @@ def drift(model):
         pi = _stationary(model)
         return float(np.sum(pi[rows] * p * h))
     return float(model.moments[0])
+
+
+# entries per jet product of exact_moments: its pair temporaries of
+# (pairs, tile) complex values stay near glibc's 128 KiB mmap threshold,
+# so that steps on large chains do not map and fault fresh pages
+_JET_TILE = 512
 
 
 def exact_moments(model, N, kmax):
@@ -522,11 +597,16 @@ def exact_moments(model, N, kmax):
     bins = (np.arange(kmax + 1)[:, None] * d + cols).ravel()
     row = np.zeros((kmax + 1, d), dtype=complex)
     row[0] = mu0
+    terms = np.empty((kmax + 1, rows.size), dtype=complex)
+    flat = terms.reshape(-1)
     for _ in range(N):
-        terms = jet_mul(row[:, rows], jets).ravel()
+        # jet_mul acts entry by entry, so tiles give the same products
+        for lo in range(0, rows.size, _JET_TILE):
+            hi = lo + _JET_TILE
+            terms[:, lo:hi] = jet_mul(row[:, rows[lo:hi]], jets[:, lo:hi])
         row = np.empty_like(row)
-        row.real = np.bincount(bins, terms.real, row.size).reshape(row.shape)
-        row.imag = np.bincount(bins, terms.imag, row.size).reshape(row.shape)
+        row.real = np.bincount(bins, flat.real, row.size).reshape(row.shape)
+        row.imag = np.bincount(bins, flat.imag, row.size).reshape(row.shape)
     chi = np.zeros(kmax + 1, dtype=complex)
     for k in range(d):
         chi += row[:, k]
@@ -721,7 +801,13 @@ def mc_sample(model, N, trials, seed):
 
     The sample is tallied in its own buffer, sorted in place, so the
     result equals ``np.unique(sums, return_counts=True)`` bit for bit
-    without its copies.
+    without its copies.  Beside the 8-byte sample the tally holds a
+    1-byte change mask per trial and at most two arrays of the atom
+    count at a time: the values with the counts, then the values with
+    the masses.  The counts are taken with the sample's buffer as
+    scratch, and the sample is freed before the distribution is built.
+    So a sample of distinct values peaks near 25 bytes per trial, and
+    one with few values near 9.
     """
     if trials < 1:
         raise ValidationError("at least one trial required")
@@ -752,20 +838,25 @@ def mc_sample(model, N, trials, seed):
             sums[lo:lo + m] = _simulate_chain(model, N, m, rng)
 
     _run_chunks(chunk, -(-trials // size))
-    # each value's count is the gap from its run start to the next one
-    # (or to the end); the index arrays go before the distribution is built
     sums.sort()
     change = np.empty(trials, dtype=bool)
     change[0] = True
     np.not_equal(sums[1:], sums[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
+    values = sums[change]
+    # the sample's own buffer is the scratch of the tally: each trial's
+    # run number (1, 2, ...) in an int64 view, then the masses
+    # count / trials in a float view, copied out at the atom count
+    runs = sums.view(np.int64)
+    np.cumsum(change, out=runs)
     del change
-    values = sums[starts]
-    pmf = np.empty(starts.size)
-    np.subtract(starts[1:], starts[:-1], out=pmf[:-1])
-    pmf[-1] = trials - starts[-1]
-    del starts
-    pmf /= trials
+    counts = np.bincount(runs)  # counts[0] = 0: the runs start at 1
+    pmf = sums[:values.size]
+    np.divide(counts[1:], trials, out=pmf)
+    del counts, runs
+    pmf = pmf.copy()
+    # also empties the cell that ``chunk`` reads, so the sample is freed
+    # before the distribution builds its cumulative sums
+    del sums
     # Massart's (1990) 99 % band: P(sup |F_n - F| > dkw99) <= 2 exp(-2 n dkw99**2) = 0.01
     meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size,
             "dkw99": math.sqrt(math.log(200.0) / (2 * trials))}

@@ -331,6 +331,51 @@ def test_invalid_run_documents_exit_two(tmp_path, capsys, run):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", True), ("trials", True), ("seed", 2.9), ("seed", "12"), ("trials", 1e3),
+     ("trials", "100")],
+    ids=["bool-seed", "bool-trials", "float-seed", "string-seed", "float-trials",
+         "string-trials"],
+)
+def test_mc_seed_and_trials_must_be_integers(tmp_path, capsys, field, value):
+    # int() took each of these: "seed": true and "trials": true ran a
+    # one-trial sample with seed 1 and exited 4, blaming the expansion
+    run = {"order": 1, "N_list": [16, 32], "oracle": "mc", "seed": 1, "trials": 500}
+    run[field] = value
+    cfg = write_config(tmp_path, {"model": {"bundled": "two_state"}, "run": run})
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert field in payload["message"]
+
+
+def test_exact_oracle_refuses_a_non_integer_seed(tmp_path, capsys):
+    # the seed of an exact oracle is unused, but a malformed one is still refused
+    run = {"order": 1, "N_list": [16, 32], "oracle": "dp", "seed": 2.9}
+    cfg = write_config(tmp_path, {"model": {"bundled": "two_state"}, "run": run})
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_importing_the_package_does_not_load_openssl():
+    # hashlib maps libcrypto; only naming an artifact needs it
+    import subprocess
+    import sys
+
+    import edgeworth
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgeworth.__file__)))
+    code = ("import sys, edgeworth, edgeworth.cli, edgeworth.evaluate; "
+            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "expand", str(tmp_path / "missing.json"), "--out", str(tmp_path)

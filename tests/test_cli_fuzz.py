@@ -229,6 +229,10 @@ def test_fuzz_known_cases():
     # a NaN probe is refused by name, before any quadrature runs
     run = {"N_list": [8, 16], "x": math.nan, "form": "averaged"}
     _check("verify", {"model": two_state, "run": run}, error="ValidationError")
+    # a seed or trial count that is not an integer, a bool included
+    for field, value in (("seed", True), ("trials", True), ("seed", 2.9), ("seed", "12")):
+        run = {"N_list": [8, 16], "oracle": "mc", "seed": 1, "trials": 100, field: value}
+        _check("verify", {"model": two_state, "run": run}, error="ValidationError")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -11,6 +11,7 @@ from edgeworth.errors import (
     TableTooLarge,
     ValidationError,
 )
+from edgeworth import evaluate
 from edgeworth.evaluate import (
     TestFunction,
     averaged,
@@ -32,6 +33,7 @@ from edgeworth.expansion import expansion_for_model
 from edgeworth.models import bundled_model, markov_model
 from edgeworth import oracle
 from edgeworth.oracle import ExactDistribution, dp_pmf, normal_cdf
+from memory import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,21 @@ def test_array_forms_match_scalar_loops(two_state):
         assert np.array_equal(got, [f.tail_integral(float(v)) for v in z])
     assert isinstance(edgeworth_cdf(exp_set, 256, 0.3), float)
     assert isinstance(lclt_estimate(exp_set, 0.3, 256), float)
+
+
+def test_classical_error_standardizes_without_copying_the_support(two_state):
+    # the standardized image used to copy all n atoms to read one in 51
+    model, exp_set = two_state
+    A, sigma = exp_set.params.A, exp_set.params.sigma
+    N, n = 4096, 10 ** 6
+    support = N * A + math.sqrt(N) * sigma * np.linspace(-6.0, 6.0, n)
+    dist = ExactDistribution("empirical", support, np.full(n, 1.0 / n), N)
+    got, peak = traced_peak(evaluate._classical_error, exp_set, model, dist, N, 1)
+    assert peak < 8 * n
+    # the same probe set on the formed image: every 51st atom and the grid
+    std = ExactDistribution("empirical", (support - N * A) / math.sqrt(N), dist.pmf, N)
+    probes = np.union1d(std.support[::51], np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
+    assert got == oracle.kolmogorov_distance(std, cdf_callable(exp_set, N, 1), probes)
 
 
 def test_cdf_callable_left_limit_equals_value(two_state):

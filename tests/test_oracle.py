@@ -4,6 +4,8 @@ import itertools
 import math
 import multiprocessing
 import os
+import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -119,16 +121,78 @@ def test_affine_refuses_invalid_maps(shift, scale):
 
 def test_exact_distribution_and_affine_image_memory():
     # in units of one float64 array of the atom count: the cumulative sums
-    # (one array) and the validation masks (1/8 each, one at a time), and
-    # for the image only its new support
+    # (one array) and the validation masks (1/8 each, one at a time); the
+    # image copies no array, and its support is formed only when read
     n = 10 ** 6
     support = np.arange(n, dtype=float)
     pmf = np.full(n, 1.0 / n)
     dist, peak = traced_peak(ExactDistribution, "empirical", support, pmf, 1)
     assert peak < 1.5 * 8 * n
     image, peak = traced_peak(dist.affine, 0.5 * n, 1000.0)
-    assert peak < 1.5 * 8 * n
+    assert peak < 4096
+    # a query holds a few arrays of the probe count, none of the atom count
+    probes = np.linspace(-600.0, 600.0, 20001)
+    _, peak = traced_peak(image.cdf, probes)
+    assert peak < 10 * 8 * probes.size < 8 * n
     assert image.support[0] == -500.0
+
+
+def _increasing_floats(start, ulps):
+    # positive doubles from ``start``, each ``ulps[i]`` ulps above the last
+    bits = np.int64(np.float64(start).view(np.int64)) + np.cumsum([0] + list(ulps))
+    return bits.astype(np.int64).view(np.float64)
+
+
+def _formed_counts(image, z):
+    support = image.support
+    return (image._cum[np.searchsorted(support, z, side="right")],
+            image._cum[np.searchsorted(support, z, side="left")])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    start=st.floats(1e-300, 1e300),
+    ulps=st.lists(st.sampled_from([1, 2, 3, 1000, 1 << 40]), max_size=60),
+    mirrored=st.booleans(),
+    shift=st.floats(-1e6, 1e6),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_affine_image_counts_equal_those_of_the_formed_support(start, ulps, mirrored, shift,
+                                                             scale):
+    # atoms a few ulps apart round to ties under the map; probes at the
+    # image atoms, 1 ulp either side, between atoms and far outside
+    support = _increasing_floats(start, ulps)
+    if mirrored:
+        support = np.concatenate([-support[::-1], [0.0], support])
+    dist = ExactDistribution("empirical", support, np.full(support.size, 1.0 / support.size), 1)
+    try:
+        image = dist.affine(shift, scale)
+    except ValidationError:
+        with np.errstate(over="ignore"):
+            assert not np.isfinite((support - shift) / scale).all()
+        return
+    atoms = image.support
+    z = np.concatenate([atoms, np.nextafter(atoms, -np.inf), np.nextafter(atoms, np.inf),
+                        0.5 * (atoms[1:] + atoms[:-1]),
+                        [0.0, -1e308, 1e308, -np.inf, np.inf, np.nan]])
+    right, left = _formed_counts(image, z)
+    assert np.array_equal(image.cdf(z), right)
+    assert np.array_equal(image.cdf_left(z), left)
+    for k in (0, atoms.size - 1, z.size - 1):
+        assert image.cdf(float(z[k])) == right[k]
+        assert image.cdf_left(float(z[k])) == left[k]
+
+
+def test_affine_image_reads_only_the_atoms_asked_for():
+    dist = ExactDistribution("lattice", np.arange(10.0), np.full(10, 0.1), 1)
+    image = dist.affine(4.5, 2.0)
+    assert np.array_equal(image.atoms(slice(None, None, 3)), (np.arange(10.0)[::3] - 4.5) / 2.0)
+    assert image.atoms(9) == 2.25
+    assert dist.atoms(slice(2, 4)).tolist() == [2.0, 3.0]
+    # an image of an image maps the formed support of the first
+    twice = image.affine(1.0, 3.0)
+    assert np.array_equal(twice.support, (image.support - 1.0) / 3.0)
+    assert twice.cdf(0.0) == image.cdf(1.0)
 
 
 _FSUM_SIZES = [0, 1, 2, oracle._FSUM_BLOCK - 1, oracle._FSUM_BLOCK,
@@ -696,6 +760,67 @@ def test_exact_moments_on_the_nonzeros_equal_the_dense_sweep():
             assert got == want, (model.dim, N, kmax)
 
 
+def _dense_stationary(model):
+    # the one dense solve that served every chain, kept as the reference
+    P, _ = dense_chain(model)
+    d = model.dim
+    M = (P - np.eye(d)).T
+    M[-1, :] = 1.0
+    b = np.zeros(d)
+    b[-1] = 1.0
+    return np.linalg.solve(M, b)
+
+
+def test_stationary_of_dense_chains_is_the_dense_solve():
+    for name in ("two_state", "three_state_lattice", "diophantine_two_state", "bernoulli"):
+        model = bundled_model(name)
+        assert np.array_equal(oracle._stationary(model), _dense_stationary(model)), name
+
+
+def test_stationary_of_sparse_chains_iterates_on_the_entries(monkeypatch):
+    # the O(d**3) dense solve took 1.6 s of exact_moments on 4096 cells
+    chains = [ulam_model("doubling", lambda x: np.cos(2.0 * np.pi * x), 4096),
+              ulam_model("piecewise-linear", np.sin, 1000, [0.0, 0.3, 1.0])]
+    want = [np.full(4096, 1.0 / 4096), _dense_stationary(chains[1])]
+
+    def refuse(*args):
+        raise AssertionError("dense stationary solve on a sparse chain")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for model, pi in zip(chains, want):
+        got = oracle._stationary(model)
+        assert np.abs(got - pi).max() <= 1e-12 * pi.max()
+        # a fixed point of pi^T P to rounding, unlike the solve's 3.5e-16
+        rows, cols, p, _ = model.entries()
+        step = np.bincount(cols, weights=got[rows] * p, minlength=model.dim)
+        assert np.abs(step - got).max() <= 4.0 * np.finfo(float).eps * got.max()
+    assert len(exact_moments(chains[0], 64, 6)) == 7
+
+
+def test_stationary_falls_back_to_the_dense_solve_when_unsettled():
+    # a biased walk on 200 states: the iteration from the uniform vector
+    # needs far more than 1000 products, so the dense solve answers
+    d = 200
+    P = np.zeros((d, d))
+    for j in range(d):
+        P[j, max(j - 1, 0)] += 0.2
+        P[j, j] += 0.5
+        P[j, min(j + 1, d - 1)] += 0.3
+    model = markov_model(P, np.zeros((d, d)), np.full(d, 1.0 / d))
+    assert 8 * model.entries()[2].size <= d * d
+    assert np.array_equal(oracle._stationary(model), _dense_stationary(model))
+
+
+def test_exact_moments_tiles_give_the_same_moments(monkeypatch):
+    # jet products act entry by entry, so any tiling of the entries
+    chains = [bundled_model("two_state"), bundled_model("doubling_ulam"),
+              ulam_model("piecewise-linear", lambda x: x * x, 64, [0.0, 0.3, 0.7, 1.0])]
+    want = [exact_moments(m, 12, 6) for m in chains]
+    monkeypatch.setattr(oracle, "_JET_TILE", 3)
+    for model, moments in zip(chains, want):
+        assert [v.hex() for v in exact_moments(model, 12, 6)] == [v.hex() for v in moments]
+
+
 def test_drift_of_moment_model_is_first_moment():
     pmf = [(-1.0, 0.25), (0.5, 0.5), (3.0, 0.25)]
     moments = pmf_moments(pmf, 4)
@@ -1023,6 +1148,60 @@ def test_mc_sample_tally_matches_unique_with_many_ties(monkeypatch, cpus):
     assert values.size <= N + 1
     assert np.array_equal(dist.support, values)
     assert np.array_equal(dist.pmf, pmf)
+
+
+@pytest.mark.parametrize(
+    "name, N, trials",
+    [("doubling_ulam", 40, (1 << 17) + 5), ("two_state", 16, (1 << 17) + 5),
+     ("doubling_ulam", 40, 1), ("two_state", 16, 1)],
+)
+def test_mc_sample_equals_a_unique_rebuild(name, N, trials):
+    # all distinct on the doubling map, long runs of ties on two_state;
+    # 2**17 + 5 trials end in a 5-trial chunk
+    model = bundled_model(name)
+    dist = mc_sample(model, N, trials, 23)
+    values, pmf = _mc_sample_serial(model, N, trials, 23, 1 << 17)
+    if name == "doubling_ulam":
+        assert values.size == trials
+    assert np.array_equal(dist.support, values)
+    assert np.array_equal(dist.pmf, pmf)
+    assert np.array_equal(dist._cum[1:], np.cumsum(pmf))
+
+
+def test_mc_tally_holds_two_atom_arrays_and_frees_the_sample_first(monkeypatch):
+    # on distinct values the tally used to hold int64 run starts beside the
+    # values and masses, three arrays of the atom count, and to build the
+    # cumulative sums while the closure kept the sample alive
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    seen = {}
+    run_chunks, init = oracle._run_chunks, ExactDistribution.__init__
+
+    def run_then_trace(chunk, count):
+        run_chunks(chunk, count)
+        (sample,) = [c.cell_contents for c in chunk.__closure__
+                     if isinstance(c.cell_contents, np.ndarray)]
+        seen["sample"] = weakref.ref(sample)
+        del sample
+        tracemalloc.reset_peak()
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+
+    def checked_init(self, *args, **kwargs):
+        seen["alive"] = seen["sample"]() is not None
+        seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_run_chunks", run_then_trace)
+    monkeypatch.setattr(ExactDistribution, "__init__", checked_init)
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        dist = mc_sample(bundled_model("doubling_ulam"), 8, trials, 5)
+    finally:
+        tracemalloc.stop()
+    assert dist.pmf.size == trials
+    assert seen["alive"] is False
+    # two arrays of the atom count and the 1-byte mask, never three arrays
+    assert seen["peak"] < 2.25 * 8 * trials
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
