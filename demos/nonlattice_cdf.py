@@ -3,8 +3,8 @@
 The bundled Diophantine chain pays the golden ratio in one state, so
 S_N lives on no lattice and the classical (Kolmogorov-distance) form of
 the expansion applies.  Exact laws come from the exact dynamic program
-over reward counts (the "enum" oracle name is an alias of "dp"); the
-order-1 error times sqrt(N) should fall along the ladder.
+over reward counts (the "dp" oracle); the order-1 error times sqrt(N)
+should fall along the ladder.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ def main():
     print()
 
     rep = convergence_study(
-        exp_set, model, "enum", 1, [8, 10, 12, 14, 16, 18], form="classical"
+        exp_set, model, "dp", 1, [8, 10, 12, 14, 16, 18], form="classical"
     )
     print("order-1 Kolmogorov error against exact CDFs")
     print("     N      raw error      x sqrt(N)")

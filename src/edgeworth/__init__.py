@@ -40,13 +40,11 @@ from .oracle import (
     ExactDistribution,
     dp_ladder,
     dp_pmf,
-    erf,
     erfc,
     exact_moments,
     kolmogorov_distance,
     mc_sample,
     normal_cdf,
-    normal_density,
 )
 from .spectral import (
     PerronBase,
@@ -61,7 +59,6 @@ from .evaluate import (
     ModDevResult,
     TestFunction,
     averaged,
-    cdf_callable,
     convergence_study,
     edgeworth_cdf,
     exact_distribution,
@@ -104,14 +101,12 @@ __all__ = [
     "build_expansion",
     "build_operator_family",
     "bundled_model",
-    "cdf_callable",
     "convergence_study",
     "diophantine_scan",
     "dp_ladder",
     "dp_pmf",
     "edgeworth_cdf",
     "eigen_perturbation",
-    "erf",
     "erfc",
     "exact_distribution",
     "exact_distributions",
@@ -128,7 +123,6 @@ __all__ = [
     "moddev_ratios",
     "norm_decay_scan",
     "normal_cdf",
-    "normal_density",
     "perron_base",
     "pmf_moments",
     "simpson_integral",

@@ -87,6 +87,18 @@ def _reading(name):
         raise ValidationError(f"invalid {name}: {exc}") from None
 
 
+def _integer(name, value, lo=None, hi=None):
+    """``value`` if it is an int of at least ``lo`` and at most ``hi``
+    (None for no bound), else :class:`ValidationError`.  A bool is an int
+    to Python, and ``int()`` would truncate a float or parse a string, so
+    neither is taken."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (lo is not None and value < lo) or (hi is not None and value > hi)):
+        bound = "" if lo is None else f" of at least {lo}" if hi is None else f" in {lo}..{hi}"
+        raise ValidationError(f"{name} must be an integer{bound}, not {value!r}")
+    return value
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -152,8 +164,8 @@ def build_model(doc):
             raise ValidationError(
                 'ulam model takes no "density"; its initial distribution is uniform'
             )
-        with _reading("model.cells"):
-            cells = int(doc.get("cells", 1024))
+        # ulam_model checks the range
+        cells = _integer("model.cells", doc.get("cells", 1024))
         endpoints = doc.get("endpoints")
         if endpoints is not None:
             with _reading("model.endpoints"):
@@ -171,20 +183,14 @@ def build_model(doc):
 
 def _order_from(run, args):
     r = args.order if args.order is not None else run.get("order", 2)
-    if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= _MAX_ORDER:
-        raise ValidationError(f"order must be an integer in 0..{_MAX_ORDER}")
-    return r
+    return _integer("order", r, 0, _MAX_ORDER)
 
 
 def _n_list_from(run):
     raw = run.get("N_list")
     if not isinstance(raw, list) or not raw:
         raise ValidationError('"N_list" is required and must be a nonempty list')
-    n_list = []
-    for n in raw:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValidationError("N_list entries must be positive integers")
-        n_list.append(n)
+    n_list = [_integer("N_list entry", n, 1) for n in raw]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValidationError("N_list must be strictly increasing")
     return n_list
@@ -192,20 +198,17 @@ def _n_list_from(run):
 
 def _oracle_from(run, args):
     kind = run.get("oracle", "dp")
-    if kind not in ("dp", "enum", "mc"):
+    if kind not in ("dp", "mc"):
         raise ValidationError(f"unknown oracle kind {kind!r}")
     seed = args.seed if args.seed is not None else run.get("seed")
     trials = args.trials if args.trials is not None else run.get("trials", 10 ** 5)
     if kind == "mc" and seed is None:
         raise ValidationError("Monte Carlo runs require a seed")
-    # a bool is an int to Python; int() would take floats and strings
-    for name, value in (("seed", seed), ("trials", trials)):
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            raise ValidationError(f"{name} must be an integer, not {value!r}")
-    if kind == "mc" and seed < 0:
-        raise ValidationError("the Monte Carlo seed must be a nonnegative integer")
-    if kind == "mc" and trials < 1:
-        raise ValidationError("trials must be a positive integer")
+    # an exact oracle leaves both unused, but a malformed one is refused
+    mc = kind == "mc"
+    if seed is not None:
+        seed = _integer("seed", seed, 0 if mc else None)
+    trials = _integer("trials", trials, 1 if mc else None)
     return kind, 0 if seed is None else seed, trials
 
 
@@ -220,7 +223,7 @@ def _function_from(run):
             kind=doc.get("kind", "gaussian-bump"),
             center=float(doc.get("center", 0.0)),
             width=float(doc.get("width", 1.0)),
-            degree=int(doc.get("degree", 0)),
+            degree=_integer("run.function.degree", doc.get("degree", 0), 0),
         )
 
 
@@ -233,7 +236,7 @@ def _t_grid_from(run):
             return np.linspace(
                 float(doc.get("start", 0.5)),
                 float(doc.get("stop", 20.0)),
-                int(doc.get("count", 40)),
+                _integer("run.t_grid.count", doc.get("count", 40), 1),
             )
         return np.asarray([float(t) for t in doc])
 
@@ -319,10 +322,9 @@ def cmd_diagnose(model, model_doc, run, args):
     if not isinstance(model, models.MarkovModel):
         raise ValidationError("diagnose needs a finite-state chain or map model")
     t_grid = _t_grid_from(run)
-    with _reading("run.N"):
-        n_power = int(run.get("N", 2))
-    if n_power < 1 or t_grid.size == 0:
-        raise ValidationError("run.N must be at least 1 and run.t_grid nonempty")
+    n_power = _integer("run.N", run.get("N", 2), 1)
+    if t_grid.size == 0:
+        raise ValidationError("run.t_grid must be nonempty")
     flags = []
     try:
         gap = spectral.perron_base(model.operator_family(2)).gap

@@ -87,11 +87,9 @@ class TestFunction:
             raise ValidationError("center and width must be finite")
         if self.width <= 0:
             raise ValidationError("width must be positive")
-
-    @property
-    def smoothness(self):
-        """Differentiability class; all bundled kinds are C-infinity."""
-        return math.inf
+        # a bool is an int to Python
+        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 0:
+            raise ValidationError(f"degree must be a nonnegative integer, not {self.degree!r}")
 
     def __call__(self, x):
         u = (np.asarray(x, dtype=float) - self.center) / self.width
@@ -186,11 +184,6 @@ def edgeworth_cdf(exp_set, N, z, r=None):
     for p in range(1, r + 1):
         val = val + exp_set.P(p)(z) * N ** (-p / 2.0) * dens
     return val if val.ndim else float(val)
-
-
-def cdf_callable(exp_set, N, r=None):
-    """The CDF approximation wrapped for distance computations."""
-    return oracle.FunctionCdf(lambda z: edgeworth_cdf(exp_set, N, z, r))
 
 
 def lattice_pmf(exp_set, N, k, span=1.0, r=None):
@@ -391,9 +384,8 @@ def _model_key(model):
 def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None):
     """Oracle distribution of S_N, memoized per (model, oracle, N) in ``cache`` if given.
 
-    ``"dp"`` and its alias ``"enum"`` both run the exact dynamic program
-    ``oracle.dp_ladder`` and share cache entries; ``"mc"`` runs the
-    seeded Monte Carlo oracle.
+    ``"dp"`` runs the exact dynamic program ``oracle.dp_ladder``;
+    ``"mc"`` runs the seeded Monte Carlo oracle.
     """
     return exact_distributions(model, [N], oracle_kind, seed, trials, cache)[0]
 
@@ -401,12 +393,12 @@ def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None
 def exact_distributions(model, N_list, oracle_kind, seed=0, trials=10 ** 5, cache=None):
     """``exact_distribution`` at each N of a strictly increasing ``N_list``.
 
-    ``"dp"`` and ``"enum"`` run one sweep of ``oracle.dp_ladder`` over
-    the horizons that ``cache`` does not hold yet; ``"mc"`` draws one
-    sample per horizon.  Each result is stored under the key that
+    ``"dp"`` runs one sweep of ``oracle.dp_ladder`` over the horizons
+    that ``cache`` does not hold yet; ``"mc"`` draws one sample per
+    horizon.  Each result is stored under the key that
     ``exact_distribution`` reads.
     """
-    if oracle_kind not in ("dp", "enum", "mc"):
+    if oracle_kind not in ("dp", "mc"):
         raise ValidationError(f"unknown oracle kind {oracle_kind!r}")
     mc = oracle_kind == "mc"
 
@@ -445,7 +437,7 @@ def _classical_error(exp_set, model, dist, N, r):
     atoms = std.atoms(slice(None, None, n // 20000 + 1 if n > 20000 else 1))
     sigma = params.sigma
     probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
-    return oracle.kolmogorov_distance(std, cdf_callable(exp_set, N, r), probes)
+    return oracle.kolmogorov_distance(std, lambda z: edgeworth_cdf(exp_set, N, z, r), probes)
 
 
 def _lattice_error(exp_set, model, dist, N, r):
@@ -522,7 +514,7 @@ def convergence_study(
     model : model object
         Needed for oracle runs and lattice span.
     oracle_kind : str
-        "dp" (alias "enum") or "mc".
+        "dp" (the exact dynamic program) or "mc" (seeded Monte Carlo).
     r : int
         Order whose error is measured.
     N_list : sequence of int

@@ -3,14 +3,13 @@
 Everything here is deliberately dumb: one exact dynamic program over
 (state, integer coordinates of the accumulated sum), exact jet
 propagation for moments (no eigenvalue machinery), seeded Monte Carlo,
-and sup-distance between CDFs.  Acceptance tests compare the expansion machinery against these
-oracles, so nothing in this module may depend on the spectral or
-expansion modules.
+and the sup-distance of a distribution from a CDF.  Acceptance tests
+compare the expansion machinery against these oracles, so nothing in
+this module may depend on the spectral or expansion modules.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import mmap
@@ -175,13 +174,6 @@ class ExactDistribution:
     def tail(self, z):
         """P(X >= z); accepts arrays of z."""
         return 1.0 - self.cdf_left(z)
-
-    def to_csv(self, fileobj):
-        """Write rows (value, pmf, cdf) in RFC-4180 form."""
-        w = csv.writer(fileobj, lineterminator="\n")
-        w.writerow(["value", "pmf", "cdf"])
-        for v, p, c in zip(self.support, self.pmf, self._cum[1:]):
-            w.writerow([format(v, ".17g"), format(p, ".17g"), format(c, ".17g")])
 
 
 def _is_chain(model):
@@ -863,38 +855,26 @@ def mc_sample(model, N, trials, seed):
     return ExactDistribution("empirical", values, pmf, N, meta)
 
 
-class FunctionCdf:
-    """Adapter giving a smooth, array-capable CDF the two-sided query interface."""
+def kolmogorov_distance(dist, cdf, probes):
+    """Sup distance between a distribution and a continuous CDF over a
+    probe grid.
 
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def cdf(self, z):
-        return self.fn(z)
-
-    cdf_left = cdf
-
-
-def kolmogorov_distance(a, b, probes):
-    """Sup distance between two CDFs over a probe grid.
-
-    Both one-sided limits are compared at every probe, so atoms are
-    measured correctly no matter which side carries them.
+    ``cdf`` is evaluated once and compared with both one-sided limits of
+    ``dist`` at every probe, so the atoms of ``dist`` are measured
+    correctly no matter which side carries them.
 
     Parameters
     ----------
-    a, b : objects with ``cdf`` and ``cdf_left`` methods taking arrays
+    dist : ExactDistribution
+    cdf : callable
+        Continuous CDF taking an array of probes.
     probes : array_like
-        Probe points; should cover both supports and the tails.
+        Probe points; should cover the support and the tails.
     """
     z = np.asarray(probes, dtype=float)
-    fb = b.cdf(z)
-    # a continuous comparator is evaluated once for both one-sided limits
-    fb_left = fb if isinstance(b, FunctionCdf) else b.cdf_left(z)
-    right = np.max(np.abs(a.cdf(z) - fb), initial=0.0)
-    left = np.max(np.abs(a.cdf_left(z) - fb_left), initial=0.0)
+    f = cdf(z)
+    right = np.max(np.abs(dist.cdf(z) - f), initial=0.0)
+    left = np.max(np.abs(dist.cdf_left(z) - f), initial=0.0)
     return float(max(right, left))
 
 
@@ -1003,17 +983,6 @@ def _erfc_positive(y):
     return out
 
 
-def erf(x):
-    """Error function by rational approximation (three regimes), elementwise."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    small = np.abs(xs) <= 0.46875
-    out[small] = _erf_small(xs[small])
-    big = xs[~small]
-    out[~small] = np.copysign(1.0 - _erfc_positive(np.abs(big)), big)
-    return out if np.ndim(x) else float(out[0])
-
-
 def erfc(x):
     """Complementary error function by rational approximation, elementwise."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -1029,10 +998,3 @@ def erfc(x):
 def normal_cdf(z, sigma=1.0):
     """CDF of the centered normal with standard deviation sigma, elementwise."""
     return 0.5 * erfc(-np.asarray(z, dtype=float) / (sigma * math.sqrt(2.0)))
-
-
-def normal_density(z, sigma=1.0):
-    """Density of the centered normal with standard deviation sigma, elementwise."""
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)

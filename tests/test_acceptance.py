@@ -13,8 +13,8 @@ import pytest
 from chains import dense_family
 from edgeworth.evaluate import (
     TestFunction,
-    cdf_callable,
     convergence_study,
+    edgeworth_cdf,
     exact_distribution,
     lclt_estimate,
     moddev_ratio,
@@ -246,7 +246,7 @@ def test_criterion_07_classical_convergence_nonlattice():
     model = bundled_model("diophantine_two_state")
     exp_set = expansion_for_model(model, 1)
     rep = convergence_study(
-        exp_set, model, "enum", 1, [8, 10, 12, 14, 16, 18], form="classical"
+        exp_set, model, "dp", 1, [8, 10, 12, 14, 16, 18], form="classical"
     )
     elapsed = time.monotonic() - t0
     ok = rep.decreasing and elapsed < 120.0
@@ -327,7 +327,7 @@ def test_criterion_12_ulam_monte_carlo():
         atoms = atoms[:: atoms.size // 20000 + 1]
     sigma = params.sigma
     probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
-    ks = kolmogorov_distance(std, cdf_callable(exp_set, N, 1), probes)
+    ks = kolmogorov_distance(std, lambda z: edgeworth_cdf(exp_set, N, z, 1), probes)
     elapsed = time.monotonic() - t0
     ok = ks <= 0.01 and elapsed < 120.0
     assert report(
@@ -345,7 +345,7 @@ def test_criterion_13_classical_convergence_long_ladder():
     model = bundled_model("diophantine_two_state")
     exp_set = expansion_for_model(model, 1)
     rep = convergence_study(
-        exp_set, model, "enum", 1, [64, 128, 256, 512], form="classical"
+        exp_set, model, "dp", 1, [64, 128, 256, 512], form="classical"
     )
     elapsed = time.monotonic() - t0
     ok = rep.decreasing and elapsed < 30.0

@@ -190,7 +190,7 @@ def test_verify_verdict_failure_still_writes_csv(tmp_path, capsys):
 def test_verify_oracle_budget_exhaustion_exits_three(tmp_path, capsys):
     doc = {
         "model": {"bundled": "diophantine_two_state"},
-        "run": {"order": 1, "N_list": [8, 3200], "oracle": "enum"},
+        "run": {"order": 1, "N_list": [8, 3200], "oracle": "dp"},
     }
     cfg = write_config(tmp_path, doc)
     code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
@@ -215,7 +215,7 @@ def test_verify_mc_on_a_power_of_two_branch_map_exits_three(tmp_path, capsys):
     assert '"doubling" map kind' in payload["message"]
 
 
-@pytest.mark.parametrize("oracle", ["dp", "enum", "mc"])
+@pytest.mark.parametrize("oracle", ["dp", "mc"])
 def test_verify_lattice_form_on_nonlattice_model_exits_two(tmp_path, capsys, oracle):
     doc = {
         "model": {"bundled": "diophantine_two_state"},
@@ -322,6 +322,8 @@ def test_invalid_model_documents_exit_two(tmp_path, capsys, doc):
         {"order": 1, "N_list": [32, 16]},
         {"order": 1, "N_list": [16, 32], "oracle": "mc"},
         {"order": 1, "N_list": [16, 32], "oracle": "abacus"},
+        # "enum" was a second name for the "dp" dynamic program
+        {"order": 1, "N_list": [16, 32], "oracle": "enum"},
     ],
 )
 def test_invalid_run_documents_exit_two(tmp_path, capsys, run):
@@ -358,6 +360,40 @@ def test_exact_oracle_refuses_a_non_integer_seed(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+
+
+_WEAK = {"order": 1, "N_list": [16, 32], "form": "weak_global"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("verify", {"run": {"order": 1.0, "N_list": [16, 32]}}, "order"),
+        ("verify", {"run": {"order": True, "N_list": [16, 32]}}, "order"),
+        ("verify", {"run": {"order": 1, "N_list": [16.0, 32]}}, "N_list"),
+        ("verify", {"run": {"order": 1, "N_list": [True, 32]}}, "N_list"),
+        ("diagnose", {"run": {"N": 2.7}}, "N"),
+        ("diagnose", {"run": {"N": True}}, "N"),
+        ("diagnose", {"run": {"t_grid": {"count": 8.0}}}, "count"),
+        ("diagnose", {"run": {"t_grid": {"count": True}}}, "count"),
+        ("expand", {"model": {"type": "ulam", "cells": 16.9}, "run": {}}, "cells"),
+        ("verify", {"run": dict(_WEAK, function={"kind": "hermite-damped", "degree": 2.9})},
+         "degree"),
+        ("verify", {"run": dict(_WEAK, function={"kind": "hermite-damped", "degree": True})},
+         "degree"),
+        ("verify", {"run": dict(_WEAK, function={"kind": "hermite-damped", "degree": -1})},
+         "degree"),
+    ],
+)
+def test_integer_fields_must_be_integers_in_range(tmp_path, capsys, command, doc, field):
+    # int() took the floats and bools and ran with the truncated value;
+    # numpy refused the negative Hermite degree with a traceback
+    cfg = write_config(tmp_path, {"model": {"bundled": "two_state"}, **doc})
+    code, out, err = run_cli(capsys, command, cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert field in payload["message"]
 
 
 def test_importing_the_package_does_not_load_openssl():
@@ -447,7 +483,7 @@ def test_non_finite_observable_exits_two(tmp_path, capsys, bad):
 def test_verify_enum_on_ulam_exits_three(tmp_path, capsys):
     doc = {
         "model": {"bundled": "doubling_ulam"},
-        "run": {"order": 1, "N_list": [4, 8], "oracle": "enum", "form": "classical"},
+        "run": {"order": 1, "N_list": [4, 8], "oracle": "dp", "form": "classical"},
     }
     cfg = write_config(tmp_path, doc)
     code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")

@@ -46,7 +46,7 @@ _FUNCTION = st.fixed_dictionaries(
         "kind": st.sampled_from(["gaussian-bump", "compact-bump", "hermite-damped", "box"]),
         "center": st.floats(-3.0, 3.0),
         "width": st.floats(-1.0, 3.0),
-        "degree": st.integers(0, 4),
+        "degree": st.one_of(st.integers(-3, 4), st.floats(-1.0, 4.0), st.booleans()),
     },
 )
 
@@ -58,7 +58,7 @@ _RUN = st.fixed_dictionaries(
         ),
     },
     optional={
-        "oracle": _field(st.sampled_from(["dp", "enum", "mc", "cf"])),
+        "oracle": _field(st.sampled_from(["dp", "mc", "cf"])),
         "form": _field(
             st.sampled_from(["classical", "lattice", "weak_local", "weak_global", "averaged", "modal"])
         ),

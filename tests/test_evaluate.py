@@ -15,7 +15,6 @@ from edgeworth import evaluate
 from edgeworth.evaluate import (
     TestFunction,
     averaged,
-    cdf_callable,
     convergence_study,
     edgeworth_cdf,
     exact_distribution,
@@ -113,7 +112,10 @@ def test_test_function_validation():
         TestFunction("triangle", 0.0, 1.0)
     with pytest.raises(ValidationError):
         TestFunction("gaussian-bump", 0.0, 0.0)
-    assert TestFunction("gaussian-bump").smoothness == math.inf
+    # numpy's HermiteE.basis refused a negative degree with a ValueError
+    for degree in (-1, 2.0, True, "2"):
+        with pytest.raises(ValidationError):
+            TestFunction("hermite-damped", 0.0, 1.0, degree)
 
 
 # ------------------------------------------------------------- classical CDF
@@ -147,8 +149,7 @@ def test_cdf_correction_shrinks_midpoint_error(two_state, dp_cache):
     mids = (std[:-1] + std[1:]) / 2.0
     errs = {}
     for r in (0, 1):
-        fn = cdf_callable(exp_set, N, r)
-        errs[r] = max(abs(fn.cdf(m) - c) for m, c in zip(mids, cdf_vals))
+        errs[r] = max(abs(edgeworth_cdf(exp_set, N, m, r) - c) for m, c in zip(mids, cdf_vals))
     assert errs[1] * 3.0 < errs[0]
     # frozen magnitudes
     assert abs(errs[0] - 4.616169923e-03) <= 1e-9
@@ -192,13 +193,8 @@ def test_classical_error_standardizes_without_copying_the_support(two_state):
     # the same probe set on the formed image: every 51st atom and the grid
     std = ExactDistribution("empirical", (support - N * A) / math.sqrt(N), dist.pmf, N)
     probes = np.union1d(std.support[::51], np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
-    assert got == oracle.kolmogorov_distance(std, cdf_callable(exp_set, N, 1), probes)
-
-
-def test_cdf_callable_left_limit_equals_value(two_state):
-    model, exp_set = two_state
-    fn = cdf_callable(exp_set, 256)
-    assert fn.cdf(0.4) == fn.cdf_left(0.4)
+    cdf = lambda z: edgeworth_cdf(exp_set, N, z, 1)
+    assert got == oracle.kolmogorov_distance(std, cdf, probes)
 
 
 # ---------------------------------------------------------------- lattice pmf
@@ -478,22 +474,21 @@ def _count_ladders(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["dp", "enum"])
-def test_study_runs_one_sweep_and_fills_the_cache(two_state, monkeypatch, kind):
+def test_study_runs_one_sweep_and_fills_the_cache(two_state, monkeypatch):
     model, exp_set = two_state
     alone = [dp_pmf(model, N) for N in (64, 128, 256)]
     calls = _count_ladders(monkeypatch)
     cache = {}
-    rep = convergence_study(exp_set, model, kind, 1, [64, 128, 256], cache=cache)
+    rep = convergence_study(exp_set, model, "dp", 1, [64, 128, 256], cache=cache)
     assert calls == [[64, 128, 256]]
     # every horizon is stored under the key a single call reads
-    got = [exact_distribution(model, N, kind, cache=cache) for N in (64, 128, 256)]
+    got = [exact_distribution(model, N, "dp", cache=cache) for N in (64, 128, 256)]
     assert calls == [[64, 128, 256]]
     assert len(cache) == 3
     for dist, want in zip(got, alone):
         assert np.array_equal(dist.pmf, want.pmf) and dist.meta == want.meta
     # a study without a cache runs one sweep as well, to the same errors
-    assert convergence_study(exp_set, model, kind, 1, [64, 128, 256]).raw == rep.raw
+    assert convergence_study(exp_set, model, "dp", 1, [64, 128, 256]).raw == rep.raw
     assert calls == [[64, 128, 256]] * 2
 
 
@@ -526,3 +521,21 @@ def test_exact_distribution_cache_reuse(two_state):
     with pytest.raises(OracleUnavailable):
         exact_distribution(bundled_model("iid_moments"), 16, "dp", cache=cache)
     assert len(cache) == size
+
+
+def test_dp_is_the_one_name_of_the_exact_oracle(two_state):
+    # "enum" was a second name for the same dynamic program
+    model, exp_set = two_state
+    with pytest.raises(ValidationError):
+        exact_distribution(model, 16, "enum")
+
+
+def test_package_exposes_no_removed_helpers():
+    import edgeworth
+
+    for name in ("FunctionCdf", "cdf_callable", "erf", "normal_density"):
+        assert not hasattr(edgeworth, name), name
+    assert not hasattr(oracle, "FunctionCdf") and not hasattr(oracle, "erf")
+    assert not hasattr(oracle, "normal_density") and not hasattr(evaluate, "cdf_callable")
+    assert not hasattr(ExactDistribution, "to_csv")
+    assert not hasattr(TestFunction, "smoothness")

@@ -23,7 +23,7 @@ from edgeworth.errors import (
 )
 from edgeworth import oracle
 from edgeworth.jets import jet_mul
-from edgeworth.evaluate import _model_key, exact_distribution
+from edgeworth.evaluate import _model_key, edgeworth_cdf, exact_distribution
 from edgeworth.expansion import expansion_for_model
 from edgeworth.models import (
     MarkovModel,
@@ -35,16 +35,13 @@ from edgeworth.models import (
 )
 from edgeworth.oracle import (
     ExactDistribution,
-    FunctionCdf,
     dp_pmf,
     drift,
-    erf,
     erfc,
     exact_moments,
     kolmogorov_distance,
     mc_sample,
     normal_cdf,
-    normal_density,
 )
 
 
@@ -669,17 +666,6 @@ def test_dp_full_kahan_step_only_for_three_or_more_sources(monkeypatch):
     assert len(calls) == 50 * 3
 
 
-def test_enum_matches_dp_on_lattice():
-    # "enum" is an alias of the one exact DP
-    for name in ("two_state", "three_state_lattice", "bernoulli"):
-        m = bundled_model(name)
-        for N in (1, 12, 64):
-            de = exact_distribution(m, N, "enum")
-            dd = exact_distribution(m, N, "dp")
-            assert np.array_equal(de.support, dd.support)
-            assert np.array_equal(de.pmf, dd.pmf)
-
-
 def test_enum_golden_support_size():
     m = bundled_model("diophantine_two_state")
     N = 10
@@ -692,7 +678,7 @@ def test_enum_golden_support_size():
 def test_enum_cap():
     # two reward counts in 0..N: the table is N (N + 1) + 1 > 10**7 cells wide
     with pytest.raises(TableTooLarge):
-        exact_distribution(bundled_model("diophantine_two_state"), 3200, "enum")
+        exact_distribution(bundled_model("diophantine_two_state"), 3200, "dp")
 
 
 def test_exact_moments_match_dp_centered():
@@ -1297,7 +1283,7 @@ def test_model_key_reads_the_chain_not_its_layout():
 
 def test_kolmogorov_distance_hand_case():
     d = ExactDistribution("lattice", [0.0, 1.0], [0.5, 0.5], 1)
-    flat = FunctionCdf(lambda z: 0.25)
+    flat = lambda z: 0.25
     probes = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
     # at z = 1 the step function jumps from 0.5 to 1.0 around 0.25
     assert abs(kolmogorov_distance(d, flat, probes) - 0.75) <= 1e-15
@@ -1308,27 +1294,25 @@ def test_kolmogorov_distance_continuous_comparator():
     # just left of the second atom the step holds 0.4 while the ramp is
     # already at 1, so the sup is 0.6 and needs the left limit to see it
     d = ExactDistribution("lattice", [0.0, 2.0], [0.4, 0.6], 1)
-    ramp = FunctionCdf(lambda z: np.clip(z / 2.0, 0.0, 1.0))
+    ramp = lambda z: np.clip(z / 2.0, 0.0, 1.0)
     probes = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     assert abs(kolmogorov_distance(d, ramp, probes) - 0.6) <= 1e-15
     # without the atom probe the distance would be underestimated
     assert kolmogorov_distance(d, ramp, np.array([1.0])) <= 0.5
 
 
-def _kolmogorov_distance_loop(a, b, probes):
+def _kolmogorov_distance_loop(dist, cdf, probes):
     # the scalar loop the array version replaced, kept as the reference
     worst = 0.0
     for z in np.asarray(probes, dtype=float):
-        worst = max(
-            worst,
-            abs(a.cdf(z) - b.cdf(z)),
-            abs(a.cdf_left(z) - b.cdf_left(z)),
-        )
+        f = cdf(z)
+        worst = max(worst, abs(dist.cdf(z) - f), abs(dist.cdf_left(z) - f))
     return worst
 
 
 def test_kolmogorov_distance_matches_scalar_loop():
-    # two_state at N = 1024 with the probe grid of the classical ladder
+    # two_state at N = 1024 with the probe grid of the classical ladder,
+    # against the normal CDF and the order-1 expansion as plain callables
     model = bundled_model("two_state")
     N = 1024
     dist = dp_pmf(model, N)
@@ -1338,21 +1322,14 @@ def test_kolmogorov_distance_matches_scalar_loop():
     )
     sigma = math.sqrt(102.0 / 175.0)
     probes = np.union1d(std.support, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
-    normal = FunctionCdf(lambda z: normal_cdf(z, sigma))
-    want = _kolmogorov_distance_loop(std, normal, probes)
-    assert want > 0.0
-    assert kolmogorov_distance(std, normal, probes) == want
-    # a step comparator takes its own left limits
-    other = dp_pmf(model, N - 1)
-    shifted = ExactDistribution(
-        "lattice", (other.support - N * A) / math.sqrt(N), other.pmf, N
-    )
-    assert kolmogorov_distance(std, shifted, probes) == _kolmogorov_distance_loop(
-        std, shifted, probes
-    )
+    exp_set = expansion_for_model(model, 1)
+    for cdf in (lambda z: normal_cdf(z, sigma), lambda z: edgeworth_cdf(exp_set, N, z)):
+        want = _kolmogorov_distance_loop(std, cdf, probes)
+        assert want > 0.0
+        assert kolmogorov_distance(std, cdf, probes) == want
 
 
-def test_erf_erfc_against_mpmath():
+def test_erfc_against_mpmath():
     mpmath.mp.dps = 30
     xs = np.concatenate(
         [
@@ -1361,19 +1338,13 @@ def test_erf_erfc_against_mpmath():
             np.linspace(3.9, 4.1, 41),
         ]
     )
-    want_erf = []
-    want_erfc = []
+    want = []
     for x in xs:
-        te = float(mpmath.erf(mpmath.mpf(float(x))))
         tc = float(mpmath.erfc(mpmath.mpf(float(x))))
-        assert abs(erf(float(x)) - te) <= 1e-15 * max(1e-300, abs(te))
         assert abs(erfc(float(x)) - tc) <= 1e-15 * max(1e-300, abs(tc))
-        want_erf.append(te)
-        want_erfc.append(tc)
+        want.append(tc)
     # the whole array at once, at the same relative bound
-    te = np.array(want_erf)
-    tc = np.array(want_erfc)
-    assert np.all(np.abs(erf(xs) - te) <= 1e-15 * np.maximum(1e-300, np.abs(te)))
+    tc = np.array(want)
     assert np.all(np.abs(erfc(xs) - tc) <= 1e-15 * np.maximum(1e-300, np.abs(tc)))
 
 
@@ -1382,32 +1353,9 @@ def test_erfc_underflow_cutoff():
     assert erfc(-27.0) == 2.0
 
 
-def test_erf_odd_symmetry():
-    for x in (0.1, 0.47, 2.3, 8.0):
-        assert erf(-x) == -erf(x)
-
-
-def test_normal_cdf_density():
+def test_normal_cdf():
     assert normal_cdf(0.0) == 0.5
     assert abs(normal_cdf(1.0) - 0.8413447460685429) <= 1e-15
     sigma = 0.76
     assert normal_cdf(-12 * sigma, sigma) <= 1e-12
     assert normal_cdf(12 * sigma, sigma) >= 1.0 - 1e-12
-    assert abs(normal_density(0.0, 2.0) - 1.0 / (2.0 * math.sqrt(2 * math.pi))) <= 1e-16
-    assert isinstance(normal_density(0.5), float)
-    z = np.array([-3.0, -0.5, 0.0, 1.25, 40.0])
-    dens = normal_density(z, sigma)
-    assert dens.shape == z.shape
-    for zi, di in zip(z, dens):
-        expect = math.exp(-0.5 * (zi / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        assert abs(di - expect) <= 1e-15 * expect
-
-
-def test_to_csv_round_trip(tmp_path):
-    d = ExactDistribution("lattice", [0.0, 1.0], [0.25, 0.75], 1)
-    path = tmp_path / "dist.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        d.to_csv(fh)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "value,pmf,cdf"
-    assert float(lines[1].split(",")[1]) == 0.25

@@ -542,37 +542,46 @@ def _scan_models():
     return out
 
 
-def _dense_norm_decay_scan(model, t_grid, N):
-    # the d x d L_t, its N-th power by matrix_power and power iteration on it
+def _dense_norm_decay_scan(model, t_grid, N, radii=None):
+    # the d x d L_t, its N-th power by matrix_power and power iteration on
+    # it; ``radii``, if given, keeps the radius at each t across calls,
+    # since it does not depend on N
+    radii = {} if radii is None else radii
     out = []
     for t in t_grid:
         Lt = dense_family(model, t)
         power = np.linalg.matrix_power(Lt, N)
-        out.append((float(t), float(np.max(np.abs(power).sum(axis=1))),
-                    _reference_power_radius(Lt, complex)))
+        if t not in radii:
+            radii[t] = _reference_power_radius(Lt, complex)
+        out.append((float(t), float(np.max(np.abs(power).sum(axis=1))), radii[t]))
     return out
 
 
+@pytest.fixture(scope="module")
+def scan_radii():
+    # chain name -> {t: reference radius}, shared by the cases of every N
+    return {}
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 5])
-def test_norm_decay_scan_matches_the_dense_scan(monkeypatch, N):
-    # the dense chains take this arithmetic, the sparse ones (the Ulam,
-    # 16-state and sparse-zeros chains) products on the pattern; then every
-    # chain is scanned again held as a d x d array, and again on its
-    # pattern, whatever its density.  Every other point of the diagnose
-    # default grid, every eighth for the 1024-cell chain, whose dense
-    # powers are 1024 x 1024 products.  Norms are compared on the scale
-    # ||P^N||_inf = 1, the modulus of L_t^N, which bounds the rounding of
-    # either product: where the norm cancels far below it (bernoulli at
-    # t = 9.5, N = 5: 2.0e-6) the two differ by 1.3e-20, 7e-15 of the
-    # norm.  Radii are compared relative to themselves.
+def test_norm_decay_scan_matches_the_dense_scan(monkeypatch, scan_radii, N):
+    # every chain is scanned held as a d x d array, and again on its
+    # pattern, whatever its density; the scan as the path rule picks it
+    # runs unpatched in the tests below, on dense and on sparse chains.
+    # Every other point of the diagnose default grid, every eighth for
+    # the 1024-cell chain, whose dense powers are 1024 x 1024 products.
+    # Norms are compared on the scale ||P^N||_inf = 1, the modulus of
+    # L_t^N, which bounds the rounding of either product: where the norm
+    # cancels far below it (bernoulli at t = 9.5, N = 5: 2.0e-6) the two
+    # differ by 1.3e-20, 7e-15 of the norm.  Radii are compared relative
+    # to themselves.
     grid = np.linspace(0.5, 20.0, 40)
     for name, model in _scan_models():
         t_grid = grid[::8] if model.dim > 100 else grid[::2]
-        want = np.array(_dense_norm_decay_scan(model, t_grid, N))
-        for sparse in (None, False, True):
+        want = np.array(_dense_norm_decay_scan(model, t_grid, N, scan_radii.setdefault(name, {})))
+        for sparse in (False, True):
             with monkeypatch.context() as patch:
-                if sparse is not None:
-                    patch.setattr(spectral, "_sparse_path", lambda nnz, d: sparse)
+                patch.setattr(spectral, "_sparse_path", lambda nnz, d: sparse)
                 got = np.array(norm_decay_scan(model, t_grid, N))
             assert np.array_equal(got[:, 0], t_grid), (name, sparse)
             assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-15), (name, sparse)
