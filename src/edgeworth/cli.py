@@ -32,6 +32,9 @@ from .errors import (
 from .expansion import expansion_for_model
 
 _MAX_ORDER = 8
+# frequencies in a diagnose grid: a larger count or list is refused before
+# any array is formed
+_MAX_T_GRID = 10 ** 4
 # a norm ||L_t^N|| at or above 1 - this, at a frequency with d(t) > 0, is
 # no contraction: it is 1 up to rounding when every target is reached by
 # one path, and no contraction constant can be fitted to it
@@ -236,8 +239,11 @@ def _t_grid_from(run):
             return np.linspace(
                 float(doc.get("start", 0.5)),
                 float(doc.get("stop", 20.0)),
-                _integer("run.t_grid.count", doc.get("count", 40), 1),
+                _integer("run.t_grid.count", doc.get("count", 40), 1, _MAX_T_GRID),
             )
+        if len(doc) > _MAX_T_GRID:
+            raise ValidationError(
+                f"run.t_grid must list at most {_MAX_T_GRID} frequencies, not {len(doc)}")
         return np.asarray([float(t) for t in doc])
 
 

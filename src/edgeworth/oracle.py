@@ -196,33 +196,23 @@ def _kahan_add(acc, comp, term, scratch):
     temporaries.
     """
     term -= comp  # y
-    np.add(acc, term, out=scratch)  # t = acc + y
-    np.subtract(scratch, acc, out=comp)
+    np.add(acc, term, scratch)  # t = acc + y
+    np.subtract(scratch, acc, comp)
     comp -= term  # (t - acc) - y
     acc[...] = scratch
 
 
-def _clear(row, lo, hi):
-    """Zero ``row[lo:hi]``, a single cell by index, which costs a sixth of
-    a slice assignment."""
-    if hi - lo == 1:
-        row[lo] = 0.0
-    elif hi > lo:
-        row[lo:hi] = 0.0
-
-
 def _dead_cells(band, slab):
     """Number of leading cells of ``band`` (states x cells) that every
-    state holds below ``_TINY``.
+    state holds below ``_TINY``, for a band whose first cell is so held.
 
-    Most dead runs are one cell long, so the first two cells are tested
+    Most dead runs are one cell long, so the second cell is tested
     singly; slabs of cells, from ``slab`` wide and doubling, are scanned
-    only past them.
+    only past it.
     """
     width = band.shape[1]
-    for n in range(min(2, width)):
-        if max(band[:, n].tolist()) >= _TINY:
-            return n
+    if width == 1 or max(band[:, 1].tolist()) >= _TINY:
+        return 1
     n = 2
     while n < width:
         top = band[:, n:n + slab].max(axis=0)
@@ -238,7 +228,8 @@ def _dp_targets(new_rows, mass_rows, sources, win_lo, win_hi, t_lo, t_hi,
                 comp, term_buf, scratch_buf):
     """One step of the DP: every target row of ``new_rows`` on the band
     [t_lo, t_hi) from ``mass_rows``, whose active window is [win_lo,
-    win_hi).  ``sources[k]`` lists the (j, P[j, k], offset) of target k.
+    win_hi).  ``sources[k]`` lists the (j, P[j, k], offset) of target k,
+    the probability a 0-d array.
 
     Each target k takes its sources j in index order, so every cell gets
     its compensated adds in the same order as a sweep over j then k.
@@ -249,30 +240,41 @@ def _dp_targets(new_rows, mass_rows, sources, win_lo, win_hi, t_lo, t_hi,
     So only the middle sources take the full Kahan step.
     """
     for row, src in zip(new_rows, sources):
-        last = len(src) - 1
-        if last < 0:
+        if not src:
             row[t_lo:t_hi] = 0.0
+            continue
+        j, p, o = src[0]
+        a = win_lo + o if win_lo + o > t_lo else t_lo
+        b = win_hi + o if win_hi + o < t_hi else t_hi
+        np.multiply(p, mass_rows[j][a - o:b - o], row[a:b])
+        if a - t_lo == 1:  # one cell by index costs a sixth of a slice
+            row[t_lo] = 0.0
+        elif a > t_lo:
+            row[t_lo:a] = 0.0
+        if t_hi - b == 1:
+            row[b] = 0.0
+        elif t_hi > b:
+            row[b:t_hi] = 0.0
+        last = len(src) - 1
+        if not last:
             continue
         if last > 1:
             comp[t_lo:t_hi] = 0.0
-        for i, (j, p, o) in enumerate(src):
-            a = win_lo + o if win_lo + o > t_lo else t_lo
-            b = win_hi + o if win_hi + o < t_hi else t_hi
-            x = mass_rows[j][a - o:b - o]
-            if i == 0:
-                np.multiply(p, x, out=row[a:b])
-                _clear(row, t_lo, a)
-                _clear(row, b, t_hi)
-                continue
-            term = term_buf[:b - a]
-            np.multiply(p, x, out=term)
-            if i < last:
+            for j, p, o in src[1:last]:
+                a = win_lo + o if win_lo + o > t_lo else t_lo
+                b = win_hi + o if win_hi + o < t_hi else t_hi
+                term = term_buf[:b - a]
+                np.multiply(p, mass_rows[j][a - o:b - o], term)
                 _kahan_add(row[a:b], comp[a:b], term, scratch_buf[:b - a])
-                continue
-            if last > 1:
-                np.subtract(term, comp[a:b], out=term)
-            acc = row[a:b]
-            np.add(acc, term, out=acc)
+        j, p, o = src[last]
+        a = win_lo + o if win_lo + o > t_lo else t_lo
+        b = win_hi + o if win_hi + o < t_hi else t_hi
+        term = term_buf[:b - a]
+        np.multiply(p, mass_rows[j][a - o:b - o], term)
+        if last > 1:
+            np.subtract(term, comp[a:b], term)
+        acc = row[a:b]
+        np.add(acc, term, acc)
 
 
 def _tally(reach, lo, hi, base):
@@ -299,19 +301,24 @@ def _compact(flushed):
 
 def _flush_ends(mass, t_lo, t_hi, slab, flushed):
     """Zero the cells at either end of the band ``mass[:, t_lo:t_hi]``
-    that every state holds below ``_TINY``, append their values to
-    ``flushed``, and return the live band that is left."""
-    band = mass[:, t_lo:t_hi]
-    a = _dead_cells(band, slab)
-    b = _dead_cells(band[:, a:][:, ::-1], slab)
-    if a or b:
-        for dead in (band[:, :a], band[:, band.shape[1] - b:]):
-            if dead.size:
-                flushed.append(dead.flatten())
-                if len(flushed) > 256:
-                    _compact(flushed)
-                dead[...] = 0.0
-    return t_lo + a, t_hi - b
+    that every state holds below ``_TINY``, append copies of their values
+    to ``flushed``, and return the live band that is left.
+
+    Each end cell is probed once; the dead run is measured only past a
+    dead end cell."""
+    lo, hi = t_lo, t_hi
+    if max(mass[:, lo].tolist()) < _TINY:
+        lo += _dead_cells(mass[:, lo:hi], slab)
+    if lo < hi and max(mass[:, hi - 1].tolist()) < _TINY:
+        hi -= _dead_cells(mass[:, lo:hi][:, ::-1], slab)
+    for a, b in ((t_lo, lo), (hi, t_hi)):
+        if a < b:
+            dead = mass[:, a:b]
+            flushed.append(dead.flatten())  # a copy, also of a 1-state row
+            dead[...] = 0.0
+            if len(flushed) > 256:
+                _compact(flushed)
+    return lo, hi
 
 
 def dp_pmf(model, N):
@@ -439,11 +446,12 @@ def dp_ladder(model, N_list):
 
     # Every buffer is allocated once; comp and its scratch row exist only
     # if some target has three or more sources.  The entries are
-    # row-major, so each target collects its sources in index order, each
-    # probability as a numpy scalar.
+    # row-major, so each target collects its sources in index order.  Each
+    # probability is a 0-d array: numpy multiplies by one faster than by a
+    # Python float or a numpy scalar, with the same product.
     sources = [[] for _ in range(d)]
     for j, k, pjk, o in zip(rows.tolist(), cols.tolist(), p, off.tolist()):
-        sources[k].append((j, pjk, o))
+        sources[k].append((j, np.array(pjk), o))
     mass, new = np.zeros((d, width)), np.zeros((d, width))
     mass_rows, new_rows = list(mass), list(new)
     comp = scratch_buf = None

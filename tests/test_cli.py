@@ -455,6 +455,10 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
         ),
         ("expand", {"model": {"type": "ulam", "cells": "many"}, "run": {}}),
         ("expand", {"model": {"type": "iid", "pmf": [[0.0, 0.5, 1.0]]}, "run": {}}),
+        # refused before np.linspace asks for 8 GB, or a listed grid is read
+        ("diagnose", {"model": {"bundled": "two_state"}, "run": {"t_grid": {"count": 10 ** 9}}}),
+        ("diagnose", {"model": {"bundled": "two_state"},
+                      "run": {"t_grid": [1.0] * (cli._MAX_T_GRID + 1)}}),
     ],
 )
 def test_non_numeric_config_values_exit_two(tmp_path, capsys, command, doc):

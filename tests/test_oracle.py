@@ -1,5 +1,6 @@
 """Ground-truth oracles: the exact dynamic program, moments, Monte Carlo."""
 
+import hashlib
 import itertools
 import math
 import multiprocessing
@@ -664,6 +665,81 @@ def test_dp_full_kahan_step_only_for_three_or_more_sources(monkeypatch):
     assert not calls
     dp_pmf(bundled_model("three_state_lattice"), 50)
     assert len(calls) == 50 * 3
+
+
+def test_dp_ladder_of_the_lattice_verify_benchmark_is_pinned():
+    # the fresh-buffer reference is too slow at these horizons, so the
+    # benchmarked ladder is pinned bit for bit: each law's digest is the
+    # first 16 hex digits of sha256(support bytes + pmf bytes)
+    got = oracle.dp_ladder(bundled_model("two_state"), [1024, 4096, 16384])
+    want = [
+        ((1025, 1025, 0.0, 1049600), "bc81574eb9fe9fb1"),
+        ((4097, 3328, 1.6292721633054083e-305, 15435866), "faf6f4d030dc4841"),
+        ((16385, 7161, 2.0838611496174202e-304, 150084562), "e8740ecf0465a9d3"),
+    ]
+    for dist, ((table, live, flushed, swept), digest) in zip(got, want, strict=True):
+        assert dist.meta == {"table_width": table, "live_width": live,
+                             "flushed_mass": flushed, "swept_cells": swept}
+        assert hashlib.sha256(dist.support.tobytes() + dist.pmf.tobytes()).hexdigest()[:16] == digest
+
+
+_TINY = np.finfo(float).tiny
+# values below 2**-1022: sub-normals, the largest of them and exact 0
+_DEAD_VALUES = [5e-324, _TINY / 3, np.nextafter(_TINY, 0.0), 0.0]
+
+
+def _flush_table(d, dead_lo, live, dead_hi, seed):
+    # a table of d states whose band [2, 2 + width) holds dead runs of
+    # dead_lo and dead_hi cells around ``live`` cells; the end cells of
+    # the live run hold 2**-1022 or more in one state, its inner cells in
+    # some state or none.  The cells outside the band hold 1.0, which no
+    # scan may read or zero.
+    rng = np.random.default_rng(seed)
+    width = dead_lo + live + dead_hi
+    mass = np.ones((d, width + 4))
+    band = mass[:, 2:2 + width]
+    band[...] = rng.choice(_DEAD_VALUES, size=band.shape)
+    band[0] = rng.choice(_DEAD_VALUES[:-1], size=width)  # no run is all zeros
+    for i in range(dead_lo, dead_lo + live):
+        if i in (dead_lo, dead_lo + live - 1) or rng.random() < 0.5:
+            band[rng.integers(d), i] = rng.choice([_TINY, 0.25])
+    return mass, 2, 2 + width
+
+
+def _check_flush(mass, t_lo, t_hi, slab):
+    before = mass.copy()
+    flushed = []
+    lo, hi = oracle._flush_ends(mass, t_lo, t_hi, slab, flushed)
+    live = np.flatnonzero((before[:, t_lo:t_hi] >= _TINY).any(axis=0))
+    want_lo, want_hi = (t_lo + live[0], t_lo + live[-1] + 1) if live.size else (t_hi, t_hi)
+    assert (lo, hi) == (want_lo, want_hi)
+    want = before.copy()
+    want[:, t_lo:lo] = 0.0
+    want[:, hi:t_hi] = 0.0
+    assert np.array_equal(mass, want)
+    gone = np.concatenate([before[:, t_lo:lo].ravel(), before[:, hi:t_hi].ravel()])
+    got = np.concatenate(flushed) if flushed else np.zeros(0)
+    assert np.array_equal(np.sort(got), np.sort(gone))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("dead_lo", [0, 1, 2, 3, 9])
+@pytest.mark.parametrize("dead_hi", [0, 1, 2, 3, 9])
+@pytest.mark.parametrize("slab", [1, 3])
+def test_flush_ends_matches_the_live_cells_of_the_band(d, dead_lo, dead_hi, slab):
+    # runs of 9 cells are longer than either slab, so the doubling scan
+    # crosses slabs; with one state a slice of the table is contiguous,
+    # so the recorded values must be copies, not views of zeroed cells
+    for live in (1, 2, 5):
+        seed = 100 * d + 10 * dead_lo + dead_hi + live
+        _check_flush(*_flush_table(d, dead_lo, live, dead_hi, seed), slab)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("width", [1, 2, 5, 12])
+def test_flush_ends_of_an_all_dead_band_leaves_it_empty(d, width):
+    mass, t_lo, t_hi = _flush_table(d, width, 0, 0, seed=width)
+    _check_flush(mass, t_lo, t_hi, slab=2)
 
 
 def test_enum_golden_support_size():
