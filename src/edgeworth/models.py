@@ -335,7 +335,10 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
         "doubling" for x -> 2x mod 1, or "piecewise-linear" with
         ``endpoints`` giving full branches over [0, 1].
     g : callable
-        Observable on [0, 1]; must accept numpy arrays.
+        Observable on [0, 1]; must accept numpy arrays and act on them
+        elementwise: its value at a point may not depend on the order or
+        the length of the array the point comes in.  The Monte Carlo
+        oracle evaluates it on tiles of trials, reordered by leading bits.
     cells : int
         Number of cells, from 16 to ``MAX_ULAM_CELLS``.
     endpoints : sequence, optional

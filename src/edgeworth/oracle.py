@@ -18,7 +18,13 @@ import os
 
 import numpy as np
 
-from .errors import InsufficientMoments, OracleUnavailable, TableTooLarge, ValidationError
+from .errors import (
+    InsufficientMoments,
+    OracleInfeasible,
+    OracleUnavailable,
+    TableTooLarge,
+    ValidationError,
+)
 from .jets import jet_exp, jet_mul
 
 _DP_CELL_CAP = 10 ** 7
@@ -676,6 +682,10 @@ _DOUBLING_BLOCK = 16
 # trials per tile: g's temporaries of 32 KiB stay below glibc's 128 KiB
 # mmap threshold whatever earlier frees did to it
 _DOUBLING_TILE = 4096
+# steps per ordering of a tile, a divisor of _DOUBLING_BLOCK, and the
+# leading bits of k it sorts on (a uint16 key, which numpy radix-sorts)
+_DOUBLING_REGROUP = 8
+_DOUBLING_KEY_BITS = 10
 
 
 def _simulate_doubling(g, N, trials, rng):
@@ -685,13 +695,18 @@ def _simulate_doubling(g, N, trials, rng):
     # half of the PCG64 output, low half first: the stream that one
     # integers(0, 2) call per step gives, drawn here a block at a time.
     # Each block runs tile by tile over the trials, all its steps per
-    # tile; every trial gets the same operations in the same order as in
-    # a step-by-step sweep over all trials.
+    # tile.  Every _DOUBLING_REGROUP steps a tile's trials are ordered by
+    # the leading bits of k, and g sees x and adds to the running sums in
+    # that order: libm's cos and sin branch on the range of their
+    # argument, and on grouped arguments those branches predict.  Every
+    # trial gets the same operations in the same order as in a
+    # step-by-step sweep over all trials, since g acts elementwise.
     k = rng.integers(0, 1 << _DOUBLING_BITS, size=trials, dtype=np.uint64)
     scale = 0.5 ** _DOUBLING_BITS
     sums = np.zeros(trials)
-    x = np.empty(min(trials, _DOUBLING_TILE))
-    fresh = np.empty(x.size, dtype=np.uint64)
+    width = min(trials, _DOUBLING_TILE)
+    x, xo, so = np.empty(width), np.empty(width), np.empty(width)
+    fresh = np.empty(width, dtype=np.uint64)
     one = np.uint64(1)
     for first in range(0, N, _DOUBLING_BLOCK):
         steps = min(_DOUBLING_BLOCK, N - first)
@@ -699,14 +714,22 @@ def _simulate_doubling(g, N, trials, rng):
         halves = raw.astype("<u8", copy=False).view("<u4")
         for lo in range(0, trials, _DOUBLING_TILE):
             hi = min(lo + _DOUBLING_TILE, trials)
-            kt, st, xt, ft = k[lo:hi], sums[lo:hi], x[:hi - lo], fresh[:hi - lo]
-            for s in range(steps):
-                np.multiply(kt, scale, out=xt)
-                st += g(xt)
-                np.right_shift(halves[s * trials + lo:s * trials + hi], 31, out=ft)
-                np.left_shift(kt, one, out=kt)
-                np.bitwise_and(kt, _DOUBLING_MASK, out=kt)
-                np.bitwise_or(kt, ft, out=kt)
+            n = hi - lo
+            kt, st, ft = k[lo:hi], sums[lo:hi], fresh[:n]
+            xt, xot, sot = x[:n], xo[:n], so[:n]
+            for group in range(0, steps, _DOUBLING_REGROUP):
+                np.right_shift(kt, _DOUBLING_BITS - _DOUBLING_KEY_BITS, out=ft)
+                order = np.argsort(ft.astype(np.uint16), kind="stable")
+                np.take(st, order, out=sot, mode="clip")
+                for s in range(group, min(group + _DOUBLING_REGROUP, steps)):
+                    np.multiply(kt, scale, out=xt)
+                    np.take(xt, order, out=xot, mode="clip")
+                    sot += g(xot)
+                    np.right_shift(halves[s * trials + lo:s * trials + hi], 31, out=ft)
+                    np.left_shift(kt, one, out=kt)
+                    np.bitwise_and(kt, _DOUBLING_MASK, out=kt)
+                    np.bitwise_or(kt, ft, out=kt)
+                st[order] = sot
     return sums
 
 
@@ -725,6 +748,8 @@ def _simulate_map(model, N, trials, rng):
 
 
 _MC_CHUNK = 1 << 17
+# trials per sample: about 2.5 GB at the tally's peak of 25 bytes per trial
+_MC_TRIAL_BUDGET = 10 ** 8
 
 # the chunk job of a forked Monte Carlo worker; set only in the worker
 _worker_chunk = None
@@ -793,7 +818,10 @@ def mc_sample(model, N, trials, seed):
     For chains the states are simulated directly.  For map models the
     map itself is iterated: the doubling map via exact bit-shift
     dynamics (float iteration collapses after 52 steps), other
-    piecewise-linear maps in float (diagnostic quality).  A
+    piecewise-linear maps in float (diagnostic quality).  The observable
+    must act elementwise: the doubling map hands it tiles of 4096 trials
+    in the order of their leading bits, which keeps libm's ``cos`` and
+    ``sin`` branches predictable.  A
     piecewise-linear map whose branch widths are all powers of two is
     refused with :class:`OracleUnavailable`: each float step of it is
     exact and drops mantissa bits, so the orbits collapse onto the fixed
@@ -807,10 +835,17 @@ def mc_sample(model, N, trials, seed):
     the masses.  The counts are taken with the sample's buffer as
     scratch, and the sample is freed before the distribution is built.
     So a sample of distinct values peaks near 25 bytes per trial, and
-    one with few values near 9.
+    one with few values near 9.  More than 10**8 trials (about 2.5 GB)
+    are refused with :class:`OracleInfeasible` before anything is
+    allocated.
     """
     if trials < 1:
         raise ValidationError("at least one trial required")
+    if trials > _MC_TRIAL_BUDGET:
+        raise OracleInfeasible(
+            f"{trials} Monte Carlo trials exceed the budget of {_MC_TRIAL_BUDGET} "
+            "(about 25 bytes per trial)"
+        )
     if N < 1:
         raise ValidationError("N must be at least 1")
     is_map = getattr(model, "map_kind", None) is not None

@@ -198,6 +198,25 @@ def test_verify_oracle_budget_exhaustion_exits_three(tmp_path, capsys):
     assert json.loads(err)["error"] == "TableTooLarge"
 
 
+def test_verify_mc_beyond_the_trial_budget_exits_three(tmp_path, capsys, monkeypatch):
+    # refused before the sample is allocated: 10**10 trials are about 250 GB
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the sample was allocated")
+
+    monkeypatch.setattr(oracle.mmap, "mmap", no_sample)
+    doc = {
+        "model": {"bundled": "doubling_ulam"},
+        "run": {"order": 1, "N_list": [16, 32], "oracle": "mc",
+                "seed": 1, "trials": 10 ** 10},
+    }
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "OracleInfeasible"
+    assert "budget" in payload["message"]
+
+
 def test_verify_mc_on_a_power_of_two_branch_map_exits_three(tmp_path, capsys):
     # float orbits of the x4 map collapse onto 0; the oracle refuses, where
     # its sample would have failed the verdict

@@ -18,6 +18,7 @@ from chains import dense_chain
 from memory import traced_peak
 from edgeworth.errors import (
     InsufficientMoments,
+    OracleInfeasible,
     OracleUnavailable,
     TableTooLarge,
     ValidationError,
@@ -943,6 +944,23 @@ def test_mc_refuses_a_map_with_power_of_two_branch_widths(endpoints):
         mc_sample(model, 8, 100, 1)
 
 
+def test_mc_refuses_trials_beyond_its_budget_before_allocating(monkeypatch):
+    # 10**10 trials would need about 250 GB; the refusal comes first
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the sample was allocated")
+
+    monkeypatch.setattr(oracle.mmap, "mmap", no_sample)
+    with pytest.raises(OracleInfeasible, match="budget of 100000000"):
+        mc_sample(bundled_model("doubling_ulam"), 512, 10 ** 10, 1)
+
+
+def test_mc_trial_budget_admits_its_own_size(monkeypatch):
+    monkeypatch.setattr(oracle, "_MC_TRIAL_BUDGET", 1000)
+    assert mc_sample(bundled_model("two_state"), 4, 1000, 1).pmf.size <= 5
+    with pytest.raises(OracleInfeasible):
+        mc_sample(bundled_model("two_state"), 4, 1001, 1)
+
+
 def test_mc_doubling_deterministic():
     m = bundled_model("doubling_ulam")
     a = mc_sample(m, 8, 4000, 11)
@@ -979,7 +997,10 @@ def test_doubling_block_bits_match_per_step_draws(trials):
         got = oracle._simulate_doubling(recorder("block"), N, trials, rng)
         rng = np.random.default_rng([5, N])
         want = _simulate_doubling_per_step(recorder("step"), N, trials, rng)
-        assert np.array_equal(np.array(seen["block"]), np.array(seen["step"]))
+        # g sees each step's arguments in leading-bit order, not trial order
+        assert len(seen["block"]) == len(seen["step"]) == N
+        for a, b in zip(seen["block"], seen["step"]):
+            assert np.array_equal(np.sort(a), np.sort(b))
         assert np.array_equal(got, want)
 
 
@@ -1001,14 +1022,39 @@ def _simulate_doubling_step_major(g, N, trials, rng):
     return sums
 
 
-@pytest.mark.parametrize("N", [1, 17, 77])
+# libm's branching cos and sin, and two branch-free polynomials
+_OBSERVABLES = (
+    lambda x: np.cos(2.0 * np.pi * x),
+    lambda x: np.sin(2.0 * np.pi * x),
+    lambda x: x,
+    lambda x: x * x - 0.3,
+)
+
+
+@pytest.mark.parametrize("N", [1, 7, 8, 9, 16, 17, 77])
 def test_doubling_tiles_match_step_major_sweep(N):
-    # 2.2 tiles of trials, and blocks of the odd N that end mid-draw
-    trials = 2 * oracle._DOUBLING_TILE + 1001
-    g = lambda x: np.cos(2.0 * np.pi * x)
-    got = oracle._simulate_doubling(g, N, trials, np.random.default_rng([9, N]))
-    want = _simulate_doubling_step_major(g, N, trials, np.random.default_rng([9, N]))
-    assert np.array_equal(got, want)
+    # N on both sides of a regrouping (8 steps) and of a block (16 steps),
+    # blocks of odd N that end mid-draw; one trial, a tile and one more,
+    # and 2.2 tiles of trials
+    for trials in (1, oracle._DOUBLING_TILE + 1, 2 * oracle._DOUBLING_TILE + 1001):
+        for g in _OBSERVABLES:
+            got = oracle._simulate_doubling(g, N, trials, np.random.default_rng([9, N]))
+            want = _simulate_doubling_step_major(g, N, trials, np.random.default_rng([9, N]))
+            assert np.array_equal(got, want)
+
+
+def test_doubling_observable_sees_a_tile_in_leading_bit_order():
+    # each regrouping sorts the tile on the top 10 bits of k, so the first
+    # step after it hands g its arguments with floor(1024 x) nondecreasing
+    seen = []
+
+    def g(x):
+        seen.append(x.copy())
+        return np.cos(2.0 * np.pi * x)
+
+    oracle._simulate_doubling(g, 17, oracle._DOUBLING_TILE, np.random.default_rng(3))
+    for s in (0, 8, 16):
+        assert np.all(np.diff(np.floor(seen[s] * 1024)) >= 0)
 
 
 def test_doubling_tiles_keep_the_observable_temporaries_small():
