@@ -46,7 +46,7 @@ def main():
     print(f"Monte Carlo: {trials} orbits of length {N}")
     dist = exact_distribution(model, N, "mc", seed=7, trials=trials)
     std = dist.affine(N * params.A, math.sqrt(N))
-    n = std.pmf.size  # probe every (n // 20000 + 1)-th atom, formed alone
+    n = std.size  # probe every (n // 20000 + 1)-th atom, formed alone
     atoms = std.atoms(slice(None, None, n // 20000 + 1 if n > 20000 else 1))
     sigma = params.sigma
     probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))

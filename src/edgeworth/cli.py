@@ -255,8 +255,15 @@ def _artifact_path(out_dir, command, model_doc, stamp, ext):
     return os.path.join(out_dir, f"{command}-{digest}-{stamp}.{ext}")
 
 
+def _open_artifact(path):
+    # the directory is made with the first artifact, so a run refused
+    # before it writes leaves no directory behind
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_artifact(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -266,7 +273,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_artifact(path) as fh:
         fh.write(_json_dumps(obj) + "\n")
 
 
@@ -500,7 +507,6 @@ def main(argv=None):
             warnings.simplefilter("ignore")
             model_doc, run = _load_config(args.config)
             model = build_model(model_doc)
-            os.makedirs(args.out, exist_ok=True)
             return _COMMANDS[args.command](model, model_doc, run, args)
     except VerdictFailure as exc:
         _emit_error("VerdictFailure", exc)

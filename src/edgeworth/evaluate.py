@@ -433,7 +433,7 @@ def _classical_error(exp_set, model, dist, N, r):
     """
     params = exp_set.params
     std = dist.affine(N * params.A, math.sqrt(N))
-    n = std.pmf.size
+    n = std.size
     atoms = std.atoms(slice(None, None, n // 20000 + 1 if n > 20000 else 1))
     sigma = params.sigma
     probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))

@@ -62,34 +62,94 @@ class ExactDistribution:
         Provenance and precision, never written to an artifact: for
         Monte Carlo the PRNG identifier, seed, chunk size and 99 % DKW
         band; for the DP the table width, live width and flushed mass.
+
+    A Monte Carlo law (``mc_sample``) is held as its sorted sample
+    instead: its cumulative at an atom is the count of trials up to it
+    over the trial count, rounded once, and ``pmf`` is formed, count /
+    trials, only when read.
     """
 
     # _base holds the atoms; an image under ``affine`` holds its preimages
-    # there and the map (shift, scale) in _map, None for no map
-    __slots__ = ("kind", "pmf", "N", "meta", "_cum", "_base", "_map")
+    # there and the map (shift, scale) in _map, None for no map.  A law
+    # built from a pmf holds it in _pmf, its cumulative sums in _cum and
+    # None in _trials.  A sample holds None in _pmf, its trial count in
+    # _trials and in _cum, int64, the count of trials below each atom and
+    # then the trial count; or None, when it has no ties and the count
+    # below atom i is i
+    __slots__ = ("kind", "N", "meta", "_pmf", "_cum", "_trials", "_base", "_map")
 
     def __init__(self, kind, support, pmf, N, meta=None):
         self.kind = kind
         self._base = support = np.asarray(support, dtype=float)
         self._map = None
-        self.pmf = np.asarray(pmf, dtype=float)
+        self._pmf = pmf = np.asarray(pmf, dtype=float)
+        self._trials = None
         self.N = int(N)
         self.meta = dict(meta or {})
-        if support.ndim != 1 or support.shape != self.pmf.shape:
+        if support.ndim != 1 or support.shape != pmf.shape:
             raise ValidationError("support and pmf must be matching 1-d arrays")
         if not np.isfinite(support).all():
             raise ValidationError("support must be finite")
         if (support[1:] <= support[:-1]).any():
             raise ValidationError("support must be strictly increasing")
-        if not np.isfinite(self.pmf).all() or (self.pmf < 0.0).any():
+        if not np.isfinite(pmf).all() or (pmf < 0.0).any():
             raise ValidationError("pmf must hold finite, nonnegative masses")
-        total = _fsum(self.pmf)
+        total = _fsum(pmf)
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(f"pmf sums to {total!r}, off by {abs(total - 1.0):.3e}")
         # _cum[i] = P(X <= support[i - 1]), with _cum[0] = 0
-        self._cum = np.empty(self.pmf.size + 1)
+        self._cum = np.empty(pmf.size + 1)
         self._cum[0] = 0.0
-        np.cumsum(self.pmf, out=self._cum[1:])
+        np.cumsum(pmf, out=self._cum[1:])
+
+    @classmethod
+    def _of_sorted_sample(cls, sample, N, meta):
+        """The empirical law of ``sample``, a nonempty sorted float array.
+
+        A sample without ties becomes the support itself, not a copy.
+        One with ties copies its distinct values and keeps the count of
+        trials below each, and the trial count.  Beside the sample this
+        holds a 1-byte mask per trial and, with ties, two arrays of the
+        atom count.  NaN sorts last, so the two end values decide whether
+        every value is finite.
+        """
+        if not np.isfinite(sample[[0, -1]]).all():
+            raise ValidationError("support must be finite")
+        law = object.__new__(cls)
+        law.kind, law.N, law.meta, law._map = "empirical", int(N), dict(meta), None
+        law._pmf, law._cum, law._trials = None, None, sample.size
+        # True where a run of equal values starts, and once past the end
+        start = np.empty(sample.size + 1, dtype=bool)
+        start[0] = start[-1] = True
+        np.not_equal(sample[1:], sample[:-1], out=start[1:-1])
+        if start.all():
+            law._base = sample
+        else:
+            law._base = sample[start[:-1]]
+            law._cum = np.flatnonzero(start)
+        return law
+
+    def _cumulative(self, count):
+        """The probability of the first ``count`` atoms, ``count`` an index array."""
+        if self._trials is None:
+            out = self._cum[count]
+        else:
+            out = (count if self._cum is None else self._cum[count]) / self._trials
+        return out if np.ndim(out) else float(out)
+
+    @property
+    def pmf(self):
+        """The masses; a sample forms them, count / trials, when read."""
+        if self._trials is None:
+            return self._pmf
+        if self._cum is None:
+            return np.full(self._base.size, 1.0 / self._trials)
+        return np.diff(self._cum) / self._trials
+
+    @property
+    def size(self):
+        """The number of atoms, read without forming ``support`` or ``pmf``."""
+        return self._base.size
 
     @property
     def support(self):
@@ -109,7 +169,7 @@ class ExactDistribution:
         """The law of (X - shift) / scale, for finite shift and finite scale > 0.
 
         No array is copied: the image keeps this distribution's atoms as
-        its preimages, with ``pmf``, the cumulative sums and the map.  Its
+        its preimages, with its masses or counts and the map.  Its
         ``support`` is formed only when read, and ``atoms(index)`` maps
         only the atoms it reads.  Division rounds monotonically, so the
         image's support never decreases, but atoms closer than an ulp of
@@ -131,7 +191,8 @@ class ExactDistribution:
             raise ValidationError("scale must be finite and positive")
         image = object.__new__(ExactDistribution)
         image.kind, image.N, image.meta = self.kind, self.N, dict(self.meta)
-        image._base, image.pmf, image._cum = self.support, self.pmf, self._cum
+        image._base, image._pmf, image._cum = self.support, self._pmf, self._cum
+        image._trials = self._trials
         image._map = (float(shift), float(scale))
         # the map is monotone, so the end atoms bound every image atom
         if not np.isfinite(image.atoms([0, -1])).all():
@@ -162,13 +223,11 @@ class ExactDistribution:
 
     def cdf(self, z):
         """P(X <= z); accepts arrays of z."""
-        out = self._cum[self._count(z, "right")]
-        return out if np.ndim(out) else float(out)
+        return self._cumulative(self._count(z, "right"))
 
     def cdf_left(self, z):
         """P(X < z); accepts arrays of z."""
-        out = self._cum[self._count(z, "left")]
-        return out if np.ndim(out) else float(out)
+        return self._cumulative(self._count(z, "left"))
 
     def mean(self):
         return _fsum(self.support * self.pmf)
@@ -748,7 +807,8 @@ def _simulate_map(model, N, trials, rng):
 
 
 _MC_CHUNK = 1 << 17
-# trials per sample: about 2.5 GB at the tally's peak of 25 bytes per trial
+# trials per sample: 0.9 GB at the 9 bytes per trial of a sample of
+# distinct values, 2.5 GB at the 25 of nearly distinct values with ties
 _MC_TRIAL_BUDGET = 10 ** 8
 
 # the chunk job of a forked Monte Carlo worker; set only in the worker
@@ -827,24 +887,24 @@ def mc_sample(model, N, trials, seed):
     exact and drops mantissa bits, so the orbits collapse onto the fixed
     point 0 (on the x4 map, by step 27).
 
-    The sample is tallied in its own buffer, sorted in place, so the
-    result equals ``np.unique(sums, return_counts=True)`` bit for bit
-    without its copies.  Beside the 8-byte sample the tally holds a
-    1-byte change mask per trial and at most two arrays of the atom
-    count at a time: the values with the counts, then the values with
-    the masses.  The counts are taken with the sample's buffer as
-    scratch, and the sample is freed before the distribution is built.
-    So a sample of distinct values peaks near 25 bytes per trial, and
-    one with few values near 9.  More than 10**8 trials (about 2.5 GB)
-    are refused with :class:`OracleInfeasible` before anything is
-    allocated.
+    The sample is sorted in its buffer, and the law is built from that
+    buffer (``ExactDistribution``): a sample of distinct values is the
+    law's support, with no copy; one with ties keeps its distinct values
+    and the count of trials below each.  The support and the masses equal
+    ``np.unique(sums, return_counts=True)`` bit for bit.  Beside the
+    8-byte sample the law is built with a 1-byte mask per trial, and,
+    with ties, two arrays of the atom count.  So a sample of distinct
+    values, or of few values, peaks near 9 bytes per trial, and one of
+    nearly distinct values with some ties near 25.  More than 10**8
+    trials (0.9 to 2.5 GB) are refused with :class:`OracleInfeasible`
+    before anything is allocated.
     """
     if trials < 1:
         raise ValidationError("at least one trial required")
     if trials > _MC_TRIAL_BUDGET:
         raise OracleInfeasible(
             f"{trials} Monte Carlo trials exceed the budget of {_MC_TRIAL_BUDGET} "
-            "(about 25 bytes per trial)"
+            "(9 to 25 bytes per trial)"
         )
     if N < 1:
         raise ValidationError("N must be at least 1")
@@ -874,28 +934,10 @@ def mc_sample(model, N, trials, seed):
 
     _run_chunks(chunk, -(-trials // size))
     sums.sort()
-    change = np.empty(trials, dtype=bool)
-    change[0] = True
-    np.not_equal(sums[1:], sums[:-1], out=change[1:])
-    values = sums[change]
-    # the sample's own buffer is the scratch of the tally: each trial's
-    # run number (1, 2, ...) in an int64 view, then the masses
-    # count / trials in a float view, copied out at the atom count
-    runs = sums.view(np.int64)
-    np.cumsum(change, out=runs)
-    del change
-    counts = np.bincount(runs)  # counts[0] = 0: the runs start at 1
-    pmf = sums[:values.size]
-    np.divide(counts[1:], trials, out=pmf)
-    del counts, runs
-    pmf = pmf.copy()
-    # also empties the cell that ``chunk`` reads, so the sample is freed
-    # before the distribution builds its cumulative sums
-    del sums
     # Massart's (1990) 99 % band: P(sup |F_n - F| > dkw99) <= 2 exp(-2 n dkw99**2) = 0.01
     meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size,
             "dkw99": math.sqrt(math.log(200.0) / (2 * trials))}
-    return ExactDistribution("empirical", values, pmf, N, meta)
+    return ExactDistribution._of_sorted_sample(sums, N, meta)
 
 
 def kolmogorov_distance(dist, cdf, probes):

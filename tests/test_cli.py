@@ -217,6 +217,38 @@ def test_verify_mc_beyond_the_trial_budget_exits_three(tmp_path, capsys, monkeyp
     assert "budget" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "run, want",
+    [({"oracle": "mc", "seed": 1, "trials": 10 ** 10}, (3, "OracleInfeasible")),
+     ({"oracle": "dp", "form": "lattice"}, (2, "ValidationError"))],
+    ids=["trial-budget", "lattice-form-on-nonlattice-model"],
+)
+def test_refused_verify_leaves_no_output_directory(tmp_path, capsys, monkeypatch, run, want):
+    # both are refused by the command, after the model is built; the
+    # directory used to be made before the command ran
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the sample was allocated")
+
+    monkeypatch.setattr(oracle.mmap, "mmap", no_sample)
+    doc = {"model": {"bundled": "diophantine_two_state"},
+           "run": {"order": 1, "N_list": [8, 16], **run}}
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "refused" / "out"
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(out_dir), "--stamp", "s")
+    assert (code, json.loads(err)["error"]) == want and out == ""
+    assert not (tmp_path / "refused").exists()
+
+
+def test_verify_writes_into_a_new_nested_output_directory(tmp_path, capsys):
+    cfg = verify_config(tmp_path, order=0, N_list=[64, 256])
+    out_dir = tmp_path / "a" / "b"
+    code, out, _ = run_cli(capsys, "verify", cfg, "--out", str(out_dir), "--stamp", "s")
+    assert code == 0
+    path = out.strip()
+    assert os.path.dirname(path) == str(out_dir)
+    assert [row[0] for row in read_rows(path)] == ["N", "64", "256"]
+
+
 def test_verify_mc_on_a_power_of_two_branch_map_exits_three(tmp_path, capsys):
     # float orbits of the x4 map collapse onto 0; the oracle refuses, where
     # its sample would have failed the verdict

@@ -1200,7 +1200,7 @@ def test_chain_draw_of_zero_takes_the_first_possible_state():
     assert sums.tolist() == [6.0]
 
 
-def _mc_sample_serial(model, N, trials, seed, chunk):
+def _mc_sums_serial(model, N, trials, seed, chunk):
     # the chunk-by-chunk serial loop, kept as the reference for the dispatch
     parts = []
     for idx, lo in enumerate(range(0, trials, chunk)):
@@ -1212,7 +1212,12 @@ def _mc_sample_serial(model, N, trials, seed, chunk):
             parts.append(oracle._simulate_map(model, N, m, rng))
         else:
             parts.append(oracle._simulate_chain(model, N, m, rng))
-    values, counts = np.unique(np.concatenate(parts), return_counts=True)
+    return np.concatenate(parts)
+
+
+def _mc_sample_serial(model, N, trials, seed, chunk):
+    values, counts = np.unique(_mc_sums_serial(model, N, trials, seed, chunk),
+                               return_counts=True)
     return values, counts / trials
 
 
@@ -1268,21 +1273,23 @@ def test_mc_sample_equals_a_unique_rebuild(name, N, trials):
     # 2**17 + 5 trials end in a 5-trial chunk
     model = bundled_model(name)
     dist = mc_sample(model, N, trials, 23)
-    values, pmf = _mc_sample_serial(model, N, trials, 23, 1 << 17)
+    values, counts = np.unique(_mc_sums_serial(model, N, trials, 23, 1 << 17),
+                               return_counts=True)
     if name == "doubling_ulam":
         assert values.size == trials
     assert np.array_equal(dist.support, values)
-    assert np.array_equal(dist.pmf, pmf)
-    assert np.array_equal(dist._cum[1:], np.cumsum(pmf))
+    assert np.array_equal(dist.pmf, counts / trials)
+    # the cumulative is the count over the trials, rounded once
+    assert np.array_equal(dist.cdf(values), np.cumsum(counts) / trials)
+    assert np.array_equal(dist.cdf_left(values), (np.cumsum(counts) - counts) / trials)
 
 
-def test_mc_tally_holds_two_atom_arrays_and_frees_the_sample_first(monkeypatch):
-    # on distinct values the tally used to hold int64 run starts beside the
-    # values and masses, three arrays of the atom count, and to build the
-    # cumulative sums while the closure kept the sample alive
+def _trace_mc_after_the_chunks(monkeypatch, model, N, trials, seed):
+    """``mc_sample`` run serially, with the traced peak from the end of
+    its chunks to its return and a weak reference to its sample."""
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
     seen = {}
-    run_chunks, init = oracle._run_chunks, ExactDistribution.__init__
+    run_chunks = oracle._run_chunks
 
     def run_then_trace(chunk, count):
         run_chunks(chunk, count)
@@ -1293,23 +1300,52 @@ def test_mc_tally_holds_two_atom_arrays_and_frees_the_sample_first(monkeypatch):
         tracemalloc.reset_peak()
         seen["base"] = tracemalloc.get_traced_memory()[0]
 
-    def checked_init(self, *args, **kwargs):
-        seen["alive"] = seen["sample"]() is not None
-        seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
-        init(self, *args, **kwargs)
-
     monkeypatch.setattr(oracle, "_run_chunks", run_then_trace)
-    monkeypatch.setattr(ExactDistribution, "__init__", checked_init)
-    trials = 200_000
     tracemalloc.start()
     try:
-        dist = mc_sample(bundled_model("doubling_ulam"), 8, trials, 5)
+        dist = mc_sample(model, N, trials, seed)
+        peak = tracemalloc.get_traced_memory()[1] - seen["base"]
     finally:
         tracemalloc.stop()
-    assert dist.pmf.size == trials
-    assert seen["alive"] is False
-    # two arrays of the atom count and the 1-byte mask, never three arrays
-    assert seen["peak"] < 2.25 * 8 * trials
+    return dist, peak, seen["sample"]
+
+
+def test_mc_law_of_distinct_values_is_its_sorted_sample(monkeypatch):
+    # the tally used to peak at two arrays of the atom count beside the
+    # sample, about 16 traced bytes per trial, and to free the sample
+    trials = 200_000
+    dist, peak, sample = _trace_mc_after_the_chunks(
+        monkeypatch, bundled_model("doubling_ulam"), 8, trials, 5)
+    assert dist.size == trials
+    # the sample sits in an anonymous map, which tracemalloc does not see:
+    # only the 1-byte mask of run starts is traced
+    assert peak < 2 * trials
+    assert sample() is not None and np.shares_memory(dist.support, sample())
+    assert np.array_equal(dist.pmf, np.full(trials, 1.0 / trials))
+
+
+def test_mc_law_with_ties_holds_its_atoms_and_frees_the_sample(monkeypatch):
+    trials = 200_000
+    dist, peak, sample = _trace_mc_after_the_chunks(
+        monkeypatch, bundled_model("two_state"), 16, trials, 5)
+    assert dist.size <= 17
+    assert sample() is None
+    assert peak < 2 * trials
+    assert dist.cdf(dist.support[-1]) == 1.0 and dist.cdf_left(dist.support[0]) == 0.0
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_mc_refuses_a_non_finite_sample(monkeypatch, bad, cpus):
+    # NaN sorts last and -inf first, so the two ends of the sorted sample
+    # decide; one sign of infinity per sample, since inf - inf would warn
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 100)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+    model = ulam_model("doubling", g=lambda x: np.cos(2.0 * np.pi * x), cells=16)
+    model.map_g_vec = lambda x: np.where(x < 0.01, bad, np.cos(2.0 * np.pi * x))
+    with pytest.raises(ValidationError, match="^support must be finite$"):
+        mc_sample(model, 8, 350, 1)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
