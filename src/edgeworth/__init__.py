@@ -11,7 +11,6 @@ from .errors import (
     EdgeworthError,
     OracleInfeasible,
     OracleUnavailable,
-    QuadratureNotConverged,
     TableTooLarge,
     TooManyValues,
     ValidationError,
@@ -68,7 +67,6 @@ from .evaluate import (
     lclt_window,
     moddev_ratio,
     moddev_ratios,
-    simpson_integral,
     weak_global,
     weak_local,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "OracleUnavailable",
     "PerronBase",
     "Polynomial",
-    "QuadratureNotConverged",
     "SpectralJets",
     "TableTooLarge",
     "TestFunction",
@@ -125,7 +122,6 @@ __all__ = [
     "normal_cdf",
     "perron_base",
     "pmf_moments",
-    "simpson_integral",
     "ulam_model",
     "weak_global",
     "weak_local",

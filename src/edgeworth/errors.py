@@ -96,8 +96,3 @@ class TooManyValues(OracleInfeasible):
 class OracleUnavailable(OracleInfeasible):
     """No oracle can produce the requested reference quantity."""
 
-
-# --- evaluate -----------------------------------------------------------
-
-class QuadratureNotConverged(EdgeworthError):
-    """Adaptive Simpson refinement hit its point budget before tolerance."""

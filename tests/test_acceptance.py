@@ -18,8 +18,9 @@ from edgeworth.evaluate import (
     exact_distribution,
     lclt_estimate,
     moddev_ratio,
-    simpson_integral,
+    quadrature,
 )
+from edgeworth.errors import DegenerateVariance
 from edgeworth.expansion import expansion_for_model
 from edgeworth.jets import Polynomial, jet_exp, jet_log, jet_mul
 from edgeworth.models import bundled_model, diophantine_scan, markov_model, ulam_model
@@ -207,7 +208,7 @@ def test_criterion_05_structural_identities():
             dens = lambda x, m=m: x ** m * np.exp(-0.5 * x * x / s2) / math.sqrt(
                 2.0 * math.pi * s2
             )
-            got = simpson_integral(dens, -12.0 * sig, 12.0 * sig)
+            got = quadrature(dens, -12.0 * sig, 12.0 * sig)
             quad_worst = max(quad_worst, abs(got - closed))
     ok = parity_worst <= 1e-12 and ident_worst <= 1e-12 and quad_worst <= 1e-9
     assert report(
@@ -401,4 +402,24 @@ def test_criterion_15_ulam_moments_vs_coefficients():
         "ulam-moments",
         ok,
         f"rel at n=16/64: {errs[0]:.1e}/{errs[1]:.1e} <= 1e-10, {elapsed:.2f}s < 10s",
+    )
+
+
+def test_criterion_16_degenerate_variance_refused():
+    # negative control: rewards h(j, k) = c(k) - c(j) on two_state's chain
+    # telescope, so S_N = c(X_N) - c(X_0) stays bounded and sigma^2 = 0;
+    # two_state itself, with the same chain, passes
+    P = [[0.7, 0.3], [0.4, 0.6]]
+    c = (0.0, 1.0)
+    coboundary = markov_model(P, [[c[k] - c[j] for k in range(2)] for j in range(2)], [1.0, 0.0])
+    try:
+        expansion_for_model(coboundary, 2)
+        refused = "nothing"
+    except DegenerateVariance as exc:
+        refused = f"DegenerateVariance ({exc})"
+    sigma2 = expansion_for_model(bundled_model("two_state"), 2).params.sigma2
+    ok = refused.startswith("DegenerateVariance") and sigma2 > 0.1
+    assert report(
+        16, "degenerate-variance-refused", ok,
+        f"coboundary rewards refused with {refused}; two_state sigma2 {sigma2:.4f}",
     )

@@ -220,12 +220,17 @@ def test_verify_mc_beyond_the_trial_budget_exits_three(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "run, want",
     [({"oracle": "mc", "seed": 1, "trials": 10 ** 10}, (3, "OracleInfeasible")),
-     ({"oracle": "dp", "form": "lattice"}, (2, "ValidationError"))],
-    ids=["trial-budget", "lattice-form-on-nonlattice-model"],
+     ({"oracle": "dp", "form": "lattice"}, (2, "ValidationError")),
+     ({"form": "averaged", "function": {"width": 1e308}}, (2, "ValidationError")),
+     ({"form": "weak_global", "function": {"kind": "hermite-damped", "degree": 30}},
+      (2, "ValidationError"))],
+    ids=["trial-budget", "lattice-form-on-nonlattice-model", "support-overflows",
+         "hermite-degree-30"],
 )
 def test_refused_verify_leaves_no_output_directory(tmp_path, capsys, monkeypatch, run, want):
-    # both are refused by the command, after the model is built; the
-    # directory used to be made before the command ran
+    # all are refused after the model is built; the directory used to be
+    # made before the command ran.  The last two would run the fixed
+    # quadrature into NaN or cancellation, so the test function refuses them
     def no_sample(*args, **kwargs):
         raise AssertionError("the sample was allocated")
 
@@ -461,6 +466,24 @@ def test_importing_the_package_does_not_load_openssl():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_package_does_not_load_numpy_polynomial():
+    # the quadrature nodes come from numpy.polynomial on the first integral;
+    # numpy 1.x imports the module with numpy itself, so compare with that
+    import subprocess
+    import sys
+
+    import edgeworth
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgeworth.__file__)))
+    code = ("import sys, numpy; before = 'numpy.polynomial' in sys.modules; "
+            "import edgeworth, edgeworth.cli, edgeworth.evaluate; "
+            "print(before == ('numpy.polynomial' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.strip() == "True"
 
 
 def test_unreadable_config_exits_two(tmp_path, capsys):

@@ -1,13 +1,13 @@
 """Numeric evaluators: quadrature, CDF/pmf forms, ladders, tails."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from edgeworth.errors import (
     OracleUnavailable,
-    QuadratureNotConverged,
     TableTooLarge,
     ValidationError,
 )
@@ -24,7 +24,7 @@ from edgeworth.evaluate import (
     lclt_window,
     moddev_ratio,
     moddev_ratios,
-    simpson_integral,
+    quadrature,
     weak_global,
     weak_local,
 )
@@ -46,29 +46,6 @@ def dp_cache():
     return {}
 
 
-# ---------------------------------------------------------------- quadrature
-
-
-def test_simpson_closed_forms():
-    assert abs(simpson_integral(np.sin, 0.0, math.pi) - 2.0) <= 1e-10
-    got = simpson_integral(lambda x: np.exp(-0.5 * x * x), -12.0, 12.0)
-    assert abs(got - math.sqrt(2.0 * math.pi)) <= 1e-10
-    got = simpson_integral(lambda x: x ** 3 - 2.0 * x, -1.0, 3.0)
-    assert abs(got - 12.0) <= 1e-10
-
-
-def test_simpson_empty_interval():
-    assert simpson_integral(np.exp, 1.0, 1.0) == 0.0
-    assert simpson_integral(np.exp, 2.0, 1.0) == 0.0
-
-
-def test_simpson_not_converged_on_step():
-    # a jump at an irrational point keeps successive refinements apart
-    step = lambda x: (np.asarray(x) > 1.0 / 3.0).astype(float)
-    with pytest.raises(QuadratureNotConverged):
-        simpson_integral(step, 0.0, 1.0)
-
-
 # ------------------------------------------------------------ test functions
 
 
@@ -85,7 +62,9 @@ def test_gaussian_bump_closed_forms():
     assert abs(f.fourier(t) - want) <= 1e-14
     # quadrature over the recorded support agrees with the closed form
     lo, hi = f.support()
-    assert abs(simpson_integral(f, lo, hi) - f.integral()) <= 1e-10
+    assert abs(quadrature(f, lo, hi) - f.integral()) <= 1e-10
+    # an empty window, as the averaged form meets off the Gaussian
+    assert quadrature(f, 1.0, 1.0) == 0.0 and quadrature(f, 2.0, 1.0) == 0.0
 
 
 def test_compact_bump_support_and_integral():
@@ -101,7 +80,7 @@ def test_hermite_damped_integral_vanishes():
     f = TestFunction("hermite-damped", 0.0, 1.0, 3)
     assert f.integral() == 0.0
     lo, hi = f.support()
-    assert abs(simpson_integral(f, lo, hi)) <= 1e-10
+    assert abs(quadrature(f, lo, hi)) <= 1e-10
     # degree 0 reduces to the plain bump
     f0 = TestFunction("hermite-damped", 0.0, 1.5, 0)
     assert abs(f0.integral() - 1.5 * math.sqrt(2.0 * math.pi)) <= 1e-15
@@ -113,9 +92,41 @@ def test_test_function_validation():
     with pytest.raises(ValidationError):
         TestFunction("gaussian-bump", 0.0, 0.0)
     # numpy's HermiteE.basis refused a negative degree with a ValueError
-    for degree in (-1, 2.0, True, "2"):
+    for degree in (-1, 2.0, True, "2", 11):
         with pytest.raises(ValidationError):
             TestFunction("hermite-damped", 0.0, 1.0, degree)
+    TestFunction("hermite-damped", 0.0, 1.0, 10)
+    # a support whose ends or length overflow: the fixed rule would read NaN
+    with pytest.raises(ValidationError):
+        TestFunction("gaussian-bump", 0.0, 1e308)
+    with pytest.raises(ValidationError):
+        TestFunction("compact-bump", 0.0, 1e308)
+    TestFunction("compact-bump", 0.0, 1e307)
+
+
+def test_tail_integrals_match_closed_forms():
+    a = np.linspace(-30.0, 30.0, 241)
+    for c, w in ((0.0, 1.0), (0.5, 2.0), (-1.0, 0.3)):
+        u = (a - c) / w
+        # the Gaussian tail, and He_(m-1)(u) exp(-u^2/2) as the antiderivative
+        # of He_m(u) exp(-u^2/2)
+        gauss = w * math.sqrt(2.0 * math.pi) * (1.0 - normal_cdf(u))
+        for f in (TestFunction("gaussian-bump", c, w), TestFunction("hermite-damped", c, w, 0)):
+            assert np.max(np.abs(f.tail_integral(a) - gauss)) <= 1e-14
+        for m in range(1, 11):
+            want = w * np.polynomial.hermite_e.HermiteE.basis(m - 1)(u) * np.exp(-0.5 * u * u)
+            got = TestFunction("hermite-damped", c, w, m).tail_integral(a)
+            assert np.max(np.abs(got - want)) <= 1e-12 * w
+    # the compact bump against mpmath, at the ends, the center and off-grid points
+    mpmath = pytest.importorskip("mpmath")
+    f = TestFunction("compact-bump", 1.0, 2.0)
+    bump = lambda v: mpmath.exp(1 - 1 / (1 - ((v - 1) / 2) ** 2))
+    probes = np.array([-5.0, -1.0, -0.37, 0.5, 1.0, 1.9, 2.999, 3.0, 7.0])
+    got = f.tail_integral(probes)
+    for p, g in zip(probes, got):
+        lo = min(max(p, -1.0), 3.0)
+        want = float(mpmath.quad(bump, [lo, max(lo, 1.0), 3.0]))
+        assert abs(g - want) <= 1e-12
 
 
 # ------------------------------------------------------------- classical CDF
@@ -173,7 +184,11 @@ def test_array_forms_match_scalar_loops(two_state):
     assert np.array_equal(got, [edgeworth_cdf(exp_set, 256, float(v)) for v in z])
     got = lclt_estimate(exp_set, 3.0 * z, 256)
     assert np.array_equal(got, [lclt_estimate(exp_set, 3.0 * float(v), 256) for v in z])
-    for f in (TestFunction("gaussian-bump", 0.5, 2.0), TestFunction("compact-bump", 0.0, 1.5)):
+    for f in (
+        TestFunction("gaussian-bump", 0.5, 2.0),
+        TestFunction("compact-bump", 0.0, 1.5),
+        TestFunction("hermite-damped", 0.2, 1.2, 3),
+    ):
         got = f.tail_integral(z)
         assert got.shape == z.shape
         assert np.array_equal(got, [f.tail_integral(float(v)) for v in z])
@@ -317,6 +332,62 @@ def test_averaged_default_probe_set(two_state, dp_cache):
         for m in (-2.0, -1.0, 0.0, 1.0, 2.0)
     ]
     assert abs(rep.raw[1] - max(singles)) <= 1e-15
+
+
+def test_averaged_wide_functions_match_mpmath(two_state):
+    # f spans many Gaussian widths: the rule runs only on the window
+    # |x + y/sqrt(N)| <= 12 sigma, which 64 panels over f's whole support
+    # would resolve to about 5e-11 at width 20 and N = 4, and the error's
+    # normal-CDF part to about 2e-4 at width 50 and N = 1
+    mpmath = pytest.importorskip("mpmath")
+    model, exp_set = two_state
+    s2, sigma, x = exp_set.params.sigma2, exp_set.params.sigma, 0.3
+    for w, N in ((50.0, 1), (20.0, 4)):
+        rootn = math.sqrt(N)
+        f = TestFunction("gaussian-bump", 0.0, w)
+        bump = lambda y: mpmath.exp(-y * y / (2 * w * w))
+
+        def integrand(y):
+            z = x + y / rootn
+            poly = sum(mpmath.polyval(exp_set.P(p).coeffs[::-1].tolist(), z) * N ** (-p / 2.0)
+                       for p in range(1, exp_set.r + 1))
+            dens = mpmath.exp(-z * z / (2 * s2)) / mpmath.sqrt(2 * mpmath.pi * s2)
+            return poly * dens * bump(y)
+
+        with mpmath.workdps(30):
+            # breakpoints every sigma sqrt(N) across the Gaussian's 24 sigma
+            nodes = [rootn * (-x + k * sigma) for k in range(-24, 25)]
+            want = float(mpmath.quad(integrand, nodes))
+            gauss = mpmath.quad(lambda y: mpmath.ncdf(x + y / rootn, 0, sigma) * bump(y), nodes)
+            gauss += mpmath.quad(bump, [nodes[-1], mpmath.inf])
+        assert abs(averaged(exp_set, f, N, x) - want) <= 1e-14
+        # one atom at N A: the exact part is the tail of f above -x sqrt(N)
+        dist = ExactDistribution("empirical", np.array([N * exp_set.params.A]), np.ones(1), N)
+        err = float(f.tail_integral(-x * rootn) - gauss) - want
+        got = evaluate._averaged_error(exp_set, model, dist, N, exp_set.r, f, x)
+        assert abs(got - abs(err)) <= 1e-13
+
+
+def test_compact_and_hermite_averaged_ladders_keep_their_values():
+    # one adaptive Simpson integral per atom took 15 s (compact bump) and
+    # 26 s (Hermite degree 2) on these ladders; these are its values
+    model = bundled_model("diophantine_two_state")
+    exp_set = expansion_for_model(model, 1)
+    ladder = [16, 64, 256]
+    cache = {}
+    exact_distributions(model, ladder, "dp", cache=cache)
+    cases = (
+        (TestFunction("compact-bump", 0.0, 1.0),
+         [8.826411597631131e-3, 2.5461765110401085e-3, 5.818478049459171e-4]),
+        (TestFunction("hermite-damped", 0.0, 1.0, 2),
+         [6.768626124061913e-3, 6.09731768685715e-4, 3.1617427352784486e-5]),
+    )
+    for f, want in cases:
+        t0 = time.perf_counter()
+        rep = convergence_study(exp_set, model, "dp", 1, ladder, form="averaged", f=f, cache=cache)
+        elapsed = time.perf_counter() - t0
+        assert np.max(np.abs(np.subtract(rep.raw, want))) <= 1e-10
+        assert elapsed < 1.0
 
 
 def test_weak_form_requires_test_function(two_state):
