@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -248,33 +249,41 @@ def _t_grid_from(run):
 
 
 def _artifact_path(out_dir, command, model_doc, stamp, ext):
-    # imported here, not at module level: only naming an artifact loads OpenSSL
-    import hashlib
+    # CPython's own SHA-256, the one hashlib falls back to: hashlib maps
+    # OpenSSL's libcrypto, 3.6 MiB of resident memory, for one digest
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from _sha256 import sha256
 
-    digest = hashlib.sha256(_json_dumps(model_doc).encode("utf-8")).hexdigest()[:12]
+    digest = sha256(_json_dumps(model_doc).encode("utf-8")).hexdigest()[:12]
     return os.path.join(out_dir, f"{command}-{digest}-{stamp}.{ext}")
 
 
-def _open_artifact(path):
-    # the directory is made with the first artifact, so a run refused
-    # before it writes leaves no directory behind
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            [_fmt_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+        )
+    return buf.getvalue()
 
 
-def _write_csv(path, header, rows):
-    with _open_artifact(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt_float(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
-            )
+def _write_artifacts(*artifacts):
+    """Write and print each ``(path, text)`` pair.
 
-
-def _write_json(path, obj):
-    with _open_artifact(path) as fh:
-        fh.write(_json_dumps(obj) + "\n")
+    Every text is formatted before the first file is opened, and the
+    directory is made with the first artifact, so a run refused before
+    this call, a non-finite value included, leaves nothing behind.
+    """
+    for path, text in artifacts:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    for path, _ in artifacts:
+        print(path)
 
 
 def _poly_list(poly):
@@ -301,9 +310,8 @@ def cmd_expand(model, model_doc, run, args):
             if (k, j) in exp_set.moment_coeffs
         ],
     }
-    path = _artifact_path(args.out, "expand", model_doc, args.stamp, "json")
-    _write_json(path, report)
-    print(path)
+    _write_artifacts((_artifact_path(args.out, "expand", model_doc, args.stamp, "json"),
+                      _json_dumps(report) + "\n"))
     return 0
 
 
@@ -320,9 +328,8 @@ def cmd_verify(model, model_doc, run, args):
     report = evaluate.convergence_study(
         exp_set, model, kind, r, n_list, form=form, f=f, x=x, seed=seed, trials=trials
     )
-    path = _artifact_path(args.out, "verify", model_doc, args.stamp, "csv")
-    _write_csv(path, ["N", "raw_error", "scaled_error"], report.rows())
-    print(path)
+    _write_artifacts((_artifact_path(args.out, "verify", model_doc, args.stamp, "csv"),
+                      _csv_text(["N", "raw_error", "scaled_error"], report.rows())))
     if not report.decreasing:
         raise VerdictFailure(
             f"scaled {form} error is not strictly decreasing over {n_list}"
@@ -385,12 +392,12 @@ def cmd_diagnose(model, model_doc, run, args):
         "diophantine": dio,
         "flags": flags,
     }
-    csv_path = _artifact_path(args.out, "diagnose", model_doc, args.stamp, "csv")
-    _write_csv(csv_path, ["t", "char_distance", "norm_power", "radius"], zip(t, dist, nrm, rad))
-    json_path = _artifact_path(args.out, "diagnose", model_doc, args.stamp, "json")
-    _write_json(json_path, report)
-    print(csv_path)
-    print(json_path)
+    _write_artifacts(
+        (_artifact_path(args.out, "diagnose", model_doc, args.stamp, "csv"),
+         _csv_text(["t", "char_distance", "norm_power", "radius"], zip(t, dist, nrm, rad))),
+        (_artifact_path(args.out, "diagnose", model_doc, args.stamp, "json"),
+         _json_dumps(report) + "\n"),
+    )
     return 0
 
 
@@ -402,9 +409,8 @@ def cmd_moments(model, model_doc, run, args):
         (k, j, exp_set.a(k, j))
         for (k, j) in sorted(exp_set.moment_coeffs)
     ]
-    path = _artifact_path(args.out, "moments", model_doc, args.stamp, "csv")
-    _write_csv(path, ["k", "j", "coefficient"], rows)
-    print(path)
+    _write_artifacts((_artifact_path(args.out, "moments", model_doc, args.stamp, "csv"),
+                      _csv_text(["k", "j", "coefficient"], rows)))
     return 0
 
 
@@ -421,9 +427,8 @@ def cmd_lclt(model, model_doc, run, args):
         est = evaluate.lclt_estimate(exp_set, dist.support - n * exp_set.params.A, n)
         err = float(np.max(np.abs(math.sqrt(n) * dist.pmf / span - est)))
         rows.append((n, err))
-    path = _artifact_path(args.out, "lclt", model_doc, args.stamp, "csv")
-    _write_csv(path, ["N", "sup_error"], rows)
-    print(path)
+    _write_artifacts((_artifact_path(args.out, "lclt", model_doc, args.stamp, "csv"),
+                      _csv_text(["N", "sup_error"], rows)))
     return 0
 
 
@@ -437,13 +442,10 @@ def cmd_moddev(model, model_doc, run, args):
     rows = []
     for n, res in zip(n_list, evaluate.moddev_ratios(exp_set, model, c, n_list)):
         rows.append((n, res.x, res.exact_tail, res.normal_tail, res.ratio, res.corollary_tail))
-    path = _artifact_path(args.out, "moddev", model_doc, args.stamp, "csv")
-    _write_csv(
-        path,
-        ["N", "x", "exact_tail", "normal_tail", "ratio", "corollary_tail"],
-        rows,
-    )
-    print(path)
+    _write_artifacts((
+        _artifact_path(args.out, "moddev", model_doc, args.stamp, "csv"),
+        _csv_text(["N", "x", "exact_tail", "normal_tail", "ratio", "corollary_tail"], rows),
+    ))
     return 0
 
 

@@ -128,15 +128,26 @@ def jet_log(a):
 
 
 def bi_mul(a, b):
-    """Truncated product of two ``(t, u)`` series of the same shape."""
+    """Truncated product of two ``(t, u)`` series of the same shape.
+
+    Every nonzero coefficient ``a[m, k]`` multiplies ``b`` shifted by
+    ``(m, k)`` and zero-padded, all in one :func:`_cmul`; the products are
+    added to a zero output in ``(m, k)`` order, so each output coefficient
+    rounds as in a loop over the terms.
+    """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     t_max, u_max = a.shape[0] - 1, a.shape[1] - 1
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for m in range(t_max + 1):
-        for k in range(u_max + 1):
-            if not np.any(a[m, k]):
-                continue
-            out[m:, k:] += _cmul(a[m, k], b[: t_max + 1 - m, : u_max + 1 - k])
+    m, k = np.nonzero(np.any(a, axis=tuple(range(2, a.ndim))))
+    padded = np.zeros((2 * t_max + 1, 2 * u_max + 1) + b.shape[2:], dtype=complex)
+    padded[t_max:, u_max:] = b
+    # shifted[i, p, q] = b[p - m[i], q - k[i]], zero where an index is negative
+    rows = (t_max - m)[:, None, None] + np.arange(t_max + 1)[:, None]
+    cols = (u_max - k)[:, None, None] + np.arange(u_max + 1)
+    shifted = padded[rows, cols]
+    lead = a[m, k].reshape((m.size, 1, 1) + a.shape[2:])
+    for term in _cmul(lead, shifted):
+        out += term
     return out
 
 

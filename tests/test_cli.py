@@ -244,6 +244,27 @@ def test_refused_verify_leaves_no_output_directory(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "refused").exists()
 
 
+_HUGE_IID = {"type": "iid", "pmf": [[0, 0.5], [1e308, 0.5]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("expand", {"model": _HUGE_IID, "run": {}}),
+     ("moments", {"model": _HUGE_IID, "run": {}}),
+     ("diagnose", {"model": {"bundled": "doubling_ulam"}, "run": {"t_grid": [0.5, math.nan]}})],
+    ids=["expand-non-finite", "moments-non-finite", "diagnose-nan-frequency"],
+)
+def test_refused_artifact_leaves_no_output_directory(tmp_path, capsys, command, doc):
+    # a value that cannot be written is refused only once the command has
+    # run; each artifact used to be opened before it was formatted, and
+    # left a truncated file behind
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "refused" / "out"
+    code, out, err = run_cli(capsys, command, cfg, "--out", str(out_dir), "--stamp", "s")
+    assert (code, json.loads(err)["error"]) == (2, "ValidationError") and out == ""
+    assert not (tmp_path / "refused").exists()
+
+
 def test_verify_writes_into_a_new_nested_output_directory(tmp_path, capsys):
     cfg = verify_config(tmp_path, order=0, N_list=[64, 256])
     out_dir = tmp_path / "a" / "b"
@@ -452,20 +473,55 @@ def test_integer_fields_must_be_integers_in_range(tmp_path, capsys, command, doc
     assert field in payload["message"]
 
 
-def test_importing_the_package_does_not_load_openssl():
-    # hashlib maps libcrypto; only naming an artifact needs it
+def test_importing_the_package_does_not_load_openssl(tmp_path):
+    # hashlib maps libcrypto; the CLI names its artifacts with CPython's own
+    # SHA-256, so neither importing the package nor running any command on
+    # an exact oracle loads it (numpy.random does, for a Monte Carlo run)
+    import hashlib
     import subprocess
     import sys
 
     import edgeworth
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(edgeworth.__file__)))
-    code = ("import sys, edgeworth, edgeworth.cli, edgeworth.evaluate; "
-            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))")
+    runs = [
+        ("expand", {"model": {"bundled": "two_state"}, "run": {"order": 2}}),
+        ("moments", {"model": {"bundled": "iid_moments"}, "run": {"order": 2}}),
+        ("verify", {"model": {"bundled": "two_state"},
+                    "run": {"order": 1, "form": "lattice", "N_list": [16, 64]}}),
+        ("diagnose", {"model": {"bundled": "diophantine_two_state"},
+                      "run": {"t_grid": {"count": 8}}}),
+        ("lclt", {"model": {"bundled": "three_state_lattice"},
+                  "run": {"order": 2, "N_list": [64, 256]}}),
+        ("moddev", {"model": {"bundled": "two_state"}, "run": {"order": 2, "N_list": [256]}}),
+    ]
+    argv = []
+    for i, (command, doc) in enumerate(runs):
+        cfg = write_config(tmp_path, doc, name=f"{command}.json")
+        argv.append([command, cfg, "--out", str(tmp_path / "out"), "--stamp", str(i)])
+    code = (
+        "import contextlib, io, json, sys, edgeworth, edgeworth.cli, edgeworth.evaluate\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules)\n"
+        "on_import, out = loaded(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    codes = [edgeworth.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([on_import, codes, out.getvalue().split(), loaded()]))\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    loaded_on_import, codes, paths, loaded_after_runs = json.loads(done.stdout)
+    assert loaded_on_import == [] and loaded_after_runs == []
+    assert codes == [0] * len(runs)
+    # one artifact per command, two for diagnose, each named by the
+    # SHA-256 of its canonical model JSON
+    assert len(paths) == len(runs) + 1
+    for path in paths:
+        command, digest, stamp = os.path.basename(path).split(".")[0].split("-")
+        doc = runs[int(stamp)][1]["model"]
+        assert command == runs[int(stamp)][0]
+        assert digest == hashlib.sha256(cli._json_dumps(doc).encode()).hexdigest()[:12]
 
 
 def test_importing_the_package_does_not_load_numpy_polynomial():

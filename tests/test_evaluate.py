@@ -129,6 +129,26 @@ def test_tail_integrals_match_closed_forms():
         assert abs(g - want) <= 1e-12
 
 
+def test_tail_integral_memory_is_bounded_by_its_blocks():
+    # the (atoms, 16) panel nodes of every atom inside the support were
+    # formed at once: 184 MB for these atoms, 920 bytes each
+    f = TestFunction("hermite-damped", 0.0, 1.0, 2)
+    a = np.linspace(-3.0, 3.0, 200_000)
+    got, peak = traced_peak(f.tail_integral, a)
+    assert peak < 24e6
+    # the one-call rule, on slices that do not line up with the blocks
+    lo, hi = f.support()
+    edges = np.linspace(lo, hi, evaluate._PANELS + 1)
+    x, w = evaluate._panel_nodes(edges[:-1], edges[1:])
+    above = np.append(np.cumsum((w * f(x)).sum(axis=1)[::-1])[::-1], 0.0)
+    for start in range(0, a.size, 30_001):
+        part = a[start:start + 30_001]
+        top = np.searchsorted(edges, part, side="right")
+        x, w = evaluate._panel_nodes(part, edges[top])
+        want = (w * f(x)).sum(axis=1) + above[top]
+        assert np.array_equal(got[start:start + 30_001], want)
+
+
 # ------------------------------------------------------------- classical CDF
 
 

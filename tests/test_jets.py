@@ -174,6 +174,25 @@ def test_bi_mul_batch_rounds_like_scalar_products():
         assert np.array_equal(got[..., n], _bi_mul_scalar(a[..., n], b[..., n]))
 
 
+def test_bi_mul_skips_zero_terms_and_keeps_signed_zeros():
+    # zero coefficients of a, whole zero slices, negative zeros in both
+    # operands, and b broadcast along the batch axis
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1, 1, (5, 4, 6)) + 1j * rng.uniform(-1, 1, (5, 4, 6))
+    b = rng.uniform(-1, 1, (5, 4, 1)) + 1j * rng.uniform(-1, 1, (5, 4, 1))
+    a[rng.random(a.shape) < 0.4] = 0.0
+    a[1, 2] = 0.0
+    a.real[rng.random(a.shape) < 0.2] = -0.0
+    b.imag[rng.random(b.shape) < 0.3] = -0.0
+    got = bi_mul(a, b)
+    assert got.shape == a.shape
+    for n in range(a.shape[-1]):
+        want = _bi_mul_scalar(a[..., n], b[..., 0])
+        for part in ("real", "imag"):
+            x, y = getattr(got[..., n], part), getattr(want, part)
+            assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 def test_polynomial_basics():
     p = Polynomial([1.0, 0.0, -2.0])
     assert p(2.0) == 1.0 - 8.0
