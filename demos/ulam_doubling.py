@@ -10,17 +10,11 @@ moment oracle, match the polynomials sum_j a_{k,j} N**j of the
 expansion's moment coefficients to rounding.
 """
 
-import math
-
-import numpy as np
-
 from edgeworth import (
     bundled_model,
-    edgeworth_cdf,
-    exact_distribution,
+    convergence_study,
     exact_moments,
     expansion_for_model,
-    kolmogorov_distance,
 )
 
 
@@ -44,16 +38,11 @@ def main():
 
     N, trials = 256, 2 * 10 ** 5
     print(f"Monte Carlo: {trials} orbits of length {N}")
-    dist = exact_distribution(model, N, "mc", seed=7, trials=trials)
-    std = dist.affine(N * params.A, math.sqrt(N))
-    n = std.size  # probe every (n // 20000 + 1)-th atom, formed alone
-    atoms = std.atoms(slice(None, None, n // 20000 + 1 if n > 20000 else 1))
-    sigma = params.sigma
-    probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
+    cache = {}  # one sample serves both orders
     for r in (0, 1):
-        ks = kolmogorov_distance(std, lambda z: edgeworth_cdf(exp_set, N, z, r), probes)
-        print(f"  Kolmogorov distance to the order-{r} expansion: {ks:.5f}"
-              f"  (99 % DKW band {dist.meta['dkw99']:.5f})")
+        rep = convergence_study(exp_set, model, "mc", r, [N], seed=7, trials=trials, cache=cache)
+        print(f"  Kolmogorov distance to the order-{r} expansion: {rep.raw[0]:.5f}"
+              f"  (99 % DKW band {rep.dkw99[0]:.5f})")
     print()
     print("a distance inside the band is sampling noise; the band shrinks")
     print("like 1/sqrt(trials), so push trials up to see the order-1 curve")

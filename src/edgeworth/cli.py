@@ -276,12 +276,22 @@ def _write_artifacts(*artifacts):
 
     Every text is formatted before the first file is opened, and the
     directory is made with the first artifact, so a run refused before
-    this call, a non-finite value included, leaves nothing behind.
+    this call, a non-finite value included, leaves nothing behind.  A
+    file that cannot be made or written is refused as invalid input,
+    and the files this call already opened are removed first.
     """
-    for path, text in artifacts:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    written = []
+    try:
+        for path, text in artifacts:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise ValidationError(f"cannot write {path!r}: {exc}") from None
     for path, _ in artifacts:
         print(path)
 

@@ -51,8 +51,7 @@ class ExactDistribution:
     kind : str
         "lattice" (exact, from ``dp_pmf``) or "empirical" (Monte Carlo).
     support : array_like
-        Strictly increasing finite values.  An image under ``affine`` may
-        hold ties, where distinct atoms round to one value.
+        Strictly increasing finite values.
     pmf : array_like
         Matching finite, nonnegative probabilities, summing to 1 within
         1e-10.
@@ -66,22 +65,20 @@ class ExactDistribution:
     A Monte Carlo law (``mc_sample``) is held as its sorted sample
     instead: its cumulative at an atom is the count of trials up to it
     over the trial count, rounded once, and ``pmf`` is formed, count /
-    trials, only when read.
+    trials, only when read.  Either way ``cdf(support[k])`` reads the
+    (k + 1)-th cumulative and ``cdf_left(support[k])`` the k-th.
     """
 
-    # _base holds the atoms; an image under ``affine`` holds its preimages
-    # there and the map (shift, scale) in _map, None for no map.  A law
-    # built from a pmf holds it in _pmf, its cumulative sums in _cum and
-    # None in _trials.  A sample holds None in _pmf, its trial count in
+    # A law built from a pmf holds it in _pmf, its cumulative sums in _cum
+    # and None in _trials.  A sample holds None in _pmf, its trial count in
     # _trials and in _cum, int64, the count of trials below each atom and
     # then the trial count; or None, when it has no ties and the count
     # below atom i is i
-    __slots__ = ("kind", "N", "meta", "_pmf", "_cum", "_trials", "_base", "_map")
+    __slots__ = ("kind", "N", "meta", "support", "_pmf", "_cum", "_trials")
 
     def __init__(self, kind, support, pmf, N, meta=None):
         self.kind = kind
-        self._base = support = np.asarray(support, dtype=float)
-        self._map = None
+        self.support = support = np.asarray(support, dtype=float)
         self._pmf = pmf = np.asarray(pmf, dtype=float)
         self._trials = None
         self.N = int(N)
@@ -116,16 +113,16 @@ class ExactDistribution:
         if not np.isfinite(sample[[0, -1]]).all():
             raise ValidationError("support must be finite")
         law = object.__new__(cls)
-        law.kind, law.N, law.meta, law._map = "empirical", int(N), dict(meta), None
+        law.kind, law.N, law.meta = "empirical", int(N), dict(meta)
         law._pmf, law._cum, law._trials = None, None, sample.size
         # True where a run of equal values starts, and once past the end
         start = np.empty(sample.size + 1, dtype=bool)
         start[0] = start[-1] = True
         np.not_equal(sample[1:], sample[:-1], out=start[1:-1])
         if start.all():
-            law._base = sample
+            law.support = sample
         else:
-            law._base = sample[start[:-1]]
+            law.support = sample[start[:-1]]
             law._cum = np.flatnonzero(start)
         return law
 
@@ -143,91 +140,16 @@ class ExactDistribution:
         if self._trials is None:
             return self._pmf
         if self._cum is None:
-            return np.full(self._base.size, 1.0 / self._trials)
+            return np.full(self.support.size, 1.0 / self._trials)
         return np.diff(self._cum) / self._trials
-
-    @property
-    def size(self):
-        """The number of atoms, read without forming ``support`` or ``pmf``."""
-        return self._base.size
-
-    @property
-    def support(self):
-        """The atoms in increasing order; an image forms them when read."""
-        return self._base if self._map is None else self.atoms(slice(None))
-
-    def atoms(self, index):
-        """``support[index]``, for an image mapping only the atoms it reads."""
-        x = self._base[index]
-        if self._map is None:
-            return x
-        shift, scale = self._map
-        with np.errstate(over="ignore"):  # refused by affine, not warned
-            return (x - shift) / scale
-
-    def affine(self, shift, scale):
-        """The law of (X - shift) / scale, for finite shift and finite scale > 0.
-
-        No array is copied: the image keeps this distribution's atoms as
-        its preimages, with its masses or counts and the map.  Its
-        ``support`` is formed only when read, and ``atoms(index)`` maps
-        only the atoms it reads.  Division rounds monotonically, so the
-        image's support never decreases, but atoms closer than an ulp of
-        the quotient round to one value.  ``cdf`` and ``cdf_left`` count
-        at the preimage, by bisection over the atoms with the map applied
-        to each atom probed, so their counts equal those over the formed
-        support, ties included.  The image of an image maps the formed
-        support of the first.
-
-        Raises
-        ------
-        ValidationError
-            If the map is invalid or the image of an end atom, so of some
-            atom, overflows.
-        """
-        if not math.isfinite(shift):
-            raise ValidationError("shift must be finite")
-        if not (math.isfinite(scale) and scale > 0.0):
-            raise ValidationError("scale must be finite and positive")
-        image = object.__new__(ExactDistribution)
-        image.kind, image.N, image.meta = self.kind, self.N, dict(self.meta)
-        image._base, image._pmf, image._cum = self.support, self._pmf, self._cum
-        image._trials = self._trials
-        image._map = (float(shift), float(scale))
-        # the map is monotone, so the end atoms bound every image atom
-        if not np.isfinite(image.atoms([0, -1])).all():
-            raise ValidationError("affine image of the support overflows")
-        return image
-
-    def _count(self, z, side):
-        """``np.searchsorted(self.support, z, side)`` without forming the
-        support of an image.
-
-        An image bisects over its atoms: the atoms that ``side`` counts
-        form a prefix, and each probe, from the largest power of two up to
-        the atom count down to 1, lengthens it when the mapped atom it
-        would end at still counts.  The tests ``z < y`` and ``z <= y`` are
-        False at a NaN z, so it counts every atom, as searchsorted does.
-        """
-        if self._map is None:
-            return np.searchsorted(self._base, z, side=side)
-        z = np.asarray(z, dtype=float)
-        n = self._base.size
-        count = np.zeros(z.shape, dtype=np.intp)
-        for jump in (1 << b for b in reversed(range(n.bit_length()))):
-            probe = count + jump
-            y = self.atoms(np.minimum(probe, n) - 1)
-            stop = (z < y) if side == "right" else (z <= y)
-            count = np.where((probe > n) | stop, count, probe)
-        return count
 
     def cdf(self, z):
         """P(X <= z); accepts arrays of z."""
-        return self._cumulative(self._count(z, "right"))
+        return self._cumulative(np.searchsorted(self.support, z, "right"))
 
     def cdf_left(self, z):
         """P(X < z); accepts arrays of z."""
-        return self._cumulative(self._count(z, "left"))
+        return self._cumulative(np.searchsorted(self.support, z, "left"))
 
     def mean(self):
         return _fsum(self.support * self.pmf)

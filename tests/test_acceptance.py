@@ -14,7 +14,6 @@ from chains import dense_family
 from edgeworth.evaluate import (
     TestFunction,
     convergence_study,
-    edgeworth_cdf,
     exact_distribution,
     lclt_estimate,
     moddev_ratio,
@@ -24,7 +23,7 @@ from edgeworth.errors import DegenerateVariance
 from edgeworth.expansion import expansion_for_model
 from edgeworth.jets import Polynomial, jet_exp, jet_log, jet_mul
 from edgeworth.models import bundled_model, diophantine_scan, markov_model, ulam_model
-from edgeworth.oracle import exact_moments, kolmogorov_distance
+from edgeworth.oracle import exact_moments
 from edgeworth.spectral import (
     eigen_perturbation,
     norm_decay_scan,
@@ -320,15 +319,8 @@ def test_criterion_12_ulam_monte_carlo():
     model = bundled_model("doubling_ulam")
     exp_set = expansion_for_model(model, 1)
     N = 512
-    dist = exact_distribution(model, N, "mc", seed=20260814, trials=10 ** 6)
-    params = exp_set.params
-    std = dist.affine(N * params.A, math.sqrt(N))
-    atoms = std.support
-    if atoms.size > 20000:
-        atoms = atoms[:: atoms.size // 20000 + 1]
-    sigma = params.sigma
-    probes = np.union1d(atoms, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
-    ks = kolmogorov_distance(std, lambda z: edgeworth_cdf(exp_set, N, z, 1), probes)
+    rep = convergence_study(exp_set, model, "mc", 1, [N], seed=20260814, trials=10 ** 6)
+    ks = rep.raw[0]
     elapsed = time.monotonic() - t0
     ok = ks <= 0.01 and elapsed < 120.0
     assert report(

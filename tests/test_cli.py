@@ -265,6 +265,43 @@ def test_refused_artifact_leaves_no_output_directory(tmp_path, capsys, command, 
     assert not (tmp_path / "refused").exists()
 
 
+@pytest.mark.parametrize("where", ["under-a-file", "empty"])
+def test_unwritable_output_directory_exits_two(tmp_path, capsys, where):
+    # makedirs under a regular file, or of "", used to end in a traceback
+    # with exit 1
+    cfg = write_config(tmp_path, TWO_STATE)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out_dir = str(tmp_path / "file" / "x") if where == "under-a-file" else ""
+    code, out, err = run_cli(capsys, "expand", cfg, "--out", out_dir, "--stamp", "s")
+    assert (code, json.loads(err)["error"]) == (2, "ValidationError") and out == ""
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "file"]
+
+
+def test_unwritable_second_artifact_removes_the_first(tmp_path, capsys):
+    # diagnose writes its CSV, then fails to open its JSON path, a directory
+    doc = {"model": {"bundled": "two_state"}, "run": {"t_grid": [0.5, 1.0]}}
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    json_path = cli._artifact_path(str(out_dir), "diagnose", doc["model"], "s", "json")
+    os.makedirs(json_path)
+    code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(out_dir), "--stamp", "s")
+    assert (code, json.loads(err)["error"]) == (2, "ValidationError") and out == ""
+    assert os.listdir(out_dir) == [os.path.basename(json_path)]
+
+
+def test_verify_refuses_a_standardized_support_that_overflows(tmp_path, capsys):
+    # N A = 1.36e308 at N = 1: the lower atom standardizes to -inf
+    doc = {"model": {"type": "iid", "pmf": [[1.7e308, 0.9], [-1.7e308, 0.1]]},
+           "run": {"order": 0, "N_list": [1]}}
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "verify", cfg, "--out", str(out_dir), "--stamp", "s")
+    assert (code, json.loads(err)["error"]) == (2, "ValidationError") and out == ""
+    assert "standardized support overflows" in json.loads(err)["message"]
+    assert not out_dir.exists()
+
+
 def test_verify_writes_into_a_new_nested_output_directory(tmp_path, capsys):
     cfg = verify_config(tmp_path, order=0, N_list=[64, 256])
     out_dir = tmp_path / "a" / "b"

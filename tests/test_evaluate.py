@@ -29,7 +29,7 @@ from edgeworth.evaluate import (
     weak_local,
 )
 from edgeworth.expansion import expansion_for_model
-from edgeworth.models import bundled_model, markov_model
+from edgeworth.models import bundled_model, iid_model, markov_model
 from edgeworth import oracle
 from edgeworth.oracle import ExactDistribution, dp_pmf, normal_cdf
 from memory import traced_peak
@@ -230,6 +230,50 @@ def test_classical_error_standardizes_without_copying_the_support(two_state):
     probes = np.union1d(std.support[::51], np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
     cdf = lambda z: edgeworth_cdf(exp_set, N, z, 1)
     assert got == oracle.kolmogorov_distance(std, cdf, probes)
+
+
+def _standardized_error(exp_set, dist, N, r, stride):
+    # the design _classical_error replaced, kept as its reference: the
+    # atoms standardized, z = (x - N A) / sqrt(N), and counted in z at
+    # every stride-th standardized atom joined with the grid itself
+    params = exp_set.params
+    z = (dist.support - N * params.A) / math.sqrt(N)
+    probes = np.union1d(z[::stride], np.linspace(-12.0 * params.sigma, 12.0 * params.sigma, 2001))
+    g = edgeworth_cdf(exp_set, N, probes, r)
+    right = dist._cumulative(np.searchsorted(z, probes, "right"))
+    left = dist._cumulative(np.searchsorted(z, probes, "left"))
+    return float(max(np.abs(right - g).max(), np.abs(left - g).max()))
+
+
+@pytest.mark.parametrize(
+    "name, r, N, oracle_kind, atoms, stride",
+    [("diophantine_two_state", 1, 64, "dp", 1089, 1),
+     ("diophantine_two_state", 1, 128, "dp", 4225, 1),
+     ("diophantine_two_state", 1, 256, "dp", 16641, 1),
+     ("diophantine_two_state", 1, 512, "dp", 66049, 4),
+     ("two_state", 2, 1024, "dp", 1025, 1),
+     ("doubling_ulam", 1, 256, "mc", 200000, 11)],
+)
+def test_classical_error_equals_that_of_the_standardized_law(name, r, N, oracle_kind, atoms,
+                                                             stride):
+    # the law read in its own coordinates, at the preimages of the probes,
+    # gives the distance of the standardized law bit for bit; ``stride``
+    # is the one _classical_error reads at ``atoms`` atoms
+    model = bundled_model(name)
+    exp_set = expansion_for_model(model, r)
+    dist = exact_distribution(model, N, oracle_kind, seed=7, trials=2 * 10 ** 5)
+    assert dist.support.size == atoms
+    got = evaluate._classical_error(exp_set, model, dist, N, r)
+    assert got == _standardized_error(exp_set, dist, N, r, stride)
+
+
+def test_classical_error_refuses_a_standardized_support_that_overflows():
+    # N A = 1.36e308, so the standardized lower atom is -inf
+    model = iid_model(pmf=[[1.7e308, 0.9], [-1.7e308, 0.1]])
+    with np.errstate(all="ignore"):  # the jets overflow too
+        exp_set = expansion_for_model(model, 0)
+    with pytest.raises(ValidationError, match="standardized support overflows"):
+        convergence_study(exp_set, model, "dp", 0, [1])
 
 
 # ---------------------------------------------------------------- lattice pmf
