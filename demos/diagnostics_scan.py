@@ -25,7 +25,7 @@ def show(model, name, grid):
     worst = max(rad for _, _, rad in rows)
     print(f"  max spectral-radius estimate on the grid: {worst:.8f}")
     if model.lattice_span is None:
-        scan = diophantine_scan(model.observable, grid)
+        scan = diophantine_scan(model, grid)
         theta = min(
             (1.0 - nrm) / (d * d)
             for (_, nrm, _), d in zip(rows, scan.d)

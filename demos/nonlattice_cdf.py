@@ -23,7 +23,7 @@ def main():
 
     print("reward-difference resonance scan")
     grid = np.linspace(0.5, 30.0, 60)
-    scan = diophantine_scan(model.observable, grid)
+    scan = diophantine_scan(model, grid)
     print(f"  fitted lower envelope d(s) >= K/s^beta with K = {scan.K:.4f}, "
           f"beta = {scan.beta:.4f} (residual {scan.residual:.2e})")
     print(f"  smallest distance on the grid: {scan.d.min():.4f}")

@@ -349,8 +349,6 @@ def cmd_verify(model, model_doc, run, args):
 
 def cmd_diagnose(model, model_doc, run, args):
     """Scan spectral gap, norm decay and resonance distance; CSV and JSON."""
-    if not isinstance(model, models.MarkovModel):
-        raise ValidationError("diagnose needs a finite-state chain or map model")
     t_grid = _t_grid_from(run)
     n_power = _integer("run.N", run.get("N", 2), 1)
     if t_grid.size == 0:
@@ -366,9 +364,9 @@ def cmd_diagnose(model, model_doc, run, args):
         gap = None
         flags.append("stationary-not-unique")
     if model.lattice_span is None:
-        # first, so a chain over the resonance scan's budget fails before
-        # the norm scan; the resonance warning becomes a flag (see main)
-        scan = models.diophantine_scan(model.observable, t_grid)
+        # first, so a moment model (never a lattice one) or a chain over the
+        # scan's budget fails before the norm scan; its warning is a flag (see main)
+        scan = models.diophantine_scan(model, t_grid)
         if scan.resonant:
             flags.append("resonant-observable")
         dist = scan.d
@@ -426,12 +424,11 @@ def cmd_moments(model, model_doc, run, args):
 
 def cmd_lclt(model, model_doc, run, args):
     """Compare the local limit expansion with exact lattice atoms; CSV."""
-    r = _order_from(run, args)
     n_list = _n_list_from(run)
     span = model.lattice_span
     if span is None:
         raise OracleUnavailable("the local limit comparison needs a lattice model")
-    exp_set = expansion_for_model(model, r)
+    exp_set = expansion_for_model(model, 0)  # reads only A and sigma2
     rows = []
     for n, dist in zip(n_list, evaluate.exact_distributions(model, n_list, "dp")):
         est = evaluate.lclt_estimate(exp_set, dist.support - n * exp_set.params.A, n)
@@ -444,14 +441,12 @@ def cmd_lclt(model, model_doc, run, args):
 
 def cmd_moddev(model, model_doc, run, args):
     """Compare moderate-deviation tails with the exact tail; CSV."""
-    r = _order_from(run, args)
     n_list = _n_list_from(run)
     with _reading("run.c"):
         c = float(run.get("c", 0.5))
-    exp_set = expansion_for_model(model, r)
-    rows = []
-    for n, res in zip(n_list, evaluate.moddev_ratios(exp_set, model, c, n_list)):
-        rows.append((n, res.x, res.exact_tail, res.normal_tail, res.ratio, res.corollary_tail))
+    exp_set = expansion_for_model(model, 0)  # reads only A and sigma2
+    rows = [(n, res.x, res.exact_tail, res.normal_tail, res.ratio, res.corollary_tail)
+            for n, res in zip(n_list, evaluate.moddev_ratios(exp_set, model, c, n_list))]
     _write_artifacts((
         _artifact_path(args.out, "moddev", model_doc, args.stamp, "csv"),
         _csv_text(["N", "x", "exact_tail", "normal_tail", "ratio", "corollary_tail"], rows),
@@ -472,6 +467,9 @@ _COMMANDS = {
     "moddev": cmd_moddev,
 }
 
+# the config scalars each command reads and takes a flag for; no other flag
+_FLAGS = {"expand": ("order",), "verify": ("order", "seed", "trials"), "moments": ("order",)}
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Refuses bad command-line arguments with :class:`ValidationError`
@@ -491,14 +489,9 @@ def _parser():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("config", help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--stamp",
-            default=None,
-            help="timestamp token for artifact names (default: current UTC time)",
-        )
-        p.add_argument("--order", type=int, default=None, help="expansion order override")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials override")
+        p.add_argument("--stamp", help="artifact name timestamp token (default: current UTC time)")
+        for flag in _FLAGS.get(name, ()):
+            p.add_argument(f"--{flag}", type=int, help=f"run.{flag} override")
     return parser
 
 

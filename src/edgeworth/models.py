@@ -12,8 +12,7 @@ constructor, which drops the transitions of probability 0 with their
 rewards and takes the lattice span from the values that S_N can take.
 Every chain is stored one way, on its transitions of positive
 probability (:meth:`MarkovModel.entries`), and every consumer in the
-package reads it there; ``observable`` forms the rewards as a d x d
-array for the resonance scan, which compares them as a matrix.
+package, the resonance scan included, reads it there.
 """
 
 from __future__ import annotations
@@ -106,10 +105,6 @@ class MarkovModel:
 
     Attributes
     ----------
-    observable : ndarray
-        The rewards as a d x d array, formed anew on each access, 0 off
-        the transitions of positive probability; read by
-        :func:`diophantine_scan`.
     mu0 : ndarray
     lattice_span : float or None
         Span when every reward of a transition of positive probability is
@@ -183,11 +178,6 @@ class MarkovModel:
         """``(rows, cols, p, h)`` of the transitions of positive
         probability, in row-major order: the chain as it is stored."""
         return self._entries
-
-    @property
-    def observable(self):
-        rows, cols, _, h = self._entries
-        return spectral.SparseMatrix(h, rows, cols, self.dim).toarray()
 
     def operator_family(self, order):
         """Taylor jets of the twisted family up to ``order``."""
@@ -440,35 +430,36 @@ class DiophantineScan:
         return bool(np.max(self.d) <= _RESONANT_TOL)
 
 
-def _distinct_columns(a):
-    """Columns of ``a`` sorted, with a mask marking each first occurrence."""
-    a = np.sort(a, axis=0)
-    first = np.ones(a.shape, dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return a, first
+def _distinct(a):
+    """The distinct values of ``a``, sorted."""
+    a = np.sort(a)
+    return a[np.append(True, a[1:] != a[:-1])]
 
 
-def diophantine_scan(h, s_grid):
-    """Quantitative non-resonance scan of an observable matrix.
+def diophantine_scan(model, s_grid):
+    """Quantitative non-resonance scan of a chain's rewards.
 
     For each grid frequency ``s`` the statistic is
     ``d(s) = max over (r, j, k) of ||(b_{r,j,k} - b_{r,1,k}) s||`` with
     ``b_{r,j,k} = h_{rj} + h_{jk}`` and ``||x|| = |x - rint(x)|`` the
     distance to the nearest integer, so ``d(s)`` lies in ``[0, 1/2]`` and
     a rounding residue in a difference reads as about 0, not about 1.
-    The bound ``d(s) >= K |s|**-beta``
-    is fitted by least squares on the running record minima of ``d``
-    (the lower envelope), since only those constrain the bound.
+    The bound ``d(s) >= K |s|**-beta`` is fitted by least squares on the
+    running record minima of ``d`` (the lower envelope), since only those
+    constrain the bound.
 
-    For a middle index ``j`` the differences are the sums ``u + v`` of
-    the distinct entries ``u`` of column ``j`` of ``h - h[:, :1]`` and
-    ``v`` of row ``j`` of ``h - h[:1, :]``; the scan takes one pass over
-    ``j`` and holds ``len(s_grid)`` times one such set of sums at a time.
+    The rewards come from ``model.entries()``, 0 off the pattern: the
+    triples include impossible paths, whose rewards read 0 (whether they
+    belong in the statistic is open; on the doubling chain they put d(s)
+    near 1/2).  For a middle state ``j`` the differences are the sums
+    ``u + v`` of the distinct ``h_{rj} - h_{r1}`` over ``r`` and
+    ``h_{jk} - h_{1k}`` over ``k``, each formed as a length-d vector; the
+    scan holds ``len(s_grid)`` times one set of sums at a time.
 
     Parameters
     ----------
-    h : array_like
-        d x d observable matrix with d >= 2.
+    model : MarkovModel
+        Chain with d >= 2 states.
     s_grid : array_like
         Frequencies, nonzero.
 
@@ -478,26 +469,43 @@ def diophantine_scan(h, s_grid):
 
     Raises
     ------
+    ValidationError
+        If ``model`` holds no chain, or a frequency is 0.
+    InconsistentDimensions
+        If the chain has fewer than 2 states.
     TooManyValues
         If the sums over all ``j`` number more than 10**7.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
-        raise InconsistentDimensions("observable matrix must be square with d >= 2")
+    if not isinstance(model, MarkovModel):
+        raise ValidationError("the resonance scan needs a finite-state chain")
+    d = model.dim
+    if d < 2:
+        raise InconsistentDimensions("the resonance scan needs a chain with d >= 2 states")
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size == 0 or np.any(s_grid == 0):
         raise ValidationError("frequency grid must be nonempty and nonzero")
-    cols, col_first = _distinct_columns(h - h[:, :1])
-    rows, row_first = _distinct_columns((h - h[:1, :]).T)
-    sizes = col_first.sum(axis=0) * row_first.sum(axis=0)
-    if sizes.sum() > _MAX_SCAN_SUMS:
-        raise TooManyValues(
-            f"resonance scan needs {int(sizes.sum())} reward differences, "
-            f"budget {_MAX_SCAN_SUMS}"
-        )
+    rows, cols, _, h = model.entries()
+    # h[:, 0] and h[0, :], 0 off the pattern
+    col0, row0 = np.zeros(d), np.zeros(d)
+    col0[rows[cols == 0]], row0[cols[rows == 0]] = h[cols == 0], h[rows == 0]
+    by_col = np.argsort(cols, kind="stable")
+    col_end = np.searchsorted(cols[by_col], np.arange(d + 1))
+    row_end = np.searchsorted(rows, np.arange(d + 1))
+    sets = []
+    for j in range(d):
+        # 0.0 - x, not -x, so that a 0 off the pattern stays +0.0
+        u, v = 0.0 - col0, 0.0 - row0
+        into, out = by_col[col_end[j]:col_end[j + 1]], slice(row_end[j], row_end[j + 1])
+        u[rows[into]] = h[into] - col0[rows[into]]
+        v[cols[out]] = h[out] - row0[cols[out]]
+        sets.append((_distinct(u), _distinct(v)))
+    total = sum(u.size * v.size for u, v in sets)
+    if total > _MAX_SCAN_SUMS:
+        raise TooManyValues(f"resonance scan needs {total} reward differences, "
+                            f"budget {_MAX_SCAN_SUMS}")
     dvals = np.zeros(s_grid.size)
-    for j in range(h.shape[0]):
-        diffs = np.add.outer(cols[col_first[:, j], j], rows[row_first[:, j], j]).ravel()
+    for u, v in sets:
+        diffs = np.add.outer(u, v).ravel()
         x = np.multiply.outer(s_grid, diffs)
         np.maximum(dvals, np.abs(x - np.rint(x)).max(axis=1), out=dvals)
 
@@ -510,17 +518,13 @@ def diophantine_scan(h, s_grid):
         return DiophantineScan(s_grid, dvals, 0.0, 0.0, 0.0)
 
     order = np.argsort(np.abs(s_grid), kind="stable")
-    rec_s, rec_d = [], []
-    best = np.inf
-    for i in order:
-        if dvals[i] < best and dvals[i] > 0:
-            best = dvals[i]
-            rec_s.append(abs(s_grid[i]))
-            rec_d.append(dvals[i])
-    if len(rec_s) < 2:
-        return DiophantineScan(s_grid, dvals, float(min(rec_d, default=0.0)), 0.0, 0.0)
-    X = np.log(np.asarray(rec_s))
-    Y = np.log(np.asarray(rec_d))
+    s_abs, d_pos = np.abs(s_grid[order]), dvals[order]
+    s_abs, d_pos = s_abs[d_pos > 0], d_pos[d_pos > 0]
+    # the running record minima of the positive d(s), in order of |s|
+    rec = d_pos < np.minimum.accumulate(np.append(np.inf, d_pos[:-1]))
+    if rec.sum() < 2:
+        return DiophantineScan(s_grid, dvals, float(d_pos.min()), 0.0, 0.0)
+    X, Y = np.log(s_abs[rec]), np.log(d_pos[rec])
     slope, intercept = np.polyfit(X, Y, 1)
     resid = float(np.sqrt(np.mean((slope * X + intercept - Y) ** 2)))
     return DiophantineScan(s_grid, dvals, float(np.exp(intercept)), float(-slope), resid)

@@ -48,8 +48,6 @@ class ExactDistribution:
 
     Parameters
     ----------
-    kind : str
-        "lattice" (exact, from ``dp_pmf``) or "empirical" (Monte Carlo).
     support : array_like
         Strictly increasing finite values.
     pmf : array_like
@@ -74,10 +72,9 @@ class ExactDistribution:
     # _trials and in _cum, int64, the count of trials below each atom and
     # then the trial count; or None, when it has no ties and the count
     # below atom i is i
-    __slots__ = ("kind", "N", "meta", "support", "_pmf", "_cum", "_trials")
+    __slots__ = ("N", "meta", "support", "_pmf", "_cum", "_trials")
 
-    def __init__(self, kind, support, pmf, N, meta=None):
-        self.kind = kind
+    def __init__(self, support, pmf, N, meta=None):
         self.support = support = np.asarray(support, dtype=float)
         self._pmf = pmf = np.asarray(pmf, dtype=float)
         self._trials = None
@@ -113,7 +110,7 @@ class ExactDistribution:
         if not np.isfinite(sample[[0, -1]]).all():
             raise ValidationError("support must be finite")
         law = object.__new__(cls)
-        law.kind, law.N, law.meta = "empirical", int(N), dict(meta)
+        law.N, law.meta = int(N), dict(meta)
         law._pmf, law._cum, law._trials = None, None, sample.size
         # True where a run of equal values starts, and once past the end
         start = np.empty(sample.size + 1, dtype=bool)
@@ -426,10 +423,10 @@ def dp_ladder(model, N_list):
         idx = nz + lo
         if u is None:
             # distinct coordinates times one span: already distinct and sorted
-            return ExactDistribution("lattice", (idx - start) * span, pmf[nz], N, meta)
+            return ExactDistribution((idx - start) * span, pmf[nz], N, meta)
         counts = (idx[:, None] // strides) % base
         support, inverse = np.unique(counts @ u, return_inverse=True)
-        return ExactDistribution("lattice", support, np.bincount(inverse, weights=pmf[nz]), N, meta)
+        return ExactDistribution(support, np.bincount(inverse, weights=pmf[nz]), N, meta)
 
     # Every buffer is allocated once; comp and its scratch row exist only
     # if some target has three or more sources.  The entries are

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BorderedSolveSingular, GapBelowTolerance, SingularStationarySolve
+from .errors import (BorderedSolveSingular, GapBelowTolerance, SingularStationarySolve,
+                     ValidationError)
 from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
@@ -199,7 +200,8 @@ def build_operator_family(model, order):
     truncated at ``order``, stored without its factors ``i**m`` (see
     :class:`OperatorFamilyJet`).  The model is a
     :class:`~edgeworth.models.MarkovModel`, checked when it was built, and
-    the family takes the pattern of ``model.entries()`` as it stands.
+    the family takes the pattern of ``model.entries()`` as it stands.  A
+    coefficient that overflows is refused with a ``ValidationError``.
     """
     if order < 2:
         raise ValueError("jet order must be at least 2")
@@ -207,13 +209,16 @@ def build_operator_family(model, order):
     coeffs = np.empty((order + 1, P.size))
     term = np.ones(P.size)
     coeffs[0] = P
-    for m in range(1, order + 1):
-        # multiplying by 1/m, not dividing by m, makes each slice equal bit
-        # for bit to the modulus of P * (ih)**m / m! computed in complex
-        # arithmetic, where numpy divides by a real through its reciprocal
-        term *= h
-        term *= 1.0 / m
-        np.multiply(P, term, out=coeffs[m])
+    with np.errstate(over="ignore"):  # refused below, by name
+        for m in range(1, order + 1):
+            # multiplying by 1/m, not dividing by m, makes each slice equal bit
+            # for bit to the modulus of P * (ih)**m / m! computed in complex
+            # arithmetic, where numpy divides by a real through its reciprocal
+            term *= h
+            term *= 1.0 / m
+            np.multiply(P, term, out=coeffs[m])
+    if not np.isfinite(coeffs).all():
+        raise ValidationError(f"operator family overflows: p h**m / m! is inf at some m <= {order}")
     return OperatorFamilyJet(coeffs, model.mu0, rows, cols)
 
 

@@ -300,7 +300,7 @@ def test_criterion_11_diagnostics_sanity():
     grid = np.round(np.arange(0.5, 100.0 + 1e-9, 0.1), 10)
     rows = norm_decay_scan(model, grid, 2)
     max_radius = max(rad for _, _, rad in rows)
-    scan = diophantine_scan(model.observable, grid)
+    scan = diophantine_scan(model, grid)
     theta = math.inf
     for (t, nrm, _), d in zip(rows, scan.d):
         if d > 0:

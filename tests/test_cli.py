@@ -1,6 +1,7 @@
 """Command-line driver: configs, artifacts, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -44,6 +45,50 @@ def test_top_level_help_describes_every_subcommand(capsys):
         assert doc, name
         assert f"{name} {doc}" in out
 
+
+# the config overrides each command reads; no command takes another
+_KEPT_FLAGS = {"expand": {"order"}, "verify": {"order", "seed", "trials"}, "moments": {"order"}}
+
+
+@pytest.mark.parametrize("flag", ["order", "seed", "trials"])
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path, TWO_STATE)
+    out_dir = tmp_path / "out"
+    argv = [command, cfg, "--out", str(out_dir), "--stamp", "s", f"--{flag}", "3"]
+    if flag in _KEPT_FLAGS.get(command, ()):
+        assert getattr(cli._parser().parse_args(argv), flag) == 3
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError" and f"--{flag} 3" in payload["message"]
+    assert not out_dir.exists()
+
+
+def _artifact_text(capsys, command, cfg, out_dir, *flags):
+    code, out, err = run_cli(capsys, command, cfg, "--out", str(out_dir), "--stamp", "s", *flags)
+    assert code in (0, 4) and "Traceback" not in err
+    return code, open(out.strip(), encoding="utf-8").read()
+
+
+@pytest.mark.parametrize("command,run,other,flags", [
+    ("expand", {"order": 1}, {"order": 2}, ["--order", "1"]),
+    ("moments", {"order": 1}, {"order": 2}, ["--order", "1"]),
+    ("verify", {"order": 0, "N_list": [16, 32], "oracle": "mc", "seed": 5, "trials": 700},
+     {"order": 2, "N_list": [16, 32], "oracle": "mc", "seed": 1, "trials": 300},
+     ["--order", "0", "--seed", "5", "--trials", "700"]),
+])
+def test_a_kept_flag_reads_as_its_config_scalar(tmp_path, capsys, command, run, other, flags):
+    # flags over a config of other values give the artifact of their values
+    model = {"bundled": "two_state"}
+    want = _artifact_text(capsys, command, write_config(tmp_path, {"model": model, "run": run}),
+                          tmp_path / "config")
+    got = _artifact_text(
+        capsys, command, write_config(tmp_path, {"model": model, "run": other}, "other.json"),
+        tmp_path / "flags", *flags)
+    assert got == want
 
 
 # -------------------------------------------------------------------- expand
@@ -290,10 +335,30 @@ def test_unwritable_second_artifact_removes_the_first(tmp_path, capsys):
     assert os.listdir(out_dir) == [os.path.basename(json_path)]
 
 
-def test_verify_refuses_a_standardized_support_that_overflows(tmp_path, capsys):
-    # N A = 1.36e308 at N = 1: the lower atom standardizes to -inf
-    doc = {"model": {"type": "iid", "pmf": [[1.7e308, 0.9], [-1.7e308, 0.1]]},
-           "run": {"order": 0, "N_list": [1]}}
+_OVERFLOWING_IID = {"type": "iid", "pmf": [[1.7e308, 0.9], [-1.7e308, 0.1]]}
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_an_operator_family_that_overflows_is_refused_by_name(tmp_path, capsys, command):
+    # h**2 / 2 overflows; the jets once gave sigma2 = nan, and the run was
+    # refused only when the artifact was written ("cannot serialize")
+    doc = {"model": _OVERFLOWING_IID, "run": {"order": 0, "N_list": [1]}}
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, cfg, "--out", str(out_dir), "--stamp", "s")
+    assert (code, json.loads(err)["error"]) == (2, "ValidationError") and out == ""
+    assert json.loads(err)["message"].startswith("operator family overflows")
+    assert not out_dir.exists()
+
+
+def test_verify_refuses_a_standardized_support_that_overflows(tmp_path, capsys, monkeypatch):
+    # N A = 1.36e308 at N = 1 beside the same law: the lower atom
+    # standardizes to -inf.  The family of that law overflows first, so the
+    # expansion is a finite one with its drift set to that value
+    exp_set = cli.expansion_for_model(cli.models.iid_model(pmf=[[1.0, 0.9], [-1.0, 0.1]]), 0)
+    exp_set = dataclasses.replace(exp_set, params=dataclasses.replace(exp_set.params, A=1.36e308))
+    monkeypatch.setattr(cli, "expansion_for_model", lambda model, r: exp_set)
+    doc = {"model": _OVERFLOWING_IID, "run": {"order": 0, "N_list": [1]}}
     cfg = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, "verify", cfg, "--out", str(out_dir), "--stamp", "s")
@@ -847,10 +912,9 @@ def test_diagnose_never_forms_the_transition_matrix(tmp_path, capsys, monkeypatc
 
 def test_diagnose_of_a_lattice_chain_allocates_no_dense_matrix(tmp_path, capsys):
     # one d x d array of the 4096-cell chain is 128 MiB; all of diagnose
-    # peaked at 2.1 MiB.  The chain is a lattice one (h = 2 on every entry):
-    # the resonance scan of a non-lattice chain reads the d x d observable
-    # and holds several d x d arrays of its own, so at 64 cells or 16
-    # states a stray d x d transition matrix would not stand out
+    # peaked at 2.1 MiB.  The chain is a lattice one (h = 2 on every entry),
+    # so the resonance scan does not run; the next test bounds diagnose on
+    # a non-lattice chain at the cap
     model = {"type": "ulam", "cells": 4096, "g": [2.0]}
     cfg = write_config(tmp_path, {"model": model, "run": {}})
     tracemalloc.start()
@@ -861,6 +925,24 @@ def test_diagnose_of_a_lattice_chain_allocates_no_dense_matrix(tmp_path, capsys)
         tracemalloc.stop()
     assert code == 0 and err == ""
     assert json.loads(open(out.strip().splitlines()[1]).read())["lattice_span"] == 2.0
+    assert peak < 16 * 2 ** 20
+
+
+def test_diagnose_of_a_nonlattice_chain_at_the_cap_allocates_no_dense_matrix(tmp_path, capsys):
+    # the resonance scan read the rewards as a d x d array, with sorted
+    # copies of it: diagnose peaked at 530 MiB; it now reads them
+    # from the entries, one middle state at a time, and peaked at 3.3 MiB
+    model = {"type": "ulam", "cells": 4096}
+    cfg = write_config(tmp_path, {"model": model, "run": {}})
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    report = json.loads(open(out.strip().splitlines()[1]).read())
+    assert report["lattice_span"] is None and report["diophantine"] is not None
     assert peak < 16 * 2 ** 20
 
 
@@ -889,6 +971,7 @@ def test_diagnose_jet_only_model_exits_two(tmp_path, capsys):
     code, out, err = run_cli(capsys, "diagnose", cfg, "--out", str(tmp_path), "--stamp", "s")
     assert code == 2
     assert json.loads(err)["error"] == "ValidationError"
+    assert "finite-state chain" in json.loads(err)["message"]
 
 
 def test_diagnose_nonlattice_fits_frequency_lower_bound(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Numeric evaluators: quadrature, CDF/pmf forms, ladders, tails."""
 
+import dataclasses
 import math
 import time
 
@@ -222,11 +223,11 @@ def test_classical_error_standardizes_without_copying_the_support(two_state):
     A, sigma = exp_set.params.A, exp_set.params.sigma
     N, n = 4096, 10 ** 6
     support = N * A + math.sqrt(N) * sigma * np.linspace(-6.0, 6.0, n)
-    dist = ExactDistribution("empirical", support, np.full(n, 1.0 / n), N)
+    dist = ExactDistribution(support, np.full(n, 1.0 / n), N)
     got, peak = traced_peak(evaluate._classical_error, exp_set, model, dist, N, 1)
     assert peak < 8 * n
     # the same probe set on the formed image: every 51st atom and the grid
-    std = ExactDistribution("empirical", (support - N * A) / math.sqrt(N), dist.pmf, N)
+    std = ExactDistribution((support - N * A) / math.sqrt(N), dist.pmf, N)
     probes = np.union1d(std.support[::51], np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
     cdf = lambda z: edgeworth_cdf(exp_set, N, z, 1)
     assert got == oracle.kolmogorov_distance(std, cdf, probes)
@@ -268,10 +269,14 @@ def test_classical_error_equals_that_of_the_standardized_law(name, r, N, oracle_
 
 
 def test_classical_error_refuses_a_standardized_support_that_overflows():
-    # N A = 1.36e308, so the standardized lower atom is -inf
+    # N A = 1.36e308 beside the law of the rewards +-1.7e308, so the
+    # standardized lower atom is -inf.  The family of that law overflows,
+    # so the expansion is a finite one with its drift set to that value
     model = iid_model(pmf=[[1.7e308, 0.9], [-1.7e308, 0.1]])
-    with np.errstate(all="ignore"):  # the jets overflow too
-        exp_set = expansion_for_model(model, 0)
+    with pytest.raises(ValidationError, match="^operator family overflows"):
+        expansion_for_model(model, 0)
+    exp_set = expansion_for_model(iid_model(pmf=[[1.0, 0.9], [-1.0, 0.1]]), 0)
+    exp_set = dataclasses.replace(exp_set, params=dataclasses.replace(exp_set.params, A=1.36e308))
     with pytest.raises(ValidationError, match="standardized support overflows"):
         convergence_study(exp_set, model, "dp", 0, [1])
 
@@ -426,7 +431,7 @@ def test_averaged_wide_functions_match_mpmath(two_state):
             gauss += mpmath.quad(bump, [nodes[-1], mpmath.inf])
         assert abs(averaged(exp_set, f, N, x) - want) <= 1e-14
         # one atom at N A: the exact part is the tail of f above -x sqrt(N)
-        dist = ExactDistribution("empirical", np.array([N * exp_set.params.A]), np.ones(1), N)
+        dist = ExactDistribution(np.array([N * exp_set.params.A]), np.ones(1), N)
         err = float(f.tail_integral(-x * rootn) - gauss) - want
         got = evaluate._averaged_error(exp_set, model, dist, N, exp_set.r, f, x)
         assert abs(got - abs(err)) <= 1e-13

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from chains import dense_chain
+from chains import dense_chain, sparse_chain_doc
+from memory import traced_peak
 from edgeworth.errors import (
     InconsistentDimensions,
     InsufficientMoments,
@@ -115,7 +116,7 @@ def test_rewards_on_impossible_transitions_are_dropped():
     h = np.array([[1.0, 0.0], [0.0, 0.5]])
     m = markov_model([[0.5, 0.5], [1.0, 0.0]], h, [1.0, 0.0])
     assert m.lattice_span == 1.0
-    assert m.observable.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert dense_chain(m)[1].tolist() == [[1.0, 0.0], [0.0, 0.0]]
     assert h[1, 1] == 0.5  # the caller's array is not modified
     # an irrational reward there does not make the chain non-lattice
     h[1, 1] = math.pi
@@ -303,7 +304,7 @@ def test_ulam_chain_is_held_on_per_cell_intersections(map_kind, endpoints, cells
         dense_P, dense_h = np.zeros((cells, cells)), np.zeros((cells, cells))
         dense_P[rows, cols], dense_h[rows, cols] = P, h
         assert np.array_equal(dense_chain(m)[0], dense_P)
-        assert np.array_equal(m.observable, dense_h)
+        assert np.array_equal(dense_chain(m)[1], dense_h)
 
 
 def test_ulam_expansion_at_the_cell_cap_allocates_no_dense_matrix():
@@ -335,7 +336,6 @@ def test_markov_model_on_its_nonzeros_matches_the_dense_model():
     assert sparse.dim == 3 and sparse.lattice_span == dense.lattice_span == 0.5
     for got, want in zip(dense_chain(sparse), dense_chain(dense)):
         assert np.array_equal(got, want)
-    assert np.array_equal(sparse.observable, dense.observable)
     for got, want in zip(sparse.entries(), dense.entries()):
         assert np.array_equal(got, want)
     # a stored entry of probability 0 leaves the pattern, with its reward
@@ -371,9 +371,17 @@ def test_markov_model_checks_a_chain_on_its_nonzeros(mangle, error, message):
         MarkovModel(*mangle(P, h), [1.0, 0.0])
 
 
-def _scan_reference(h, s_grid):
-    # triple loop over (r, j, k) and one pass per frequency
+def _full_chain(h):
+    # uniform full-support P, so every reward is an entry of the chain
     h = np.asarray(h, dtype=float)
+    d = h.shape[0]
+    return markov_model(np.full((d, d), 1.0 / d), h, np.full(d, 1.0 / d))
+
+
+def _scan_reference(model, s_grid):
+    # triple loop over (r, j, k) of the d x d rewards, 0 off the pattern,
+    # and one pass per frequency
+    h = dense_chain(model)[1]
     s_grid = np.asarray(s_grid, dtype=float)
     d = h.shape[0]
     diffs = []
@@ -410,19 +418,23 @@ def _scan_cases():
     grid = np.linspace(0.5, 20.0, 40)
     signed = np.concatenate([-grid[::3], grid])
     cases = [
-        (bundled_model(name).observable, grid)
+        (bundled_model(name), grid)
         for name in ("two_state", "three_state_lattice", "diophantine_two_state", "bernoulli")
     ]
     for cells in (16, 64):
         for g in _OBSERVABLES:
-            cases.append((ulam_model(g=g, cells=cells).observable, grid))
+            cases.append((ulam_model(g=g, cells=cells), grid))
     pw = ulam_model("piecewise-linear", _OBSERVABLES[0], 17, [0.0, 0.2, 0.45, 0.7, 1.0])
-    cases.append((pw.observable, signed))
+    cases.append((pw, signed))
     for d in (2, 5, 9):
-        cases.append((rng.normal(size=(d, d)), signed))
+        cases.append((_full_chain(rng.normal(size=(d, d))), signed))
     # integer rewards with a few repeats, so the distinct-value sets are small
-    cases.append((rng.integers(-3, 4, size=(6, 6)).astype(float), signed))
-    cases.append((np.full((3, 3), 1.3), signed))
+    cases.append((_full_chain(rng.integers(-3, 4, size=(6, 6))), signed))
+    cases.append((_full_chain(np.full((3, 3), 1.3)), signed))
+    # 2 of 16 entries per row: most rewards compared are the 0 off the pattern
+    doc = sparse_chain_doc()
+    cases.append((markov_model(doc["transition"], doc["observable"], np.full(16, 1.0 / 16)),
+                  signed))
     return cases
 
 
@@ -431,11 +443,11 @@ _SCAN_CASES = _scan_cases()
 
 @pytest.mark.parametrize("case", range(len(_SCAN_CASES)))
 def test_diophantine_scan_matches_triple_loop_exactly(case):
-    h, grid = _SCAN_CASES[case]
+    model, grid = _SCAN_CASES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = _scan_reference(h, grid)
-        got = diophantine_scan(h, grid)
+        ref = _scan_reference(model, grid)
+        got = diophantine_scan(model, grid)
     assert np.array_equal(got.s, ref.s)
     assert np.array_equal(got.d, ref.d)
     assert got.K == ref.K and got.beta == ref.beta and got.residual == ref.residual
@@ -444,22 +456,40 @@ def test_diophantine_scan_matches_triple_loop_exactly(case):
 def test_diophantine_scan_completes_on_bundled_ulam():
     m = bundled_model("doubling_ulam")
     grid = np.linspace(0.5, 20.0, 40)
-    scan = diophantine_scan(m.observable, grid)
+    scan = diophantine_scan(m, grid)
     assert scan.d.shape == grid.shape
     assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
 
 
+def test_diophantine_scan_at_the_cell_cap_holds_no_dense_array():
+    # the scan read a d x d reward array and its sorted copies, a 528 MiB
+    # traced peak at 4096 cells; one middle state at a time it holds a few
+    # length-d vectors (1.7 MiB)
+    m = ulam_model(g=lambda x: np.cos(2.0 * np.pi * x), cells=MAX_ULAM_CELLS)
+    scan, peak = traced_peak(diophantine_scan, m, np.linspace(0.5, 20.0, 40))
+    assert peak < 16 * 2 ** 20
+    assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
+
+
+def test_diophantine_scan_refuses_a_model_without_a_chain():
+    with pytest.raises(ValidationError, match="finite-state chain"):
+        diophantine_scan(bundled_model("iid_moments"), [1.0])
+    with pytest.raises(InconsistentDimensions, match="d >= 2"):
+        diophantine_scan(markov_model([[1.0]], [[0.5]], [1.0]), [1.0])
+
+
 def test_diophantine_scan_size_guard():
-    # a dense generic 250-state observable has 250**3 > 10**7 differences
-    h = np.random.default_rng(5).normal(size=(250, 250))
-    with pytest.raises(TooManyValues):
-        diophantine_scan(h, [1.0, 2.0])
+    # a dense generic 250-state observable has about 250**3 > 10**7 differences
+    m = _full_chain(np.random.default_rng(5).normal(size=(250, 250)))
+    with pytest.raises(TooManyValues, match=r"^resonance scan needs 15562501 reward "
+                                            r"differences, budget 10000000$"):
+        diophantine_scan(m, [1.0, 2.0])
 
 
 def test_diophantine_scan_golden():
-    h = np.array([[1.0, 0.0], [GOLDEN, 0.0]])
+    m = _full_chain([[1.0, 0.0], [GOLDEN, 0.0]])
     grid = np.arange(0.5, 60.0, 0.25)
-    scan = diophantine_scan(h, grid)
+    scan = diophantine_scan(m, grid)
     # the golden ratio is badly approximable: s d(s) stays above a
     # constant, and tends to 1/sqrt(5) at the Fibonacci numbers s = 8, 21, 55
     assert (scan.d * grid).min() > 0.2
@@ -471,8 +501,7 @@ def test_diophantine_scan_golden():
 def test_diophantine_scan_integer_sawtooth():
     # entries in {0, 1}: the only nonzero reward difference is -1, so
     # d(s) is the triangle wave ||s||, the distance to the nearest integer
-    h = np.array([[1.0, 0.0], [1.0, 0.0]])
-    scan = diophantine_scan(h, [0.25, 0.5, 0.75])
+    scan = diophantine_scan(_full_chain([[1.0, 0.0], [1.0, 0.0]]), [0.25, 0.5, 0.75])
     assert abs(scan.d[0] - 0.25) <= 1e-12
     assert abs(scan.d[1] - 0.5) <= 1e-12
     assert abs(scan.d[2] - 0.25) <= 1e-12
@@ -481,17 +510,17 @@ def test_diophantine_scan_integer_sawtooth():
 def test_diophantine_scan_ignores_rounding_residues():
     # the 64-cell doubling observable holds differences like -3.3e-16;
     # as distances to the nearest integer they read about 0, not about 1
-    h = ulam_model(g=lambda x: np.cos(2 * np.pi * x), cells=64).observable
-    scan = diophantine_scan(h, np.linspace(0.5, 20.0, 40))
+    m = ulam_model(g=lambda x: np.cos(2 * np.pi * x), cells=64)
+    scan = diophantine_scan(m, np.linspace(0.5, 20.0, 40))
     assert np.all((scan.d >= 0.0) & (scan.d <= 0.5))
 
 
 def test_diophantine_scan_resonant_constant_observable():
     # all rewards equal: every difference vanishes, d(s) = 0 identically
-    h = np.full((2, 2), 1.3)
+    m = _full_chain(np.full((2, 2), 1.3))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        scan = diophantine_scan(h, [math.pi, 2 * math.pi])
+        scan = diophantine_scan(m, [math.pi, 2 * math.pi])
         assert scan.K == 0.0 and scan.beta == 0.0
         assert np.all(scan.d == 0.0)
     assert any("resonant" in str(w.message) for w in caught)

@@ -28,7 +28,6 @@ from edgeworth.jets import jet_mul
 from edgeworth.evaluate import _model_key, edgeworth_cdf, exact_distribution
 from edgeworth.expansion import expansion_for_model
 from edgeworth.models import (
-    MarkovModel,
     bundled_model,
     iid_model,
     markov_model,
@@ -45,15 +44,16 @@ from edgeworth.oracle import (
     mc_sample,
     normal_cdf,
 )
+from edgeworth.spectral import SparseMatrix
 
 
 def test_exact_distribution_validation():
     with pytest.raises(ValidationError):
-        ExactDistribution("lattice", [0.0, 0.0], [0.5, 0.5], 1)
+        ExactDistribution([0.0, 0.0], [0.5, 0.5], 1)
     with pytest.raises(ValidationError):
-        ExactDistribution("lattice", [0.0, 1.0], [0.5, 0.6], 1)
+        ExactDistribution([0.0, 1.0], [0.5, 0.6], 1)
     with pytest.raises(ValidationError):
-        ExactDistribution("lattice", [[0.0, 1.0]], [[0.5, 0.5]], 1)
+        ExactDistribution([[0.0, 1.0]], [[0.5, 0.5]], 1)
 
 
 @pytest.mark.parametrize(
@@ -70,7 +70,7 @@ def test_exact_distribution_refuses_invalid_input(support, pmf):
     # each was accepted before; a negative mass gave cdf(0.5) = 1.5, and
     # the infinite atoms warned from np.diff, which pytest makes an error
     with pytest.raises(ValidationError):
-        ExactDistribution("lattice", support, pmf, 1)
+        ExactDistribution(support, pmf, 1)
 
 
 def test_exact_distribution_and_affine_image_memory():
@@ -80,7 +80,7 @@ def test_exact_distribution_and_affine_image_memory():
     n = 10 ** 6
     support = np.arange(n, dtype=float)
     pmf = np.full(n, 1.0 / n)
-    dist, peak = traced_peak(ExactDistribution, "empirical", support, pmf, 1)
+    dist, peak = traced_peak(ExactDistribution, support, pmf, 1)
     assert peak < 1.5 * 8 * n
     # a query holds a few arrays of the probe count, none of the atom count
     probes = np.linspace(-0.1 * n, 1.1 * n, 20001)
@@ -130,7 +130,7 @@ def test_fsum_blocks_match_fsum_of_list(base, size, step, cancel):
 
 
 def test_exact_distribution_queries():
-    d = ExactDistribution("lattice", [0.0, 1.0, 3.0], [0.25, 0.5, 0.25], 4)
+    d = ExactDistribution([0.0, 1.0, 3.0], [0.25, 0.5, 0.25], 4)
     assert d.cdf(-1.0) == 0.0
     assert d.cdf(0.0) == 0.25
     assert d.cdf_left(1.0) == 0.25
@@ -211,7 +211,6 @@ def test_dp_off_lattice_matches_path_enumeration():
     for N in (1, 2, 5, 12):
         support, pmf = _path_enumeration(m, N)
         got = dp_pmf(m, N)
-        assert got.kind == "lattice"
         assert got.support.size == support.size
         assert np.abs(got.support - support).max() <= 1e-13
         assert np.abs(got.pmf - pmf).max() <= 1e-15
@@ -403,7 +402,7 @@ def test_dp_flush_drops_only_subnormal_edge_debris(name, N):
 def _window_cells(model, N):
     # the cells of the full active window, which grows by the reward
     # range per step, summed over the N steps and the d states
-    grow = int(np.ptp(np.append(np.rint(model.observable / model.lattice_span), 0.0)))
+    grow = int(np.ptp(np.append(np.rint(dense_chain(model)[1] / model.lattice_span), 0.0)))
     return model.dim * sum(s * grow + 1 for s in range(N))
 
 
@@ -522,7 +521,7 @@ def test_sparse_chains_cover_every_source_count():
         counts |= set((dense_chain(m)[0] != 0).sum(axis=0).tolist())
     assert {0, 1, 2} <= counts
     assert max(counts) >= 4
-    assert any((m.observable < 0).any() and (m.observable > 0).any() for m in chains)
+    assert any((dense_chain(m)[1] < 0).any() and (dense_chain(m)[1] > 0).any() for m in chains)
 
 
 # three distinct rewards at N = 400 exceed the 10**7-cell budget
@@ -1305,15 +1304,17 @@ def test_enum_estimate_refuses_large_chain_without_overflow():
         dp_pmf(bundled_model("doubling_ulam"), 4)
 
 
-def _refuse_dense_properties(monkeypatch):
+def _refuse_toarray(monkeypatch):
+    # the model has no d x d accessor; SparseMatrix.toarray is the one way
+    # the library forms a d x d array from a chain held on its pattern
     def refuse(self):
         raise AssertionError("the chain was densified")
 
-    monkeypatch.setattr(MarkovModel, "observable", property(refuse))
+    monkeypatch.setattr(SparseMatrix, "toarray", refuse)
 
 
 def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
-    _refuse_dense_properties(monkeypatch)
+    _refuse_toarray(monkeypatch)
     with pytest.raises(TableTooLarge):
         dp_pmf(bundled_model("doubling_ulam"), 4)
     # an integer-valued g makes the chain lattice: the DP runs on the
@@ -1330,9 +1331,9 @@ def test_dp_reads_an_ulam_chain_on_its_nonzeros(monkeypatch):
 
 
 def test_no_expansion_dp_refusal_or_cache_path_densifies_an_ulam_chain(monkeypatch):
-    # the dense properties raise: every step below reads model.entries()
+    # toarray raises: every step below reads model.entries()
     model = bundled_model("doubling_ulam")
-    _refuse_dense_properties(monkeypatch)
+    _refuse_toarray(monkeypatch)
     for r in (1, 2):
         assert abs(expansion_for_model(model, r).params.sigma2 - 0.5) <= 1e-6
     cache = {}
@@ -1354,7 +1355,7 @@ def test_model_key_reads_the_chain_not_its_layout():
 
 
 def test_kolmogorov_distance_hand_case():
-    d = ExactDistribution("lattice", [0.0, 1.0], [0.5, 0.5], 1)
+    d = ExactDistribution([0.0, 1.0], [0.5, 0.5], 1)
     flat = lambda z: 0.25
     probes = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
     # at z = 1 the step function jumps from 0.5 to 1.0 around 0.25
@@ -1365,7 +1366,7 @@ def test_kolmogorov_distance_continuous_comparator():
     # atoms at 0 and 2 against the continuous ramp F(z) = z/2 on [0, 2]:
     # just left of the second atom the step holds 0.4 while the ramp is
     # already at 1, so the sup is 0.6 and needs the left limit to see it
-    d = ExactDistribution("lattice", [0.0, 2.0], [0.4, 0.6], 1)
+    d = ExactDistribution([0.0, 2.0], [0.4, 0.6], 1)
     ramp = lambda z: np.clip(z / 2.0, 0.0, 1.0)
     probes = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     assert abs(kolmogorov_distance(d, ramp, probes) - 0.6) <= 1e-15
@@ -1389,9 +1390,7 @@ def test_kolmogorov_distance_matches_scalar_loop():
     N = 1024
     dist = dp_pmf(model, N)
     A = drift(model)
-    std = ExactDistribution(
-        "lattice", (dist.support - N * A) / math.sqrt(N), dist.pmf, N
-    )
+    std = ExactDistribution((dist.support - N * A) / math.sqrt(N), dist.pmf, N)
     sigma = math.sqrt(102.0 / 175.0)
     probes = np.union1d(std.support, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
     exp_set = expansion_for_model(model, 1)
