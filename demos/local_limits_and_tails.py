@@ -16,7 +16,6 @@ from edgeworth import (
     exact_distributions,
     expansion_for_model,
     lclt_estimate,
-    moddev_ratio,
     moddev_ratios,
 )
 
@@ -43,7 +42,7 @@ def main():
             f"{res.normal_tail:.6e}  {res.ratio:.4f}"
         )
     print()
-    res = moddev_ratio(exp_set, model, 1.0, 4096)
+    res = moddev_ratios(exp_set, model, 1.0, [4096])[0]
     print(f"closed-form tail prediction at c = 1, N = 4096: "
           f"{res.corollary_tail:.6e} (exact {res.exact_tail:.6e})")
 

@@ -64,8 +64,6 @@ from .evaluate import (
     exact_distributions,
     lattice_pmf,
     lclt_estimate,
-    lclt_window,
-    moddev_ratio,
     moddev_ratios,
     weak_global,
     weak_local,
@@ -113,10 +111,8 @@ __all__ = [
     "kolmogorov_distance",
     "lattice_pmf",
     "lclt_estimate",
-    "lclt_window",
     "markov_model",
     "mc_sample",
-    "moddev_ratio",
     "moddev_ratios",
     "norm_decay_scan",
     "normal_cdf",

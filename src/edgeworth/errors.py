@@ -5,6 +5,8 @@ that library users (and the command line driver) can map problems to exit
 codes without string matching.
 """
 
+import operator
+
 
 class EdgeworthError(Exception):
     """Base class for all package-specific errors."""
@@ -12,6 +14,15 @@ class EdgeworthError(Exception):
 
 class ValidationError(EdgeworthError):
     """Invalid input data or configuration."""
+
+
+def _as_index(name, value):
+    """``operator.index(value)``, or a :class:`ValidationError` naming
+    ``name``: a size or seed is taken as an integer, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
 class OracleInfeasible(EdgeworthError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_index
 from . import oracle
 
 _PANELS = 64
@@ -110,26 +110,6 @@ class TestFunction:
             return (self.center - self.width, self.center + self.width)
         pad = 16.0 + 2.0 * self.degree
         return (self.center - pad * self.width, self.center + pad * self.width)
-
-    def integral(self):
-        """Closed-form total integral where available, else ``quadrature``."""
-        if self.kind == "gaussian-bump":
-            return self.width * math.sqrt(2.0 * math.pi)
-        if self.kind == "hermite-damped":
-            return self.width * math.sqrt(2.0 * math.pi) if self.degree == 0 else 0.0
-        return quadrature(self, *self.support())
-
-    def fourier(self, t):
-        """Fourier transform integral f(x) exp(-i t x) dx where closed-form."""
-        if self.kind == "gaussian-bump":
-            w = self.width
-            return (
-                w
-                * math.sqrt(2.0 * math.pi)
-                * np.exp(-0.5 * (w * t) ** 2)
-                * np.exp(-1j * t * self.center)
-            )
-        return None
 
     def tail_integral(self, a):
         """Integral of f over [a, infinity), elementwise.
@@ -302,13 +282,6 @@ def lclt_estimate(exp_set, u, N):
     return out if out.ndim else float(out)
 
 
-def lclt_window(exp_set, u, N, eps):
-    """Window-probability prediction  2 eps dens / sqrt(N)."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    return 2.0 * eps * lclt_estimate(exp_set, u, N) / math.sqrt(N)
-
-
 @dataclass(frozen=True)
 class ModDevResult:
     """Moderate-deviation comparison at the edge of the valid regime."""
@@ -320,15 +293,15 @@ class ModDevResult:
     corollary_tail: float
 
 
-def moddev_ratio(exp_set, model, c, N):
-    """Exact-vs-normal tail ratio at x = sqrt(c sigma2 ln N).
+def moddev_ratios(exp_set, model, c, N_list):
+    """Exact-vs-normal tail ratio at x = sqrt(c sigma2 ln N) for each N
+    of a strictly increasing ``N_list``, all validated first.
 
-    The exact tail P((S_N - N A)/sqrt(N) >= x) comes from the exact
-    dynamic program ``oracle.dp_ladder``, on the span lattice or on the
-    reward-count lattice of a non-lattice chain; the normal tail is
-    1 - Phi_sigma(x).  Also reports the closed-form prediction
-    (1/sqrt(2 pi c)) / sqrt(N^c ln N) for the tail itself.  The probe
-    x is clamped below at 1, the lower end of the validity window.
+    The exact tails P((S_N - N A)/sqrt(N) >= x) come from one sweep of
+    ``oracle.dp_ladder``; the normal tail is 0.5 erfc(x / (sigma sqrt 2)).
+    Also reports the closed-form prediction (1/sqrt(2 pi c)) /
+    sqrt(N^c ln N) for the tail itself.  The probe x is clamped below at
+    1, the lower end of the validity window.
 
     Raises
     ------
@@ -336,15 +309,6 @@ def moddev_ratio(exp_set, model, c, N):
         When the dynamic program would exceed its 10**7-cell budget.
     OracleUnavailable
         When the model has no explicit chain.
-    """
-    return moddev_ratios(exp_set, model, c, [N])[0]
-
-
-def moddev_ratios(exp_set, model, c, N_list):
-    """``moddev_ratio`` at each N of a strictly increasing ``N_list``.
-
-    The exact tails come from one sweep of the dynamic program over the
-    horizons, after every N and ``c`` is validated.
     """
     if not 0.0 < c:
         raise ValidationError("c must be positive")
@@ -361,7 +325,7 @@ def moddev_ratios(exp_set, model, c, N_list):
     for N, power, dist in zip(N_list, powers, exact_distributions(model, N_list, "dp")):
         x = max(1.0, math.sqrt(c * params.sigma2 * math.log(N)))
         exact_tail = dist.tail(N * params.A + x * math.sqrt(N))
-        normal_tail = 1.0 - oracle.normal_cdf(x, params.sigma)
+        normal_tail = 0.5 * oracle.erfc(x / (params.sigma * math.sqrt(2.0)))
         corollary = 1.0 / (math.sqrt(2.0 * math.pi * c) * math.sqrt(power * math.log(N)))
         ratio = exact_tail / normal_tail if normal_tail > 0 else math.inf
         results.append(ModDevResult(x, ratio, exact_tail, normal_tail, corollary))
@@ -432,7 +396,7 @@ def exact_distributions(model, N_list, oracle_kind, seed=0, trials=10 ** 5, cach
     return [cache[key] for key in keys]
 
 
-def _classical_error(exp_set, model, dist, N, r):
+def _classical_error(exp_set, dist, N, r):
     """Kolmogorov distance of the law of (S_N - N A) / sqrt(N) from the
     classical expansion of order r; a ``ValidationError`` if a
     standardized end atom, so some standardized atom, overflows.
@@ -474,21 +438,21 @@ def _lattice_error(exp_set, model, dist, N, r):
     return float(np.max(np.abs(exact - approx))) * math.sqrt(N)
 
 
-def _weak_local_error(exp_set, model, dist, N, r, f):
+def _weak_local_error(exp_set, dist, N, r, f):
     params = exp_set.params
     offsets = dist.support - N * params.A
     exact = math.sqrt(N) * oracle._fsum(f(offsets) * dist.pmf)
     return abs(exact - weak_local(exp_set, f, N, r))
 
 
-def _weak_global_error(exp_set, model, dist, N, r, f):
+def _weak_global_error(exp_set, dist, N, r, f):
     params = exp_set.params
     offsets = dist.support - N * params.A
     exact = oracle._fsum(f(offsets) * dist.pmf)
     return abs(exact - weak_global(exp_set, f, N, r))
 
 
-def _averaged_error(exp_set, model, dist, N, r, f, x):
+def _averaged_error(exp_set, dist, N, r, f, x):
     params = exp_set.params
     rootn = math.sqrt(N)
     # integral F_N(x + y/rootn) f(y) dy  ==  sum_k pmf_k * tail integral
@@ -547,7 +511,7 @@ def convergence_study(
         Center for the averaged form.  None probes x in
         {0, +-sigma, +-2sigma} and reports the worst error per N.
     """
-    N_list = [int(n) for n in N_list]
+    N_list = [_as_index("N_list", n) for n in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValidationError("N_list must be strictly increasing")
     if form not in _FORMS:
@@ -571,16 +535,16 @@ def convergence_study(
     for N, dist in zip(N_list, dists):
         dkw99.append(dist.meta.get("dkw99"))
         if form == "classical":
-            err = _classical_error(exp_set, model, dist, N, r)
+            err = _classical_error(exp_set, dist, N, r)
         elif form == "lattice":
             err = _lattice_error(exp_set, model, dist, N, r)
         elif form == "weak_local":
-            err = _weak_local_error(exp_set, model, dist, N, r, f)
+            err = _weak_local_error(exp_set, dist, N, r, f)
         elif form == "weak_global":
-            err = _weak_global_error(exp_set, model, dist, N, r, f)
+            err = _weak_global_error(exp_set, dist, N, r, f)
         else:
             err = max(
-                _averaged_error(exp_set, model, dist, N, r, f, xx)
+                _averaged_error(exp_set, dist, N, r, f, xx)
                 for xx in probes_x
             )
         raw.append(err)

@@ -39,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .jets import Polynomial, bi_exp, jet_log
-from .spectral import SpectralJets
 
 _DRIFT_TOL = 1e-10
 _VARIANCE_TOL = 1e-10
@@ -289,8 +288,7 @@ def weak_local_polys(freq, sigma2, r):
         for j in range(2 * p + 1):
             a_k = freq[2 * p - j]
             acc = 0.0 + 0.0j
-            for m in range(a_k.degree + 1):
-                c = a_k.coeff(m)
+            for m, c in enumerate(a_k.coeffs.tolist()):
                 if c == 0.0:
                     continue
                 acc += c * (1j ** m) * _gaussian_moment(m + j, sigma)

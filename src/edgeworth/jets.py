@@ -179,7 +179,7 @@ class Polynomial:
     """Real-coefficient polynomial ``c0 + c1*x + ... + cd*x**d``.
 
     Trailing coefficients below ``1e-14`` in absolute value are trimmed on
-    construction so degree comparisons are stable.
+    construction, so rounding residue above the true degree is not written.
     """
 
     __slots__ = ("coeffs",)
@@ -193,54 +193,11 @@ class Polynomial:
             last -= 1
         self.coeffs = c[:last].copy()
 
-    @property
-    def degree(self):
-        if self.coeffs.size == 1 and self.coeffs[0] == 0.0:
-            return 0
-        return self.coeffs.size - 1
-
     def __call__(self, x):
         acc = np.zeros_like(np.asarray(x, dtype=float))
         for c in self.coeffs[::-1]:
             acc = acc * x + c
         return acc if acc.shape else float(acc)
-
-    def coeff(self, m):
-        return float(self.coeffs[m]) if m < self.coeffs.size else 0.0
-
-    def padded(self, size):
-        out = np.zeros(size, dtype=float)
-        out[: self.coeffs.size] = self.coeffs
-        return out
-
-    def derivative(self):
-        if self.coeffs.size == 1:
-            return Polynomial([0.0])
-        d = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        return Polynomial(d)
-
-    def __add__(self, other):
-        n = max(self.coeffs.size, other.coeffs.size)
-        return Polynomial(self.padded(n) + other.padded(n))
-
-    def __sub__(self, other):
-        n = max(self.coeffs.size, other.coeffs.size)
-        return Polynomial(self.padded(n) - other.padded(n))
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Polynomial(-self.coeffs)
-
-    def max_coeff_diff(self, other):
-        """Largest absolute coefficient difference against another polynomial."""
-        n = max(self.coeffs.size, other.coeffs.size)
-        return float(np.max(np.abs(self.padded(n) - other.padded(n))))
 
     def __repr__(self):
         return f"Polynomial({self.coeffs!r})"

@@ -31,6 +31,7 @@ from .errors import (
     SlopeBelowOne,
     TooManyValues,
     ValidationError,
+    _as_index,
 )
 from . import spectral
 
@@ -339,11 +340,12 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     SlopeBelowOne
         If any branch has slope at most 1.
     ValidationError
-        If ``g`` is missing, ``cells`` is out of range or the map is
-        malformed.
+        If ``g`` is missing, ``cells`` is not an integer in range or the
+        map is malformed.
     """
     if g is None:
         raise ValidationError("observable g is required")
+    n = cells = _as_index("cells", cells)
     if cells < 16:
         raise ValidationError("at least 16 cells required")
     if cells > MAX_ULAM_CELLS:
@@ -364,7 +366,6 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     if np.any(slopes <= 1.0):
         raise SlopeBelowOne(f"branch slopes {slopes} must exceed 1")
 
-    n = int(cells)
     edges = np.arange(n + 1) / n
     k = np.arange(n)
     # every hit: its flat index j * n + k, its mass and mass times g

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-import operator
 import os
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     OracleUnavailable,
     TableTooLarge,
     ValidationError,
+    _as_index,
 )
 from .jets import jet_exp, jet_mul
 
@@ -156,8 +156,17 @@ class ExactDistribution:
         return _fsum((self.support - center) ** k * self.pmf)
 
     def tail(self, z):
-        """P(X >= z); accepts arrays of z."""
-        return 1.0 - self.cdf_left(z)
+        """P(X >= z), 0 above the support; accepts arrays of z.  A pmf law
+        adds its masses from the top atom down and a sample counts the
+        trials at or above z, so no small tail is read as 1 - F(z-)."""
+        count = np.searchsorted(self.support, z, "left")
+        if self._trials is None:
+            above = np.append(np.cumsum(self._pmf[::-1])[::-1], 0.0)
+            out = above[count]
+        else:
+            below = count if self._cum is None else self._cum[count]
+            out = (self._trials - below) / self._trials
+        return out if np.ndim(out) else float(out)
 
 
 def _is_chain(model):
@@ -371,7 +380,7 @@ def dp_ladder(model, N_list):
         If the model has no explicit chain.
     """
     _require_chain(model)
-    N_list = [operator.index(n) for n in N_list]
+    N_list = [_as_index("N_list", n) for n in N_list]
     if not N_list or N_list[0] < 1:
         raise ValidationError("N must be at least 1")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -818,6 +827,9 @@ def mc_sample(model, N, trials, seed):
     trials (0.9 to 2.5 GB) are refused with :class:`OracleInfeasible`
     before anything is allocated.
     """
+    N, trials, seed = _as_index("N", N), _as_index("trials", trials), _as_index("seed", seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, not {seed}")
     if trials < 1:
         raise ValidationError("at least one trial required")
     if trials > _MC_TRIAL_BUDGET:
@@ -843,7 +855,7 @@ def mc_sample(model, N, trials, seed):
     def chunk(idx):
         lo = idx * size
         m = min(size, trials - lo)
-        rng = np.random.default_rng([int(seed), idx])
+        rng = np.random.default_rng([seed, idx])
         if is_map and model.map_kind == "doubling":
             sums[lo:lo + m] = _simulate_doubling(model.map_g_vec, N, m, rng)
         elif is_map:
@@ -854,7 +866,7 @@ def mc_sample(model, N, trials, seed):
     _run_chunks(chunk, -(-trials // size))
     sums.sort()
     # Massart's (1990) 99 % band: P(sup |F_n - F| > dkw99) <= 2 exp(-2 n dkw99**2) = 0.01
-    meta = {"prng": "numpy-PCG64", "seed": int(seed), "chunk": size,
+    meta = {"prng": "numpy-PCG64", "seed": seed, "chunk": size,
             "dkw99": math.sqrt(math.log(200.0) / (2 * trials))}
     return ExactDistribution._of_sorted_sample(sums, N, meta)
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (BorderedSolveSingular, GapBelowTolerance, SingularStationarySolve,
-                     ValidationError)
+                     ValidationError, _as_index)
 from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
@@ -533,6 +533,7 @@ def norm_decay_scan(model, t_grid, N):
     """
     if len(t_grid) == 0:
         raise ValueError("empty t grid")
+    N = _as_index("N", N)
     if N < 1:
         raise ValueError("N must be at least 1")
     rows, cols, P, h = model.entries()

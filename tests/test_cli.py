@@ -1054,6 +1054,21 @@ def test_moddev_table(tmp_path, capsys):
     assert abs(float(ratio) - float(exact) / float(normal)) <= 1e-12
 
 
+def test_moddev_far_tails_are_positive(tmp_path, capsys):
+    # at c = 20 both tails are below 1e-25; read as 1 minus a CDF they
+    # were rounding residue (-2.2e-16 at N = 256) and 0.0, and the ratio
+    # inf ended the run with exit 2
+    cfg = write_config(tmp_path, {"model": {"bundled": "three_state_lattice"},
+                                  "run": {"N_list": [256, 1024], "c": 20}})
+    code, out, err = run_cli(capsys, "moddev", cfg, "--out", str(tmp_path), "--stamp", "s")
+    assert code == 0 and err == ""
+    rows = read_rows(out.strip())[1:]
+    assert [row[0] for row in rows] == ["256", "1024"]
+    for row in rows:
+        exact, normal = float(row[2]), float(row[3])
+        assert 0.0 < exact < 1e-25 and 0.0 < normal < 1e-25
+
+
 @pytest.mark.parametrize("command", ["lclt", "moddev", "verify"])
 def test_dp_ladders_run_one_sweep(tmp_path, capsys, monkeypatch, command):
     calls = []

@@ -22,8 +22,6 @@ from edgeworth.evaluate import (
     exact_distributions,
     lattice_pmf,
     lclt_estimate,
-    lclt_window,
-    moddev_ratio,
     moddev_ratios,
     quadrature,
     weak_global,
@@ -52,18 +50,12 @@ def dp_cache():
 
 def test_gaussian_bump_closed_forms():
     f = TestFunction("gaussian-bump", 0.5, 2.0)
-    assert abs(f.integral() - 2.0 * math.sqrt(2.0 * math.pi)) <= 1e-15
     # peak value 1 at the center, symmetric decay
     assert f(0.5) == 1.0
     assert abs(f(1.5) - math.exp(-0.125)) <= 1e-15
-    # Fourier transform: w sqrt(2 pi) exp(-(w t)^2 / 2) exp(-i t c)
-    t = 0.7
-    want = 2.0 * math.sqrt(2.0 * math.pi) * math.exp(-0.5 * (2.0 * t) ** 2)
-    want = want * complex(math.cos(t * 0.5), -math.sin(t * 0.5))
-    assert abs(f.fourier(t) - want) <= 1e-14
-    # quadrature over the recorded support agrees with the closed form
+    # quadrature over the recorded support agrees with the closed form w sqrt(2 pi)
     lo, hi = f.support()
-    assert abs(quadrature(f, lo, hi) - f.integral()) <= 1e-10
+    assert abs(quadrature(f, lo, hi) - 2.0 * math.sqrt(2.0 * math.pi)) <= 1e-10
     # an empty window, as the averaged form meets off the Gaussian
     assert quadrature(f, 1.0, 1.0) == 0.0 and quadrature(f, 2.0, 1.0) == 0.0
 
@@ -74,17 +66,16 @@ def test_compact_bump_support_and_integral():
     assert f(1.0) == 1.0
     assert f(3.0) == 0.0 and f(-1.0) == 0.0 and f(4.0) == 0.0
     # frozen quadrature value for the width-2 mollifier
-    assert abs(f.integral() - 2.413800644875752) <= 1e-10
+    assert abs(quadrature(f, *f.support()) - 2.413800644875752) <= 1e-10
 
 
 def test_hermite_damped_integral_vanishes():
     f = TestFunction("hermite-damped", 0.0, 1.0, 3)
-    assert f.integral() == 0.0
     lo, hi = f.support()
     assert abs(quadrature(f, lo, hi)) <= 1e-10
-    # degree 0 reduces to the plain bump
+    # degree 0 reduces to the plain bump, of integral w sqrt(2 pi)
     f0 = TestFunction("hermite-damped", 0.0, 1.5, 0)
-    assert abs(f0.integral() - 1.5 * math.sqrt(2.0 * math.pi)) <= 1e-15
+    assert abs(quadrature(f0, *f0.support()) - 1.5 * math.sqrt(2.0 * math.pi)) <= 1e-10
 
 
 def test_test_function_validation():
@@ -224,7 +215,7 @@ def test_classical_error_standardizes_without_copying_the_support(two_state):
     N, n = 4096, 10 ** 6
     support = N * A + math.sqrt(N) * sigma * np.linspace(-6.0, 6.0, n)
     dist = ExactDistribution(support, np.full(n, 1.0 / n), N)
-    got, peak = traced_peak(evaluate._classical_error, exp_set, model, dist, N, 1)
+    got, peak = traced_peak(evaluate._classical_error, exp_set, dist, N, 1)
     assert peak < 8 * n
     # the same probe set on the formed image: every 51st atom and the grid
     std = ExactDistribution((support - N * A) / math.sqrt(N), dist.pmf, N)
@@ -264,7 +255,7 @@ def test_classical_error_equals_that_of_the_standardized_law(name, r, N, oracle_
     exp_set = expansion_for_model(model, r)
     dist = exact_distribution(model, N, oracle_kind, seed=7, trials=2 * 10 ** 5)
     assert dist.support.size == atoms
-    got = evaluate._classical_error(exp_set, model, dist, N, r)
+    got = evaluate._classical_error(exp_set, dist, N, r)
     assert got == _standardized_error(exp_set, dist, N, r, stride)
 
 
@@ -433,7 +424,7 @@ def test_averaged_wide_functions_match_mpmath(two_state):
         # one atom at N A: the exact part is the tail of f above -x sqrt(N)
         dist = ExactDistribution(np.array([N * exp_set.params.A]), np.ones(1), N)
         err = float(f.tail_integral(-x * rootn) - gauss) - want
-        got = evaluate._averaged_error(exp_set, model, dist, N, exp_set.r, f, x)
+        got = evaluate._averaged_error(exp_set, dist, N, exp_set.r, f, x)
         assert abs(got - abs(err)) <= 1e-13
 
 
@@ -481,12 +472,6 @@ def test_lclt_closed_forms(two_state):
     assert abs(lclt_estimate(exp_set, u, 64) - want) <= 1e-15
 
 
-def test_lclt_window_formula(two_state):
-    model, exp_set = two_state
-    est = lclt_estimate(exp_set, 1.3, 100)
-    assert abs(lclt_window(exp_set, 1.3, 100, 0.25) - 2.0 * 0.25 * est / 10.0) <= 1e-15
-
-
 def test_lclt_error_halves(two_state, dp_cache):
     # sup_k |sqrt(N) P(S_N = k) - density estimate| roughly halves per 4x N
     model, exp_set = two_state
@@ -507,7 +492,7 @@ def test_lclt_error_halves(two_state, dp_cache):
 
 def test_moddev_fields_and_corollary(two_state):
     model, exp_set = two_state
-    res = moddev_ratio(exp_set, model, 1.0, 10 ** 4)
+    res = moddev_ratios(exp_set, model, 1.0, [10 ** 4])[0]
     want = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(10 ** 4 * math.log(10 ** 4))
     assert abs(res.corollary_tail - want) <= 1e-18
     assert res.x == math.sqrt(exp_set.params.sigma2 * math.log(10 ** 4))
@@ -517,7 +502,7 @@ def test_moddev_fields_and_corollary(two_state):
 
 def test_moddev_small_c_clamps_probe_at_one(two_state):
     model, exp_set = two_state
-    res = moddev_ratio(exp_set, model, 1e-3, 64)
+    res = moddev_ratios(exp_set, model, 1e-3, [64])[0]
     assert res.x == 1.0
     # one-sigma-ish point: exact and normal tails are the same scale
     assert 0.3 <= res.ratio <= 3.0
@@ -526,14 +511,14 @@ def test_moddev_small_c_clamps_probe_at_one(two_state):
 def test_moddev_validation(two_state):
     model, exp_set = two_state
     with pytest.raises(ValidationError):
-        moddev_ratio(exp_set, model, -0.5, 64)
+        moddev_ratios(exp_set, model, -0.5, [64])
     with pytest.raises(ValidationError):
-        moddev_ratio(exp_set, model, 0.5, 1)
+        moddev_ratios(exp_set, model, 0.5, [1])
 
 
-def test_moddev_ratios_are_one_sweep_of_moddev_ratio(two_state, monkeypatch):
+def test_moddev_ratios_are_one_sweep(two_state, monkeypatch):
     model, exp_set = two_state
-    want = [moddev_ratio(exp_set, model, 0.5, N) for N in (64, 256)]
+    want = [moddev_ratios(exp_set, model, 0.5, [N])[0] for N in (64, 256)]
     calls = _count_ladders(monkeypatch)
     assert moddev_ratios(exp_set, model, 0.5, [64, 256]) == want
     assert calls == [[64, 256]]
@@ -554,10 +539,10 @@ def test_moddev_nonlattice_needs_enumeration():
     exp_set = expansion_for_model(model, 2)
     # the reward-count DP covers the non-lattice chain up to its cell budget
     for N in (16, 150):
-        res = moddev_ratio(exp_set, model, 0.5, N)
+        res = moddev_ratios(exp_set, model, 0.5, [N])[0]
         assert 0.0 < res.exact_tail < 1.0
     with pytest.raises(TableTooLarge):
-        moddev_ratio(exp_set, model, 0.5, 3200)
+        moddev_ratios(exp_set, model, 0.5, [3200])
 
 
 # --------------------------------------------------------- convergence study
@@ -604,6 +589,9 @@ def test_study_validation(two_state):
     with pytest.raises(ValidationError):
         convergence_study(exp_set, model, "spectral", 1, [64, 256], cache=cache)
     assert cache == {}
+    # int() made [16.7, 32.2] the ladder [16, 32]
+    with pytest.raises(ValidationError, match="^N_list must be an integer"):
+        convergence_study(exp_set, model, "dp", 1, [16.7, 32.2])
 
 
 def _count_ladders(monkeypatch):

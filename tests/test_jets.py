@@ -196,12 +196,9 @@ def test_bi_mul_skips_zero_terms_and_keeps_signed_zeros():
 def test_polynomial_basics():
     p = Polynomial([1.0, 0.0, -2.0])
     assert p(2.0) == 1.0 - 8.0
-    assert p.derivative().coeffs.tolist() == [0.0, -4.0]
-    q = Polynomial([0.0, 1.0])
-    prod = p * q
-    assert prod.coeffs.tolist() == [0.0, 1.0, 0.0, -2.0]
-    assert (p + q)(1.5) == p(1.5) + q(1.5)
-    assert p.max_coeff_diff(p) == 0.0
+    # trailing rounding residue is trimmed, a lone zero is kept
+    assert Polynomial([1.0, 2.0, 1e-15, -1e-16]).coeffs.tolist() == [1.0, 2.0]
+    assert Polynomial([0.0, 0.0]).coeffs.tolist() == [0.0]
 
 
 def test_polynomial_accepts_array_argument():

@@ -192,6 +192,12 @@ def test_ulam_cell_cap_refuses_before_allocating():
         ulam_model(g=np.cos, cells=MAX_ULAM_CELLS + 1)
 
 
+def test_ulam_refuses_a_non_integer_cell_count():
+    # int() built 16 cells for 16.9
+    with pytest.raises(ValidationError, match="^cells must be an integer"):
+        ulam_model(g=np.cos, cells=16.9)
+
+
 def _ulam_reference(endpoints, g, n):
     # cell-by-cell loop the array build must reproduce bit for bit
     endpoints = [float(e) for e in endpoints]

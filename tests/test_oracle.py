@@ -105,6 +105,43 @@ def test_cdf_reads_the_cumulative_at_each_atom():
         assert np.array_equal(dist.cdf_left(np.nextafter(dist.support, -np.inf)), cum[:-1])
 
 
+def test_tail_is_nonnegative_and_exactly_zero_above_the_support():
+    # a pmf law, and samples with and without ties
+    laws = [dp_pmf(bundled_model("two_state"), 64),
+            mc_sample(bundled_model("two_state"), 16, 5000, 3),
+            mc_sample(bundled_model("doubling_ulam"), 8, 5000, 3)]
+    for dist in laws:
+        probes = np.concatenate([dist.support, np.nextafter(dist.support, np.inf),
+                                 np.nextafter(dist.support, -np.inf)])
+        tail = dist.tail(probes)
+        assert (tail >= 0.0).all()
+        top = dist.support[-1]
+        assert dist.tail(np.nextafter(top, np.inf)) == 0.0 and dist.tail(top + 1.0) == 0.0
+        assert dist.tail(top) > 0.0
+        if dist is not laws[0]:
+            # a sample's count above differs from 1 - cdf_left by one rounding
+            assert np.abs(tail - (1.0 - dist.cdf_left(probes))).max() <= np.finfo(float).eps
+
+
+def test_dp_tail_sums_the_cells_above_without_cancellation():
+    # 1 - cdf_left read these tails as rounding: -2.2e-16 and 7.8e-16 at
+    # the c = 20 moderate-deviation probes of three_state_lattice, where
+    # the cells sum to 4.0e-26 and 1.1e-31, and 1.3e-13 (the DP's mass
+    # defect) above 3000 on two_state at N = 4096, where they sum to 6.6e-160
+    lattice = bundled_model("three_state_lattice")
+    params = expansion_for_model(lattice, 2).params
+    cases = [(bundled_model("two_state"), 4096, 3000.0)]
+    for N in (256, 1024):
+        x = math.sqrt(20.0 * params.sigma2 * math.log(N))
+        cases.append((lattice, N, N * params.A + x * math.sqrt(N)))
+    for model, N, z in cases:
+        dist = dp_pmf(model, N)
+        want = math.fsum(dist.pmf[dist.support >= z].tolist())
+        got = dist.tail(z)
+        assert want > 0.0 and abs(got - want) <= 1e-15 * want, (N, got, want)
+        assert dist.tail(np.array([z, z]))[1] == got
+
+
 _FSUM_SIZES = [0, 1, 2, oracle._FSUM_BLOCK - 1, oracle._FSUM_BLOCK,
                oracle._FSUM_BLOCK + 1, 2 * oracle._FSUM_BLOCK - 1,
                2 * oracle._FSUM_BLOCK + 1, 3 * oracle._FSUM_BLOCK + 5]
@@ -449,7 +486,7 @@ def test_dp_pmf_is_the_ladder_of_one_horizon(monkeypatch):
     assert calls == [[12]]
 
 
-@pytest.mark.parametrize("N_list", [[], [0, 4], [4, 4], [8, 4]])
+@pytest.mark.parametrize("N_list", [[], [0, 4], [4, 4], [8, 4], [4, 8.5]])
 def test_dp_ladder_refuses_a_bad_horizon_list(N_list):
     with pytest.raises(ValidationError):
         oracle.dp_ladder(bundled_model("two_state"), N_list)
@@ -865,6 +902,15 @@ def test_mc_refuses_trials_beyond_its_budget_before_allocating(monkeypatch):
     monkeypatch.setattr(oracle.mmap, "mmap", no_sample)
     with pytest.raises(OracleInfeasible, match="budget of 100000000"):
         mc_sample(bundled_model("doubling_ulam"), 512, 10 ** 10, 1)
+
+
+@pytest.mark.parametrize("field, args", [
+    ("seed", (8, 100, -1)), ("seed", (8, 100, 1.5)), ("trials", (8, 100.0, 1)), ("N", (2.5, 100, 1)),
+])
+def test_mc_refuses_a_non_integer_or_negative_seed_or_size(field, args):
+    # numpy refused the seed -1 with its own ValueError
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        mc_sample(bundled_model("two_state"), *args)
 
 
 def test_mc_trial_budget_admits_its_own_size(monkeypatch):

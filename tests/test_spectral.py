@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from chains import dense_chain, dense_family, sparse_chain_doc
-from edgeworth.errors import GapBelowTolerance, NonStochasticModel, SingularStationarySolve
+from edgeworth.errors import (GapBelowTolerance, NonStochasticModel, SingularStationarySolve,
+                              ValidationError)
 from edgeworth.jets import jet_div, jet_mul
 from edgeworth import spectral
 from edgeworth.cli import build_model
@@ -434,6 +435,12 @@ def test_norm_decay_scan_lattice_periodicity():
     t, norm2, radius = rows[0]
     assert abs(radius - 1.0) <= 1e-9
     assert norm2 >= 1.0 - 1e-12
+
+
+def test_norm_decay_scan_refuses_a_non_integer_power():
+    # binary powering of 2.5 formed L_t^3
+    with pytest.raises(ValidationError, match="^N must be an integer"):
+        norm_decay_scan(bundled_model("two_state"), [1.0], 2.5)
 
 
 def test_norm_decay_scan_interior_contraction():
