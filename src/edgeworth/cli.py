@@ -103,6 +103,17 @@ def _integer(name, value, lo=None, hi=None):
     return value
 
 
+def _positive(name, value):
+    """``value`` as a float if it is a finite int or float above 0, else
+    :class:`ValidationError`; as in :func:`_integer`, neither a bool nor
+    a string is taken."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0.0 < value < math.inf):
+        raise ValidationError(f"{name} must be a finite number above 0, not {value!r}")
+    with _reading(name):
+        return float(value)
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -442,8 +453,7 @@ def cmd_lclt(model, model_doc, run, args):
 def cmd_moddev(model, model_doc, run, args):
     """Compare moderate-deviation tails with the exact tail; CSV."""
     n_list = _n_list_from(run)
-    with _reading("run.c"):
-        c = float(run.get("c", 0.5))
+    c = _positive("run.c", run.get("c", 0.5))
     exp_set = expansion_for_model(model, 0)  # reads only A and sigma2
     rows = [(n, res.x, res.exact_tail, res.normal_tail, res.ratio, res.corollary_tail)
             for n, res in zip(n_list, evaluate.moddev_ratios(exp_set, model, c, n_list))]

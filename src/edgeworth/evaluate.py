@@ -305,13 +305,16 @@ def moddev_ratios(exp_set, model, c, N_list):
 
     Raises
     ------
+    ValidationError
+        When ``c`` is not positive and finite, some N is below 2, or
+        N**c overflows.
     TableTooLarge
         When the dynamic program would exceed its 10**7-cell budget.
     OracleUnavailable
         When the model has no explicit chain.
     """
-    if not 0.0 < c:
-        raise ValidationError("c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValidationError("c must be positive and finite")
     if any(N < 2 for N in N_list):
         raise ValidationError("N must be at least 2")
     powers = []
@@ -417,7 +420,8 @@ def _classical_error(exp_set, dist, N, r):
             raise ValidationError("standardized support overflows")
     n = atoms.size
     grid = np.linspace(-12.0 * params.sigma, 12.0 * params.sigma, 2001)
-    probes = np.union1d(atoms[:: n // 20000 + 1 if n > 20000 else 1], shift + scale * grid)
+    probes = oracle._distinct(np.concatenate((atoms[:: n // 20000 + 1 if n > 20000 else 1],
+                                              shift + scale * grid)))
     return oracle.kolmogorov_distance(
         dist, lambda x: edgeworth_cdf(exp_set, N, (x - shift) / scale, r), probes)
 

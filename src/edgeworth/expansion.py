@@ -298,7 +298,7 @@ def weak_local_polys(freq, sigma2, r):
     return out
 
 
-def moment_coefficients(s, kmax):
+def moment_coefficients(params, kmax):
     """Centered-moment coefficients ``a_{k,j}``.
 
     Expands ``exp(n (log mu(t) - t mu'(0))) z(t)`` as a series in
@@ -309,7 +309,7 @@ def moment_coefficients(s, kmax):
 
     Parameters
     ----------
-    s : SpectralJets
+    params : AsymptoticParams
         Jets of order at least ``kmax``.
     kmax : int
         Largest moment order.
@@ -326,9 +326,8 @@ def moment_coefficients(s, kmax):
     DegreeOverflow
         If a coefficient with ``j > floor(k/2)`` exceeds 1e-10.
     """
-    if len(s.mu) - 1 < kmax:
+    if params.order < kmax:
         raise ValueError(f"jets of order >= {kmax} required")
-    params = asymptotic_params(s)
 
     u_max = kmax // 2
     g = np.zeros((kmax + 1, u_max + 1), dtype=complex)
@@ -415,7 +414,7 @@ def build_expansion(s, r):
     edge_r = [hermite_transform(a_k, params.sigma2) for a_k in freq]
     edge_p = [antiderivative_poly(freq[p], params.sigma2) for p in range(1, r + 1)]
     wl = weak_local_polys(freq, params.sigma2, r)
-    moments = moment_coefficients(s, min(len(s.mu) - 1, r + 2))
+    moments = moment_coefficients(params, min(params.order, r + 2))
     return ExpansionSet(
         r=r,
         params=params,

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     _as_index,
 )
-from . import spectral
+from . import oracle, spectral
 
 _SPAN_TOL = 1e-9
 _SPAN_DENOM_CAP = 10 ** 6
@@ -51,7 +51,7 @@ def _lattice_span(h):
     failing reconstruction within 1e-9 marks the model non-lattice.
     Returns ``None`` when non-lattice or all values vanish.
     """
-    vals = np.unique(np.asarray(h, dtype=float))
+    vals = oracle._distinct(np.asarray(h, dtype=float))
     nonzero = vals[np.abs(vals) > _SPAN_TOL]
     if nonzero.size:
         m = float(np.min(np.abs(nonzero)))
@@ -431,12 +431,6 @@ class DiophantineScan:
         return bool(np.max(self.d) <= _RESONANT_TOL)
 
 
-def _distinct(a):
-    """The distinct values of ``a``, sorted."""
-    a = np.sort(a)
-    return a[np.append(True, a[1:] != a[:-1])]
-
-
 def diophantine_scan(model, s_grid):
     """Quantitative non-resonance scan of a chain's rewards.
 
@@ -499,7 +493,7 @@ def diophantine_scan(model, s_grid):
         into, out = by_col[col_end[j]:col_end[j + 1]], slice(row_end[j], row_end[j + 1])
         u[rows[into]] = h[into] - col0[rows[into]]
         v[cols[out]] = h[out] - row0[cols[out]]
-        sets.append((_distinct(u), _distinct(v)))
+        sets.append((oracle._distinct(u), oracle._distinct(v)))
     total = sum(u.size * v.size for u, v in sets)
     if total > _MAX_SCAN_SUMS:
         raise TooManyValues(f"resonance scan needs {total} reward differences, "

@@ -43,6 +43,22 @@ def _fsum(a):
         a[i:i + _FSUM_BLOCK].tolist() for i in range(0, a.size, _FSUM_BLOCK)))
 
 
+def _distinct(a):
+    """The distinct values of a 1-d float array, sorted: ``np.unique(a)``
+    bit for bit, an empty ``a`` included.
+
+    ``np.unique`` of a float array sorts a copy and keeps the first of
+    each run of equal values, as here, but it first imports ``numpy.ma``
+    to ask whether ``a`` is masked: a fixed cost, in time and memory, of
+    every process that calls it.
+    """
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class ExactDistribution:
     """Finite distribution with exact CDF queries from both sides.
 
@@ -396,7 +412,7 @@ def dp_ladder(model, N_list):
         u = None
     else:
         used = h != 0.0
-        u = np.unique(h[used])
+        u = _distinct(h[used])
         q = u.size
         for N in N_list:
             # every count runs over 0..N, so the table is at least
@@ -508,7 +524,7 @@ def _stationary(model):
             nxt = np.bincount(cols, weights=pi[rows] * p, minlength=d)
             nxt /= nxt.sum()
             # rounding can keep an entry of the fixed point toggling by an ulp or two
-            if np.max(np.abs(nxt - pi)) <= 4.0 * np.finfo(float).eps * np.max(nxt):
+            if abs(nxt - pi).max() <= 4.0 * np.finfo(float).eps * nxt.max():
                 return nxt
             pi = nxt
     M = np.zeros((d, d))

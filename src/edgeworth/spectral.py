@@ -232,7 +232,7 @@ def _power_stationary(P):
         nxt /= nxt.sum()
         # 4 ulps: at the fixed point rounding can keep an entry toggling by
         # an ulp or two (three-branch Ulam maps at 1000-3000 cells do)
-        if np.max(np.abs(nxt - pi)) <= 4.0 * _EPS * np.max(nxt):
+        if abs(nxt - pi).max() <= 4.0 * _EPS * nxt.max():
             return nxt
         pi = nxt
     return None
@@ -375,7 +375,7 @@ class _BorderedSolver:
         for k in range(1, _SPARSE_TERMS + 1):
             x = step(x)
             total += x
-            if np.max(np.abs(x)) <= _EPS * np.max(np.abs(total)):
+            if abs(x).max() <= _EPS * abs(total).max():
                 self.terms = max(self.terms, k)
                 return -total
         return None

@@ -644,6 +644,45 @@ def test_importing_the_package_does_not_load_numpy_polynomial():
     assert done.stdout.strip() == "True"
 
 
+def test_commands_do_not_load_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma to ask whether a float
+    # array is masked; the sorted distinct values come from
+    # oracle._distinct instead.  numpy 1.x imports numpy.ma with numpy
+    # itself, so compare with that
+    import subprocess
+    import sys
+
+    import edgeworth
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(edgeworth.__file__)))
+    runs = [
+        ("verify", {"model": {"bundled": "two_state"},
+                    "run": {"order": 1, "form": "lattice", "oracle": "dp", "N_list": [16, 64]}}),
+        ("expand", {"model": {"bundled": "doubling_ulam"}, "run": {"order": 2}}),
+        ("verify", {"model": {"bundled": "doubling_ulam"},
+                    "run": {"order": 0, "form": "classical", "oracle": "mc",
+                            "N_list": [16, 32], "trials": 20000, "seed": 1}}),
+    ]
+    argv = []
+    for i, (command, doc) in enumerate(runs):
+        cfg = write_config(tmp_path, doc, name=f"{command}{i}.json")
+        argv.append([command, cfg, "--out", str(tmp_path / "out"), "--stamp", str(i)])
+    code = (
+        "import contextlib, io, json, sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "import edgeworth.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [edgeworth.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, before == ('numpy.ma' in sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    codes, unchanged = json.loads(done.stdout)
+    assert codes == [0] * len(runs)
+    assert unchanged
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "expand", str(tmp_path / "missing.json"), "--out", str(tmp_path)

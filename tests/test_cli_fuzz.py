@@ -218,7 +218,6 @@ def test_fuzz_known_cases():
                     "run": {"N_list": [8, 16], "oracle": "mc", "seed": -1, "trials": 100}}),
         ("verify", {"model": two_state, "run": {"N_list": [8, 16], "seed": math.inf}}),
         ("moddev", {"model": two_state, "run": {"N_list": [8, 16], "c": 1e300}}),
-        ("moddev", {"model": two_state, "run": {"N_list": [8], "c": math.inf}}),
         ("diagnose", {"model": two_state, "run": {"N": math.inf}}),
         ("diagnose", {"model": two_state, "run": {"t_grid": [math.nan]}}),
         ("expand", {"model": {"type": "ulam", "cells": math.inf}, "run": {}}),
@@ -229,6 +228,11 @@ def test_fuzz_known_cases():
     # a NaN probe is refused by name, before any quadrature runs
     run = {"N_list": [8, 16], "x": math.nan, "form": "averaged"}
     _check("verify", {"model": two_state, "run": run}, error="ValidationError")
+    # a tail constant that is not a finite number above 0, refused before
+    # the dynamic program runs
+    for value in ("20", True, "inf", math.inf, -math.inf, math.nan, 0.0, -1):
+        run = {"N_list": [8], "c": value}
+        _check("moddev", {"model": two_state, "run": run}, error="ValidationError")
     # a seed or trial count that is not an integer, a bool included
     for field, value in (("seed", True), ("trials", True), ("seed", 2.9), ("seed", "12")):
         run = {"N_list": [8, 16], "oracle": "mc", "seed": 1, "trials": 100, field: value}

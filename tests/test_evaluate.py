@@ -510,8 +510,9 @@ def test_moddev_small_c_clamps_probe_at_one(two_state):
 
 def test_moddev_validation(two_state):
     model, exp_set = two_state
-    with pytest.raises(ValidationError):
-        moddev_ratios(exp_set, model, -0.5, [64])
+    for c in (-0.5, 0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            moddev_ratios(exp_set, model, c, [64])
     with pytest.raises(ValidationError):
         moddev_ratios(exp_set, model, 0.5, [1])
 

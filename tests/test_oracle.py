@@ -261,6 +261,17 @@ def test_dp_zero_rewards_is_a_point_mass():
     assert dist.support.tolist() == [0.0] and dist.pmf.tolist() == [1.0]
 
 
+@pytest.mark.parametrize("a", [
+    np.array([]),
+    np.full(7, 2.5),
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+    np.round(np.random.default_rng(3).normal(size=5000), 2),
+], ids=["empty", "all-equal", "signed-zeros", "random"])
+def test_distinct_is_np_unique_bit_for_bit(a):
+    got, want = oracle._distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _enum_distribution_merged(model, N, merge_tol=1e-9):
     # value enumeration that pools sums within merge_tol at their
     # probability-weighted value, as the reference on non-lattice chains
