@@ -29,6 +29,9 @@ from .errors import (
     OracleUnavailable,
     SingularStationarySolve,
     ValidationError,
+    _as_index,
+    _as_real,
+    _as_reals,
 )
 from .expansion import expansion_for_model
 
@@ -82,36 +85,14 @@ def _json_dumps(obj, indent=0):
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-@contextlib.contextmanager
-def _reading(name):
-    """Report a config value that does not convert as invalid input."""
-    try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"invalid {name}: {exc}") from None
-
-
 def _integer(name, value, lo=None, hi=None):
-    """``value`` if it is an int of at least ``lo`` and at most ``hi``
-    (None for no bound), else :class:`ValidationError`.  A bool is an int
-    to Python, and ``int()`` would truncate a float or parse a string, so
-    neither is taken."""
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or (lo is not None and value < lo) or (hi is not None and value > hi)):
-        bound = "" if lo is None else f" of at least {lo}" if hi is None else f" in {lo}..{hi}"
+    """``value`` if it is an integer (:func:`_as_index`) of at least ``lo``
+    and at most ``hi`` (None for no bound), else :class:`ValidationError`."""
+    value = _as_index(name, value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f" of at least {lo}" if hi is None else f" in {lo}..{hi}"
         raise ValidationError(f"{name} must be an integer{bound}, not {value!r}")
     return value
-
-
-def _positive(name, value):
-    """``value`` as a float if it is a finite int or float above 0, else
-    :class:`ValidationError`; as in :func:`_integer`, neither a bool nor
-    a string is taken."""
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not 0.0 < value < math.inf):
-        raise ValidationError(f"{name} must be a finite number above 0, not {value!r}")
-    with _reading(name):
-        return float(value)
 
 
 def _load_config(path):
@@ -135,9 +116,10 @@ def _g_from_doc(doc):
         return lambda x: np.cos(2.0 * np.pi * x)
     if doc == "identity":
         return lambda x: np.asarray(x, dtype=float)
-    if isinstance(doc, (list, tuple)) and doc:
-        coeffs = [float(c) for c in doc]
-        return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+    if isinstance(doc, list) and doc:
+        coeffs = _as_reals("model.g", doc)
+        if coeffs.ndim == 1:
+            return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
     raise ValidationError(f"unknown observable spec {doc!r}")
 
 
@@ -152,46 +134,19 @@ def build_model(doc):
         for key in ("transition", "observable"):
             if key not in doc:
                 raise ValidationError(f'markov model needs "{key}"')
-        with _reading("model.transition"):
-            P = np.asarray(doc["transition"], dtype=float)
-        if P.ndim != 2 or P.shape[0] == 0:
-            raise ValidationError("model.transition must be a nonempty matrix")
-        with _reading("model.observable"):
-            h = np.asarray(doc["observable"], dtype=float)
-        mu0 = doc.get("mu0")
-        if mu0 is None:
-            mu0 = np.full(P.shape[0], 1.0 / P.shape[0])
-        with _reading("model.mu0"):
-            mu0 = np.asarray(mu0, dtype=float)
-        return models.markov_model(P, h, mu0)
+        return models.markov_model(doc["transition"], doc["observable"], doc.get("mu0"))
     if kind == "iid":
-        if ("pmf" in doc) == ("moments" in doc):
-            raise ValidationError('iid model needs exactly one of "pmf" and "moments"')
-        if "pmf" in doc:
-            with _reading("model.pmf"):
-                pmf = [(float(v), float(p)) for v, p in doc["pmf"]]
-            return models.iid_model(pmf=pmf)
-        with _reading("model.moments"):
-            moments = np.asarray(doc["moments"], dtype=float)
-        return models.iid_model(moments=moments)
+        return models.iid_model(pmf=doc.get("pmf"), moments=doc.get("moments"))
     if kind == "ulam":
         if "density" in doc:
             raise ValidationError(
                 'ulam model takes no "density"; its initial distribution is uniform'
             )
-        # ulam_model checks the range
-        cells = _integer("model.cells", doc.get("cells", 1024))
-        endpoints = doc.get("endpoints")
-        if endpoints is not None:
-            with _reading("model.endpoints"):
-                endpoints = [float(e) for e in endpoints]
-        with _reading("model.g"):
-            g = _g_from_doc(doc.get("g"))
         return models.ulam_model(
             map_kind=doc.get("map", "doubling"),
-            g=g,
-            cells=cells,
-            endpoints=endpoints,
+            g=_g_from_doc(doc.get("g")),
+            cells=doc.get("cells", 1024),
+            endpoints=doc.get("endpoints"),
         )
     raise ValidationError(f"unknown model type {kind!r}")
 
@@ -205,16 +160,11 @@ def _n_list_from(run):
     raw = run.get("N_list")
     if not isinstance(raw, list) or not raw:
         raise ValidationError('"N_list" is required and must be a nonempty list')
-    n_list = [_integer("N_list entry", n, 1) for n in raw]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValidationError("N_list must be strictly increasing")
-    return n_list
+    return raw  # its entries are read by the library function that takes them
 
 
 def _oracle_from(run, args):
-    kind = run.get("oracle", "dp")
-    if kind not in ("dp", "mc"):
-        raise ValidationError(f"unknown oracle kind {kind!r}")
+    kind = run.get("oracle", "dp")  # the library refuses an unknown kind
     seed = args.seed if args.seed is not None else run.get("seed")
     trials = args.trials if args.trials is not None else run.get("trials", 10 ** 5)
     if kind == "mc" and seed is None:
@@ -233,30 +183,31 @@ def _function_from(run):
         return None
     if not isinstance(doc, dict):
         raise ValidationError('"run.function" must be an object')
-    with _reading("run.function"):
-        return evaluate.TestFunction(
-            kind=doc.get("kind", "gaussian-bump"),
-            center=float(doc.get("center", 0.0)),
-            width=float(doc.get("width", 1.0)),
-            degree=_integer("run.function.degree", doc.get("degree", 0), 0),
-        )
+    return evaluate.TestFunction(
+        kind=doc.get("kind", "gaussian-bump"),
+        center=doc.get("center", 0.0),
+        width=doc.get("width", 1.0),
+        degree=doc.get("degree", 0),
+    )
 
 
 def _t_grid_from(run):
     doc = run.get("t_grid")
     if doc is None:
         return np.linspace(0.5, 20.0, 40)
-    with _reading("run.t_grid"):
-        if isinstance(doc, dict):
-            return np.linspace(
-                float(doc.get("start", 0.5)),
-                float(doc.get("stop", 20.0)),
-                _integer("run.t_grid.count", doc.get("count", 40), 1, _MAX_T_GRID),
-            )
-        if len(doc) > _MAX_T_GRID:
-            raise ValidationError(
-                f"run.t_grid must list at most {_MAX_T_GRID} frequencies, not {len(doc)}")
-        return np.asarray([float(t) for t in doc])
+    if isinstance(doc, dict):
+        return np.linspace(
+            _as_real("run.t_grid.start", doc.get("start", 0.5)),
+            _as_real("run.t_grid.stop", doc.get("stop", 20.0)),
+            _integer("run.t_grid.count", doc.get("count", 40), 1, _MAX_T_GRID),
+        )
+    if isinstance(doc, list) and len(doc) > _MAX_T_GRID:
+        raise ValidationError(
+            f"run.t_grid must list at most {_MAX_T_GRID} frequencies, not {len(doc)}")
+    grid = _as_reals("run.t_grid", doc)
+    if grid.ndim != 1:
+        raise ValidationError("run.t_grid must be a list or an object")
+    return grid
 
 
 def _artifact_path(out_dir, command, model_doc, stamp, ext):
@@ -343,17 +294,15 @@ def cmd_verify(model, model_doc, run, args):
     kind, seed, trials = _oracle_from(run, args)
     form = run.get("form", "classical")
     f = _function_from(run)
-    with _reading("run.x"):
-        x = None if run.get("x") is None else float(run["x"])
     exp_set = expansion_for_model(model, r)
     report = evaluate.convergence_study(
-        exp_set, model, kind, r, n_list, form=form, f=f, x=x, seed=seed, trials=trials
+        exp_set, model, kind, r, n_list, form=form, f=f, x=run.get("x"), seed=seed, trials=trials
     )
     _write_artifacts((_artifact_path(args.out, "verify", model_doc, args.stamp, "csv"),
                       _csv_text(["N", "raw_error", "scaled_error"], report.rows())))
     if not report.decreasing:
         raise VerdictFailure(
-            f"scaled {form} error is not strictly decreasing over {n_list}"
+            f"scaled {form} error is not strictly decreasing over {report.N_list}"
         )
     return 0
 
@@ -453,10 +402,10 @@ def cmd_lclt(model, model_doc, run, args):
 def cmd_moddev(model, model_doc, run, args):
     """Compare moderate-deviation tails with the exact tail; CSV."""
     n_list = _n_list_from(run)
-    c = _positive("run.c", run.get("c", 0.5))
     exp_set = expansion_for_model(model, 0)  # reads only A and sigma2
+    results = evaluate.moddev_ratios(exp_set, model, run.get("c", 0.5), n_list)
     rows = [(n, res.x, res.exact_tail, res.normal_tail, res.ratio, res.corollary_tail)
-            for n, res in zip(n_list, evaluate.moddev_ratios(exp_set, model, c, n_list))]
+            for n, res in zip(n_list, results)]
     _write_artifacts((
         _artifact_path(args.out, "moddev", model_doc, args.stamp, "csv"),
         _csv_text(["N", "x", "exact_tail", "normal_tail", "ratio", "corollary_tail"], rows),

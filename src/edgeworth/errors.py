@@ -5,7 +5,11 @@ that library users (and the command line driver) can map problems to exit
 codes without string matching.
 """
 
+import contextlib
+import numbers
 import operator
+
+import numpy as np
 
 
 class EdgeworthError(Exception):
@@ -16,13 +20,42 @@ class ValidationError(EdgeworthError):
     """Invalid input data or configuration."""
 
 
+# What counts as an input number is decided here, for every function
+# that takes one: a bool (an int to Python) or a string is not one.  Each
+# consumer checks the range (finite, positive, ...) itself.
+
 def _as_index(name, value):
     """``operator.index(value)``, or a :class:`ValidationError` naming
     ``name``: a size or seed is taken as an integer, never truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValidationError(f"{name} must be an integer, not {value!r}")
+
+
+def _as_real(name, value):
+    """``float(value)`` of an int or float, NaN and infinities included, or
+    a :class:`ValidationError` naming ``name``; an int too large for a
+    float is refused, not rounded to infinity."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValidationError(f"{name} must be a real number, not {value!r}")
+
+
+def _as_reals(name, value):
+    """Float ndarray of an int or float ndarray, or of nested lists of
+    numbers that :func:`_as_real` takes (one number gives a 0-d array)."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
+
+    def leaves(v):
+        return [leaves(e) for e in v] if isinstance(v, (list, tuple)) else _as_real(name, v)
+
     try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
+        return np.array(leaves(value), dtype=float)
+    except ValueError:
+        raise ValidationError(f"{name} must be a regular array of numbers") from None
 
 
 class OracleInfeasible(EdgeworthError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _as_index
+from .errors import ValidationError, _as_index, _as_real
 from . import oracle
 
 _PANELS = 64
@@ -63,6 +63,7 @@ class TestFunction:
         mollifier scaled to [c-w, c+w]; hermite-damped:
         He_m((x-c)/w) exp(-(x-c)^2 / 2w^2).
     center, width : float
+        Stored as floats.
     degree : int
         Hermite degree for "hermite-damped", at most 10.
     """
@@ -78,15 +79,14 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian-bump", "compact-bump", "hermite-damped"):
             raise ValidationError(f"unknown test-function kind {self.kind!r}")
+        for name, read in (("center", _as_real), ("width", _as_real), ("degree", _as_index)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))  # frozen
         if not (math.isfinite(self.center) and math.isfinite(self.width)):
             raise ValidationError("center and width must be finite")
         if self.width <= 0:
             raise ValidationError("width must be positive")
-        # a bool is an int to Python
-        if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 0:
-            raise ValidationError(f"degree must be a nonnegative integer, not {self.degree!r}")
-        if self.degree > _MAX_DEGREE:
-            raise ValidationError(f"degree {self.degree} is above {_MAX_DEGREE}")
+        if not 0 <= self.degree <= _MAX_DEGREE:
+            raise ValidationError(f"degree {self.degree} is outside 0..{_MAX_DEGREE}")
         lo, hi = self.support()
         if not math.isfinite(hi - lo):
             raise ValidationError(f"support [{lo!r}, {hi!r}] is not a finite interval")
@@ -306,15 +306,16 @@ def moddev_ratios(exp_set, model, c, N_list):
     Raises
     ------
     ValidationError
-        When ``c`` is not positive and finite, some N is below 2, or
-        N**c overflows.
+        When ``c`` is not a positive finite number, some N is not an
+        integer of at least 2, or N**c overflows.
     TableTooLarge
         When the dynamic program would exceed its 10**7-cell budget.
     OracleUnavailable
         When the model has no explicit chain.
     """
+    c, N_list = _as_real("c", c), [_as_index("N_list", N) for N in N_list]
     if not 0.0 < c < math.inf:
-        raise ValidationError("c must be positive and finite")
+        raise ValidationError(f"c must be positive and finite, not {c!r}")
     if any(N < 2 for N in N_list):
         raise ValidationError("N must be at least 2")
     powers = []
@@ -516,6 +517,8 @@ def convergence_study(
         {0, +-sigma, +-2sigma} and reports the worst error per N.
     """
     N_list = [_as_index("N_list", n) for n in N_list]
+    if not N_list:
+        raise ValidationError("N_list must hold at least one horizon")
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValidationError("N_list must be strictly increasing")
     if form not in _FORMS:
@@ -526,13 +529,12 @@ def convergence_study(
         raise ValidationError(f"form {form!r} needs a test function")
     if form == "lattice" and getattr(model, "lattice_span", None) is None:
         raise ValidationError("the lattice form needs a lattice model")
-    if x is not None and not math.isfinite(x):
-        raise ValidationError("x must be finite")
-    sigma = exp_set.params.sigma
     if x is None:
-        probes_x = [m * sigma for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        probes_x = [m * exp_set.params.sigma for m in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     else:
-        probes_x = [float(x)]
+        probes_x = [_as_real("x", x)]
+        if not math.isfinite(probes_x[0]):
+            raise ValidationError("x must be finite")
     raw = []
     dkw99 = []
     dists = exact_distributions(model, N_list, oracle_kind, seed, trials, cache)

@@ -37,6 +37,7 @@ from .errors import (
     NonRealDrift,
     NonZeroMean,
     ValidationError,
+    _as_index,
 )
 from .jets import Polynomial, bi_exp, jet_log
 
@@ -430,6 +431,7 @@ def expansion_for_model(model, r):
     """Build the order-``r`` expansion for a model object."""
     from .spectral import eigen_perturbation, perron_base
 
+    r = _as_index("r", r)
     fam = model.operator_family(max(r + 2, 2))
     base = perron_base(fam)
     jets = eigen_perturbation(fam, base)

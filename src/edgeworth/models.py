@@ -32,6 +32,7 @@ from .errors import (
     TooManyValues,
     ValidationError,
     _as_index,
+    _as_reals,
 )
 from . import oracle, spectral
 
@@ -101,8 +102,9 @@ class MarkovModel:
     observable : array_like or SparseMatrix
         d x d rewards on transitions; a SparseMatrix on the same pattern
         as ``transition``.
-    mu0 : array_like
-        Initial distribution of length d.
+    mu0 : array_like, optional
+        Initial distribution of length d; None (the default) for the
+        uniform one.
 
     Attributes
     ----------
@@ -118,13 +120,13 @@ class MarkovModel:
     NonStochasticModel
         If P rows or mu0 fail to be probability vectors within 1e-12.
     ValidationError
-        If any entry of P, h or mu0 is NaN or infinite.
+        If an entry of P, h or mu0 is not a number (:func:`_as_reals`), is
+        NaN or is infinite, or P is not a nonempty matrix.
     """
 
     __slots__ = ("_entries", "mu0", "lattice_span")
 
-    def __init__(self, transition, observable, mu0):
-        mu0 = np.asarray(mu0, dtype=float)
+    def __init__(self, transition, observable, mu0=None):
         if isinstance(transition, spectral.SparseMatrix):
             rows, cols, d = transition.rows, transition.cols, transition.dim
             if not (isinstance(observable, spectral.SparseMatrix) and observable.dim == d
@@ -140,9 +142,10 @@ class MarkovModel:
                 )
             row_sums = np.bincount(rows, weights=P, minlength=d)
         else:
-            P = np.asarray(transition, dtype=float)
-            h = np.asarray(observable, dtype=float)
-            if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            P, h = _as_reals("transition", transition), _as_reals("observable", observable)
+            if P.ndim != 2 or P.shape[0] == 0:
+                raise ValidationError("transition must be a nonempty matrix")
+            if P.shape[0] != P.shape[1]:
                 raise InconsistentDimensions("transition matrix must be square")
             if h.shape != P.shape:
                 raise InconsistentDimensions(
@@ -153,6 +156,7 @@ class MarkovModel:
             # every entry, in row-major order
             rows, cols = np.divmod(np.arange(P.size), d)
             P, h = P.ravel(), h.ravel()
+        mu0 = np.full(d, 1.0 / d) if mu0 is None else _as_reals("mu0", mu0)
         if mu0.shape != (d,):
             raise InconsistentDimensions(
                 f"initial distribution length {mu0.shape} does not match dimension {d}"
@@ -198,7 +202,7 @@ class IidMomentModel:
     __slots__ = ("moments", "mu0")
 
     def __init__(self, moments):
-        self.moments = np.asarray(moments, dtype=float)
+        self.moments = _as_reals("moments", moments)
         self.mu0 = np.array([1.0])
 
     @property
@@ -266,17 +270,19 @@ def iid_model(pmf=None, moments=None):
     if (pmf is None) == (moments is None):
         raise ValidationError("exactly one of pmf and moments must be given")
     if pmf is not None:
-        values = np.array([float(v) for v, _ in pmf])
-        probs = np.array([float(p) for _, p in pmf])
-        if values.size == 0:
+        pairs = _as_reals("pmf", pmf)
+        if pairs.size == 0:
             raise ValidationError("empty pmf")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError("pmf must list (value, probability) pairs")
+        values, probs = np.ascontiguousarray(pairs.T)
         if np.any(probs < 0) or abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ValidationError("pmf probabilities must be nonnegative and sum to 1")
         d = values.size
         P = np.tile(probs, (d, 1))
         h = np.tile(values, (d, 1))
         return markov_model(P, h, probs)
-    moments = np.asarray(moments, dtype=float)
+    moments = _as_reals("moments", moments)
     if moments.ndim != 1:
         raise ValidationError("moments must be a flat list")
     if moments.size < 2:
@@ -350,12 +356,15 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
         raise ValidationError("at least 16 cells required")
     if cells > MAX_ULAM_CELLS:
         raise ValidationError(f"at most {MAX_ULAM_CELLS} cells supported, got {cells}")
+    if endpoints is not None:  # read whatever the map
+        endpoints = _as_reals("endpoints", endpoints)
+        if endpoints.ndim != 1:
+            raise ValidationError("endpoints must be a flat list")
     if map_kind == "doubling":
         endpoints = [0.0, 0.5, 1.0]
     elif map_kind == "piecewise-linear":
-        if endpoints is None or len(endpoints) < 2:
+        if endpoints is None or endpoints.size < 2:
             raise ValidationError("piecewise-linear map needs branch endpoints")
-        endpoints = [float(e) for e in endpoints]
         if endpoints[0] != 0.0 or endpoints[-1] != 1.0 or np.any(np.diff(endpoints) <= 0):
             raise ValidationError("endpoints must increase from 0 to 1")
     else:
@@ -405,7 +414,7 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
     return UlamModel(
         spectral.SparseMatrix(P, rows, cols, n),
         spectral.SparseMatrix(h, rows, cols, n),
-        np.full(n, 1.0 / n),
+        None,
         map_kind,
         endpoints,
         g,

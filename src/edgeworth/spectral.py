@@ -532,10 +532,10 @@ def norm_decay_scan(model, t_grid, N):
     radius is :func:`_power_radius` of ``L_t`` in complex arithmetic.
     """
     if len(t_grid) == 0:
-        raise ValueError("empty t grid")
+        raise ValidationError("empty t grid")
     N = _as_index("N", N)
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise ValidationError("N must be at least 1")
     rows, cols, P, h = model.entries()
     d = model.dim
     sparse = _sparse_path(rows.size, d)

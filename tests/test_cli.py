@@ -164,6 +164,54 @@ def test_expand_byte_identical_reruns(tmp_path, capsys):
     assert a == b
 
 
+# the fields that hold real numbers; the others hold integers
+_REAL_FIELDS = {"transition", "observable", "mu0", "pmf", "moments", "endpoints", "g",
+                "x", "c", "center", "width", "t_grid", "start", "stop"}
+
+
+def _floated(node, real=False):
+    """``node`` with every int in a real field written as a float."""
+    if isinstance(node, dict):
+        return {k: _floated(v, k in _REAL_FIELDS) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_floated(v, real) for v in node]
+    return float(node) if real and type(node) is int else node
+
+
+_CHAIN = {"type": "markov", "transition": [[0.5, 0.5], [1, 0]],
+          "observable": [[0, 1], [2, 0]], "mu0": [1, 0]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("expand", {"model": _CHAIN, "run": {"order": 2}}),
+    ("verify", {"model": _CHAIN, "run": {"order": 1, "N_list": [8, 16], "form": "averaged",
+                                         "x": 1, "function": {"center": 0, "width": 2}}}),
+    ("diagnose", {"model": _CHAIN, "run": {"t_grid": [1, 2, 3]}}),
+    ("diagnose", {"model": _CHAIN, "run": {"t_grid": {"start": 1, "stop": 3, "count": 3}}}),
+    ("moddev", {"model": _CHAIN, "run": {"N_list": [16, 64], "c": 1}}),
+    ("expand", {"model": {"type": "iid", "pmf": [[0, 0.5], [2, 0.25], [3, 0.25]]}, "run": {}}),
+    ("moments", {"model": {"type": "iid", "moments": [0, 1, 0, 3]}, "run": {"order": 2}}),
+    ("expand", {"model": {"type": "ulam", "cells": 16, "map": "piecewise-linear",
+                          "endpoints": [0, 0.25, 1], "g": [0, 1, -1]}, "run": {"order": 1}}),
+], ids=["expand-markov", "verify-averaged", "diagnose-list", "diagnose-range", "moddev",
+        "expand-pmf", "moments-iid", "expand-ulam"])
+def test_integer_valued_numbers_write_the_artifacts_of_their_float_twin(
+        tmp_path, capsys, command, doc):
+    # a real field reads 1 and 1.0 alike; the artifact names hash the
+    # model document, and _json_dumps writes both as "1"
+    twin = _floated(doc)
+    assert json.dumps(twin) != json.dumps(doc)
+    runs = []
+    for name, config in (("int", doc), ("float", twin)):
+        cfg = write_config(tmp_path, config, name=f"{name}.json")
+        out_dir = tmp_path / name
+        code, out, err = run_cli(capsys, command, cfg, "--out", str(out_dir), "--stamp", "s")
+        assert code in (0, 4), err
+        files = sorted(os.listdir(out_dir))
+        runs.append((code, files, [(out_dir / f).read_bytes() for f in files]))
+    assert runs[0] == runs[1]
+
+
 def test_expand_order_flag_overrides_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {"bundled": "two_state"}, "run": {"order": 2}})
     code, out, _ = run_cli(

@@ -170,6 +170,7 @@ def _check(command, doc, error=None):
         assert set(payload) == {"error", "message"}
     if error is not None:
         assert code == 2 and payload["error"] == error, (code, err)
+    return err
 
 
 _SETTINGS = settings(
@@ -237,6 +238,91 @@ def test_fuzz_known_cases():
     for field, value in (("seed", True), ("trials", True), ("seed", 2.9), ("seed", "12")):
         run = {"N_list": [8, 16], "oracle": "mc", "seed": 1, "trials": 100, field: value}
         _check("verify", {"model": two_state, "run": run}, error="ValidationError")
+    # a real number given as a string or a bool: each of these ran to exit 0
+    # when the command line read them with float()
+    averaged = {"N_list": [8, 16], "form": "averaged"}
+    ulam = {"type": "ulam", "cells": 16, "map": "piecewise-linear"}
+    cases = [
+        ("verify", {"model": two_state, "run": dict(averaged, x="0.5")}),
+        ("verify", {"model": two_state, "run": dict(averaged, x=True)}),
+        ("diagnose", {"model": two_state, "run": {"t_grid": ["1.0", "2"]}}),
+        ("diagnose", {"model": two_state, "run": {"t_grid": {"start": "0.5", "stop": True}}}),
+        ("verify", {"model": two_state, "run": dict(averaged, form="weak_global",
+                                                    function={"center": "0.3", "width": True})}),
+        ("expand", {"model": {"type": "iid", "pmf": [["0", "0.5"], [True, 0.5]]}, "run": {}}),
+        # read as two atoms at 1, this one was refused as DegenerateVariance
+        ("expand", {"model": {"type": "iid", "pmf": [["1", "0.5"], [True, 0.5]]}, "run": {}}),
+        ("expand", {"model": {"type": "markov", "transition": [["0.7", "0.3"], ["0.4", "0.6"]],
+                              "observable": [[1, 0], [0, 0]]}, "run": {}}),
+        ("expand", {"model": {"type": "iid", "moments": ["0", "1"]}, "run": {"order": 0}}),
+        ("expand", {"model": dict(ulam, endpoints=["0", 0.5, 1]), "run": {"order": 0}}),
+        ("expand", {"model": {"type": "ulam", "cells": 16, "g": ["0", True]}, "run": {}}),
+    ]
+    for command, doc in cases:
+        _check(command, doc, error="ValidationError")
+
+
+_TWO_STATE_CHAIN = {"type": "markov", "transition": [[0.7, 0.3], [0.4, 0.6]],
+                    "observable": [[1, 0], [0, 0]], "mu0": [1, 0]}
+_FUNCTION_RUN = {"order": 1, "N_list": [8, 16], "form": "averaged", "x": 0.5,
+                 "function": {"kind": "hermite-damped", "center": 0.3, "width": 1.5, "degree": 2}}
+_MC_RUN = {"order": 1, "N_list": [8, 16], "oracle": "mc", "seed": 1, "trials": 200}
+# (command, document, path of one number in it): every number a command
+# reads from a run or a model document
+_NUMBERS = [
+    ("verify", {"model": {"bundled": "two_state"}, "run": _FUNCTION_RUN}, path)
+    for path in (("run", "order"), ("run", "N_list", 0), ("run", "N_list", 1), ("run", "x"),
+                 ("run", "function", "center"), ("run", "function", "width"),
+                 ("run", "function", "degree"))
+] + [
+    ("verify", {"model": {"bundled": "two_state"}, "run": _MC_RUN}, ("run", field))
+    for field in ("seed", "trials")
+] + [
+    ("diagnose", {"model": {"bundled": "two_state"}, "run": {"t_grid": [1.0, 2.0], "N": 2}},
+     path) for path in (("run", "t_grid", 1), ("run", "N"))
+] + [
+    ("diagnose", {"model": {"bundled": "two_state"},
+                  "run": {"t_grid": {"start": 0.5, "stop": 2.0, "count": 3}}},
+     ("run", "t_grid", field)) for field in ("start", "stop", "count")
+] + [
+    ("moddev", {"model": {"bundled": "two_state"}, "run": {"N_list": [8, 16], "c": 0.5}},
+     path) for path in (("run", "N_list", 0), ("run", "c"))
+] + [
+    ("lclt", {"model": {"bundled": "two_state"}, "run": {"N_list": [8, 16]}},
+     ("run", "N_list", 1)),
+] + [
+    ("expand", {"model": _TWO_STATE_CHAIN, "run": {"order": 1}}, ("model", *path))
+    for path in (("transition", 0, 1), ("observable", 0, 0), ("mu0", 0))
+] + [
+    ("expand", {"model": {"type": "iid", "pmf": [[0, 0.5], [1, 0.5]]}, "run": {}},
+     ("model", "pmf", 1, column)) for column in (0, 1)
+] + [
+    ("expand", {"model": {"type": "iid", "moments": [0, 1, 0.5, 3]}, "run": {}},
+     ("model", "moments", 1)),
+] + [
+    ("expand", {"model": {"type": "ulam", "cells": 16, "map": "piecewise-linear",
+                          "endpoints": [0, 0.3, 0.55, 1], "g": [0.1, 1, -0.7]},
+                "run": {"order": 1}}, ("model", *path))
+    for path in (("cells",), ("endpoints", 1), ("g", 2))
+]
+
+
+@pytest.mark.parametrize("replace", [str, lambda value: True], ids=["str", "true"])
+@pytest.mark.parametrize("command, doc, path", _NUMBERS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p in _NUMBERS])
+def test_a_number_given_as_a_string_or_a_bool_never_runs(command, doc, path, replace):
+    # the document runs as written (exit 0 or a verdict of 4); with the one
+    # number at ``path`` replaced it is refused, naming that field
+    code, err, _ = _run(command, doc)
+    assert code in (0, 4), err
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = replace(node[key])
+    message = json.loads(_check(command, doc, error="ValidationError"))["message"]
+    assert [step for step in path if isinstance(step, str)][-1] in message, message
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

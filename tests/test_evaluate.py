@@ -94,6 +94,13 @@ def test_test_function_validation():
     with pytest.raises(ValidationError):
         TestFunction("compact-bump", 0.0, 1e308)
     TestFunction("compact-bump", 0.0, 1e307)
+    # a string raised a bare TypeError; a bool was taken as 1
+    for field, value in (("center", "0.3"), ("center", True), ("width", "1"), ("width", True),
+                         ("width", 10 ** 400)):
+        with pytest.raises(ValidationError, match=f"^{field} must be a real number"):
+            TestFunction("gaussian-bump", **{field: value})
+    f = TestFunction("gaussian-bump", 1, 2)
+    assert type(f.center) is float and type(f.width) is float
 
 
 def test_tail_integrals_match_closed_forms():
@@ -525,14 +532,31 @@ def test_moddev_ratios_are_one_sweep(two_state, monkeypatch):
     assert calls == [[64, 256]]
 
 
+# a string horizon raised a bare TypeError, and a bool c or N was read as 1
 @pytest.mark.parametrize("c,N_list", [(-0.5, [64, 10 ** 8]), (0.5, [64, 1, 10 ** 8]),
-                                      (1e300, [8, 10 ** 8])])
+                                      (1e300, [8, 10 ** 8]), ("0.5", [64]), (True, [64]),
+                                      (0.5, ["16", 64]), (0.5, [True, 64]), (0.5, [16.0, 64])])
 def test_moddev_ratios_validate_before_the_sweep(two_state, monkeypatch, c, N_list):
     model, exp_set = two_state
     calls = _count_ladders(monkeypatch)
     with pytest.raises(ValidationError):
         moddev_ratios(exp_set, model, c, N_list)
     assert calls == []
+
+
+@pytest.mark.parametrize("oracle_kind", ["dp", "mc"])
+def test_convergence_study_refuses_an_empty_ladder(two_state, oracle_kind):
+    # "mc" returned a report with no rows that read as decreasing
+    model, exp_set = two_state
+    with pytest.raises(ValidationError, match="^N_list must hold at least one horizon"):
+        convergence_study(exp_set, model, oracle_kind, 1, [], seed=1, trials=100)
+
+
+@pytest.mark.parametrize("x", ["0.5", True])
+def test_convergence_study_reads_x_as_a_real_number(two_state, x):
+    model, exp_set = two_state
+    with pytest.raises(ValidationError, match="^x must be a real number"):
+        convergence_study(exp_set, model, "dp", 1, [8, 16], form="averaged", x=x)
 
 
 def test_moddev_nonlattice_needs_enumeration():

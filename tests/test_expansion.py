@@ -201,6 +201,13 @@ def test_negative_order_rejected():
         build_expansion(jets, -1)
 
 
+@pytest.mark.parametrize("r", [True, "2", 2.0])
+def test_expansion_order_must_be_an_integer(r):
+    # True built an order-1 set and "2" raised a bare TypeError
+    with pytest.raises(ValidationError, match="^r must be an integer"):
+        expansion_for_model(bundled_model("two_state"), r)
+
+
 def test_weak_local_polys_are_real_and_sized():
     exp_set = expansion_for_model(bundled_model("two_state"), 4)
     assert len(exp_set.weak_local_list) == 3

@@ -21,6 +21,7 @@ from edgeworth.models import (
     BUNDLED_MODELS,
     MAX_ULAM_CELLS,
     DiophantineScan,
+    IidMomentModel,
     MarkovModel,
     bundled_model,
     diophantine_scan,
@@ -29,6 +30,7 @@ from edgeworth.models import (
     pmf_moments,
     ulam_model,
 )
+from edgeworth import evaluate
 from edgeworth.expansion import expansion_for_model
 from edgeworth.spectral import SparseMatrix, perron_base
 
@@ -99,6 +101,14 @@ _INVALID_CHAINS = [
     (([[0.5, 0.4], [0.5, 0.5]], [[1, 0], [0, 1]], [1, 0]), NonStochasticModel, "rows"),
     (([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 1]], [0.5, 0.6]),
      NonStochasticModel, "initial distribution does not sum"),
+    # numbers are read by the constructor: no string or bool is taken
+    (([["0.5", 0.5], [0.5, 0.5]], [[1, 0], [0, 1]], [1, 0]),
+     ValidationError, "^transition must be a real number"),
+    (([[0.5, 0.5], [0.5, 0.5]], [[True, 0], [0, 1]], [1, 0]),
+     ValidationError, "^observable must be a real number"),
+    (([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 1]], ["1", 0]), ValidationError, "^mu0 must"),
+    (([[0.5, 0.5], [0.5]], [[1, 0], [0, 1]], [1, 0]), ValidationError, "^transition must be a reg"),
+    ((5, 5, [1.0]), ValidationError, "^transition must be a nonempty matrix"),
 ]
 
 
@@ -196,6 +206,28 @@ def test_ulam_refuses_a_non_integer_cell_count():
     # int() built 16 cells for 16.9
     with pytest.raises(ValidationError, match="^cells must be an integer"):
         ulam_model(g=np.cos, cells=16.9)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: iid_model(pmf=[["0", "0.5"], [True, 0.5]]), "pmf"),
+    (lambda: iid_model(pmf=[[0, 0.5, 1]]), "pmf"),
+    (lambda: iid_model(moments=["0", "1"]), "moments"),
+    (lambda: iid_model(moments=[0, 10 ** 400]), "moments"),
+    (lambda: IidMomentModel(["0", "1"]), "moments"),
+    (lambda: ulam_model("piecewise-linear", np.cos, 16, ["0", 0.5, 1]), "endpoints"),
+    (lambda: ulam_model("piecewise-linear", np.cos, 16, [[0, 0.5, 1]]), "endpoints"),
+    (lambda: ulam_model(g=np.cos, cells=True), "cells"),
+])
+def test_iid_and_ulam_numbers_are_read_by_the_constructor(build, field):
+    with pytest.raises(ValidationError, match=f"^{field} must"):
+        build()
+
+
+def test_an_omitted_initial_distribution_is_uniform():
+    P, h = [[0.5, 0.5], [0.25, 0.75]], [[1, 0], [0, 2]]
+    assert markov_model(P, h).mu0.tolist() == [0.5, 0.5]
+    assert evaluate._model_key(markov_model(P, h)) == evaluate._model_key(
+        markov_model(np.array(P), np.array(h, dtype=float), [0.5, 0.5]))
 
 
 def _ulam_reference(endpoints, g, n):

@@ -497,7 +497,8 @@ def test_dp_pmf_is_the_ladder_of_one_horizon(monkeypatch):
     assert calls == [[12]]
 
 
-@pytest.mark.parametrize("N_list", [[], [0, 4], [4, 4], [8, 4], [4, 8.5]])
+# [True, 2] was read as an N = 1 law
+@pytest.mark.parametrize("N_list", [[], [0, 4], [4, 4], [8, 4], [4, 8.5], [True, 2]])
 def test_dp_ladder_refuses_a_bad_horizon_list(N_list):
     with pytest.raises(ValidationError):
         oracle.dp_ladder(bundled_model("two_state"), N_list)
@@ -915,8 +916,10 @@ def test_mc_refuses_trials_beyond_its_budget_before_allocating(monkeypatch):
         mc_sample(bundled_model("doubling_ulam"), 512, 10 ** 10, 1)
 
 
+# a bool was read as 1 or 0: one trial, seed 0, N = 1
 @pytest.mark.parametrize("field, args", [
     ("seed", (8, 100, -1)), ("seed", (8, 100, 1.5)), ("trials", (8, 100.0, 1)), ("N", (2.5, 100, 1)),
+    ("trials", (4, True, 1)), ("seed", (4, 100, False)), ("N", (True, 100, 1)),
 ])
 def test_mc_refuses_a_non_integer_or_negative_seed_or_size(field, args):
     # numpy refused the seed -1 with its own ValueError

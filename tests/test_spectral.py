@@ -443,6 +443,13 @@ def test_norm_decay_scan_refuses_a_non_integer_power():
         norm_decay_scan(bundled_model("two_state"), [1.0], 2.5)
 
 
+@pytest.mark.parametrize("t_grid, N", [([], 2), ([1.0], 0), ([1.0], -3)])
+def test_norm_decay_scan_refuses_an_empty_grid_or_a_power_below_one(t_grid, N):
+    # a bare ValueError, outside the package's error classes
+    with pytest.raises(ValidationError, match="^(empty t grid|N must be at least 1)"):
+        norm_decay_scan(bundled_model("two_state"), t_grid, N)
+
+
 def test_norm_decay_scan_interior_contraction():
     m = bundled_model("diophantine_two_state")
     rows = norm_decay_scan(m, [0.5, 1.0, 2.0, 5.0], 2)
