@@ -85,16 +85,6 @@ def _json_dumps(obj, indent=0):
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def _integer(name, value, lo=None, hi=None):
-    """``value`` if it is an integer (:func:`_as_index`) of at least ``lo``
-    and at most ``hi`` (None for no bound), else :class:`ValidationError`."""
-    value = _as_index(name, value)
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        bound = f" of at least {lo}" if hi is None else f" in {lo}..{hi}"
-        raise ValidationError(f"{name} must be an integer{bound}, not {value!r}")
-    return value
-
-
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,7 +143,7 @@ def build_model(doc):
 
 def _order_from(run, args):
     r = args.order if args.order is not None else run.get("order", 2)
-    return _integer("order", r, 0, _MAX_ORDER)
+    return _as_index("order", r, 0, _MAX_ORDER)
 
 
 def _n_list_from(run):
@@ -172,8 +162,8 @@ def _oracle_from(run, args):
     # an exact oracle leaves both unused, but a malformed one is refused
     mc = kind == "mc"
     if seed is not None:
-        seed = _integer("seed", seed, 0 if mc else None)
-    trials = _integer("trials", trials, 1 if mc else None)
+        seed = _as_index("seed", seed, 0 if mc else None)
+    trials = _as_index("trials", trials, 1 if mc else None)
     return kind, 0 if seed is None else seed, trials
 
 
@@ -199,7 +189,7 @@ def _t_grid_from(run):
         return np.linspace(
             _as_real("run.t_grid.start", doc.get("start", 0.5)),
             _as_real("run.t_grid.stop", doc.get("stop", 20.0)),
-            _integer("run.t_grid.count", doc.get("count", 40), 1, _MAX_T_GRID),
+            _as_index("run.t_grid.count", doc.get("count", 40), 1, _MAX_T_GRID),
         )
     if isinstance(doc, list) and len(doc) > _MAX_T_GRID:
         raise ValidationError(
@@ -310,7 +300,7 @@ def cmd_verify(model, model_doc, run, args):
 def cmd_diagnose(model, model_doc, run, args):
     """Scan spectral gap, norm decay and resonance distance; CSV and JSON."""
     t_grid = _t_grid_from(run)
-    n_power = _integer("run.N", run.get("N", 2), 1)
+    n_power = _as_index("run.N", run.get("N", 2), 1)
     if t_grid.size == 0:
         raise ValidationError("run.t_grid must be nonempty")
     flags = []

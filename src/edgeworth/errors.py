@@ -21,16 +21,41 @@ class ValidationError(EdgeworthError):
 
 
 # What counts as an input number is decided here, for every function
-# that takes one: a bool (an int to Python) or a string is not one.  Each
-# consumer checks the range (finite, positive, ...) itself.
+# that takes one: a bool (an int to Python) or a string is not one.  An
+# integer's range (a horizon of at least 1, an order in 0..8) is checked
+# by its reader too; a real's range (finite, positive, stochastic) is
+# checked by the consumer that knows it.
 
-def _as_index(name, value):
-    """``operator.index(value)``, or a :class:`ValidationError` naming
-    ``name``: a size or seed is taken as an integer, never truncated."""
+def _as_index(name, value, lo=None, hi=None):
+    """``operator.index(value)`` of at least ``lo`` and at most ``hi``
+    (None for no bound; ``hi`` needs ``lo``), or a :class:`ValidationError`
+    naming ``name``: a horizon, order, count or seed is taken as an
+    integer, never truncated."""
+    index = None
     if not isinstance(value, (bool, np.bool_)):
         with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ValidationError(f"{name} must be an integer, not {value!r}")
+            index = operator.index(value)
+    if index is None:
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    if (lo is not None and index < lo) or (hi is not None and index > hi):
+        bound = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValidationError(f"{name} must be {bound}, not {index!r}")
+    return index
+
+
+def _as_horizons(name, values, lo=1):
+    """The list of :func:`_as_index` integers of at least ``lo`` in
+    ``values``, or a :class:`ValidationError` naming ``name`` if the
+    ladder is empty or does not strictly increase."""
+    try:
+        horizons = [_as_index(name, v, lo) for v in values]
+    except TypeError:
+        raise ValidationError(f"{name} must be a list of integers, not {values!r}") from None
+    if not horizons:
+        raise ValidationError(f"{name} must hold at least one horizon")
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ValidationError(f"{name} must be strictly increasing")
+    return horizons
 
 
 def _as_real(name, value):

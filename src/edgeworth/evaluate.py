@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, _as_index, _as_real
+from .errors import ValidationError, _as_horizons, _as_index, _as_real, _as_reals
 from . import oracle
 
 _PANELS = 64
@@ -79,14 +79,13 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("gaussian-bump", "compact-bump", "hermite-damped"):
             raise ValidationError(f"unknown test-function kind {self.kind!r}")
-        for name, read in (("center", _as_real), ("width", _as_real), ("degree", _as_index)):
-            object.__setattr__(self, name, read(name, getattr(self, name)))  # frozen
+        object.__setattr__(self, "center", _as_real("center", self.center))  # frozen
+        object.__setattr__(self, "width", _as_real("width", self.width))
+        object.__setattr__(self, "degree", _as_index("degree", self.degree, 0, _MAX_DEGREE))
         if not (math.isfinite(self.center) and math.isfinite(self.width)):
             raise ValidationError("center and width must be finite")
         if self.width <= 0:
             raise ValidationError("width must be positive")
-        if not 0 <= self.degree <= _MAX_DEGREE:
-            raise ValidationError(f"degree {self.degree} is outside 0..{_MAX_DEGREE}")
         lo, hi = self.support()
         if not math.isfinite(hi - lo):
             raise ValidationError(f"support [{lo!r}, {hi!r}] is not a finite interval")
@@ -143,14 +142,10 @@ def _density(exp_set, z):
 
 
 def _order(exp_set, r):
-    if r is None:
-        return exp_set.r
-    if r < 0 or r > exp_set.r:
-        raise ValidationError(f"order {r} outside the built range 0..{exp_set.r}")
-    return r
+    return _as_index("r", r, 0, exp_set.r)
 
 
-def edgeworth_cdf(exp_set, N, z, r=None):
+def edgeworth_cdf(exp_set, N, z, r):
     """CDF approximation  Phi_sigma(z) + sum_p P_p(z) N^(-p/2) dens(z).
 
     Parameters
@@ -160,13 +155,10 @@ def edgeworth_cdf(exp_set, N, z, r=None):
         Horizon, at least 1.
     z : float or array_like
         Standardized argument (the law of (S_N - N A) / sqrt(N)).
-    r : int, optional
-        Truncation order, defaulting to the built order.
+    r : int
+        Truncation order, at most the built order.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    r = _order(exp_set, r)
-    z = np.asarray(z, dtype=float)
+    N, r, z = _as_index("N", N, 1), _order(exp_set, r), _as_reals("z", z)
     val = np.asarray(oracle.normal_cdf(z, exp_set.params.sigma))
     dens = _density(exp_set, z)
     for p in range(1, r + 1):
@@ -174,16 +166,13 @@ def edgeworth_cdf(exp_set, N, z, r=None):
     return val if val.ndim else float(val)
 
 
-def lattice_pmf(exp_set, N, k, span=1.0, r=None):
+def lattice_pmf(exp_set, N, k, r, span=1.0):
     """Pmf approximation  (span/sqrt(N)) dens(kappa) sum_p R_p(kappa) N^(-p/2).
 
     ``k`` is the actual sum value (a multiple of the span);
     ``kappa = (k - N A)/sqrt(N)``.  Accepts arrays of ``k``.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    r = _order(exp_set, r)
-    k = np.asarray(k, dtype=float)
+    N, r, k = _as_index("N", N, 1), _order(exp_set, r), _as_reals("k", k)
     kappa = (k - N * exp_set.params.A) / math.sqrt(N)
     total = np.zeros_like(kappa)
     for p in range(r + 1):
@@ -199,16 +188,14 @@ def _window(exp_set, f, N, x):
     return max(rootn * (-12.0 * sigma - x), flo), min(rootn * (12.0 * sigma - x), fhi)
 
 
-def weak_global(exp_set, f, N, r=None):
+def weak_global(exp_set, f, N, r):
     """Estimate of E f(S_N - N A) for integrable f.
 
     Evaluates  sum_p N^(-p/2) integral R_p(z) dens(z) f(z sqrt(N)) dz
     by ``quadrature`` on the overlap of the Gaussian window |z| <= 12 sigma
     and the support of f.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    r = _order(exp_set, r)
+    N, r = _as_index("N", N, 1), _order(exp_set, r)
     rootn = math.sqrt(N)
     lo, hi = (y / rootn for y in _window(exp_set, f, N, 0.0))
     total = 0.0
@@ -222,15 +209,13 @@ def weak_global(exp_set, f, N, r=None):
     return total
 
 
-def weak_local(exp_set, f, N, r=None):
+def weak_local(exp_set, f, N, r):
     """Estimate of sqrt(N) E f(S_N - N A) for integrable f.
 
     Evaluates  (1/2pi) sum_p N^(-p) integral P_{p,l}(z) f(z) dz  over
     the support of f.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    r = _order(exp_set, r)
+    N, r = _as_index("N", N, 1), _order(exp_set, r)
     lo, hi = f.support()
     total = 0.0
     for p in range(r // 2 + 1):
@@ -243,16 +228,14 @@ def weak_local(exp_set, f, N, r=None):
     return total / (2.0 * math.pi)
 
 
-def averaged(exp_set, f, N, x, r=None):
+def averaged(exp_set, f, N, x, r):
     """Estimate of integral [F_N - Normal](x + y/sqrt(N)) f(y) dy.
 
     Evaluates  sum_p N^(-p/2) integral P_p(x + y/sqrt(N))
     dens(x + y/sqrt(N)) f(y) dy  by ``quadrature`` on the overlap of the
     Gaussian window |x + y/sqrt(N)| <= 12 sigma and the support of f.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
-    r = _order(exp_set, r)
+    N, x, r = _as_index("N", N, 1), _as_real("x", x), _order(exp_set, r)
     rootn = math.sqrt(N)
     lo, hi = _window(exp_set, f, N, x)
     total = 0.0
@@ -274,10 +257,8 @@ def lclt_estimate(exp_set, u, N):
     limit prediction for sqrt(N) P(S_N = nearest lattice point to NA+u),
     elementwise in ``u``.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
+    N, u = _as_index("N", N, 1), _as_reals("u", u)
     s2 = exp_set.params.sigma2
-    u = np.asarray(u, dtype=float)
     out = np.exp(-0.5 * u * u / (N * s2)) / math.sqrt(2.0 * math.pi * s2)
     return out if out.ndim else float(out)
 
@@ -313,11 +294,9 @@ def moddev_ratios(exp_set, model, c, N_list):
     OracleUnavailable
         When the model has no explicit chain.
     """
-    c, N_list = _as_real("c", c), [_as_index("N_list", N) for N in N_list]
+    c, N_list = _as_real("c", c), _as_horizons("N_list", N_list, 2)
     if not 0.0 < c < math.inf:
         raise ValidationError(f"c must be positive and finite, not {c!r}")
-    if any(N < 2 for N in N_list):
-        raise ValidationError("N must be at least 2")
     powers = []
     for N in N_list:
         try:
@@ -368,7 +347,7 @@ def exact_distribution(model, N, oracle_kind, seed=0, trials=10 ** 5, cache=None
     ``"dp"`` runs the exact dynamic program ``oracle.dp_ladder``;
     ``"mc"`` runs the seeded Monte Carlo oracle.
     """
-    return exact_distributions(model, [N], oracle_kind, seed, trials, cache)[0]
+    return exact_distributions(model, [_as_index("N", N, 1)], oracle_kind, seed, trials, cache)[0]
 
 
 def exact_distributions(model, N_list, oracle_kind, seed=0, trials=10 ** 5, cache=None):
@@ -381,7 +360,7 @@ def exact_distributions(model, N_list, oracle_kind, seed=0, trials=10 ** 5, cach
     """
     if oracle_kind not in ("dp", "mc"):
         raise ValidationError(f"unknown oracle kind {oracle_kind!r}")
-    mc = oracle_kind == "mc"
+    N_list, mc = _as_horizons("N_list", N_list), oracle_kind == "mc"
 
     def run(horizons):
         if mc:
@@ -516,11 +495,7 @@ def convergence_study(
         Center for the averaged form.  None probes x in
         {0, +-sigma, +-2sigma} and reports the worst error per N.
     """
-    N_list = [_as_index("N_list", n) for n in N_list]
-    if not N_list:
-        raise ValidationError("N_list must hold at least one horizon")
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValidationError("N_list must be strictly increasing")
+    r, N_list = _order(exp_set, r), _as_horizons("N_list", N_list)
     if form not in _FORMS:
         raise ValidationError(f"unknown form {form!r}")
     if form == "averaged" and f is None:

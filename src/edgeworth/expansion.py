@@ -36,7 +36,6 @@ from .errors import (
     ImaginaryResidue,
     NonRealDrift,
     NonZeroMean,
-    ValidationError,
     _as_index,
 )
 from .jets import Polynomial, bi_exp, jet_log
@@ -408,8 +407,7 @@ def build_expansion(s, r):
     r : int
         Expansion order, ``r >= 0`` (order 0 keeps only the Gaussian term).
     """
-    if r < 0:
-        raise ValidationError("expansion order must be nonnegative")
+    r = _as_index("r", r, 0)
     params = asymptotic_params(s)
     freq = frequency_polys(params, r)
     edge_r = [hermite_transform(a_k, params.sigma2) for a_k in freq]
@@ -431,7 +429,7 @@ def expansion_for_model(model, r):
     """Build the order-``r`` expansion for a model object."""
     from .spectral import eigen_perturbation, perron_base
 
-    r = _as_index("r", r)
+    r = _as_index("r", r, 0)
     fam = model.operator_family(max(r + 2, 2))
     base = perron_base(fam)
     jets = eigen_perturbation(fam, base)

@@ -292,10 +292,12 @@ def iid_model(pmf=None, moments=None):
 
 
 def pmf_moments(pmf, kmax):
-    """Raw moments m_1 .. m_kmax of a finite pmf, exactly accumulated."""
-    return [
-        math.fsum(float(p) * float(v) ** k for v, p in pmf) for k in range(1, kmax + 1)
-    ]
+    """Raw moments m_1 .. m_kmax of a finite pmf, exactly accumulated from
+    Python floats."""
+    pairs, kmax = _as_reals("pmf", pmf), _as_index("kmax", kmax, 1)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("pmf must list (value, probability) pairs")
+    return [math.fsum(p * v ** k for v, p in pairs.tolist()) for k in range(1, kmax + 1)]
 
 
 class UlamModel(MarkovModel):
@@ -485,7 +487,7 @@ def diophantine_scan(model, s_grid):
     d = model.dim
     if d < 2:
         raise InconsistentDimensions("the resonance scan needs a chain with d >= 2 states")
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _as_reals("s_grid", s_grid)
     if s_grid.size == 0 or np.any(s_grid == 0):
         raise ValidationError("frequency grid must be nonempty and nonzero")
     rows, cols, _, h = model.entries()

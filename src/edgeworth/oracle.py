@@ -23,6 +23,7 @@ from .errors import (
     OracleUnavailable,
     TableTooLarge,
     ValidationError,
+    _as_horizons,
     _as_index,
 )
 from .jets import jet_exp, jet_mul
@@ -336,7 +337,7 @@ def dp_pmf(model, N):
     The sweep of :func:`dp_ladder` with the one horizon N, which
     describes the table, its budget and ``meta``.
     """
-    return dp_ladder(model, [N])[0]
+    return dp_ladder(model, [_as_index("N", N, 1)])[0]
 
 
 def dp_ladder(model, N_list):
@@ -396,11 +397,7 @@ def dp_ladder(model, N_list):
         If the model has no explicit chain.
     """
     _require_chain(model)
-    N_list = [_as_index("N_list", n) for n in N_list]
-    if not N_list or N_list[0] < 1:
-        raise ValidationError("N must be at least 1")
-    if any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValidationError("N_list must be strictly increasing")
+    N_list = _as_horizons("N_list", N_list)
     rows, cols, p, h = model.entries()
     d, span, top = model.dim, model.lattice_span, N_list[-1]
     if span is not None:
@@ -574,8 +571,7 @@ def exact_moments(model, N, kmax):
     ``sum_k m_k (it)**k / k!`` comes from its stored moments, built here,
     not read from its operator family.
     """
-    if N < 1:
-        raise ValidationError("N must be at least 1")
+    N, kmax = _as_index("N", N, 1), _as_index("kmax", kmax, 0)
     A = drift(model)
     if _is_chain(model):
         rows, cols, p, h = model.entries()
@@ -843,18 +839,13 @@ def mc_sample(model, N, trials, seed):
     trials (0.9 to 2.5 GB) are refused with :class:`OracleInfeasible`
     before anything is allocated.
     """
-    N, trials, seed = _as_index("N", N), _as_index("trials", trials), _as_index("seed", seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, not {seed}")
-    if trials < 1:
-        raise ValidationError("at least one trial required")
+    N, trials = _as_index("N", N, 1), _as_index("trials", trials, 1)
+    seed = _as_index("seed", seed, 0)
     if trials > _MC_TRIAL_BUDGET:
         raise OracleInfeasible(
             f"{trials} Monte Carlo trials exceed the budget of {_MC_TRIAL_BUDGET} "
             "(9 to 25 bytes per trial)"
         )
-    if N < 1:
-        raise ValidationError("N must be at least 1")
     is_map = getattr(model, "map_kind", None) is not None
     if not is_map:
         _require_chain(model)

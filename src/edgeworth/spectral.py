@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (BorderedSolveSingular, GapBelowTolerance, SingularStationarySolve,
-                     ValidationError, _as_index)
+                     ValidationError, _as_index, _as_reals)
 from .jets import jet_div, jet_mul
 
 _GAP_TOL = 1e-8
@@ -203,8 +203,7 @@ def build_operator_family(model, order):
     the family takes the pattern of ``model.entries()`` as it stands.  A
     coefficient that overflows is refused with a ``ValidationError``.
     """
-    if order < 2:
-        raise ValueError("jet order must be at least 2")
+    order = _as_index("order", order, 2)
     rows, cols, P, h = model.entries()
     coeffs = np.empty((order + 1, P.size))
     term = np.ones(P.size)
@@ -531,11 +530,11 @@ def norm_decay_scan(model, t_grid, N):
     binary powering, each product taken by :func:`_product`, and the
     radius is :func:`_power_radius` of ``L_t`` in complex arithmetic.
     """
-    if len(t_grid) == 0:
+    t_grid, N = _as_reals("t_grid", t_grid), _as_index("N", N, 1)
+    if t_grid.size == 0:
         raise ValidationError("empty t grid")
-    N = _as_index("N", N)
-    if N < 1:
-        raise ValidationError("N must be at least 1")
+    if t_grid.ndim != 1:
+        raise ValidationError("t_grid must be a flat list of frequencies")
     rows, cols, P, h = model.entries()
     d = model.dim
     sparse = _sparse_path(rows.size, d)

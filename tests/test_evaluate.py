@@ -163,8 +163,8 @@ def test_cdf_tails_pin_to_zero_and_one(two_state):
     model, exp_set = two_state
     sigma = exp_set.params.sigma
     for N in (16, 1024):
-        assert abs(edgeworth_cdf(exp_set, N, -12.0 * sigma)) <= 1e-12
-        assert abs(edgeworth_cdf(exp_set, N, 12.0 * sigma) - 1.0) <= 1e-12
+        assert abs(edgeworth_cdf(exp_set, N, -12.0 * sigma, exp_set.r)) <= 1e-12
+        assert abs(edgeworth_cdf(exp_set, N, 12.0 * sigma, exp_set.r) - 1.0) <= 1e-12
 
 
 def test_cdf_correction_shrinks_midpoint_error(two_state, dp_cache):
@@ -189,7 +189,7 @@ def test_cdf_correction_shrinks_midpoint_error(two_state, dp_cache):
 def test_cdf_validation(two_state):
     model, exp_set = two_state
     with pytest.raises(ValidationError):
-        edgeworth_cdf(exp_set, 0, 0.0)
+        edgeworth_cdf(exp_set, 0, 0.0, exp_set.r)
     with pytest.raises(ValidationError):
         edgeworth_cdf(exp_set, 16, 0.0, r=7)
     with pytest.raises(ValidationError):
@@ -199,8 +199,8 @@ def test_cdf_validation(two_state):
 def test_array_forms_match_scalar_loops(two_state):
     model, exp_set = two_state
     z = np.linspace(-4.0, 4.0, 41)
-    got = edgeworth_cdf(exp_set, 256, z)
-    assert np.array_equal(got, [edgeworth_cdf(exp_set, 256, float(v)) for v in z])
+    got = edgeworth_cdf(exp_set, 256, z, exp_set.r)
+    assert np.array_equal(got, [edgeworth_cdf(exp_set, 256, float(v), exp_set.r) for v in z])
     got = lclt_estimate(exp_set, 3.0 * z, 256)
     assert np.array_equal(got, [lclt_estimate(exp_set, 3.0 * float(v), 256) for v in z])
     for f in (
@@ -211,7 +211,7 @@ def test_array_forms_match_scalar_loops(two_state):
         got = f.tail_integral(z)
         assert got.shape == z.shape
         assert np.array_equal(got, [f.tail_integral(float(v)) for v in z])
-    assert isinstance(edgeworth_cdf(exp_set, 256, 0.3), float)
+    assert isinstance(edgeworth_cdf(exp_set, 256, 0.3, exp_set.r), float)
     assert isinstance(lclt_estimate(exp_set, 0.3, 256), float)
 
 
@@ -427,7 +427,7 @@ def test_averaged_wide_functions_match_mpmath(two_state):
             want = float(mpmath.quad(integrand, nodes))
             gauss = mpmath.quad(lambda y: mpmath.ncdf(x + y / rootn, 0, sigma) * bump(y), nodes)
             gauss += mpmath.quad(bump, [nodes[-1], mpmath.inf])
-        assert abs(averaged(exp_set, f, N, x) - want) <= 1e-14
+        assert abs(averaged(exp_set, f, N, x, exp_set.r) - want) <= 1e-14
         # one atom at N A: the exact part is the tail of f above -x sqrt(N)
         dist = ExactDistribution(np.array([N * exp_set.params.A]), np.ones(1), N)
         err = float(f.tail_integral(-x * rootn) - gauss) - want
@@ -550,6 +550,20 @@ def test_convergence_study_refuses_an_empty_ladder(two_state, oracle_kind):
     model, exp_set = two_state
     with pytest.raises(ValidationError, match="^N_list must hold at least one horizon"):
         convergence_study(exp_set, model, oracle_kind, 1, [], seed=1, trials=100)
+
+
+@pytest.mark.parametrize("name, call", [
+    # np.asarray read "0.5" as 0.5 and True as 1.0
+    ("z", lambda exp_set, v: edgeworth_cdf(exp_set, 8, v, 2)),
+    ("k", lambda exp_set, v: lattice_pmf(exp_set, 8, [0.0, v], 2)),
+    ("u", lambda exp_set, v: lclt_estimate(exp_set, v, 8)),
+    # "0.5" raised a bare TypeError
+    ("x", lambda exp_set, v: averaged(exp_set, TestFunction("gaussian-bump"), 8, v, 2)),
+])
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_evaluators_read_their_points_as_real_numbers(two_state, name, call, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be a real number"):
+        call(two_state[1], value)
 
 
 @pytest.mark.parametrize("x", ["0.5", True])

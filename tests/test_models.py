@@ -32,7 +32,7 @@ from edgeworth.models import (
 )
 from edgeworth import evaluate
 from edgeworth.expansion import expansion_for_model
-from edgeworth.spectral import SparseMatrix, perron_base
+from edgeworth.spectral import SparseMatrix, norm_decay_scan, perron_base
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -217,6 +217,9 @@ def test_ulam_refuses_a_non_integer_cell_count():
     (lambda: ulam_model("piecewise-linear", np.cos, 16, ["0", 0.5, 1]), "endpoints"),
     (lambda: ulam_model("piecewise-linear", np.cos, 16, [[0, 0.5, 1]]), "endpoints"),
     (lambda: ulam_model(g=np.cos, cells=True), "cells"),
+    # float() read "1" as 1.0 and True as 1.0: [1.0, 1.0] at N = 2
+    (lambda: pmf_moments([("1", "0.5"), (True, 0.5)], 2), "pmf"),
+    (lambda: pmf_moments([(0.0, 0.5, 1.0)], 2), "pmf"),
 ])
 def test_iid_and_ulam_numbers_are_read_by_the_constructor(build, field):
     with pytest.raises(ValidationError, match=f"^{field} must"):
@@ -514,6 +517,22 @@ def test_diophantine_scan_refuses_a_model_without_a_chain():
         diophantine_scan(bundled_model("iid_moments"), [1.0])
     with pytest.raises(InconsistentDimensions, match="d >= 2"):
         diophantine_scan(markov_model([[1.0]], [[0.5]], [1.0]), [1.0])
+
+
+@pytest.mark.parametrize("scan, grid, message", [
+    # np.asarray read the strings as the frequencies 0.5 and 1.5
+    (diophantine_scan, ["0.5", "1.5"], "^s_grid must be a real number"),
+    (diophantine_scan, [True, 1.5], "^s_grid must be a real number"),
+    (diophantine_scan, [], "^frequency grid must be nonempty and nonzero$"),
+    (diophantine_scan, [0.0, 1.5], "^frequency grid must be nonempty and nonzero$"),
+    # a bare TypeError from the complex exponential
+    (lambda m, grid: norm_decay_scan(m, grid, 2), ["1.0"], "^t_grid must be a real number"),
+    (lambda m, grid: norm_decay_scan(m, grid, 2), [], "^empty t grid$"),
+    (lambda m, grid: norm_decay_scan(m, grid, 2), [[1.0], [2.0]], "^t_grid must be a flat list"),
+])
+def test_scans_read_their_frequency_grids_as_real_numbers(scan, grid, message):
+    with pytest.raises(ValidationError, match=message):
+        scan(bundled_model("two_state"), grid)
 
 
 def test_diophantine_scan_size_guard():

@@ -1454,7 +1454,7 @@ def test_kolmogorov_distance_matches_scalar_loop():
     sigma = math.sqrt(102.0 / 175.0)
     probes = np.union1d(std.support, np.linspace(-12.0 * sigma, 12.0 * sigma, 2001))
     exp_set = expansion_for_model(model, 1)
-    for cdf in (lambda z: normal_cdf(z, sigma), lambda z: edgeworth_cdf(exp_set, N, z)):
+    for cdf in (lambda z: normal_cdf(z, sigma), lambda z: edgeworth_cdf(exp_set, N, z, exp_set.r)):
         want = _kolmogorov_distance_loop(std, cdf, probes)
         assert want > 0.0
         assert kolmogorov_distance(std, cdf, probes) == want
