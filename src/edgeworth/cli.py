@@ -256,7 +256,6 @@ def cmd_expand(model, model_doc, run, args):
     """Write the correction polynomials and moment coefficients as JSON."""
     r = _order_from(run, args)
     exp_set = expansion_for_model(model, r)
-    kmax = max(k for k, _ in exp_set.moment_coeffs) if exp_set.moment_coeffs else 0
     report = {
         "A": exp_set.params.A,
         "sigma2": exp_set.params.sigma2,
@@ -266,10 +265,7 @@ def cmd_expand(model, model_doc, run, args):
         "cdf_polys": [_poly_list(exp_set.P(p)) for p in range(1, r + 1)],
         "weak_local_polys": [_poly_list(exp_set.weak_local(p)) for p in range(r // 2 + 1)],
         "moment_coefficients": [
-            [k, j, exp_set.a(k, j)]
-            for k in range(1, kmax + 1)
-            for j in range(k // 2 + 1)
-            if (k, j) in exp_set.moment_coeffs
+            [k, j, a] for (k, j), a in sorted(exp_set.moment_coeffs.items()) if k >= 1
         ],
     }
     _write_artifacts((_artifact_path(args.out, "expand", model_doc, args.stamp, "json"),
@@ -363,10 +359,7 @@ def cmd_moments(model, model_doc, run, args):
     """Write the moment coefficients a_{k,j} as CSV."""
     r = _order_from(run, args)
     exp_set = expansion_for_model(model, r)
-    rows = [
-        (k, j, exp_set.a(k, j))
-        for (k, j) in sorted(exp_set.moment_coeffs)
-    ]
+    rows = [(k, j, a) for (k, j), a in sorted(exp_set.moment_coeffs.items())]
     _write_artifacts((_artifact_path(args.out, "moments", model_doc, args.stamp, "csv"),
                       _csv_text(["k", "j", "coefficient"], rows)))
     return 0

@@ -6,6 +6,7 @@ codes without string matching.
 """
 
 import contextlib
+import math
 import numbers
 import operator
 
@@ -21,10 +22,10 @@ class ValidationError(EdgeworthError):
 
 
 # What counts as an input number is decided here, for every function
-# that takes one: a bool (an int to Python) or a string is not one.  An
-# integer's range (a horizon of at least 1, an order in 0..8) is checked
-# by its reader too; a real's range (finite, positive, stochastic) is
-# checked by the consumer that knows it.
+# that takes one: a bool (an int to Python) or a string is not one, nor
+# is a NaN or an infinity.  An integer's range (a horizon of at least 1,
+# an order in 0..8) is checked by its reader too; a finite real's range
+# (positive, stochastic) is checked by the consumer that knows it.
 
 def _as_index(name, value, lo=None, hi=None):
     """``operator.index(value)`` of at least ``lo`` and at most ``hi``
@@ -58,29 +59,40 @@ def _as_horizons(name, values, lo=1):
     return horizons
 
 
-def _as_real(name, value):
-    """``float(value)`` of an int or float, NaN and infinities included, or
-    a :class:`ValidationError` naming ``name``; an int too large for a
-    float is refused, not rounded to infinity."""
+def _real(name, value):
+    """``float(value)`` of an int or float (an int too large for a float is
+    refused, not rounded to infinity), or a ValidationError naming ``name``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):
             return float(value)
     raise ValidationError(f"{name} must be a real number, not {value!r}")
 
 
+def _as_real(name, value):
+    """The :func:`_real` float of ``value`` if it is finite."""
+    x = _real(name, value)
+    if math.isfinite(x):
+        return x
+    raise ValidationError(f"{name} must be finite, not {x!r}")
+
+
 def _as_reals(name, value):
-    """Float ndarray of an int or float ndarray, or of nested lists of
-    numbers that :func:`_as_real` takes (one number gives a 0-d array)."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        return value.astype(float, copy=False)
-
+    """Finite float ndarray of an int or float ndarray (a float one is not
+    copied), or of nested lists of numbers that :func:`_real` takes (one
+    number gives a 0-d array)."""
     def leaves(v):
-        return [leaves(e) for e in v] if isinstance(v, (list, tuple)) else _as_real(name, v)
+        return [leaves(e) for e in v] if isinstance(v, (list, tuple)) else _real(name, v)
 
-    try:
-        return np.array(leaves(value), dtype=float)
-    except ValueError:
-        raise ValidationError(f"{name} must be a regular array of numbers") from None
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        array = value.astype(float, copy=False)
+    else:
+        try:
+            array = np.array(leaves(value), dtype=float)
+        except ValueError:
+            raise ValidationError(f"{name} must be a regular array of numbers") from None
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} holds NaN or infinite entries")
+    return array
 
 
 class OracleInfeasible(EdgeworthError):

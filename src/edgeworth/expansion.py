@@ -375,26 +375,25 @@ class ExpansionSet:
     moment_coeffs: dict = field(default_factory=dict)
 
     def A(self, k):
-        """Frequency polynomial ``A_k`` (variable ``it``)."""
-        return self.freq[k]
+        """Frequency polynomial ``A_k`` (variable ``it``), 0 <= k <= r."""
+        return self.freq[_as_index("k", k, 0, self.r)]
 
     def R(self, p):
-        """Density-side polynomial ``R_p``."""
-        return self.edge_r[p]
+        """Density-side polynomial ``R_p``, 0 <= p <= r."""
+        return self.edge_r[_as_index("p", p, 0, self.r)]
 
     def P(self, p):
-        """Distribution-side polynomial ``P_p``, defined for ``p >= 1``."""
-        if p < 1:
-            raise ValueError("P_p is defined for p >= 1")
-        return self.edge_p[p - 1]
+        """Distribution-side polynomial ``P_p``, 1 <= p <= r."""
+        return self.edge_p[_as_index("p", p, 1, self.r) - 1]
 
     def weak_local(self, p):
-        """Weak-local polynomial ``P_{p,l}``."""
-        return self.weak_local_list[p]
+        """Weak-local polynomial ``P_{p,l}``, 0 <= p <= r // 2."""
+        return self.weak_local_list[_as_index("p", p, 0, self.r // 2)]
 
     def a(self, k, j):
-        """Moment coefficient ``a_{k,j}``."""
-        return self.moment_coeffs[(k, j)]
+        """Moment coefficient ``a_{k,j}``, 0 <= j <= k // 2, k in the table."""
+        k = _as_index("k", k, 0, max(self.moment_coeffs)[0])
+        return self.moment_coeffs[k, _as_index("j", j, 0, k // 2)]
 
 
 def build_expansion(s, r):

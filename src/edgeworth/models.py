@@ -120,8 +120,8 @@ class MarkovModel:
     NonStochasticModel
         If P rows or mu0 fail to be probability vectors within 1e-12.
     ValidationError
-        If an entry of P, h or mu0 is not a number (:func:`_as_reals`), is
-        NaN or is infinite, or P is not a nonempty matrix.
+        If an entry of P, h or mu0 is not a finite number
+        (:func:`_as_reals`), or P is not a nonempty matrix.
     """
 
     __slots__ = ("_entries", "mu0", "lattice_span")
@@ -133,7 +133,8 @@ class MarkovModel:
                     and np.array_equal(observable.rows, rows)
                     and np.array_equal(observable.cols, cols)):
                 raise InconsistentDimensions("observable must share the transition's pattern")
-            P, h = transition.values, observable.values
+            P = _as_reals("transition", transition.values)
+            h = _as_reals("observable", observable.values)
             inside = np.all((rows >= 0) & (rows < d) & (cols >= 0) & (cols < d))
             if not (P.shape == h.shape == rows.shape and inside
                     and np.all(np.diff(rows * d + cols) > 0)):
@@ -161,9 +162,6 @@ class MarkovModel:
             raise InconsistentDimensions(
                 f"initial distribution length {mu0.shape} does not match dimension {d}"
             )
-        for name, values in (("transition", P), ("observable", h), ("initial distribution", mu0)):
-            if not np.all(np.isfinite(values)):
-                raise ValidationError(f"{name} holds NaN or infinite entries")
         if np.any(P < 0) or np.any(mu0 < 0):
             raise NonStochasticModel("negative probabilities")
         if np.max(np.abs(row_sums - 1.0)) > 1e-12:
@@ -219,6 +217,7 @@ class IidMomentModel:
         InsufficientMoments
             If fewer than ``order`` moments are stored.
         """
+        order = _as_index("order", order, 2)
         if order > self.moments.size:
             raise InsufficientMoments(
                 f"order {order} requested but only {self.moments.size} moments stored"

@@ -226,6 +226,22 @@ def test_fuzz_known_cases():
     ]
     for command, doc in cases:
         _check(command, doc)
+    # a NaN or infinite moment, or a NaN branch end: each ended in a
+    # LinAlgError or a ValueError traceback (exit 1) before the reader
+    # refused non-finite numbers
+    run = {"order": 1, "N_list": [8, 16]}
+    ulam = {"type": "ulam", "cells": 16, "map": "piecewise-linear", "endpoints": [0, math.nan, 1]}
+    moments = [[math.nan, 1, 0, 3], [0, math.nan, 0, 3], [0, 1, math.nan, 3],
+               [0, 1, 0, math.nan], [0, math.inf, 0, 3], [0, -math.inf, 0, 3]]
+    cases = [
+        ("expand", "moments", {"type": "iid", "moments": m}) for m in moments
+    ] + [
+        (command, "moments", {"type": "iid", "moments": [math.nan, 1, 0, 3]})
+        for command in ("moments", "verify", "lclt", "diagnose", "moddev")
+    ] + [(command, "endpoints", ulam) for command in ("expand", "verify")]
+    for command, field, model in cases:
+        err = _check(command, {"model": model, "run": run}, error="ValidationError")
+        assert json.loads(err)["message"].startswith(f"{field} "), err
     # a NaN probe is refused by name, before any quadrature runs
     run = {"N_list": [8, 16], "x": math.nan, "form": "averaged"}
     _check("verify", {"model": two_state, "run": run}, error="ValidationError")
