@@ -63,7 +63,6 @@ from .evaluate import (
     exact_distribution,
     exact_distributions,
     lattice_pmf,
-    lclt_estimate,
     moddev_ratios,
     weak_global,
     weak_local,
@@ -110,7 +109,6 @@ __all__ = [
     "iid_model",
     "kolmogorov_distance",
     "lattice_pmf",
-    "lclt_estimate",
     "markov_model",
     "mc_sample",
     "moddev_ratios",

@@ -372,11 +372,9 @@ def cmd_lclt(model, model_doc, run, args):
     if span is None:
         raise OracleUnavailable("the local limit comparison needs a lattice model")
     exp_set = expansion_for_model(model, 0)  # reads only A and sigma2
-    rows = []
-    for n, dist in zip(n_list, evaluate.exact_distributions(model, n_list, "dp")):
-        est = evaluate.lclt_estimate(exp_set, dist.support - n * exp_set.params.A, n)
-        err = float(np.max(np.abs(math.sqrt(n) * dist.pmf / span - est)))
-        rows.append((n, err))
+    # the lattice form at order 0, in density units: divided by the span
+    report = evaluate.convergence_study(exp_set, model, "dp", 0, n_list, form="lattice")
+    rows = [(n, err / span) for n, err in zip(report.N_list, report.raw)]
     _write_artifacts((_artifact_path(args.out, "lclt", model_doc, args.stamp, "csv"),
                       _csv_text(["N", "sup_error"], rows)))
     return 0

@@ -2,9 +2,8 @@
 
 Turns an :class:`~edgeworth.expansion.ExpansionSet` into concrete
 numbers: CDF and lattice-pmf approximations, the weak (global, local,
-averaged) functional forms, local-limit and moderate-deviation
-estimates, and ladder studies comparing everything against the exact
-oracles.
+averaged) functional forms, moderate-deviation estimates, and ladder
+studies comparing everything against the exact oracles.
 """
 
 from __future__ import annotations
@@ -248,19 +247,6 @@ def averaged(exp_set, f, N, x, r):
     return total
 
 
-def lclt_estimate(exp_set, u, N):
-    """Local-limit density value  (1/sqrt(2 pi sigma2 N)) ... at offset u.
-
-    Returns (1/sqrt(2 pi sigma2)) exp(-u^2 / (2 N sigma2)), the local
-    limit prediction for sqrt(N) P(S_N = nearest lattice point to NA+u),
-    elementwise in ``u``.
-    """
-    N, u = _as_index("N", N, 1), _as_reals("u", u)
-    s2 = exp_set.params.sigma2
-    out = np.exp(-0.5 * u * u / (N * s2)) / math.sqrt(2.0 * math.pi * s2)
-    return out if out.ndim else float(out)
-
-
 @dataclass(frozen=True)
 class ModDevResult:
     """Moderate-deviation comparison at the edge of the valid regime."""
@@ -405,6 +391,9 @@ def _classical_error(exp_set, dist, N, r):
 
 
 def _lattice_error(exp_set, model, dist, N, r):
+    """sqrt(N) sup_k |P(S_N = k) - lattice_pmf(k)| over the lattice points
+    k of the support and of N A +- 13 sigma sqrt(N), points with no mass
+    included; at order 0 it is the local limit error times the span."""
     span = model.lattice_span
     params = exp_set.params
     sigma = params.sigma

@@ -36,6 +36,7 @@ from .errors import (
     ImaginaryResidue,
     NonRealDrift,
     NonZeroMean,
+    ValidationError,
     _as_index,
 )
 from .jets import Polynomial, bi_exp, jet_log
@@ -384,6 +385,8 @@ class ExpansionSet:
 
     def P(self, p):
         """Distribution-side polynomial ``P_p``, 1 <= p <= r."""
+        if self.r == 0:
+            raise ValidationError("an order-0 expansion has no P_p")
         return self.edge_p[_as_index("p", p, 1, self.r) - 1]
 
     def weak_local(self, p):

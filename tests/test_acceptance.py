@@ -15,8 +15,6 @@ from chains import dense_family
 from edgeworth.evaluate import (
     TestFunction,
     convergence_study,
-    exact_distribution,
-    lclt_estimate,
     moddev_ratios,
     quadrature,
 )
@@ -273,12 +271,9 @@ def test_criterion_08_weak_local_convergence(two_state, dp_cache):
 
 def test_criterion_09_lclt_rate(two_state, dp_cache):
     model, exp_set = two_state
-    A = exp_set.params.A
-    sups = []
-    for N in (256, 1024):
-        dist = exact_distribution(model, N, "dp", cache=dp_cache)
-        est = np.array([lclt_estimate(exp_set, k - N * A, N) for k in dist.support])
-        sups.append(float(np.max(np.abs(math.sqrt(N) * dist.pmf - est))))
+    # the lattice form at order 0 is the local limit estimate (span 1)
+    sups = convergence_study(exp_set, model, "dp", 0, [256, 1024], form="lattice",
+                             cache=dp_cache).raw
     ratio = sups[1] / sups[0]
     ok = ratio <= 0.55
     assert report(

@@ -13,6 +13,7 @@ import pytest
 
 from chains import sparse_chain_doc
 from edgeworth import cli, oracle
+from edgeworth.expansion import expansion_for_model
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -341,20 +342,29 @@ _HUGE_IID = {"type": "iid", "pmf": [[0, 0.5], [1e308, 0.5]]}
 
 
 @pytest.mark.parametrize(
-    "command, doc",
-    [("expand", {"model": _HUGE_IID, "run": {}}),
-     ("moments", {"model": _HUGE_IID, "run": {}}),
-     ("diagnose", {"model": {"bundled": "doubling_ulam"}, "run": {"t_grid": [0.5, math.nan]}})],
-    ids=["expand-non-finite", "moments-non-finite", "diagnose-nan-frequency"],
+    "command, doc, message",
+    [("expand", {"model": _HUGE_IID, "run": {}}, "operator family overflows"),
+     ("moments", {"model": _HUGE_IID, "run": {}}, "operator family overflows"),
+     # a NaN frequency is refused by the reader of run.t_grid, before the scan
+     ("diagnose", {"model": {"bundled": "doubling_ulam"}, "run": {"t_grid": [0.5, math.nan]}},
+      "run.t_grid holds NaN"),
+     # a finite frequency whose scan is not: refused when the artifact is written
+     ("diagnose", {"model": {"bundled": "doubling_ulam"}, "run": {"t_grid": [0.5, 1e308]}},
+      "cannot serialize a non-finite number")],
+    ids=["expand-non-finite", "moments-non-finite", "diagnose-nan-frequency",
+         "diagnose-huge-frequency"],
 )
-def test_refused_artifact_leaves_no_output_directory(tmp_path, capsys, command, doc):
-    # a value that cannot be written is refused only once the command has
-    # run; each artifact used to be opened before it was formatted, and
-    # left a truncated file behind
+def test_refused_artifact_leaves_no_output_directory(tmp_path, capsys, command, doc, message):
+    # no refused command leaves its --out directory behind: each artifact
+    # used to be opened before it was formatted, and left a truncated file.
+    # Only the huge frequency reaches the refusal of a value that cannot be
+    # written, once the command has run; the others are refused on reading
     cfg = write_config(tmp_path, doc)
     out_dir = tmp_path / "refused" / "out"
     code, out, err = run_cli(capsys, command, cfg, "--out", str(out_dir), "--stamp", "s")
-    assert (code, json.loads(err)["error"]) == (2, "ValidationError") and out == ""
+    payload = json.loads(err)
+    assert (code, payload["error"]) == (2, "ValidationError") and out == ""
+    assert payload["message"].startswith(message), payload
     assert not (tmp_path / "refused").exists()
 
 
@@ -1107,6 +1117,30 @@ def test_lclt_errors_shrink(tmp_path, capsys):
     assert rows[0] == ["N", "sup_error"]
     errs = [float(r[1]) for r in rows[1:]]
     assert errs[1] < errs[0]
+
+
+_LCLT_CHAIN = {"type": "markov", "transition": [[0.7, 0.3], [0.4, 0.6]],
+               "observable": [[0, 1], [2, 1]]}
+
+
+def test_lclt_reads_lattice_points_with_no_mass(tmp_path, capsys):
+    # S_1 takes only 0, 1 and 2.  The sup over the support atoms missed the
+    # estimate at k = -1, where the exact mass is 0, and read 0.0438770...
+    rows = {}
+    for span, rewards in ((1.0, [[0, 1], [2, 1]]), (0.5, [[0, 0.5], [1, 0.5]])):
+        model = dict(_LCLT_CHAIN, observable=rewards)
+        assert cli.build_model(model).lattice_span == span
+        cfg = write_config(tmp_path, {"model": model, "run": {"N_list": [1, 2, 4]}})
+        code, out, _ = run_cli(capsys, "lclt", cfg, "--out", str(tmp_path / str(span)),
+                               "--stamp", "s")
+        assert code == 0
+        rows[span] = [float(row[1]) for row in read_rows(out.strip())[1:]]
+    params = expansion_for_model(cli.build_model(_LCLT_CHAIN), 0).params
+    want = (math.exp(-(1.0 + params.A) ** 2 / (2.0 * params.sigma2))
+            / math.sqrt(2.0 * math.pi * params.sigma2))
+    assert abs(rows[1.0][0] - want) <= 1e-15
+    # halved rewards halve the span; the column is in density units, so doubles
+    assert rows[0.5] == [2.0 * err for err in rows[1.0]]
 
 
 def test_lclt_requires_lattice_model(tmp_path, capsys):

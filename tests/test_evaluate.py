@@ -21,7 +21,6 @@ from edgeworth.evaluate import (
     exact_distribution,
     exact_distributions,
     lattice_pmf,
-    lclt_estimate,
     moddev_ratios,
     quadrature,
     weak_global,
@@ -201,8 +200,6 @@ def test_array_forms_match_scalar_loops(two_state):
     z = np.linspace(-4.0, 4.0, 41)
     got = edgeworth_cdf(exp_set, 256, z, exp_set.r)
     assert np.array_equal(got, [edgeworth_cdf(exp_set, 256, float(v), exp_set.r) for v in z])
-    got = lclt_estimate(exp_set, 3.0 * z, 256)
-    assert np.array_equal(got, [lclt_estimate(exp_set, 3.0 * float(v), 256) for v in z])
     for f in (
         TestFunction("gaussian-bump", 0.5, 2.0),
         TestFunction("compact-bump", 0.0, 1.5),
@@ -212,7 +209,6 @@ def test_array_forms_match_scalar_loops(two_state):
         assert got.shape == z.shape
         assert np.array_equal(got, [f.tail_integral(float(v)) for v in z])
     assert isinstance(edgeworth_cdf(exp_set, 256, 0.3, exp_set.r), float)
-    assert isinstance(lclt_estimate(exp_set, 0.3, 256), float)
 
 
 def test_classical_error_standardizes_without_copying_the_support(two_state):
@@ -469,28 +465,23 @@ def test_weak_form_requires_test_function(two_state):
 
 
 def test_lclt_closed_forms(two_state):
+    # the local limit estimate is the order-0 lattice pmf times sqrt(N)
     model, exp_set = two_state
-    sigma2 = exp_set.params.sigma2
+    A, sigma2 = exp_set.params.A, exp_set.params.sigma2
     peak = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
-    assert abs(lclt_estimate(exp_set, 0.0, 64) - peak) <= 1e-15
-    # one-sigma point of the scaled sum: u = sigma sqrt(N)
-    u = math.sqrt(sigma2) * 8.0
+    assert abs(8.0 * lattice_pmf(exp_set, 64, 64.0 * A, r=0) - peak) <= 1e-15
+    # one-sigma point of the scaled sum: k - N A = sigma sqrt(N)
+    k = 64.0 * A + 8.0 * math.sqrt(sigma2)
     want = math.exp(-0.5) * peak
-    assert abs(lclt_estimate(exp_set, u, 64) - want) <= 1e-15
+    assert abs(8.0 * lattice_pmf(exp_set, 64, k, r=0) - want) <= 1e-15
 
 
 def test_lclt_error_halves(two_state, dp_cache):
     # sup_k |sqrt(N) P(S_N = k) - density estimate| roughly halves per 4x N
     model, exp_set = two_state
-    A = exp_set.params.A
-    sups = []
-    for N in (256, 1024):
-        dist = exact_distribution(model, N, "dp", cache=dp_cache)
-        est = np.array(
-            [lclt_estimate(exp_set, k - N * A, N) for k in dist.support]
-        )
-        sups.append(float(np.max(np.abs(math.sqrt(N) * dist.pmf - est))))
-    ratio = sups[1] / sups[0]
+    rep = convergence_study(exp_set, model, "dp", 0, [256, 1024], form="lattice",
+                            cache=dp_cache)
+    ratio = rep.raw[1] / rep.raw[0]
     assert 0.375 <= ratio <= 0.625
 
 
@@ -556,7 +547,6 @@ def test_convergence_study_refuses_an_empty_ladder(two_state, oracle_kind):
     # np.asarray read "0.5" as 0.5 and True as 1.0
     ("z", lambda exp_set, v: edgeworth_cdf(exp_set, 8, v, 2)),
     ("k", lambda exp_set, v: lattice_pmf(exp_set, 8, [0.0, v], 2)),
-    ("u", lambda exp_set, v: lclt_estimate(exp_set, v, 8)),
     # "0.5" raised a bare TypeError
     ("x", lambda exp_set, v: averaged(exp_set, TestFunction("gaussian-bump"), 8, v, 2)),
 ])

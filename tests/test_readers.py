@@ -24,7 +24,6 @@ from edgeworth.evaluate import (
     exact_distribution,
     exact_distributions,
     lattice_pmf,
-    lclt_estimate,
     moddev_ratios,
     weak_global,
     weak_local,
@@ -88,7 +87,6 @@ CASES = [
     ("weak_local", "r", -1, lambda c, v: weak_local(c.exp_set, c.f, 8, r=v)),
     ("averaged", "N", 0, lambda c, v: averaged(c.exp_set, c.f, v, 0.5, r=2)),
     ("averaged", "r", -1, lambda c, v: averaged(c.exp_set, c.f, 8, 0.5, r=v)),
-    ("lclt_estimate", "N", 0, lambda c, v: lclt_estimate(c.exp_set, 0.0, v)),
     ("convergence_study", "N_list", 0,
      lambda c, v: convergence_study(c.exp_set, c.model, "dp", 1, [v])),
     ("convergence_study", "r", -1,
@@ -163,6 +161,9 @@ PAST_THE_TABLE = [
     ("A", lambda e: e.A(4), "k must be in 0..3, not 4"),
     ("R", lambda e: e.R(4), "p must be in 0..3, not 4"),
     ("P", lambda e: e.P(4), "p must be in 1..3, not 4"),
+    # an order-0 table has no P_p; its refusal read "p must be in 1..0, not 1"
+    ("P-order-0", lambda e: expansion_for_model(bundled_model("two_state"), 0).P(1),
+     "an order-0 expansion has no P_p"),
     ("weak_local", lambda e: e.weak_local(2), "p must be in 0..1, not 2"),
     # moments a_{k,j} up to k = r + 2, with j at most k // 2
     ("a-k", lambda e: e.a(6, 0), "k must be in 0..5, not 6"),
@@ -190,7 +191,6 @@ REALS = [
     ("averaged", "x", lambda c, v: averaged(c.exp_set, c.f, 8, v, r=2)),
     ("edgeworth_cdf", "z", lambda c, v: edgeworth_cdf(c.exp_set, 8, [0.0, v], r=2)),
     ("lattice_pmf", "k", lambda c, v: lattice_pmf(c.exp_set, 8, v, r=2)),
-    ("lclt_estimate", "u", lambda c, v: lclt_estimate(c.exp_set, v, 8)),
     ("norm_decay_scan", "t_grid", lambda c, v: norm_decay_scan(c.model, [1.0, v], 2)),
     ("diophantine_scan", "s_grid", lambda c, v: diophantine_scan(c.model, [v, 1.0])),
     ("iid_model", "moments", lambda c, v: iid_model(moments=[0.0, 1.0, v, 3.0])),
