@@ -117,6 +117,9 @@ CASES = [
     ("cli expand", "order", -1, lambda c, v: _cli(c, "expand", {"order": v})),
     ("cli verify", "seed", -1, lambda c, v: _cli(c, "verify", dict(_MC, seed=v))),
     ("cli verify", "trials", 0, lambda c, v: _cli(c, "verify", dict(_MC, trials=v))),
+    # lclt reads its ladder through the lattice form of convergence_study
+    ("cli lclt", "N_list", 0, lambda c, v: _cli(c, "lclt", {"N_list": [v]})),
+    ("cli moddev", "N_list", 1, lambda c, v: _cli(c, "moddev", {"N_list": [v]})),
     ("cli diagnose", "run.N", 0, lambda c, v: _cli(c, "diagnose", {"N": v})),
     ("cli diagnose", "run.t_grid.count", 0,
      lambda c, v: _cli(c, "diagnose", {"t_grid": {"count": v}})),
