@@ -311,15 +311,20 @@ def cmd_diagnose(model, model_doc, run, args):
         flags.append("stationary-not-unique")
     if model.lattice_span is None:
         # first, so a moment model (never a lattice one) or a chain over the
-        # scan's budget fails before the norm scan; its warning is a flag (see main)
+        # scan's budget fails before the norm scan; its warning is a flag (see
+        # main).  A non-lattice law has unit radius only at t = 0, which the
+        # scan refuses, so no frequency here is a lattice one.
         scan = models.diophantine_scan(model, t_grid)
         if scan.resonant:
             flags.append("resonant-observable")
         dist = scan.d
         dio = {"K": scan.K, "beta": scan.beta, "residual": scan.residual}
+        on_lattice = np.zeros(t_grid.size, dtype=bool)
     else:
         dist = np.zeros(t_grid.size)
         dio = None
+        k = t_grid * model.lattice_span / (2.0 * math.pi)
+        on_lattice = np.abs(k - np.rint(k)) <= 1e-9
     t, nrm, rad = np.array(spectral.norm_decay_scan(model, t_grid, n_power)).T
     pos = dist > 0
     if np.any(nrm[pos] >= 1.0 - _CONTRACTION_TOL):
@@ -328,12 +333,7 @@ def cmd_diagnose(model, model_doc, run, args):
     else:
         theta = float(np.min((1.0 - nrm[pos]) / (dist[pos] * dist[pos]), initial=math.inf))
     unit = rad >= 1.0 - 1e-9
-    if model.lattice_span is None:
-        on_lattice = t == 0.0  # every law has unit radius at t = 0
-    else:
-        k = t * model.lattice_span / (2.0 * math.pi)
-        on_lattice = np.abs(k - np.rint(k)) <= 1e-9
-    if model.lattice_span is not None and np.any(unit & on_lattice):
+    if np.any(unit & on_lattice):
         # unit radius at multiples of 2 pi / span is expected, not a defect
         flags.append("radius-one-lattice-consistent")
     if np.any(unit & ~on_lattice):

@@ -409,17 +409,12 @@ def _lattice_error(exp_set, model, dist, N, r):
     return float(np.max(np.abs(exact - approx))) * math.sqrt(N)
 
 
-def _weak_local_error(exp_set, dist, N, r, f):
-    params = exp_set.params
-    offsets = dist.support - N * params.A
-    exact = math.sqrt(N) * oracle._fsum(f(offsets) * dist.pmf)
-    return abs(exact - weak_local(exp_set, f, N, r))
-
-
-def _weak_global_error(exp_set, dist, N, r, f):
-    params = exp_set.params
-    offsets = dist.support - N * params.A
-    exact = oracle._fsum(f(offsets) * dist.pmf)
+def _weak_error(exp_set, dist, N, r, f, form):
+    """|exact - estimate| of a weak form: the exact sum of
+    f(s - N A) P(S_N = s), times sqrt(N) for the local form."""
+    exact = oracle._fsum(f(dist.support - N * exp_set.params.A) * dist.pmf)
+    if form == "weak_local":
+        return abs(math.sqrt(N) * exact - weak_local(exp_set, f, N, r))
     return abs(exact - weak_global(exp_set, f, N, r))
 
 
@@ -504,10 +499,8 @@ def convergence_study(
             err = _classical_error(exp_set, dist, N, r)
         elif form == "lattice":
             err = _lattice_error(exp_set, model, dist, N, r)
-        elif form == "weak_local":
-            err = _weak_local_error(exp_set, dist, N, r, f)
-        elif form == "weak_global":
-            err = _weak_global_error(exp_set, dist, N, r, f)
+        elif form in ("weak_local", "weak_global"):
+            err = _weak_error(exp_set, dist, N, r, f, form)
         else:
             err = max(
                 _averaged_error(exp_set, dist, N, r, f, xx)

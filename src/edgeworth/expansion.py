@@ -152,8 +152,6 @@ def frequency_polys(params, r):
     """
     if r < 0:
         raise ValueError("order must be nonnegative")
-    if r == 0:
-        return [Polynomial([1.0])]
     if params.order < r + 2:
         raise ValueError(f"jets of order >= {r + 2} required for order-{r} polynomials")
 

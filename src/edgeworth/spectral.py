@@ -19,14 +19,17 @@ with nnz such entries onto one of two paths for them: at most one
 nonzero entry in eight takes the sparse path, every other chain the
 dense path.
 
+On both paths the gap comes from power iteration on the deflated
+operator ``Q = P - 1 pi^T``, applied to a vector as ``Px - 1 (pi . x)``;
+``Q`` itself is never formed.
+
 * Dense: each slice of the family is formed as a d x d array, the
   stationary vector comes from one linear solve, and one inverse of the
   bordered matrix serves every perturbation order.
 * Sparse: every step uses matrix-vector products on the nonzeros alone.
-  The stationary vector comes from power iteration with ``pi^T P``, the
-  gap from power iteration on the deflated operator ``Q = P - 1 pi^T``,
-  and each bordered system from a Neumann series in ``Q``.  No d x d
-  array is allocated, unless an iteration runs out of its budget of
+  The stationary vector comes from power iteration with ``pi^T P`` and
+  each bordered system from a Neumann series in ``Q``.  No d x d array
+  is allocated, unless an iteration runs out of its budget of
   ``_SPARSE_TERMS`` products (a slowly mixing chain); that step is then
   done the dense way.
 
@@ -278,20 +281,16 @@ def perron_base(fam):
     The right Perron vector is the all-ones vector (exact); the left one
     comes from :func:`_stationary`.
     The spectral gap is estimated by power iteration on the deflated
-    operator ``P - 1 (x) pi``, applied as ``Px - 1 (pi . x)`` on the
-    sparse path.
+    operator ``Q = P - 1 pi^T``, applied as ``Px - 1 (pi . x)`` on either
+    path, so ``Q`` is never formed.
     """
     P = fam.matrix(0)
-    right = np.ones(fam.dim)
     pi = _stationary(P)
-    if isinstance(P, SparseMatrix):
-        rho = _power_radius(lambda x: P @ x - pi @ x, P.dim)
-    else:
-        rho = _power_radius((P - np.outer(right, pi)).__matmul__, fam.dim)
+    rho = _power_radius(lambda x: P @ x - pi @ x, fam.dim)
     gap = 1.0 - rho
     if gap < _GAP_TOL:
         raise GapBelowTolerance(f"spectral gap estimate {gap:.3e} below {_GAP_TOL}")
-    return PerronBase(right, pi, gap)
+    return PerronBase(np.ones(fam.dim), pi, gap)
 
 
 def _power_radius(apply, d, dtype=float):

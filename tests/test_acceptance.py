@@ -6,12 +6,14 @@ criteria execute; without ``-s`` they appear for failing tests only.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from chains import dense_family
+from chains import dense_chain, dense_family
+from exact_jets import tilted_log_series
 from edgeworth.evaluate import (
     TestFunction,
     convergence_study,
@@ -412,4 +414,42 @@ def test_criterion_16_degenerate_variance_refused():
     assert report(
         16, "degenerate-variance-refused", ok,
         f"coboundary rewards refused with {refused}; two_state sigma2 {sigma2:.4f}",
+    )
+
+
+def test_criterion_17_exact_rational_jets():
+    # the real-tilt series of P o exp(theta h) in exact rationals (see
+    # tests/exact_jets.py) against the order-8 jets: psi[k] / i**k is
+    # [theta**k] log lam for k >= 3 and logz[k] / i**k is [theta**k] log z
+    t0 = time.monotonic()
+    tenth = [[Fraction(x, 10) for x in row] for row in ((7, 3), (4, 6))]
+    chains = {
+        "two_state": (tenth, [[1, 0], [0, 0]], [1, 0], Fraction(2, 5), Fraction(102, 175)),
+        "three_state_lattice": (
+            [[Fraction(x, 10) for x in row] for row in ((5, 3, 2), (2, 5, 3), (3, 2, 5))],
+            [[0, 1, 2], [1, 0, 3], [2, 1, 0]], [1, 0, 0], Fraction(13, 15), Fraction(4039, 4275)),
+    }
+    ok, details = True, []
+    for name, (P, h, mu0, A, sigma2) in chains.items():
+        model = bundled_model(name)
+        dense_P, dense_h = dense_chain(model)
+        assert np.array_equal(dense_P, np.array(P, dtype=float)) and np.array_equal(dense_h, h)
+        assert np.array_equal(model.mu0, mu0)
+        log_lam, log_z = tilted_log_series(P, h, mu0, 10)
+        params = expansion_for_model(model, 8).params
+        pairs = [(params.A, log_lam[1]), (params.sigma2, 2 * log_lam[2])]
+        pairs += [(params.psi[k] / 1j ** k, log_lam[k]) for k in range(3, 11)]
+        pairs += [(params.logz[k] / 1j ** k, log_z[k]) for k in range(1, 11)]
+        largest = max(abs(float(exact)) for _, exact in pairs)
+        worst = max(abs(got - float(exact)) for got, exact in pairs)
+        ok = ok and (log_lam[1], 2 * log_lam[2]) == (A, sigma2) and worst <= 1e-13 * largest
+        details.append(f"{name} A={log_lam[1]} sigma2={2 * log_lam[2]} worst {worst:.1e} "
+                       f"of {largest:.2f}")
+    # criterion 16's coboundary rewards: the rational variance is exactly 0
+    log_lam, _ = tilted_log_series(tenth, [[0, 1], [-1, 0]], [1, 0], 2)
+    ok = ok and log_lam[2] == 0
+    elapsed = time.monotonic() - t0
+    assert report(
+        17, "exact-rational-jets", ok,
+        f"{'; '.join(details)}; coboundary sigma2 {2 * log_lam[2]}, {elapsed:.2f}s",
     )

@@ -1218,7 +1218,12 @@ def test_dp_ladders_run_one_sweep(tmp_path, capsys, monkeypatch, command):
 # took a d x d transition matrix, so they pin the diagnostics from before
 # it took the operator family.  The norm scan of a sparse chain then moved
 # from d x d matrix powers onto the chain's pattern, and the sparse-chain
-# CSV was rewritten, in norm_power and radius by at most 1 ulp.  A
+# CSV was rewritten, in norm_power and radius by at most 1 ulp.  The two
+# ``diagnose-two_state`` files, the one dense lattice chain among them,
+# come from the change after commit ce01a75 that made ``perron_base``
+# apply the deflated operator as ``Px - 1 (pi . x)`` on both paths; they
+# pin its gap, the double nearest 0.7 (0.70000000000000007 before), and
+# the flag ``radius-one-lattice-consistent``.  A
 # command that writes a CSV and a JSON is compared on the file of the
 # golden file's extension.
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -1227,11 +1232,17 @@ _DIAGNOSE_SPARSE = ("diagnose", {
     "model": sparse_chain_doc(),
     "run": {"t_grid": {"start": 0.5, "stop": 10.0, "count": 12}, "N": 6},
 })
+_DIAGNOSE_TWO_STATE = ("diagnose", {
+    "model": {"bundled": "two_state"},
+    "run": {"t_grid": [0.5, 1.0, 3.141592653589793, 6.283185307179586]},
+})
 _GOLDEN = {
     "diagnose-diophantine_two_state.csv": _DIAGNOSE_DIOPHANTINE,
     "diagnose-diophantine_two_state.json": _DIAGNOSE_DIOPHANTINE,
     "diagnose-sparse_chain.csv": _DIAGNOSE_SPARSE,
     "diagnose-sparse_chain.json": _DIAGNOSE_SPARSE,
+    "diagnose-two_state.csv": _DIAGNOSE_TWO_STATE,
+    "diagnose-two_state.json": _DIAGNOSE_TWO_STATE,
     "expand-doubling_ulam.json": ("expand", {
         "model": {"bundled": "doubling_ulam"}, "run": {"order": 2},
     }),
