@@ -26,7 +26,6 @@ from .errors import (
     EdgeworthError,
     GapBelowTolerance,
     OracleInfeasible,
-    OracleUnavailable,
     SingularStationarySolve,
     ValidationError,
     _as_index,
@@ -369,8 +368,6 @@ def cmd_lclt(model, model_doc, run, args):
     """Compare the local limit expansion with exact lattice atoms; CSV."""
     n_list = _n_list_from(run)
     span = model.lattice_span
-    if span is None:
-        raise OracleUnavailable("the local limit comparison needs a lattice model")
     exp_set = expansion_for_model(model, 0)  # reads only A and sigma2
     # the lattice form at order 0, in density units: divided by the span
     report = evaluate.convergence_study(exp_set, model, "dp", 0, n_list, form="lattice")

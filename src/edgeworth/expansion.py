@@ -45,7 +45,6 @@ _DRIFT_TOL = 1e-10
 _VARIANCE_TOL = 1e-10
 _REALNESS_TOL = 1e-11
 _MOMENT_REALNESS_TOL = 1e-10
-_STRUCT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,8 @@ def _lattice_span(h):
         if g.denominator > _SPAN_DENOM_CAP:
             return None
     span = float(g)
-    if any(abs(v / span - round(v / span)) > _SPAN_TOL for v in vals):
+    ratios = vals / span
+    if np.any(np.abs(ratios - np.rint(ratios)) > _SPAN_TOL):
         return None
     return span
 
@@ -141,7 +142,6 @@ class MarkovModel:
                 raise InconsistentDimensions(
                     "the pattern must list distinct entries of a d x d matrix in row-major order"
                 )
-            row_sums = np.bincount(rows, weights=P, minlength=d)
         else:
             P, h = _as_reals("transition", transition), _as_reals("observable", observable)
             if P.ndim != 2 or P.shape[0] == 0:
@@ -153,7 +153,6 @@ class MarkovModel:
                     f"observable shape {h.shape} differs from transition {P.shape}"
                 )
             d = P.shape[0]
-            row_sums = P.sum(axis=1)
             # every entry, in row-major order
             rows, cols = np.divmod(np.arange(P.size), d)
             P, h = P.ravel(), h.ravel()
@@ -164,7 +163,8 @@ class MarkovModel:
             )
         if np.any(P < 0) or np.any(mu0 < 0):
             raise NonStochasticModel("negative probabilities")
-        if np.max(np.abs(row_sums - 1.0)) > 1e-12:
+        # each row summed in column order, whichever form the chain came in
+        if np.max(np.abs(np.bincount(rows, weights=P, minlength=d) - 1.0)) > 1e-12:
             raise NonStochasticModel("transition rows do not sum to 1 within 1e-12")
         if abs(mu0.sum() - 1.0) > 1e-12:
             raise NonStochasticModel("initial distribution does not sum to 1 within 1e-12")
@@ -398,18 +398,13 @@ def ulam_model(map_kind="doubling", g=None, cells=1024, endpoints=None):
             at.append(j[hit] * n + k[hit])
             mass.append((hi - lo) * n)
             gmass.append(mass[-1] * g(0.5 * (lo + hi)))
-    # a stable sort puts the hits in row-major order and keeps the hits of
-    # one entry in branch and step order; bincount adds them in that order
-    at = np.concatenate(at)
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    first = np.ones(at.size, dtype=bool)
-    first[1:] = at[1:] != at[:-1]
-    entry = np.cumsum(first) - 1
-    w = np.bincount(entry, weights=np.concatenate(mass)[order])
+    # np.unique numbers the entries in row-major order; bincount adds the
+    # hits of each entry in the order they were appended, branch then step
+    keys, entry = np.unique(np.concatenate(at), return_inverse=True)
+    w = np.bincount(entry, weights=np.concatenate(mass))
     # w holds the unnormalized masses, the weights of the h average
-    h = np.bincount(entry, weights=np.concatenate(gmass)[order]) / w
-    rows, cols = np.divmod(at[first], n)
+    h = np.bincount(entry, weights=np.concatenate(gmass)) / w
+    rows, cols = np.divmod(keys, n)
     P = w / np.bincount(rows, weights=w, minlength=n)[rows]
 
     return UlamModel(

@@ -88,3 +88,15 @@ def tilted_log_series(P, h, mu0, order):
     z = [sum((_dot(mu0, v[a]) * sum(left[k - a]) for a in range(k + 1)), Fraction(0))
          for k in range(order + 1)]
     return _log_series(lam), _log_series(z)
+
+
+def jet_gap(params, log_lam, log_z):
+    """``(worst, largest)``: the largest gap of the library's ``A``,
+    ``sigma2``, ``psi[k] / i**k`` and ``logz[k] / i**k`` (k up to the
+    length of ``log_lam`` less one) to the exact series, and the largest
+    exact coefficient they are read against."""
+    pairs = [(params.A, log_lam[1]), (params.sigma2, 2 * log_lam[2])]
+    pairs += [(params.psi[k] / 1j ** k, log_lam[k]) for k in range(3, len(log_lam))]
+    pairs += [(params.logz[k] / 1j ** k, log_z[k]) for k in range(1, len(log_z))]
+    largest = max(abs(float(exact)) for _, exact in pairs)
+    return max(abs(got - float(exact)) for got, exact in pairs), largest

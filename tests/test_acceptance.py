@@ -13,7 +13,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from chains import dense_chain, dense_family
-from exact_jets import tilted_log_series
+from exact_jets import jet_gap, tilted_log_series
 from edgeworth.evaluate import (
     TestFunction,
     convergence_study,
@@ -436,12 +436,7 @@ def test_criterion_17_exact_rational_jets():
         assert np.array_equal(dense_P, np.array(P, dtype=float)) and np.array_equal(dense_h, h)
         assert np.array_equal(model.mu0, mu0)
         log_lam, log_z = tilted_log_series(P, h, mu0, 10)
-        params = expansion_for_model(model, 8).params
-        pairs = [(params.A, log_lam[1]), (params.sigma2, 2 * log_lam[2])]
-        pairs += [(params.psi[k] / 1j ** k, log_lam[k]) for k in range(3, 11)]
-        pairs += [(params.logz[k] / 1j ** k, log_z[k]) for k in range(1, 11)]
-        largest = max(abs(float(exact)) for _, exact in pairs)
-        worst = max(abs(got - float(exact)) for got, exact in pairs)
+        worst, largest = jet_gap(expansion_for_model(model, 8).params, log_lam, log_z)
         ok = ok and (log_lam[1], 2 * log_lam[2]) == (A, sigma2) and worst <= 1e-13 * largest
         details.append(f"{name} A={log_lam[1]} sigma2={2 * log_lam[2]} worst {worst:.1e} "
                        f"of {largest:.2f}")

@@ -1152,8 +1152,10 @@ def test_lclt_requires_lattice_model(tmp_path, capsys):
         },
     )
     code, out, err = run_cli(capsys, "lclt", cfg, "--out", str(tmp_path), "--stamp", "s")
-    assert code == 3
-    assert json.loads(err)["error"] == "OracleUnavailable"
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "ValidationError", "message": "the lattice form needs a lattice model",
+    }
 
 
 def test_moddev_table(tmp_path, capsys):
@@ -1245,6 +1247,13 @@ _GOLDEN = {
     "diagnose-two_state.json": _DIAGNOSE_TWO_STATE,
     "expand-doubling_ulam.json": ("expand", {
         "model": {"bundled": "doubling_ulam"}, "run": {"order": 2},
+    }),
+    # rows of up to six entries: their sums pin the order in which
+    # ulam_model adds the hits of an entry and the entries of a row
+    "expand-piecewise_ulam.json": ("expand", {
+        "model": {"type": "ulam", "map": "piecewise-linear", "endpoints": [0.0, 0.2, 0.7, 1.0],
+                  "cells": 100},
+        "run": {"order": 2},
     }),
     "expand-diophantine_two_state.json": ("expand", {
         "model": {"bundled": "diophantine_two_state"}, "run": {"order": 3},

@@ -1,6 +1,7 @@
 """Polynomial families: closed forms, structural identities, moments."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,9 +17,10 @@ from edgeworth.expansion import (
     weak_local_polys,
 )
 from edgeworth.jets import Polynomial
-from edgeworth.models import bundled_model, iid_model
+from edgeworth.models import bundled_model, iid_model, markov_model
 from edgeworth.oracle import dp_pmf
 from edgeworth.spectral import eigen_perturbation, perron_base
+from exact_jets import jet_gap, tilted_log_series
 
 def coeff_gap(got, want):
     """Largest absolute coefficient difference of two coefficient arrays."""
@@ -215,3 +217,48 @@ def test_weak_local_polys_are_real_and_sized():
         coeffs = exp_set.weak_local(p).coeffs
         assert coeffs.dtype.kind == "f"
         assert len(coeffs) - 1 <= 2 * p
+
+
+def exact_jet_gap(P, h, model):
+    """Gap of the order-8 jets of ``model`` to the exact series of the
+    chain ``P``, ``h`` (Fractions, uniform mu0), as a fraction of the
+    largest coefficient."""
+    log_lam, log_z = tilted_log_series(P, h, [Fraction(1, len(P))] * len(P), 10)
+    worst, largest = jet_gap(expansion_for_model(model, 8).params, log_lam, log_z)
+    return worst / largest
+
+
+def rational_chain(weights, rewards):
+    """``(P, h, model)``: rows of nonnegative integer ``weights`` normalized
+    exactly, the integer ``rewards`` on them, and the float chain."""
+    P = [[Fraction(int(w), int(sum(row))) for w in row] for row in weights.tolist()]
+    h = rewards.tolist()
+    return P, h, markov_model([[float(p) for p in row] for row in P], h)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_dense_rational_chain_matches_exact_jets(d, seed):
+    rng = np.random.default_rng([d, seed])
+    P, h, model = rational_chain(rng.integers(1, 9, (d, d)), rng.integers(-3, 4, (d, d)))
+    assert not model.operator_family(2).sparse
+    assert exact_jet_gap(P, h, model) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [
+    0,
+    pytest.param(9, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "FOUND in CHANGES.md, sparse-path precision: the jets are 5.9e-13 "
+        "of the largest coefficient off the exact rationals"))),
+])
+def test_random_sparse_rational_chain_matches_exact_jets(seed):
+    # 16 states, two entries per row: one entry in eight, the sparse path
+    rng = np.random.default_rng(seed)
+    weights, rewards = np.zeros((16, 16), dtype=int), np.zeros((16, 16), dtype=int)
+    for j in range(16):
+        cols = rng.choice(16, 2, replace=False)
+        weights[j, cols] = rng.integers(1, 9, 2)
+        rewards[j, cols] = rng.integers(-3, 4, 2)
+    P, h, model = rational_chain(weights, rewards)
+    assert model.operator_family(2).sparse
+    assert exact_jet_gap(P, h, model) <= 1e-13
