@@ -24,7 +24,7 @@ def main():
         print("     N      raw error      x N^(r/2)")
         for n, raw, scaled in rep.rows():
             print(f"  {n:>6}   {raw:.6e}   {scaled:.6e}")
-        verdict = "decreasing" if rep.decreasing else "NOT decreasing"
+        verdict = "decreasing" if rep.failure is None else "NOT decreasing"
         print(f"  scaled column {verdict}")
         print()
 

@@ -36,7 +36,7 @@ def main():
     print("     N      raw error      x sqrt(N)")
     for n, raw, scaled in rep.rows():
         print(f"  {n:>6}   {raw:.6e}   {scaled:.6f}")
-    verdict = "decreasing" if rep.decreasing else "NOT decreasing"
+    verdict = "decreasing" if rep.failure is None else "NOT decreasing"
     print(f"  scaled column {verdict}")
 
 

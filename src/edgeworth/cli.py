@@ -25,9 +25,9 @@ from . import evaluate, models, oracle, spectral
 from .errors import (
     EdgeworthError,
     GapBelowTolerance,
-    OracleInfeasible,
     SingularStationarySolve,
     ValidationError,
+    VerdictFailure,
     _as_index,
     _as_real,
     _as_reals,
@@ -285,10 +285,8 @@ def cmd_verify(model, model_doc, run, args):
     )
     _write_artifacts((_artifact_path(args.out, "verify", model_doc, args.stamp, "csv"),
                       _csv_text(["N", "raw_error", "scaled_error"], report.rows())))
-    if not report.decreasing:
-        raise VerdictFailure(
-            f"scaled {form} error is not strictly decreasing over {report.N_list}"
-        )
+    if report.failure is not None:
+        raise VerdictFailure(report.failure)
     return 0
 
 
@@ -391,10 +389,6 @@ def cmd_moddev(model, model_doc, run, args):
     return 0
 
 
-class VerdictFailure(Exception):
-    """A convergence verdict came out negative (exit code 4)."""
-
-
 _COMMANDS = {
     "expand": cmd_expand,
     "verify": cmd_verify,
@@ -450,15 +444,9 @@ def main(argv=None):
             model_doc, run = _load_config(args.config)
             model = build_model(model_doc)
             return _COMMANDS[args.command](model, model_doc, run, args)
-    except VerdictFailure as exc:
-        _emit_error("VerdictFailure", exc)
-        return 4
-    except OracleInfeasible as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 3
     except EdgeworthError as exc:
         _emit_error(type(exc).__name__, exc)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import numpy as np
 
 class EdgeworthError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 2  # of the command line; a subclass may set its own
 
 
 class ValidationError(EdgeworthError):
@@ -97,6 +98,12 @@ def _as_reals(name, value):
 
 class OracleInfeasible(EdgeworthError):
     """A brute-force oracle cannot run within its resource bounds."""
+    exit_code = 3
+
+
+class VerdictFailure(EdgeworthError):
+    """A convergence verdict came out negative."""
+    exit_code = 4
 
 
 # --- jets ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -301,17 +301,27 @@ def moddev_ratios(exp_set, model, c, N_list):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Error ladder for one expansion form over a horizon list."""
+    """Per horizon of ``N_list``: ``raw`` error, 99 % DKW band ``dkw99`` (None if exact)."""
 
     form: str
     oracle_kind: str
     r: int
     N_list: list
     raw: list
-    scaled: list = field(default_factory=list)
-    decreasing: bool = False
-    # each N's 99 % DKW band of the Monte Carlo sample, None for an exact oracle
-    dkw99: list = field(default_factory=list)
+    dkw99: list
+
+    @property
+    def scaled(self):
+        """The errors times N^(r/2)."""
+        return [e * n ** (self.r / 2.0) for e, n in zip(self.raw, self.N_list)]
+
+    @property
+    def failure(self):
+        """None if the scaled error falls strictly at every step, else why not."""
+        scaled = self.scaled
+        if all(b < a for a, b in zip(scaled, scaled[1:])):
+            return None
+        return f"scaled {self.form} error is not strictly decreasing over {self.N_list}"
 
     def rows(self):
         """(N, raw_error, scaled_error) rows for CSV emission."""
@@ -391,20 +401,18 @@ def _classical_error(exp_set, dist, N, r):
 
 
 def _lattice_error(exp_set, model, dist, N, r):
-    """sqrt(N) sup_k |P(S_N = k) - lattice_pmf(k)| over the lattice points
-    k of the support and of N A +- 13 sigma sqrt(N), points with no mass
-    included; at order 0 it is the local limit error times the span."""
+    """sqrt(N) sup_k |P(S_N = k) - lattice_pmf(k)| over every lattice point k
+    in the range of the support and of N A +- 13 sigma sqrt(N), each atom
+    pooled onto its nearest k; at order 0, the local limit error times the span."""
     span = model.lattice_span
     params = exp_set.params
     sigma = params.sigma
     lo = min(dist.support.min(), N * params.A - 13.0 * sigma * math.sqrt(N))
     hi = max(dist.support.max(), N * params.A + 13.0 * sigma * math.sqrt(N))
-    ks = span * np.arange(math.floor(lo / span), math.ceil(hi / span) + 1)
-    exact = np.zeros(ks.size)
-    idx = np.searchsorted(dist.support, ks)
-    idx = np.clip(idx, 0, dist.support.size - 1)
-    hit = np.abs(dist.support[idx] - ks) < 0.5 * span
-    exact[hit] = dist.pmf[idx[hit]]
+    k0 = math.floor(lo / span)
+    ks = span * np.arange(k0, math.ceil(hi / span) + 1)
+    exact = np.bincount((np.rint(dist.support / span) - k0).astype(np.int64),
+                        weights=dist.pmf, minlength=ks.size)
     approx = lattice_pmf(exp_set, N, ks, span=span, r=r)
     return float(np.max(np.abs(exact - approx))) * math.sqrt(N)
 
@@ -491,10 +499,8 @@ def convergence_study(
     else:
         probes_x = [_as_real("x", x)]
     raw = []
-    dkw99 = []
     dists = exact_distributions(model, N_list, oracle_kind, seed, trials, cache)
     for N, dist in zip(N_list, dists):
-        dkw99.append(dist.meta.get("dkw99"))
         if form == "classical":
             err = _classical_error(exp_set, dist, N, r)
         elif form == "lattice":
@@ -507,6 +513,5 @@ def convergence_study(
                 for xx in probes_x
             )
         raw.append(err)
-    scaled = [e * n ** (r / 2.0) for e, n in zip(raw, N_list)]
-    decreasing = all(b < a for a, b in zip(scaled, scaled[1:]))
-    return ConvergenceReport(form, oracle_kind, r, N_list, raw, scaled, decreasing, dkw99)
+    return ConvergenceReport(form, oracle_kind, r, N_list, raw,
+                             [dist.meta.get("dkw99") for dist in dists])

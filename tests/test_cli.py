@@ -277,8 +277,8 @@ def test_verify_verdict_failure_still_writes_csv(tmp_path, capsys):
     assert code == 4
     assert os.path.exists(out.strip())
     payload = json.loads(err)
-    assert payload["error"] == "VerdictFailure"
-    assert "not strictly decreasing" in payload["message"]
+    assert payload == {"error": "VerdictFailure",
+                       "message": "scaled classical error is not strictly decreasing over [16, 32]"}
 
 
 def test_verify_oracle_budget_exhaustion_exits_three(tmp_path, capsys):

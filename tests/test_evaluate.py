@@ -356,12 +356,12 @@ def test_weak_forms_match_dp_sums(two_state, dp_cache):
         exp_set, model, "dp", 2, [64, 256], form="weak_global", f=f, cache=dp_cache
     )
     assert rep.raw[0] <= 1e-6
-    assert rep.decreasing
+    assert rep.failure is None
     rep = convergence_study(
         exp_set, model, "dp", 2, [64, 256], form="weak_local", f=f, cache=dp_cache
     )
     assert rep.raw[0] <= 5e-3
-    assert rep.decreasing
+    assert rep.failure is None
 
 
 def test_averaged_single_center_ladder(two_state, dp_cache):
@@ -372,7 +372,7 @@ def test_averaged_single_center_ladder(two_state, dp_cache):
         cache=dp_cache,
     )
     assert rep.raw[0] <= 5e-3
-    assert rep.decreasing
+    assert rep.failure is None
 
 
 def test_averaged_default_probe_set(two_state, dp_cache):
@@ -381,7 +381,7 @@ def test_averaged_default_probe_set(two_state, dp_cache):
     rep = convergence_study(
         exp_set, model, "dp", 1, [64, 256], form="averaged", cache=dp_cache
     )
-    assert rep.decreasing
+    assert rep.failure is None
     f = TestFunction("gaussian-bump", 0.0, 1.0)
     sigma = exp_set.params.sigma
     dist = exact_distribution(model, 256, "dp", cache=dp_cache)
@@ -483,6 +483,23 @@ def test_lclt_error_halves(two_state, dp_cache):
                             cache=dp_cache)
     ratio = rep.raw[1] / rep.raw[0]
     assert 0.375 <= ratio <= 0.625
+
+
+def test_lattice_reader_pools_every_monte_carlo_atom():
+    # rewards 0.1 and 0.2 sum to floats near, not on, the multiples of the
+    # span, several float-distinct atoms to a lattice point; the reader took
+    # only the first atom at or above each point, 35 % of the mass at N = 16
+    model = markov_model([[0.7, 0.3], [0.4, 0.6]], [[0.1, 0.0], [0.0, 0.2]], [0.5, 0.5])
+    span = model.lattice_span
+    assert span == 0.1
+    exp_set = expansion_for_model(model, 0)
+    for N in (16, 64, 256):
+        dist = oracle.mc_sample(model, N, 2 * 10 ** 4, 5)
+        k, inverse = np.unique(np.rint(dist.support / span), return_inverse=True)
+        snapped = ExactDistribution(span * k, np.bincount(inverse, weights=dist.pmf), N)
+        assert snapped.support.size < dist.support.size
+        got = evaluate._lattice_error(exp_set, model, dist, N, 0)
+        assert got == evaluate._lattice_error(exp_set, model, snapped, N, 0)
 
 
 # ----------------------------------------------------------- moderate moddev
@@ -603,6 +620,53 @@ def test_study_reports_monte_carlo_band(two_state, dp_cache):
     assert len(rep.rows()[0]) == 3
     exact = convergence_study(exp_set, model, "dp", 1, [64, 256], cache=dp_cache)
     assert exact.dkw99 == [None, None]
+
+
+def _table(raw, N_list, r=0, form="lattice"):
+    return evaluate.ConvergenceReport(form, "dp", r, N_list, raw, [None] * len(N_list))
+
+
+def test_report_stores_only_what_was_measured():
+    fields = dataclasses.fields(evaluate.ConvergenceReport)
+    assert [f.name for f in fields] == ["form", "oracle_kind", "r", "N_list", "raw", "dkw99"]
+    assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+               for f in fields)
+
+
+@pytest.mark.parametrize("raw, N_list, r", [
+    ([0.4, 0.3, 0.2], [16, 64, 256], 0),
+    ([0.4, 0.19], [16, 64], 1),
+    ([0.4], [16], 2),  # one horizon: no step to fail
+])
+def test_verdict_passes_a_strictly_falling_column(raw, N_list, r):
+    assert _table(raw, N_list, r).failure is None
+
+
+@pytest.mark.parametrize("raw, r", [
+    ([0.4, 0.4], 0),  # a tie: the test is strict
+    ([0.4, 0.2], 1),  # the same tie in the scaled column
+    ([0.4, 0.5], 0),
+    ([0.4, math.nan], 0),
+    ([math.nan, 0.1], 0),
+])
+def test_verdict_refuses_a_column_that_does_not_fall(raw, r):
+    assert _table(raw, [16, 64], r).failure is not None
+
+
+@pytest.mark.parametrize("form", ["classical", "lattice", "weak_local", "weak_global", "averaged"])
+def test_verdict_reason_is_the_text_of_the_cli(form):
+    N_list = [8, 16, 32]
+    assert _table([0.1, 0.2, 0.3], N_list, form=form).failure == (
+        f"scaled {form} error is not strictly decreasing over {N_list}")
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_scaled_column_is_the_error_times_the_power_of_n(r):
+    raw, N_list = [0.3, 0.07, 0.011, 1.3e-3], [7, 19, 64, 1000]
+    want = [raw[i] * N_list[i] ** (r / 2) for i in range(4)]
+    rep = _table(raw, N_list, r)
+    assert rep.scaled == want
+    assert rep.rows() == list(zip(N_list, raw, want))
 
 
 def test_study_validation(two_state):
